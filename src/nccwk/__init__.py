@@ -22,10 +22,8 @@ from .nccw import (
     CompactIdealSpec,
     KData,
     NccwComplex,
-    boundary_trivial,
     classify_block,
     dimension_drop,
-    extension_k_pure,
     ideal_complex,
     inclusion_k_maps,
     k_theory,

@@ -4,7 +4,9 @@ Enumerates unital complexes within the given bounds (point count, interval
 count, multiplicity, point block size; interval sizes are forced by
 unitality), deduplicates up to permuting point and interval blocks, and
 keeps those classified odd.  Every reported witness is re-verified along
-an independent path that rebuilds the K rows from scratch.
+an independent path: the K rows are rebuilt on kernel bases from a raw,
+uncached Smith reduction and decided by the splitting-system solve, not
+by the isomorphism-type test that found them.
 """
 
 from __future__ import annotations
@@ -14,12 +16,16 @@ from itertools import combinations_with_replacement, product
 from typing import Optional
 
 from ..fgab.intmat import IntMatrix, _smith_raw
-from ..fgab.groups import is_exact, is_pure
+from ..fgab.groups import ShortExactSeq, _splits, is_exact
 from ..nccw import (
     CompactIdealSpec,
     NccwComplex,
-    all_ideal_specs,
-    k_sequences,
+    ideal_complex,
+    ideal_row_verdicts,
+    inclusion_k_maps,
+    k_theory,
+    quotient_complex,
+    quotient_k_maps,
 )
 
 
@@ -79,7 +85,7 @@ def _enumerate_unital(bounds: SearchBounds):
             pairs = [(ra, rb, s) for s, rows in sorted(by_sum.items())
                      for ra in rows for rb in rows]
             for l in range(1, bounds.max_l + 1):
-                for combo in product(pairs, repeat=l):
+                for combo in combinations_with_replacement(pairs, l):
                     alpha_rows = [c[0] for c in combo]
                     beta_rows = [c[1] for c in combo]
                     h = tuple(c[2] for c in combo)
@@ -93,23 +99,31 @@ def _enumerate_unital(bounds: SearchBounds):
                                       IntMatrix.from_rows(bb, cols=p))
 
 
-def reverify_odd_witness(A: NccwComplex, spec: CompactIdealSpec) -> bool:
-    """Independent re-check of an odd witness: drop every memoized Smith
-    decomposition, recompute the kernel basis by a raw uncached reduction,
-    then rebuild the two K rows and re-run exactness and purity."""
-    from ..fgab import intmat
-
-    delta = A.alpha - A.beta
-    snf = _smith_raw(delta)  # bypasses the memoized route
+def _raw_kernel_basis(delta: IntMatrix) -> IntMatrix:
+    """Kernel basis from an uncached Smith reduction of delta."""
+    snf = _smith_raw(delta)
     free = [j for j in range(delta.cols) if j >= len(snf.invariant_factors)
             or snf.invariant_factors[j] == 0]
-    basis = snf.V.submatrix(range(delta.cols), free)
-    assert (delta @ basis).is_zero()
-    intmat.smith_normal_form.cache_clear()
-    s0, s1 = k_sequences(A, spec)
-    exact = is_exact(s0) and is_exact(s1)
-    pure = is_pure(s0) and is_pure(s1) if exact else True
-    return exact and not pure
+    return snf.V.submatrix(range(delta.cols), free)
+
+
+def reverify_odd_witness(A: NccwComplex, spec: CompactIdealSpec) -> bool:
+    """Independent re-check of an odd witness.
+
+    The K_0 kernel bases of A, the ideal and the quotient come from raw,
+    uncached Smith reductions (k_theory checks that each spans the kernel
+    lattice); both K rows are rebuilt on them and decided by exactness and
+    the splitting-system solve, a criterion independent of the
+    isomorphism-type purity test the search uses.
+    """
+    def kd(C):
+        return k_theory(C, _raw_kernel_basis(C.delta))
+
+    kd_a = kd(A)
+    i0, i1 = inclusion_k_maps(A, spec, kd_a, kd(ideal_complex(A, spec)))
+    q0, q1 = quotient_k_maps(A, spec, kd_a, kd(quotient_complex(A, spec)))
+    rows = (ShortExactSeq(i0, q0), ShortExactSeq(i1, q1))
+    return all(is_exact(s) for s in rows) and not all(_splits(s) for s in rows)
 
 
 def search_odd_blocks(max_p: int = 3, max_l: int = 2, max_mult: int = 2,
@@ -136,15 +150,8 @@ def search_odd_blocks(max_p: int = 3, max_l: int = 2, max_mult: int = 2,
 
 def _first_odd_witness(A: NccwComplex) -> Optional[CompactIdealSpec]:
     """First ideal support with exact but non-pure K rows, if any."""
-    for spec in all_ideal_specs(A):
-        if len(spec.S) in (0, A.p):
-            continue  # the zero ideal and the whole algebra are always K-pure
-        s0, s1 = k_sequences(A, spec)
-        if not (is_exact(s0) and is_exact(s1)):
-            continue
-        if not (is_pure(s0) and is_pure(s1)):
-            return spec
-    return None
+    return next((spec for spec, exact, pure in ideal_row_verdicts(A)
+                 if exact and not pure), None)
 
 
 def census_lines(blocks) -> list:

@@ -250,6 +250,20 @@ def description_maps_ideal(m: MapDescription, spec_src: CompactIdealSpec,
     return True
 
 
+def _relabel(ms, src_pt: dict, src_bl: dict) -> tuple:
+    """Evaluations renumbered into a sub-complex of the source; those at
+    points or blocks missing from src_pt / src_bl are dropped."""
+    out = []
+    for a in ms:
+        if isinstance(a, AtPoint) and a.j in src_pt:
+            out.append(AtPoint(src_pt[a.j]))
+        elif isinstance(a, AtInterior) and a.i in src_bl:
+            out.append(AtInterior(src_bl[a.i]))
+        elif isinstance(a, FullPath) and a.i in src_bl:
+            out.append(FullPath(src_bl[a.i]))
+    return tuple(out)
+
+
 def restrict_to_ideal(m: MapDescription, spec_src: CompactIdealSpec,
                       spec_tgt: CompactIdealSpec) -> MapDescription:
     """The induced description between ideal complexes.  Evaluations not
@@ -259,19 +273,8 @@ def restrict_to_ideal(m: MapDescription, spec_src: CompactIdealSpec,
     src_pt = {j: a for a, j in enumerate(spec_src.S)}
     src_bl = {i: a for a, i in enumerate(spec_src.T)}
 
-    def relabel(ms):
-        out = []
-        for a in ms:
-            if isinstance(a, AtPoint) and a.j in src_pt:
-                out.append(AtPoint(src_pt[a.j]))
-            elif isinstance(a, AtInterior) and a.i in src_bl:
-                out.append(AtInterior(src_bl[a.i]))
-            elif isinstance(a, FullPath) and a.i in src_bl:
-                out.append(FullPath(src_bl[a.i]))
-        return tuple(out)
-
-    f1 = tuple(relabel(m.f1[j]) for j in spec_tgt.S)
-    f2 = tuple(relabel(m.f2[i]) for i in spec_tgt.T)
+    f1 = tuple(_relabel(m.f1[j], src_pt, src_bl) for j in spec_tgt.S)
+    f2 = tuple(_relabel(m.f2[i], src_pt, src_bl) for i in spec_tgt.T)
     return MapDescription(ideal_complex(m.source, spec_src),
                           ideal_complex(m.target, spec_tgt), f1, f2, unital=False)
 
@@ -285,21 +288,10 @@ def restrict_to_quotient(m: MapDescription, spec_src: CompactIdealSpec,
     src_pt = {j: a for a, j in enumerate(sc)}
     src_bl = {i: a for a, i in enumerate(tc)}
 
-    def relabel(ms):
-        out = []
-        for a in ms:
-            if isinstance(a, AtPoint) and a.j in src_pt:
-                out.append(AtPoint(src_pt[a.j]))
-            elif isinstance(a, AtInterior) and a.i in src_bl:
-                out.append(AtInterior(src_bl[a.i]))
-            elif isinstance(a, FullPath) and a.i in src_bl:
-                out.append(FullPath(src_bl[a.i]))
-        return tuple(out)
-
     tgt_sc = [j for j in range(m.target.p) if j not in spec_tgt.S]
     tgt_tc = [i for i in range(m.target.l) if i not in spec_tgt.T]
-    f1 = tuple(relabel(m.f1[j]) for j in tgt_sc)
-    f2 = tuple(relabel(m.f2[i]) for i in tgt_tc)
+    f1 = tuple(_relabel(m.f1[j], src_pt, src_bl) for j in tgt_sc)
+    f2 = tuple(_relabel(m.f2[i], src_pt, src_bl) for i in tgt_tc)
     return MapDescription(quotient_complex(m.source, spec_src),
                           quotient_complex(m.target, spec_tgt), f1, f2,
                           unital=m.unital)
@@ -491,7 +483,8 @@ def _char_poly(M: IntMatrix):
 
 
 def _integer_eigenvalues(M: IntMatrix):
-    poly = _char_poly(M)
+    full = _char_poly(M)
+    poly = full
     const = poly[0]
     if const == 0:
         cands = {0}
@@ -504,7 +497,6 @@ def _integer_eigenvalues(M: IntMatrix):
         for d in range(1, abs(const) + 1):
             if const % d == 0:
                 cands.update((d, -d))
-    full = _char_poly(M)
 
     def evaluate(lam):
         return sum(c * lam ** i for i, c in enumerate(full))
@@ -567,21 +559,6 @@ def _decouple(T: IntMatrix, P: IntMatrix):
             IntMatrix.from_rows([tuple(row) for row in P], cols=r))
 
 
-def _radical(n: int) -> int:
-    n = abs(n)
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out *= d
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out *= n
-    return out
-
-
 def _prime_set(n: int) -> frozenset:
     n = abs(n)
     out = set()
@@ -595,6 +572,13 @@ def _prime_set(n: int) -> frozenset:
     if n > 1:
         out.add(n)
     return frozenset(out)
+
+
+def _radical(n: int) -> int:
+    out = 1
+    for q in _prime_set(n):
+        out *= q
+    return out
 
 
 @dataclass(frozen=True)

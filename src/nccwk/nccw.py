@@ -272,19 +272,24 @@ def k_sequences(A: NccwComplex, spec: CompactIdealSpec):
     return ShortExactSeq(i0, q0), ShortExactSeq(i1, q1)
 
 
-def boundary_trivial(A: NccwComplex, spec: CompactIdealSpec) -> bool:
-    """Vanishing of both six-term boundary maps, decided as exactness of
-    the two assembled K_j rows."""
-    s0, s1 = k_sequences(A, spec)
-    return is_exact(s0) and is_exact(s1)
+def ideal_row_verdicts(A: NccwComplex):
+    """Each compact-ideal support of A, in all_ideal_specs order, as
+    (spec, exact, pure): whether both K rows are exact (the six-term
+    boundary maps vanish) and, when they are, whether both are pure
+    (False otherwise).
 
-
-def extension_k_pure(A: NccwComplex, spec: CompactIdealSpec) -> bool:
-    """Purity of both K_j rows; requires trivial boundary maps."""
-    s0, s1 = k_sequences(A, spec)
-    if not (is_exact(s0) and is_exact(s1)):
-        raise ValueError("extension does not have trivial boundary maps; rows are not exact")
-    return is_pure(s0) and is_pure(s1)
+    The empty support and the support of every point are exact and pure
+    without building their rows: the first gives 0 -> 0 -> K -> K -> 0,
+    the second a quotient with K_0 = 0 and K_1 free on the blocks that
+    touch no point, and an exact row onto a free group splits.
+    """
+    for spec in all_ideal_specs(A):
+        if len(spec.S) in (0, A.p):
+            yield spec, True, True
+            continue
+        s0, s1 = k_sequences(A, spec)
+        exact = is_exact(s0) and is_exact(s1)
+        yield spec, exact, exact and is_pure(s0) and is_pure(s1)
 
 
 class BlockClass(Enum):
@@ -319,18 +324,15 @@ def classify_block(A: NccwComplex) -> Classification:
     boundary maps do not disqualify a complex, they are reported
     separately as diagnostics.
     """
-    odd_witness = None
     nonexact = []
     nonpure = []
-    specs = all_ideal_specs(A)
-    for spec in specs:
-        s0, s1 = k_sequences(A, spec)
-        if not (is_exact(s0) and is_exact(s1)):
+    checked = 0
+    for spec, exact, pure in ideal_row_verdicts(A):
+        checked += 1
+        if not exact:
             nonexact.append(spec)
-            continue
-        if not (is_pure(s0) and is_pure(s1)):
+        elif not pure:
             nonpure.append(spec)
-            if odd_witness is None:
-                odd_witness = spec
+    odd_witness = nonpure[0] if nonpure else None
     verdict = BlockClass.ODD if odd_witness is not None else BlockClass.NICE
-    return Classification(verdict, odd_witness, tuple(nonexact), tuple(nonpure), len(specs))
+    return Classification(verdict, odd_witness, tuple(nonexact), tuple(nonpure), checked)

@@ -53,7 +53,7 @@ from nccwk.harness.scenarios import (
     torsion_tower_family,
     uhf_tail_sizes,
 )
-from nccwk.harness.search import _canonical_key, search_odd_blocks
+from nccwk.harness.search import _canonical_key
 
 from oracles import purity_bruteforce
 
@@ -170,7 +170,7 @@ def test_criterion_08_map_equality_through_stage_five():
     conclude(8, "the paired connecting maps agree on K at stages 0..5 in both towers", ok)
 
 
-def test_criterion_09_classifier_and_search():
+def test_criterion_09_classifier_and_search(default_search):
     cls = classify_block(odd_tower_complex(0))
     ok = cls.verdict is BlockClass.ODD and cls.odd_witness.S == (2,)
     rng = random.Random(9)
@@ -185,7 +185,7 @@ def test_criterion_09_classifier_and_search():
                 break
         one_block = NccwComplex(k, (sa,), IntMatrix.from_rows([a]), IntMatrix.from_rows([b]))
         ok = ok and classify_block(one_block).verdict is BlockClass.NICE
-    blocks = search_odd_blocks()  # default bounds
+    blocks = default_search  # default bounds
 
     def canon(c):
         return _canonical_key(c.k, c.h, [tuple(r) for r in c.alpha.entries],

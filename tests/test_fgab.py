@@ -6,6 +6,7 @@ from nccwk.fgab.groups import (
     FgGroup,
     GroupHom,
     ShortExactSeq,
+    _splits,
     check_ladder,
     cokernel,
     exact_at,
@@ -222,6 +223,7 @@ def test_purity_matches_bruteforce_for_diagonal_inclusions(rank, mults):
     n_max = max(quot.exponent(), 1) + 1
     brute = purity_bruteforce(inj.matrix.entries, [0] * r, [0] * r, n_max)
     assert is_pure(s) == brute
+    assert _splits(s) == brute
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from nccwk.fgab.intmat import IntMatrix
 from nccwk.harness.report import render_report
 from nccwk.harness.scenarios import SCENARIOS, odd_tower_complex, run_scenario
 from nccwk.harness.search import (
@@ -12,6 +13,7 @@ from nccwk.harness.search import (
     reverify_odd_witness,
     search_odd_blocks,
 )
+from nccwk.nccw import NccwComplex, classify_block, make_ideal_spec
 
 SAMPLES = Path(__file__).resolve().parent.parent / "docs" / "samples"
 
@@ -54,8 +56,8 @@ def canonical(c):
 
 
 class TestSearch:
-    def test_default_bounds_rediscover_the_odd_tower(self):
-        blocks = search_odd_blocks()
+    def test_default_bounds_rediscover_the_odd_tower(self, default_search):
+        blocks = default_search
         keys = {canonical(b.complex) for b in blocks}
         assert canonical(odd_tower_complex(0)) in keys
 
@@ -65,14 +67,24 @@ class TestSearch:
     def test_all_bounds_one_find_nothing(self):
         assert search_odd_blocks(max_p=1, max_l=1, max_mult=1, max_size=1) == []
 
-    def test_witnesses_reverify(self):
-        blocks = search_odd_blocks(max_p=3, max_l=2, max_mult=2, max_size=1)
+    def test_witnesses_reverify(self, default_search):
+        blocks = default_search
         assert blocks
         for b in blocks:
             assert reverify_odd_witness(b.complex, b.witness)
 
-    def test_results_deduplicated(self):
-        blocks = search_odd_blocks()
+    def test_reverify_rejects_non_witnesses(self):
+        A = odd_tower_complex(0)
+        assert not reverify_odd_witness(A, make_ideal_spec(A, []))
+        # neither K row over point 2 is exact (nonzero boundary maps)
+        B = NccwComplex((1, 1, 1), (2,), IntMatrix.from_rows([[0, 1, 1]]),
+                        IntMatrix.from_rows([[1, 1, 0]]))
+        spec = make_ideal_spec(B, [1])
+        assert spec in classify_block(B).nonexact_witnesses
+        assert not reverify_odd_witness(B, spec)
+
+    def test_results_deduplicated(self, default_search):
+        blocks = default_search
         keys = [canonical(b.complex) for b in blocks]
         assert len(keys) == len(set(keys))
 

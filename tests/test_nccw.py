@@ -3,15 +3,13 @@ import random
 import pytest
 
 from nccwk.fgab.intmat import IntMatrix
-from nccwk.fgab.groups import GroupHom, is_exact, is_pure
+from nccwk.fgab.groups import GroupHom, _splits, is_exact, is_pure
 from nccwk.nccw import (
     BlockClass,
     NccwComplex,
     all_ideal_specs,
-    boundary_trivial,
     classify_block,
     dimension_drop,
-    extension_k_pure,
     ideal_complex,
     inclusion_k_maps,
     k_sequences,
@@ -136,15 +134,25 @@ class TestIdealCalculus:
 class TestExtensions:
     def test_odd_tower_rows(self):
         A = odd_tower_complex(0)
-        spec = make_ideal_spec(A, [2])
-        assert boundary_trivial(A, spec)
-        assert not extension_k_pure(A, spec)
+        s0, s1 = k_sequences(A, make_ideal_spec(A, [2]))
+        assert is_exact(s0) and is_exact(s1)
+        assert not (is_pure(s0) and is_pure(s1))
 
     def test_empty_support_pure(self):
         A = odd_tower_complex(0)
-        spec = make_ideal_spec(A, [])
-        assert boundary_trivial(A, spec)
-        assert extension_k_pure(A, spec)
+        s0, s1 = k_sequences(A, make_ideal_spec(A, []))
+        assert is_exact(s0) and is_exact(s1)
+        assert is_pure(s0) and is_pure(s1)
+
+    def test_trivial_supports_split(self):
+        """ideal_row_verdicts reports the empty support and the support of
+        every point as exact and pure without building their rows."""
+        isolated = NccwComplex((1, 1), (2, 3), IntMatrix.from_rows([[2, 0], [0, 0]]),
+                               IntMatrix.from_rows([[0, 2], [0, 0]]), unital=False)
+        for A in (odd_tower_complex(0), torsion_tower_complex(0), dimension_drop(3), isolated):
+            for S in ([], range(A.p)):
+                for s in k_sequences(A, make_ideal_spec(A, S)):
+                    assert is_exact(s) and is_pure(s) and _splits(s)
 
     def test_torsion_tower_rows(self):
         A = torsion_tower_complex(0)
@@ -159,7 +167,8 @@ class TestExtensions:
         for A in (odd_tower_complex(0), torsion_tower_complex(0), dimension_drop(3)):
             kd = k_theory(A)
             for spec in all_ideal_specs(A):
-                if not boundary_trivial(A, spec):
+                s0, s1 = k_sequences(A, spec)
+                if not (is_exact(s0) and is_exact(s1)):
                     continue
                 r_i = k_theory(ideal_complex(A, spec)).k0.free_rank
                 r_q = k_theory(quotient_complex(A, spec)).k0.free_rank
@@ -225,4 +234,5 @@ class TestClassification:
     def test_nice_verdict_rechecks(self):
         A = dimension_drop(2)
         for spec in all_ideal_specs(A):
-            assert extension_k_pure(A, spec)
+            s0, s1 = k_sequences(A, spec)
+            assert is_pure(s0) and is_pure(s1)

@@ -10,6 +10,7 @@ from nccwk.fgab.groups import (
     FgGroup,
     GroupHom,
     ShortExactSeq,
+    _splits,
     is_exact,
     is_pure,
 )
@@ -130,3 +131,4 @@ def test_random_finite_extensions_match_bruteforce(e1, e2, seed):
     n_max = max(d1, d2)
     brute = purity_bruteforce([[a], [b]], [d1], [d1, d2], n_max)
     assert is_pure(s) == brute
+    assert _splits(s) == brute
