@@ -400,6 +400,18 @@ def truncate(sys: IndSystem, N: int) -> TruncatedSystem:
     return TruncatedSystem(groups, bondings)
 
 
+def _walk(sys: IndSystem, x: LimitElement, start: int, stop: int):
+    """(s, image of x at stage s) for s = start..stop, carried forward one
+    bonding per stage; nothing when stop < start."""
+    if stop < start:
+        return
+    v = sys.push(x, start)
+    yield start, v
+    for s in range(start, stop):
+        v = sys.bonding(s).apply(v)
+        yield s + 1, v
+
+
 @dataclass(frozen=True)
 class EqualityVerdict:
     kind: str  # "equal" | "distinct" | "unknown"
@@ -420,9 +432,7 @@ def limit_equal(sys: IndSystem, x: LimitElement, y: LimitElement, bound: int) ->
     if bound < start:
         raise ValueError("bound precedes the elements' stages")
     all_injective = True
-    for s in range(start, bound + 1):
-        vx = sys.push(x, s)
-        vy = sys.push(y, s)
+    for (s, vx), (_, vy) in zip(_walk(sys, x, start, bound), _walk(sys, y, start, bound)):
         if sys.group(s).elements_equal(vx, vy):
             return EqualityVerdict("equal", s)
         if s < bound and not sys.bonding(s).is_injective():
@@ -439,8 +449,7 @@ def divisible_in_limit(sys: IndSystem, x: LimitElement, n: int, stage_bound: int
     (divisibility persists forward), or None."""
     if n < 1:
         raise ValueError("divisor must be positive")
-    for s in range(x.stage, stage_bound + 1):
-        v = sys.push(x, s)
+    for s, v in _walk(sys, x, x.stage, stage_bound):
         if sys.group(s).divide_element(v, n) is not None:
             return s
     return None
@@ -448,90 +457,164 @@ def divisible_in_limit(sys: IndSystem, x: LimitElement, n: int, stage_bound: int
 
 # -- identification of localized limits --------------------------------------
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-
-
 def _char_poly(M: IntMatrix):
-    """det(xI - M) as ascending coefficient list (monic)."""
+    """det(xI - M) as ascending coefficient list (monic), by Berkowitz's
+    division-free algorithm (Inf. Proc. Letters 18, 1984).
+
+    Grows the polynomial from the trailing 1x1 block outwards: with
+    M = [[a, R], [C, B]], det(xI - M) = T q where q lists det(xI - B)
+    descending and T is the lower-triangular Toeplitz matrix with first
+    column 1, -a, -RC, -RBC, -RB^2C, ...  O(r^4) integer operations.
+    """
     r = M.rows
-    entries = [[([-M[i, j]] if i != j else [-M[i, j], 1]) for j in range(r)] for i in range(r)]
+    rows = M.entries
+    q = [1]  # descending coefficients of the trailing block's polynomial
+    for k in range(r - 1, -1, -1):
+        m = r - 1 - k
+        R = rows[k][k + 1:]
+        B = [row[k + 1:] for row in rows[k + 1:]]
+        t = [1, -rows[k][k]]
+        v = [row[k] for row in rows[k + 1:]]
+        for _ in range(m):
+            t.append(-sum(a * b for a, b in zip(R, v)))
+            v = [sum(a * b for a, b in zip(row, v)) for row in B]
+        q = [sum(t[i - j] * q[j] for j in range(max(0, i - m - 1), min(i, m) + 1))
+             for i in range(m + 2)]
+    return q[::-1]
 
-    def pdet(rows_idx, cols_idx):
-        if not rows_idx:
-            return [1]
-        i = rows_idx[0]
-        total = [0]
-        for pos, j in enumerate(cols_idx):
-            term = _poly_mul(entries[i][j], pdet(rows_idx[1:], cols_idx[:pos] + cols_idx[pos + 1:]))
-            if pos % 2:
-                total = _poly_sub(total, term)
-            else:
-                total = _poly_sub(total, [-c for c in term])
-        return total
 
-    return pdet(tuple(range(r)), tuple(range(r)))
+def _deflate(poly, lam):
+    """(quotient, remainder) of an ascending poly divided by x - lam; the
+    remainder is poly(lam) by Horner's rule."""
+    acc = 0
+    out = []
+    for c in reversed(poly):
+        acc = acc * lam + c
+        out.append(acc)
+    rem = out.pop()
+    return out[::-1], rem
+
+
+def _sturm_chain(poly):
+    """p, p', then negated pseudo-remainders made primitive: each entry is
+    a positive multiple of the classical Sturm sequence's, so sign
+    variation counts are unchanged."""
+    chain = [poly, [k * c for k, c in enumerate(poly)][1:]]
+    while len(chain[-1]) > 1:
+        a, b = chain[-2], chain[-1]
+        db, lb = len(b) - 1, b[-1]
+        scale, sign = abs(lb), 1 if lb > 0 else -1
+        while len(a) > db:
+            la, shift = a[-1], len(a) - 1 - db
+            a = [scale * x for x in a]
+            for i, y in enumerate(b):
+                a[shift + i] -= sign * la * y
+            while a and a[-1] == 0:
+                a.pop()
+        if not a:
+            break
+        g = 0
+        for x in a:
+            g = gcd(g, x)
+        chain.append([-(x // g) for x in a])
+    return chain
+
+
+def _variations(chain, m):
+    """Sign variations of the chain at m/2, from 2^deg p(m/2) in integers."""
+    count = last = 0
+    for p in chain:
+        acc, w = 0, 1
+        for c in reversed(p):
+            acc = acc * m + c * w
+            w <<= 1
+        if acc:
+            if last and (acc > 0) != (last > 0):
+                count += 1
+            last = acc
+    return count
+
+
+def _integer_roots(poly):
+    """Distinct integer roots of a monic ascending poly, sorted (-|v|, v).
+
+    Zero roots are stripped first.  The others lie inside the Cauchy bound
+    B = 1 + max|c_i|; Sturm counts bisect (-B - 1/2, B + 1/2) at half-
+    integers, which are never roots (a rational root of a monic integer
+    polynomial is an integer), down to width-1 intervals whose integer is
+    confirmed by Horner evaluation.  O(d log B) chain evaluations.
+    """
+    roots = []
+    if poly[0] == 0:
+        roots.append(0)
+        while poly[0] == 0:
+            poly = poly[1:]
+    if len(poly) > 1:
+        chain = _sturm_chain(poly)
+        edge = 2 * max(abs(c) for c in poly[:-1]) + 3  # 2B + 1
+        stack = [(-edge, _variations(chain, -edge), edge, _variations(chain, edge))]
+        while stack:
+            lo, vlo, hi, vhi = stack.pop()
+            if vlo == vhi:
+                continue
+            if hi - lo == 2:
+                if _deflate(poly, (lo + 1) // 2)[1] == 0:
+                    roots.append((lo + 1) // 2)
+                continue
+            mid = lo + 2 * ((hi - lo) // 4)
+            vmid = _variations(chain, mid)
+            stack.append((lo, vlo, mid, vmid))
+            stack.append((mid, vmid, hi, vhi))
+    return sorted(roots, key=lambda v: (-abs(v), v))
 
 
 def _integer_eigenvalues(M: IntMatrix):
-    full = _char_poly(M)
-    poly = full
-    const = poly[0]
-    if const == 0:
-        cands = {0}
-        while poly[0] == 0 and len(poly) > 1:
-            poly = poly[1:]
-        const = poly[0]
-    else:
-        cands = set()
-    if const != 0:
-        for d in range(1, abs(const) + 1):
-            if const % d == 0:
-                cands.update((d, -d))
-
-    def evaluate(lam):
-        return sum(c * lam ** i for i, c in enumerate(full))
-
-    roots = sorted((lam for lam in cands if evaluate(lam) == 0),
-                   key=lambda v: (-abs(v), v))
-    return roots
+    """Distinct integer eigenvalues of M, sorted (-|v|, v), in time
+    polynomial in the rank and the entries' bit size."""
+    return _integer_roots(_char_poly(M))
 
 
 def _triangularize(M: IntMatrix) -> Optional[IntMatrix]:
-    """Unimodular P with P^-1 M P upper triangular, via integer eigenflags."""
+    """Unimodular P with P^-1 M P upper triangular, via integer eigenflags,
+    or None when none exists.
+
+    Such a P exists iff det(xI - M) splits into integer linear factors: an
+    integer eigenvalue has a primitive integer eigenvector, which completes
+    to a unimodular basis, and the complementary block's polynomial is the
+    quotient.  So the roots are taken with multiplicity by synthetic
+    division, a leftover factor of positive degree returns None, and the
+    flags are split off in (-|v|, v) order, one kernel and one completion
+    per eigenvalue: polynomial in r and the entries' bit size.
+    """
     r = M.rows
-    if r <= 1:
-        return IntMatrix.identity(r)
-    for lam in _integer_eigenvalues(M):
-        K = kernel(M - IntMatrix.identity(r).scale(lam))
-        if K.cols == 0:
-            continue
+    poly = _char_poly(M)
+    roots = []
+    for lam in _integer_roots(poly):
+        while True:
+            quotient, rem = _deflate(poly, lam)
+            if rem:
+                break
+            poly = quotient
+            roots.append(lam)
+    if len(poly) > 1:
+        return None
+    P = IntMatrix.identity(r)
+    N = M
+    for k, lam in enumerate(roots[:-1]):
+        n = r - k
+        K = kernel(N - IntMatrix.identity(n).scale(lam))
         v = list(K.col(0))
         g = 0
         for x in v:
             g = gcd(g, x)
-        v = [x // g for x in v]
-        P1 = unimodular_completion(v)
-        inner = invert_unimodular(P1) @ M @ P1
-        N = inner.submatrix(range(1, r), range(1, r))
-        P2 = _triangularize(N)
-        if P2 is None:
-            continue
-        emb = [[1 if (i == j == 0) else 0 for j in range(r)] for i in range(r)]
-        for i in range(r - 1):
-            for j in range(r - 1):
-                emb[i + 1][j + 1] = P2[i, j]
-        return P1 @ IntMatrix.from_rows(emb, cols=r)
-    return None
+        P1 = unimodular_completion([x // g for x in v])
+        N = (invert_unimodular(P1) @ N @ P1).submatrix(range(1, n), range(1, n))
+        emb = [[int(i == j) for j in range(r)] for i in range(r)]
+        for i in range(n):
+            for j in range(n):
+                emb[k + i][k + j] = P1[i, j]
+        P = P @ IntMatrix.from_rows(emb, cols=r)
+    return P
 
 
 def _decouple(T: IntMatrix, P: IntMatrix):

@@ -92,12 +92,12 @@ def check_unperforated(cone: ConeOracle, samples: Iterable, nmax: int) -> Option
     """
     if nmax < 2:
         raise ValueError("nmax must be at least 2")
+    contains = cone.contains
     for g in samples:
-        if cone.contains(g):
+        if contains(g):
             continue
         for n in range(2, nmax + 1):
-            scaled = g.scale(n) if hasattr(g, "scale") else tuple(n * x for x in g)
-            if cone.contains(scaled):
+            if contains(_dilate(g, n)):
                 return (g, n)
     return None
 
@@ -106,17 +106,24 @@ def verify_perforation_witness(cone: ConeOracle, g, n: int) -> bool:
     """Confirm a perforation witness: n*g positive but g not."""
     if n < 2:
         raise ValueError("a witness needs n >= 2")
-    scaled = g.scale(n) if hasattr(g, "scale") else tuple(n * x for x in g)
-    return cone.contains(scaled) and not cone.contains(g)
+    return cone.contains(_dilate(g, n)) and not cone.contains(g)
+
+
+def _dilate(g, n: int):
+    """n*g for a GradedElement or a plain coordinate tuple."""
+    return g.scale(n) if hasattr(g, "scale") else tuple([x * n for x in g])
 
 
 # -- the concrete cones of the inductive-limit constructions -----------------
 
-def _check_localized(x: Fraction, prime: int) -> bool:
-    d = x.denominator
+def _check_localized(d: int, prime: int) -> bool:
+    """Is the denominator d a power of prime?"""
     while d % prime == 0:
         d //= prime
     return d == 1
+
+
+_EXACT = (int, Fraction)
 
 
 def halfplane_cone(first_prime: int, second_prime: int) -> ConeOracle:
@@ -128,10 +135,14 @@ def halfplane_cone(first_prime: int, second_prime: int) -> ConeOracle:
     """
 
     def member(g) -> bool:
-        x, y = Fraction(g[0]), Fraction(g[1])
-        if not (_check_localized(x, first_prime) and _check_localized(y, second_prime)):
+        x, y = g[0], g[1]
+        if not (isinstance(x, _EXACT) and isinstance(y, _EXACT)):
+            raise ValueError(f"coordinates must be int or Fraction, not {x!r}, {y!r}")
+        if not (_check_localized(x.denominator, first_prime)
+                and _check_localized(y.denominator, second_prime)):
             raise ValueError("element outside the localized ambient group")
-        return x > 0 or (x == 0 and y >= 0)
+        xn = x.numerator
+        return xn > 0 or (xn == 0 and y.numerator >= 0)
 
     return ConeOracle(member,
                       description=f"x > 0 or (x = 0 and y >= 0) on Z[1/{first_prime}] (+) Z[1/{second_prime}]",

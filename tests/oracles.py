@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: invariant factors
 via gcds of minors and via plain elementary reduction without transform
 tracking, purity via the raw divisibility definition, tensor/Tor via the
-classification of finitely generated abelian groups.
+classification of finitely generated abelian groups, characteristic
+polynomials by cofactor expansion and integer roots by scanning divisors.
 """
 
 from fractions import Fraction
@@ -178,3 +179,49 @@ def rational_rank(rows):
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def cofactor_char_poly(rows):
+    """det(xI - M) as ascending coefficient list, by cofactor expansion
+    along the first row: r! terms."""
+    r = len(rows)
+    entries = [[([-rows[i][j]] if i != j else [-rows[i][j], 1]) for j in range(r)]
+               for i in range(r)]
+
+    def pdet(rows_idx, cols_idx):
+        if not rows_idx:
+            return [1]
+        i = rows_idx[0]
+        total = [0]
+        for pos, j in enumerate(cols_idx):
+            term = _poly_mul(entries[i][j], pdet(rows_idx[1:], cols_idx[:pos] + cols_idx[pos + 1:]))
+            total = _poly_add(total, term if pos % 2 == 0 else [-c for c in term])
+        return total
+
+    return pdet(tuple(range(r)), tuple(range(r)))
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_add(a, b):
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+
+
+def divisor_scan_integer_roots(poly):
+    """Distinct integer roots of an ascending poly, sorted (-|v|, v): 0 when
+    the constant term vanishes, else every divisor +-d of the lowest
+    nonzero coefficient is tried."""
+    low = next(c for c in poly if c != 0)
+    cands = {0} if poly[0] == 0 else set()
+    for d in range(1, abs(low) + 1):
+        if low % d == 0:
+            cands.update((d, -d))
+    roots = [lam for lam in cands if sum(c * lam ** i for i, c in enumerate(poly)) == 0]
+    return sorted(roots, key=lambda v: (-abs(v), v))

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from nccwk.fgab.intmat import IntMatrix
 from nccwk.fgab.groups import FgGroup, GroupHom
@@ -26,6 +28,7 @@ from nccwk.homind import (
     restrict_to_ideal,
     truncate,
 )
+from nccwk.homind import _char_poly, _integer_eigenvalues, _triangularize
 from nccwk.harness.scenarios import (
     odd_tower_bonding,
     odd_tower_complex,
@@ -37,6 +40,8 @@ from nccwk.harness.scenarios import (
     torsion_tower_family,
     uhf_tail_sizes,
 )
+
+from oracles import cofactor_char_poly, divisor_scan_integer_roots
 
 
 class TestDescriptions:
@@ -250,6 +255,8 @@ class TestSystems:
         sys2 = IndSystem.from_matrix(IntMatrix.from_rows([[2]]))
         assert divisible_in_limit(sys2, LimitElement(0, (1,)), 8, 6) == 3
         assert divisible_in_limit(sys2, LimitElement(0, (1,)), 3, 10) is None
+        # a bound before the element's stage probes nothing
+        assert divisible_in_limit(sys2, LimitElement(4, (2,)), 2, 3) is None
         sys0 = odd_tower_family().k0_system(eventually_constant_from=0)
         assert divisible_in_limit(sys0, LimitElement(0, (0, 1)), 2, 5) == 1
 
@@ -329,6 +336,100 @@ class TestIdentification:
                 for e in range(1, 7):
                     assert divisible_in_limit(sys0, x, s ** e, ident.stage + e + 2) is not None
                 assert divisible_in_limit(sys0, x, 7 if s != 7 else 11, 8) is None
+
+    def test_rank9_jordan_eigenvalue_27(self):
+        # |det| = 27^9: finding the roots must not cost time in the size of det
+        ident = identify_localized_limit(IndSystem.from_matrix(_conjugated(_jordan(9, 27))))
+        assert ident is not None and ident.diagonal == (27,) * 9
+        assert ident.describe() == " (+) ".join(["Z[1/3]"] * 9)
+
+    def test_rank16_eigenvalue_3_pow_10(self):
+        ident = identify_localized_limit(IndSystem.from_matrix(_conjugated(_jordan(16, 3 ** 10))))
+        assert ident is not None and ident.localization_multiset() == (3,) * 16
+
+    def test_nonsplitting_block_k10(self):
+        # eigenvalues 2..11 above the golden-ratio block [[1, 1], [1, 0]]:
+        # no eigenvalue order gives a full integer flag
+        k = 10
+        rows = [[int(j > i) for j in range(k + 2)] for i in range(k + 2)]
+        for i in range(k):
+            rows[i][i] = i + 2
+        rows[k][k], rows[k + 1][k], rows[k + 1][k + 1] = 1, 1, 0
+        M = _conjugated(rows)
+        assert _triangularize(M) is None
+        assert identify_localized_limit(IndSystem.from_matrix(M)) is None
+
+
+def _jordan(r, lam):
+    return [[lam if j == i else int(j == i + 1) for j in range(r)] for i in range(r)]
+
+
+def _conjugated(rows):
+    """P M P^-1 for P = I + (ones on the superdiagonal), a unimodular matrix."""
+    r = len(rows)
+    P = [[int(j in (i, i + 1)) for j in range(r)] for i in range(r)]
+    Pinv = [[(-1) ** (j - i) if j >= i else 0 for j in range(r)] for i in range(r)]
+    return IntMatrix.from_rows(P) @ IntMatrix.from_rows(rows) @ IntMatrix.from_rows(Pinv)
+
+
+def _square(max_rank, bound):
+    return st.integers(1, max_rank).flatmap(lambda r: st.lists(
+        st.lists(st.integers(-bound, bound), min_size=r, max_size=r), min_size=r, max_size=r))
+
+
+@st.composite
+def _split(draw, max_rank=6):
+    """P T P^-1 with T integer upper triangular and P a product of
+    elementary matrices: a characteristic polynomial that splits over Z."""
+    r = draw(st.integers(1, max_rank))
+    T = [[draw(st.integers(-6, 6)) if j == i else draw(st.integers(-3, 3)) if j > i else 0
+          for j in range(r)] for i in range(r)]
+    P = [[int(i == j) for j in range(r)] for i in range(r)]
+    Pinv = [row[:] for row in P]
+    if r > 1:
+        for _ in range(draw(st.integers(0, 2 * r))):
+            i, j = draw(st.permutations(range(r)))[:2]
+            x = draw(st.sampled_from((-1, 1)))
+            for row in P:
+                row[j] += x * row[i]  # P <- P (I + x E_ij)
+            Pinv[i] = [a - x * b for a, b in zip(Pinv[i], Pinv[j])]  # (I - x E_ij) Pinv
+    return [list(row) for row in (IntMatrix.from_rows(P) @ IntMatrix.from_rows(T)
+                                  @ IntMatrix.from_rows(Pinv)).entries]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_square(7, 9), _split()))
+def test_char_poly_matches_cofactor_and_sympy(rows):
+    x = sympy.Symbol("x")
+    poly = _char_poly(IntMatrix.from_rows(rows))
+    assert poly == cofactor_char_poly(rows)
+    assert poly == [int(c) for c in reversed(sympy.Matrix(rows).charpoly(x).all_coeffs())]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_square(6, 4), _split()))
+def test_integer_eigenvalues_match_divisor_scan(rows):
+    poly = cofactor_char_poly(rows)
+    assume(abs(next(c for c in poly if c != 0)) <= 10 ** 4)
+    assert _integer_eigenvalues(IntMatrix.from_rows(rows)) == divisor_scan_integer_roots(poly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_square(5, 3), _split()))
+def test_triangularize_iff_char_poly_splits(rows):
+    r = len(rows)
+    x = sympy.Symbol("x")
+    _, factors = sympy.factor_list(sympy.Matrix(rows).charpoly(x).as_expr(), x)
+    linear = sum(e for f, e in factors if sympy.degree(f, x) == 1)
+    P = _triangularize(IntMatrix.from_rows(rows))
+    assert (P is None) == (linear < r)
+    if P is not None:
+        Ps = sympy.Matrix([list(row) for row in P.entries])
+        assert abs(Ps.det()) == 1
+        T = Ps.inv() * sympy.Matrix(rows) * Ps
+        assert all(T[i, j] == 0 for i in range(r) for j in range(i))
+        diag = [int(T[i, i]) for i in range(r)]
+        assert diag == sorted(diag, key=lambda v: (-abs(v), v))
 
 
 class TestLadderPurity:

@@ -84,6 +84,11 @@ class TestUnperforation:
         cone = halfplane_cone(3, 2)
         with pytest.raises(ValueError):
             cone.contains((Fraction(1, 5), Fraction(0)))
+        # inexact or non-numeric coordinates are refused, not converted
+        with pytest.raises(ValueError):
+            cone.contains((0.5, Fraction(0)))
+        with pytest.raises(ValueError):
+            cone.contains((Fraction(1), "1/3"))
 
 
 class TestGradedWitness:
