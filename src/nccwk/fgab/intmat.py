@@ -6,7 +6,19 @@ plain Python ints (arbitrary precision) and never touches floats.
 
 The Smith normal form here tracks all four transforms: D = U*A*V with
 U, V unimodular, and the inverses Uinv, Vinv accumulated alongside so
-cyclic decompositions of cokernels come for free.
+cyclic decompositions of cokernels come for free.  It takes two passes
+(Kannan & Bachem, SIAM J. Comput. 8, 1979):
+
+1. Hermite passes.  The rows are put in Hermite normal form one row at a
+   time, each new row eliminated against the pivots found so far, with
+   every entry above a pivot kept reduced modulo it; then the same pass
+   runs on the columns, and so on until D is diagonal (a row pass and a
+   column pass suffice on most inputs).
+2. The diagonal is folded into the divisibility chain d_i | d_{i+1}.
+
+Every entry of U, V, Uinv, Vinv and D then stays within
+n * (ceil(log2 H) + 1) bits, n the larger side of A and H its Hadamard
+bound; the test suite checks this bound on random and seeded matrices.
 
 >>> A = IntMatrix.from_rows([[2, -2, 0], [1, -1, 0]])
 >>> smith_normal_form(A).invariant_factors
@@ -15,6 +27,7 @@ cyclic decompositions of cokernels come for free.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -172,8 +185,8 @@ class SmithDecomposition:
     invariant_factors: tuple
 
     def verify(self, A: IntMatrix) -> bool:
+        # integer matrices with integer inverses are unimodular
         ok = (self.U @ A @ self.V) == self.D
-        ok = ok and abs(det(self.U)) == 1 and abs(det(self.V)) == 1
         ok = ok and (self.U @ self.Uinv) == IntMatrix.identity(A.rows)
         ok = ok and (self.V @ self.Vinv) == IntMatrix.identity(A.cols)
         d = self.invariant_factors
@@ -214,18 +227,38 @@ class _Worker:
 
     # Row ops act on D and U on the left; the inverse op is applied to
     # Uinv on the right (columns), keeping U*Uinv = I at every step.
-    def swap_rows(self, i, j):
-        self.D[i], self.D[j] = self.D[j], self.D[i]
-        self.U[i], self.U[j] = self.U[j], self.U[i]
-        for r in self.Uinv:
-            r[i], r[j] = r[j], r[i]
+    def permute_rows(self, order):
+        # new row b is old row order[b]
+        self.D = [self.D[i] for i in order]
+        self.U = [self.U[i] for i in order]
+        self.Uinv = [[r[i] for i in order] for r in self.Uinv]
 
-    def swap_cols(self, i, j):
-        for r in self.D:
-            r[i], r[j] = r[j], r[i]
-        for r in self.V:
-            r[i], r[j] = r[j], r[i]
-        self.Vinv[i], self.Vinv[j] = self.Vinv[j], self.Vinv[i]
+    def transpose(self):
+        # U A V = D  iff  V^T A^T U^T = D^T: row operations on the
+        # transposed state are column operations on this one (called only
+        # with m, n >= 1, so zip sees every column)
+        self.m, self.n = self.n, self.m
+        self.D = [list(r) for r in zip(*self.D)]
+        self.U, self.V = ([list(r) for r in zip(*self.V)],
+                          [list(r) for r in zip(*self.U)])
+        self.Uinv, self.Vinv = ([list(r) for r in zip(*self.Vinv)],
+                                [list(r) for r in zip(*self.Uinv)])
+
+    def add_row(self, i, k, q):
+        # row i += q * row k
+        for M in (self.D, self.U):
+            M[i] = [x + q * y for x, y in zip(M[i], M[k])]
+        for r in self.Uinv:
+            r[k] -= q * r[i]
+
+    def add_col(self, j, k, q):
+        # col j += q * col k
+        for M in (self.D, self.V):
+            for r in M:
+                if r[k]:
+                    r[j] += q * r[k]
+        Vinv = self.Vinv
+        Vinv[k] = [x - q * y for x, y in zip(Vinv[k], Vinv[j])]
 
     def row_combine(self, i, j, a, b, c, d):
         # rows (i,j) <- (a*ri + b*rj, c*ri + d*rj); requires a*d - b*c = +-1
@@ -240,19 +273,6 @@ class _Worker:
             r[i] = x * ai + y * ci
             r[j] = x * bi + y * di
 
-    def col_combine(self, i, j, a, b, c, d):
-        # cols (i,j) <- (a*ci + b*cj, c*ci + d*cj)
-        for M in (self.D, self.V):
-            for r in M:
-                x, y = r[i], r[j]
-                r[i] = a * x + b * y
-                r[j] = c * x + d * y
-        det2 = a * d - b * c
-        ai, bi, ci, di = det2 * d, -det2 * b, -det2 * c, det2 * a
-        ri, rj = self.Vinv[i], self.Vinv[j]
-        self.Vinv[i] = [ai * x + ci * y for x, y in zip(ri, rj)]
-        self.Vinv[j] = [bi * x + di * y for x, y in zip(ri, rj)]
-
     def negate_row(self, i):
         self.D[i] = [-x for x in self.D[i]]
         self.U[i] = [-x for x in self.U[i]]
@@ -260,50 +280,80 @@ class _Worker:
             r[i] = -r[i]
 
 
-def _reduce(w: _Worker):
-    m, n, D = w.m, w.n, w.D
-    for t in range(min(m, n)):
-        # pick the nonzero pivot of least magnitude in the trailing block
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = abs(D[i][j])
-                if x != 0 and (best is None or x < best):
-                    best, piv = x, (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        if i0 != t:
-            w.swap_rows(t, i0)
-        if j0 != t:
-            w.swap_cols(t, j0)
-        while True:
-            # plain subtraction leaves row/col t alone; the gcd combine is
-            # reserved for non-dividing entries and strictly shrinks the pivot,
-            # so the sweep terminates
-            for i in range(t + 1, m):
-                if D[i][t] != 0:
-                    if D[i][t] % D[t][t] == 0:
-                        w.row_combine(t, i, 1, 0, -(D[i][t] // D[t][t]), 1)
-                    else:
-                        g, s, u = _xgcd(D[t][t], D[i][t])
-                        a, b = D[t][t] // g, D[i][t] // g
-                        w.row_combine(t, i, s, u, -b, a)
-            for j in range(t + 1, n):
-                if D[t][j] != 0:
-                    if D[t][j] % D[t][t] == 0:
-                        w.col_combine(t, j, 1, 0, -(D[t][j] // D[t][t]), 1)
-                    else:
-                        g, s, u = _xgcd(D[t][t], D[t][j])
-                        a, b = D[t][t] // g, D[t][j] // g
-                        w.col_combine(t, j, s, u, -b, a)
-            if all(D[i][t] == 0 for i in range(t + 1, m)) and all(D[t][j] == 0 for j in range(t + 1, n)):
+def _hermite(w: _Worker):
+    """Row-incremental Hermite pass, row operations only.
+
+    Row i is eliminated column by column against the pivots of rows
+    0..i-1 (a subtraction when the pivot divides the entry, an xgcd
+    combine otherwise) until its first nonzero entry outside the pivot
+    columns, which becomes a new positive pivot.  After each row the pivot
+    rows are the Hermite normal form of the rows seen so far: every entry
+    above a pivot lies in [0, pivot).  The pivot rows end on top, in
+    column order; rows that eliminated to zero follow.
+    """
+    D = w.D
+    cols = []  # pivot columns, ascending
+    owner = [None] * w.n  # pivot column -> row holding that pivot
+    zero_rows = []
+    for i in range(w.m):
+        lead = None
+        for j in range(w.n):
+            x = D[i][j]
+            if x == 0:
+                continue
+            k = owner[j]
+            if k is None:
+                lead = j
                 break
-        if D[t][t] < 0:
-            w.negate_row(t)
-    # enforce the divisibility chain on the diagonal (zeros sink to the end)
-    r = min(m, n)
+            p = D[k][j]
+            if x % p == 0:
+                w.add_row(i, k, -(x // p))
+            else:
+                g, s, t = _xgcd(p, x)
+                w.row_combine(k, i, s, t, -(x // g), p // g)
+                _restore(w, cols, owner, j)
+        if lead is None:
+            zero_rows.append(i)
+            continue
+        if D[i][lead] < 0:
+            w.negate_row(i)
+        cols.insert(bisect_left(cols, lead), lead)
+        owner[lead] = i
+        _restore(w, cols, owner, lead)
+    order = [owner[c] for c in cols] + zero_rows
+    if order != list(range(w.m)):
+        w.permute_rows(order)
+
+
+def _restore(w: _Worker, cols, owner, j):
+    """The pivot row of column j changed: reduce it modulo the later pivots,
+    then every earlier pivot row modulo this pivot and the later ones."""
+    if len(cols) == 1:
+        return
+    D = w.D
+    pos = bisect_left(cols, j)
+    for rows, tail in (((owner[j],), cols[pos + 1:]),
+                       ([owner[c] for c in cols[:pos]], cols[pos:])):
+        for h in rows:
+            for c in tail:
+                k = owner[c]
+                q = D[h][c] // D[k][c]
+                if q:
+                    w.add_row(h, k, -q)
+
+
+def _is_diagonal(D) -> bool:
+    for i, row in enumerate(D):
+        for j, x in enumerate(row):
+            if x and i != j:
+                return False
+    return True
+
+
+def _chain(w: _Worker):
+    """Turn a diagonal D with its zeros last into a divisibility chain."""
+    D = w.D
+    r = min(w.m, w.n)
     changed = True
     while changed:
         changed = False
@@ -312,13 +362,13 @@ def _reduce(w: _Worker):
             if (a == 0 and b == 0) or (a != 0 and b % a == 0):
                 continue
             # fold gcd(a, b) into position i and lcm into position i+1
-            w.col_combine(i, i + 1, 1, 1, 0, 1)  # c_i += c_{i+1}
+            w.add_col(i, i + 1, 1)  # c_i += c_{i+1}
             g, s, u = _xgcd(D[i][i], D[i + 1][i])
             aa, bb = D[i][i] // g, D[i + 1][i] // g
             w.row_combine(i, i + 1, s, u, -bb, aa)
             if D[i][i + 1] != 0:
                 q = D[i][i + 1] // D[i][i]
-                w.col_combine(i, i + 1, 1, 0, -q, 1)
+                w.add_col(i + 1, i, -q)
             if D[i][i] < 0:
                 w.negate_row(i)
             if D[i + 1][i + 1] < 0:
@@ -328,14 +378,24 @@ def _reduce(w: _Worker):
 
 def _smith_raw(A: IntMatrix) -> SmithDecomposition:
     w = _Worker(A)
-    _reduce(w)
+    # a pass either leaves the first unfinished pivot alone in its row and
+    # column or replaces it by a proper divisor, so the alternation ends
+    flipped = False
+    _hermite(w)
+    while not _is_diagonal(w.D):
+        w.transpose()
+        flipped = not flipped
+        _hermite(w)
+    if flipped:
+        w.transpose()
+    _chain(w)
     r = min(A.rows, A.cols)
-    factors = tuple(w.D[i][i] for i in range(r))
-    D = IntMatrix(A.rows, A.cols, tuple(tuple(row) for row in w.D))
-    U = IntMatrix(A.rows, A.rows, tuple(tuple(row) for row in w.U))
-    V = IntMatrix(A.cols, A.cols, tuple(tuple(row) for row in w.V))
-    Uinv = IntMatrix(A.rows, A.rows, tuple(tuple(row) for row in w.Uinv))
-    Vinv = IntMatrix(A.cols, A.cols, tuple(tuple(row) for row in w.Vinv))
+    factors = tuple([w.D[i][i] for i in range(r)])
+    D = IntMatrix(A.rows, A.cols, tuple(map(tuple, w.D)))
+    U = IntMatrix(A.rows, A.rows, tuple(map(tuple, w.U)))
+    V = IntMatrix(A.cols, A.cols, tuple(map(tuple, w.V)))
+    Uinv = IntMatrix(A.rows, A.rows, tuple(map(tuple, w.Uinv)))
+    Vinv = IntMatrix(A.cols, A.cols, tuple(map(tuple, w.Vinv)))
     return SmithDecomposition(U, D, V, Uinv, Vinv, factors)
 
 
@@ -422,10 +482,11 @@ def unimodular_completion(v: Sequence[int]) -> IntMatrix:
 
 
 def invert_unimodular(P: IntMatrix) -> IntMatrix:
-    X = solve_matrix(P, IntMatrix.identity(P.rows))
-    if X is None:
+    """P^-1 = V U, read off U P V = I when every invariant factor is 1."""
+    snf = smith_normal_form(P)
+    if P.rows != P.cols or snf.invariant_factors.count(1) != P.rows:
         raise ValueError("matrix is not invertible over the integers")
-    return X
+    return snf.V @ snf.U
 
 
 def nonnegative_kernel_witness(A: IntMatrix, strict_rows: Sequence[int]) -> Optional[tuple]:

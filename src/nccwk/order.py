@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
-from .homind import IndSystem, LimitElement
+from .homind import IndSystem, LimitElement, _walk
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,10 @@ def eventual_dominates(sys: IndSystem, u: Sequence[int], v: Sequence[int],
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     first = None
-    for s in range(bound + 1):
-        holds = stage_dominates(sys, u, v, s)
+    walks = zip(_walk(sys, LimitElement(0, tuple(u)), 0, bound),
+                _walk(sys, LimitElement(0, tuple(v)), 0, bound))
+    for (s, pu), (_, pv) in walks:
+        holds = sys.cone_membership(s)(tuple(a - b for a, b in zip(pu, pv)))
         if holds and first is None:
             first = s
         if not holds and first is not None:

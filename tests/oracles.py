@@ -2,9 +2,11 @@
 
 These deliberately avoid the library's own code paths: invariant factors
 via gcds of minors and via plain elementary reduction without transform
-tracking, purity via the raw divisibility definition, tensor/Tor via the
-classification of finitely generated abelian groups, characteristic
-polynomials by cofactor expansion and integer roots by scanning divisors.
+tracking (modulo the determinant when it is nonzero), determinants by
+fraction-free elimination, purity via the raw divisibility definition,
+tensor/Tor via the classification of finitely generated abelian groups,
+characteristic polynomials by cofactor expansion and integer roots by
+scanning divisors.
 """
 
 from fractions import Fraction
@@ -13,45 +15,74 @@ from math import gcd
 
 
 def minor_gcd_invariant_factors(rows):
-    """d_k = gcd(k-minors) / gcd((k-1)-minors); zero once minors vanish."""
+    """d_k = gcd(k-minors) / gcd((k-1)-minors); zero once minors vanish.
+
+    Zero rows and columns, sets of dependent rows, and k above the
+    rational rank carry no nonzero minor and are skipped.  The scan over the
+    k-minors stops once their gcd reaches D_{k-1} * d_{k-1}, the least
+    value the chain d_{k-1} | d_k allows.
+    """
     m, n = len(rows), len(rows[0]) if rows else 0
-    r = min(m, n)
-    prev = 1
+    live_rows = [i for i in range(m) if any(rows[i])]
+    live_cols = [j for j in range(n) if any(row[j] for row in rows)]
+    rank = rational_rank(rows)
+    prev, last = 1, 1
     out = []
-    for k in range(1, r + 1):
+    for k in range(1, rank + 1):
+        floor = prev * last
         g = 0
-        for ri in combinations(range(m), k):
-            for ci in combinations(range(n), k):
+        for ri in combinations(live_rows, k):
+            if rational_rank([rows[i] for i in ri]) < k:
+                continue  # dependent rows: every minor on them vanishes
+            for ci in combinations(live_cols, k):
                 g = gcd(g, _det([[rows[i][j] for j in ci] for i in ri]))
-        if g == 0:
-            out.extend([0] * (r - len(out)))
-            break
-        out.append(g // prev)
+                if g == floor:
+                    break
+            if g == floor:
+                break
+        last = g // prev
+        out.append(last)
         prev = g
-    return tuple(out)
+    return tuple(out) + (0,) * (min(m, n) - rank)
 
 
 def _det(sq):
-    n = len(sq)
-    if n == 0:
-        return 1
-    if n == 1:
-        return sq[0][0]
-    total = 0
-    for j in range(n):
-        if sq[0][j] == 0:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in sq[1:]]
-        total += (-1) ** j * sq[0][j] * _det(minor)
-    return total
+    """Determinant by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in sq]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            a[i] = [(x * a[k][k] - a[i][k] * y) // prev for x, y in zip(a[i], a[k])]
+        prev = a[k][k]
+    return sign * prev
 
 
 def reduction_invariant_factors(rows):
-    """Elementary row/column reduction to diagonal form, no transforms."""
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0]) if m else 0
-    t = 0
-    while t < min(nrows, ncols):
+    """Elementary row/column reduction to diagonal form, no transforms.
+
+    Each step moves an entry of least magnitude to the pivot and clears its
+    row and column by floor-division remainders; a nonzero remainder is
+    smaller than the pivot and becomes the new one.  A nonsingular square
+    matrix is reduced modulo d = |det A|: d*Z^n lies in the column lattice
+    of A, so adding multiples of d to an entry keeps the invariant
+    factors, and a diagonal entry x stands for gcd(x, d).
+    """
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    d = abs(_det(rows)) if nrows == ncols and nrows else 0
+
+    def red(x):
+        return x % d if d else x
+
+    m = [[red(x) for x in r] for r in rows]
+    diag = []
+    for t in range(min(nrows, ncols)):
         piv = None
         for i in range(t, nrows):
             for j in range(t, ncols):
@@ -66,29 +97,31 @@ def reduction_invariant_factors(rows):
         dirty = True
         while dirty:
             dirty = False
+            p = m[t][t]
             for i in range(t + 1, nrows):
-                if m[i][t] % m[t][t] != 0:
-                    q = m[i][t] // m[t][t]
-                    m[i] = [a - q * b for a, b in zip(m[i], m[t])]
+                q = m[i][t] // p
+                if q:
+                    m[i] = [red(a - q * b) for a, b in zip(m[i], m[t])]
+                if m[i][t] != 0:
                     m[t], m[i] = m[i], m[t]
                     dirty = True
-            for i in range(t + 1, nrows):
-                q = m[i][t] // m[t][t]
-                m[i] = [a - q * b for a, b in zip(m[i], m[t])]
+                    break
+            if dirty:
+                continue
             for j in range(t + 1, ncols):
-                if m[t][j] % m[t][t] != 0:
-                    q = m[t][j] // m[t][t]
+                q = m[t][j] // p
+                if q:
                     for row in m:
-                        row[j] -= q * row[t]
+                        row[j] = red(row[j] - q * row[t])
+                if m[t][j] != 0:
                     for row in m:
                         row[t], row[j] = row[j], row[t]
                     dirty = True
-            for j in range(t + 1, ncols):
-                q = m[t][j] // m[t][t]
-                for row in m:
-                    row[j] -= q * row[t]
-        t += 1
-    diag = [abs(m[i][i]) for i in range(min(nrows, ncols))]
+                    break
+        diag.append(abs(m[t][t]))
+    diag += [0] * (min(nrows, ncols) - len(diag))
+    if d:
+        diag = [gcd(x, d) for x in diag]
     # repair divisibility with gcd/lcm swaps on the diagonal
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):

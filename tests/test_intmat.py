@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from nccwk.fgab.intmat import (
     IntMatrix,
     det,
+    invert_unimodular,
     kernel,
     lattice_preimage,
     nonnegative_kernel_witness,
@@ -111,6 +113,83 @@ def test_smith_properties(A):
     for i in range(len(d) - 1):
         assert (d[i] == 0 and d[i + 1] == 0) or (d[i] != 0 and d[i + 1] % d[i] == 0)
     assert all(x >= 0 for x in d)
+
+
+def entry_bit_bound(A):
+    """n * (ceil(log2 H) + 1) bits, n the larger side of A and H its Hadamard
+    bound: the smaller of the products of its row and of its column norms,
+    a norm below 1 read as 1."""
+    def squared(vectors):
+        h2 = 1
+        for v in vectors:
+            h2 *= max(1, sum(x * x for x in v))
+        return h2
+    h2 = min(squared(A.entries), squared(A.columns()))
+    log_h = ((h2 - 1).bit_length() + 1) // 2  # ceil(log2 sqrt(h2))
+    return max(A.rows, A.cols) * (log_h + 1)
+
+
+def largest_entry_bits(s):
+    return max((x.bit_length() if x >= 0 else (-x).bit_length()
+                for M in (s.U, s.V, s.Uinv, s.Vinv, s.D) for row in M.entries for x in row),
+               default=0)
+
+
+rectangular_matrices = st.integers(0, 12).flatmap(
+    lambda m: st.integers(0, 12).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-30, 30), min_size=n, max_size=n),
+            min_size=m, max_size=m).map(lambda rows: IntMatrix.from_rows(rows, cols=n))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rectangular_matrices)
+def test_smith_bounded_and_matches_minor_gcds(A):
+    s = smith_normal_form(A)
+    assert s.verify(A)
+    assert s.invariant_factors == minor_gcd_invariant_factors([list(r) for r in A.entries])
+    assert largest_entry_bits(s) <= entry_bit_bound(A)
+
+
+def test_smith_large_seeded_matrices():
+    rng = random.Random(40)
+    full = [[rng.randint(-3, 3) for _ in range(40)] for _ in range(40)]
+    deficient = [[rng.randint(-3, 3) for _ in range(32)] for _ in range(29)]
+    deficient += [[a - b for a, b in zip(deficient[i], deficient[i + 1])] for i in range(3)]
+    for rows in (full, deficient):
+        A = M(rows)
+        s = smith_normal_form(A)
+        assert s.verify(A)
+        assert s.invariant_factors == reduction_invariant_factors(rows)
+        assert largest_entry_bits(s) <= entry_bit_bound(A)
+    assert smith_normal_form(M(deficient)).invariant_factors[-3:] == (0, 0, 0)
+
+
+def test_verify_rejects_a_wrong_inverse():
+    A = M([[6, 4], [2, 8]])
+    s = smith_normal_form(A)
+    bad = dataclasses.replace(s, Uinv=s.Uinv.scale(-1))
+    assert not bad.verify(A)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-4, 4)),
+                       max_size=12).map(lambda ops: (n, ops))))
+def test_invert_unimodular(case):
+    n, ops = case
+    P = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, c in ops:  # row i += c * row j
+        if i != j:
+            P[i] = [a + c * b for a, b in zip(P[i], P[j])]
+    P = M(P)
+    assert invert_unimodular(P) @ P == IntMatrix.identity(n)
+
+
+def test_invert_unimodular_refuses():
+    for rows in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[1, 0, 0]]):
+        with pytest.raises(ValueError):
+            invert_unimodular(M(rows))
 
 
 @settings(max_examples=80, deadline=None)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from nccwk.fgab.groups import FgGroup, GroupHom
 from nccwk.fgab.intmat import IntMatrix
 from nccwk.homind import IndSystem
 from nccwk.order import (
@@ -34,6 +35,26 @@ class TestStageDominance:
         assert eventual_dominates(sys0, (1, 0), (0, 1), 6) == 2
         assert eventual_dominates(sys0, (1, 0), (1, 0), 6) == 0
         assert eventual_dominates(sys0, (0, 1), (1, 0), 6) is None
+
+    def test_eventual_walks_each_vector_once(self, monkeypatch):
+        sys0 = k0_system()
+        calls = []
+        bonding = IndSystem.bonding
+
+        def counting(self, n):
+            calls.append(n)
+            return bonding(self, n)
+
+        monkeypatch.setattr(IndSystem, "bonding", counting)
+        assert eventual_dominates(sys0, (1, 0), (0, 1), 12) == 2
+        assert len(calls) <= 2 * 12
+
+    def test_eventual_rejects_non_monotone_dominance(self):
+        G = FgGroup.free(1)
+        flip = IndSystem.constant(GroupHom(G, G, IntMatrix.from_rows([[-1]])),
+                                  cone=lambda g: g[0] >= 0)
+        with pytest.raises(ValueError, match="holds at stage 0, fails at stage 1"):
+            eventual_dominates(flip, (1,), (0,), 3)
 
     def test_monotone_once_true(self):
         sys0 = k0_system()
