@@ -214,7 +214,12 @@ def _xgcd(a: int, b: int):
 
 
 class _Worker:
-    """Mutable state for the reduction; transforms and inverses kept in sync."""
+    """Mutable state for the reduction; transforms and inverses kept in sync.
+
+    The column side is stored transposed, Vt = V^T and Vinvt = Vinv^T, so
+    a column operation changes Vt and Vinvt exactly as a row operation
+    changes U and Uinv, and transposing the state only transposes D.
+    """
 
     def __init__(self, A: IntMatrix):
         self.m = A.rows
@@ -222,8 +227,8 @@ class _Worker:
         self.D = [list(row) for row in A.entries]
         self.U = [[1 if i == j else 0 for j in range(self.m)] for i in range(self.m)]
         self.Uinv = [[1 if i == j else 0 for j in range(self.m)] for i in range(self.m)]
-        self.V = [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
-        self.Vinv = [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
+        self.Vt = [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
+        self.Vinvt = [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
 
     # Row ops act on D and U on the left; the inverse op is applied to
     # Uinv on the right (columns), keeping U*Uinv = I at every step.
@@ -239,10 +244,8 @@ class _Worker:
         # with m, n >= 1, so zip sees every column)
         self.m, self.n = self.n, self.m
         self.D = [list(r) for r in zip(*self.D)]
-        self.U, self.V = ([list(r) for r in zip(*self.V)],
-                          [list(r) for r in zip(*self.U)])
-        self.Uinv, self.Vinv = ([list(r) for r in zip(*self.Vinv)],
-                                [list(r) for r in zip(*self.Uinv)])
+        self.U, self.Vt = self.Vt, self.U
+        self.Uinv, self.Vinvt = self.Vinvt, self.Uinv
 
     def add_row(self, i, k, q):
         # row i += q * row k
@@ -253,12 +256,13 @@ class _Worker:
 
     def add_col(self, j, k, q):
         # col j += q * col k
-        for M in (self.D, self.V):
-            for r in M:
-                if r[k]:
-                    r[j] += q * r[k]
-        Vinv = self.Vinv
-        Vinv[k] = [x - q * y for x, y in zip(Vinv[k], Vinv[j])]
+        for r in self.D:
+            if r[k]:
+                r[j] += q * r[k]
+        Vt = self.Vt
+        Vt[j] = [x + q * y for x, y in zip(Vt[j], Vt[k])]
+        for r in self.Vinvt:
+            r[k] -= q * r[j]
 
     def row_combine(self, i, j, a, b, c, d):
         # rows (i,j) <- (a*ri + b*rj, c*ri + d*rj); requires a*d - b*c = +-1
@@ -393,9 +397,9 @@ def _smith_raw(A: IntMatrix) -> SmithDecomposition:
     factors = tuple([w.D[i][i] for i in range(r)])
     D = IntMatrix(A.rows, A.cols, tuple(map(tuple, w.D)))
     U = IntMatrix(A.rows, A.rows, tuple(map(tuple, w.U)))
-    V = IntMatrix(A.cols, A.cols, tuple(map(tuple, w.V)))
+    V = IntMatrix(A.cols, A.cols, tuple(zip(*w.Vt)))
     Uinv = IntMatrix(A.rows, A.rows, tuple(map(tuple, w.Uinv)))
-    Vinv = IntMatrix(A.cols, A.cols, tuple(map(tuple, w.Vinv)))
+    Vinv = IntMatrix(A.cols, A.cols, tuple(zip(*w.Vinvt)))
     return SmithDecomposition(U, D, V, Uinv, Vinv, factors)
 
 
