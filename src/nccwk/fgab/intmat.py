@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Iterable, Optional, Sequence
@@ -491,78 +490,3 @@ def invert_unimodular(P: IntMatrix) -> IntMatrix:
     if P.rows != P.cols or snf.invariant_factors.count(1) != P.rows:
         raise ValueError("matrix is not invertible over the integers")
     return snf.V @ snf.U
-
-
-def nonnegative_kernel_witness(A: IntMatrix, strict_rows: Sequence[int]) -> Optional[tuple]:
-    """An integer v >= 0 with A v = 0 and v[j] >= 1 for every j in strict_rows.
-
-    Decided exactly by Fourier-Motzkin elimination on the kernel-basis
-    coordinates; a rational solution scales to an integer one because the
-    constraint cone is invariant under positive dilation.
-    """
-    cols = A.cols
-    strict = sorted(set(strict_rows))
-    if not strict:
-        return tuple(0 for _ in range(cols))
-    B = kernel(A)
-    r = B.cols
-    # constraints sum_k B[j,k] c_k >= 1 (j strict), >= 0 (other coords)
-    cons = []
-    for j in range(cols):
-        coeffs = tuple(Fraction(B[j, k]) for k in range(r))
-        rhs = Fraction(1) if j in strict else Fraction(0)
-        cons.append((coeffs, rhs))
-    sol = _fourier_motzkin(cons, r)
-    if sol is None:
-        return None
-    lcm = 1
-    for c in sol:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    v = B.apply([int(c * lcm) for c in sol])
-    assert all(x >= 0 for x in v) and all(v[j] >= 1 for j in strict)
-    return v
-
-
-def _fourier_motzkin(cons, nvars):
-    """Feasible rational point for constraints (coeffs . c >= rhs), or None."""
-    if nvars == 0:
-        return () if all(rhs <= 0 for _, rhs in cons) else None
-    k = nvars - 1
-    lower, upper, rest = [], [], []
-    for coeffs, rhs in cons:
-        a = coeffs[k]
-        head = coeffs[:k]
-        if a > 0:
-            # c_k >= (rhs - head.c)/a
-            lower.append((tuple(x / a for x in head), rhs / a))
-        elif a < 0:
-            # c_k <= (rhs - head.c)/a  (inequality flips)
-            upper.append((tuple(x / a for x in head), rhs / a))
-        else:
-            rest.append((head, rhs))
-    projected = list(rest)
-    for lo_c, lo_r in lower:
-        for up_c, up_r in upper:
-            # need lo_bound <= up_bound: (up - lo).c >= ... rearranged below
-            coeffs = tuple(lo - up for lo, up in zip(lo_c, up_c))
-            projected.append((coeffs, lo_r - up_r))
-    tail = _fourier_motzkin(projected, k)
-    if tail is None:
-        return None
-    lo_val = None
-    for lo_c, lo_r in lower:
-        b = lo_r - sum(c * t for c, t in zip(lo_c, tail))
-        lo_val = b if lo_val is None or b > lo_val else lo_val
-    up_val = None
-    for up_c, up_r in upper:
-        b = up_r - sum(c * t for c, t in zip(up_c, tail))
-        up_val = b if up_val is None or b < up_val else up_val
-    if lo_val is None and up_val is None:
-        ck = Fraction(0)
-    elif lo_val is None:
-        ck = up_val
-    elif up_val is None:
-        ck = lo_val
-    else:
-        ck = (lo_val + up_val) / 2
-    return tail + (ck,)

@@ -362,11 +362,6 @@ class InputDocument:
                 return s
         raise KeyError(f"no system named {name!r}")
 
-    def concrete_map(self, name: str) -> MapDescription:
-        spec = self.get_map(name)
-        return MapDescription(self.get_complex(spec.source), self.get_complex(spec.target),
-                              spec.atoms_f1(), spec.atoms_f2(), unital=spec.unital)
-
     def family_object(self, sysname: str) -> ComplexFamily:
         sys_spec = self.get_system(sysname)
         fam = self.get_family(sys_spec.family)

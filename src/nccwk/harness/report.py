@@ -51,10 +51,6 @@ class ClaimSink:
         got = self._show(computed)
         self.claims.append(ClaimResult(claim_id, anchor, source, exp, got, exp == got))
 
-    def record_failure(self, claim_id: str, anchor: str, source: str, expected, error: str):
-        self.claims.append(ClaimResult(claim_id, anchor, source,
-                                       self._show(expected), f"error: {error}", False))
-
     def note(self, text: str):
         self.notes.append(text)
 

@@ -3,9 +3,10 @@
 Enumerates unital complexes within the given bounds (point count, interval
 count, multiplicity, point block size; interval sizes are forced by
 unitality), deduplicates up to permuting point and interval blocks, and
-keeps those classified odd.  Every reported witness is re-verified by a
-second purity criterion: its K rows are decided by the splitting-system
-solve, not by the isomorphism-type test that found them.
+keeps those classified odd.  Every reported witness is re-verified on a
+path independent of the search for exactness as well as purity: its K
+rows are built and decided by is_exact and the splitting-system solve,
+not by the boundary test and isomorphism type that found it.
 """
 
 from __future__ import annotations
@@ -90,9 +91,9 @@ def _enumerate_unital(bounds: SearchBounds):
 
 
 def reverify_odd_witness(A: NccwComplex, spec: CompactIdealSpec) -> bool:
-    """Second-opinion check of an odd witness: both K rows are exact and
-    not both split, with splitting decided by solving the splitting system
-    rather than by the isomorphism-type test the search uses."""
+    """Second-opinion check of an odd witness: both built K rows are exact
+    and not both split, with splitting decided by solving the splitting
+    system; the search decided neither property this way."""
     s0, s1 = k_sequences(A, spec)
     return is_exact(s0) and is_exact(s1) and not (_splits(s0) and _splits(s1))
 

@@ -353,10 +353,6 @@ class IndSystem:
             raise ValueError("system carries no positivity data")
         return self._cone_at(n)
 
-    @property
-    def has_cone(self) -> bool:
-        return self._cone_at is not None
-
     def push(self, x: "LimitElement", stage: int) -> tuple:
         """Image of x's vector at the requested (later or equal) stage."""
         if stage < x.stage:

@@ -45,11 +45,6 @@ class GradedElement:
         return GradedElement(tuple(n * x for x in self.g0), tuple(n * x for x in self.g1))
 
 
-def stage_cone(sys: IndSystem, stage: int) -> ConeOracle:
-    return ConeOracle(sys.cone_membership(stage),
-                      description=f"kernel coordinates nonnegative at stage {stage}")
-
-
 def stage_dominates(sys: IndSystem, u: Sequence[int], v: Sequence[int], stage: int) -> bool:
     """u >= v at the given stage: the image difference lies in that stage's cone.
 

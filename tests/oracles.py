@@ -5,8 +5,9 @@ via gcds of minors and via plain elementary reduction without transform
 tracking (modulo the determinant when it is nonzero), determinants by
 fraction-free elimination, purity via the raw divisibility definition,
 tensor/Tor via the classification of finitely generated abelian groups,
-characteristic polynomials by cofactor expansion and integer roots by
-scanning divisors.
+characteristic polynomials by cofactor expansion, integer roots by
+scanning divisors, and nonnegative kernel vectors by Fourier-Motzkin
+elimination.
 """
 
 from fractions import Fraction
@@ -258,3 +259,81 @@ def divisor_scan_integer_roots(poly):
             cands.update((d, -d))
     roots = [lam for lam in cands if sum(c * lam ** i for i, c in enumerate(poly)) == 0]
     return sorted(roots, key=lambda v: (-abs(v), v))
+
+
+def nonnegative_kernel_witness(A, strict_rows):
+    """An integer v >= 0 with A v = 0 and v[j] >= 1 for every j in strict_rows,
+    or None.  A is any matrix with row tuples `entries` and a column count
+    `cols`, such as an IntMatrix.
+
+    Decided exactly by Fourier-Motzkin elimination on the coordinates of v
+    (each row of A v = 0 as two inequalities); a rational solution scales to
+    an integer one because the constraint cone is invariant under positive
+    dilation.
+    """
+    cols = A.cols
+    strict = set(strict_rows)
+    if not strict:
+        return tuple(0 for _ in range(cols))
+    cons = []
+    for row in A.entries:
+        for sign in (1, -1):
+            cons.append((tuple(Fraction(sign * x) for x in row), Fraction(0)))
+    for j in range(cols):
+        unit = tuple(Fraction(int(i == j)) for i in range(cols))
+        cons.append((unit, Fraction(1) if j in strict else Fraction(0)))
+    sol = _fourier_motzkin(cons, cols)
+    if sol is None:
+        return None
+    lcm = 1
+    for c in sol:
+        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
+    v = tuple(int(c * lcm) for c in sol)
+    assert all(x >= 0 for x in v) and all(v[j] >= 1 for j in strict)
+    assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in A.entries)
+    return v
+
+
+def _fourier_motzkin(cons, nvars):
+    """Feasible rational point for constraints (coeffs . c >= rhs), or None."""
+    if nvars == 0:
+        return () if all(rhs <= 0 for _, rhs in cons) else None
+    k = nvars - 1
+    lower, upper, rest = [], [], []
+    for coeffs, rhs in cons:
+        a = coeffs[k]
+        head = coeffs[:k]
+        if a > 0:
+            # c_k >= (rhs - head.c)/a
+            lower.append((tuple(x / a for x in head), rhs / a))
+        elif a < 0:
+            # c_k <= (rhs - head.c)/a  (inequality flips)
+            upper.append((tuple(x / a for x in head), rhs / a))
+        else:
+            rest.append((head, rhs))
+    projected = list(rest)
+    for lo_c, lo_r in lower:
+        for up_c, up_r in upper:
+            # need lo_bound <= up_bound: (up - lo).c >= ... rearranged below
+            coeffs = tuple(lo - up for lo, up in zip(lo_c, up_c))
+            projected.append((coeffs, lo_r - up_r))
+    tail = _fourier_motzkin(projected, k)
+    if tail is None:
+        return None
+    lo_val = None
+    for lo_c, lo_r in lower:
+        b = lo_r - sum(c * t for c, t in zip(lo_c, tail))
+        lo_val = b if lo_val is None or b > lo_val else lo_val
+    up_val = None
+    for up_c, up_r in upper:
+        b = up_r - sum(c * t for c, t in zip(up_c, tail))
+        up_val = b if up_val is None or b < up_val else up_val
+    if lo_val is None and up_val is None:
+        ck = Fraction(0)
+    elif lo_val is None:
+        ck = up_val
+    elif up_val is None:
+        ck = lo_val
+    else:
+        ck = (lo_val + up_val) / 2
+    return tail + (ck,)

@@ -10,12 +10,14 @@ from nccwk.harness.scenarios import SCENARIOS, odd_tower_complex, run_scenario
 from nccwk.harness.search import (
     SearchBounds,
     _canonical_key,
+    census_lines,
     reverify_odd_witness,
     search_odd_blocks,
 )
 from nccwk.nccw import NccwComplex, classify_block, make_ideal_spec
 
 SAMPLES = Path(__file__).resolve().parent.parent / "docs" / "samples"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestScenarios:
@@ -87,6 +89,13 @@ class TestSearch:
         blocks = default_search
         keys = [canonical(b.complex) for b in blocks]
         assert len(keys) == len(set(keys))
+
+    def test_default_census_bytes(self, default_search):
+        """The default census, pinned byte for byte (search_default.txt holds
+        census_lines(search_odd_blocks()) as printed before the ideal-support
+        search was rebuilt on cone faces and the snake lemma)."""
+        expected = (DATA / "search_default.txt").read_text()
+        assert "\n".join(census_lines(default_search)) + "\n" == expected
 
     def test_bounds_description(self):
         assert "p <= 3" in str(SearchBounds())

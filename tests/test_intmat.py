@@ -10,7 +10,6 @@ from nccwk.fgab.intmat import (
     invert_unimodular,
     kernel,
     lattice_preimage,
-    nonnegative_kernel_witness,
     rank,
     smith_normal_form,
     solve,
@@ -20,6 +19,7 @@ from nccwk.fgab.intmat import (
 
 from oracles import (
     minor_gcd_invariant_factors,
+    nonnegative_kernel_witness,
     rational_rank,
     reduction_invariant_factors,
 )
@@ -79,6 +79,8 @@ class TestKernelSolve:
 
 
 class TestWitness:
+    """The Fourier-Motzkin reference for nonnegative kernel vectors."""
+
     def test_dimension_drop_kernel_has_positive_vector(self):
         assert nonnegative_kernel_witness(M([[2, -2]]), [0, 1]) == (1, 1)
 

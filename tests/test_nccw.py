@@ -1,16 +1,20 @@
 import random
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nccwk.fgab.intmat import IntMatrix
 from nccwk.fgab.groups import GroupHom, _splits, is_exact, is_pure
 from nccwk.nccw import (
     BlockClass,
     NccwComplex,
+    adjacent_blocks,
     all_ideal_specs,
     classify_block,
     dimension_drop,
     ideal_complex,
+    ideal_row_verdicts,
     inclusion_k_maps,
     k_sequences,
     k_theory,
@@ -22,6 +26,41 @@ from nccwk.harness.scenarios import (
     odd_tower_complex,
     torsion_tower_complex,
 )
+
+from oracles import nonnegative_kernel_witness
+
+CASES = ("unital", "non-unital", "isolated point")
+
+
+def draw_complex(data, case):
+    """A random complex with p <= 4 points, l <= 3 interval blocks and
+    multiplicities <= 3; in the "isolated point" case the last point touches
+    no interval block."""
+    p = data.draw(st.integers(1, 4), label="p")
+    l = data.draw(st.integers(1, 3), label="l")
+    k = tuple(data.draw(st.lists(st.integers(1, 2), min_size=p, max_size=p), label="k"))
+    touching = p - 1 if case == "isolated point" else p
+    rows = [r + (0,) * (p - touching) for r in product(range(4), repeat=touching)]
+    alpha, beta, h = [], [], []
+    for _ in range(l):
+        a = data.draw(st.sampled_from(rows), label="alpha row")
+        sa = sum(x * y for x, y in zip(a, k))
+        if case == "unital":
+            b = data.draw(st.sampled_from(
+                [r for r in rows if sum(x * y for x, y in zip(r, k)) == sa]), label="beta row")
+            size = sa
+        else:
+            b = data.draw(st.sampled_from(rows), label="beta row")
+            size = max(sa, sum(x * y for x, y in zip(b, k)), 1) + data.draw(st.integers(0, 2))
+        if size == 0:
+            # a unital block needs a positive size: use the multiplicity-1 row
+            a = b = (1,) + (0,) * (p - 1)
+            size = k[0]
+        alpha.append(a)
+        beta.append(b)
+        h.append(size)
+    return NccwComplex(k, tuple(h), IntMatrix.from_rows(alpha), IntMatrix.from_rows(beta),
+                       unital=(case == "unital"))
 
 
 class TestKTheory:
@@ -76,6 +115,28 @@ class TestIdealSpecs:
     def test_all_supports_of_odd_block(self):
         specs = all_ideal_specs(odd_tower_complex(0))
         assert [s.S for s in specs] == [(), (2,), (0, 1), (0, 1, 2)]
+
+    @pytest.mark.parametrize("case", CASES)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_supports_match_fourier_motzkin(self, case, data):
+        """The supports are the unions of minimal supports; the reference
+        accepts S iff delta[adj(S), S] has a kernel vector >= 1 on S."""
+        A = draw_complex(data, case)
+        accepted = [S for size in range(A.p + 1) for S in combinations(range(A.p), size)
+                    if nonnegative_kernel_witness(
+                        A.delta.submatrix(adjacent_blocks(A, S), S), range(len(S))) is not None]
+        specs = all_ideal_specs(A)
+        assert [spec.S for spec in specs] == accepted
+        for spec in specs:
+            assert make_ideal_spec(A, spec.S) == spec
+            assert all(x >= 1 for x in spec.witness)
+            assert A.delta.submatrix(spec.T, spec.S).apply(spec.witness) == (0,) * len(spec.T)
+        for size in range(A.p + 1):
+            for S in combinations(range(A.p), size):
+                if S not in accepted:
+                    with pytest.raises(ValueError):
+                        make_ideal_spec(A, S)
 
     def test_torsion_tower_projection_class_support(self):
         spec = make_ideal_spec(torsion_tower_complex(0), [2, 3])
@@ -153,6 +214,35 @@ class TestExtensions:
             for S in ([], range(A.p)):
                 for s in k_sequences(A, make_ideal_spec(A, S)):
                     assert is_exact(s) and is_pure(s) and _splits(s)
+
+    @pytest.mark.parametrize("case", CASES)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_boundary_verdicts_match_built_rows(self, case, data):
+        """ideal_row_verdicts decides each support by the connecting map and
+        an isomorphism type; building both K rows and deciding them with
+        is_exact and the splitting system must give the same pair."""
+        A = draw_complex(data, case)
+        for spec, exact, pure in ideal_row_verdicts(A):
+            s0, s1 = k_sequences(A, spec)
+            # the snake lemma: one row is exact iff the other is
+            assert is_exact(s0) == is_exact(s1)
+            assert exact == is_exact(s0)
+            assert pure == (exact and _splits(s0) and _splits(s1))
+
+    def test_boundary_verdicts_match_built_rows_on_odd_blocks(self, default_search):
+        """The same comparison on the odd blocks of the default census and the
+        paper's two towers, where non-pure exact rows occur."""
+        blocks = [b.complex for b in default_search]
+        for A in blocks + [odd_tower_complex(0), torsion_tower_complex(0)]:
+            verdicts = [(exact, pure) for _, exact, pure in ideal_row_verdicts(A)]
+            built = []
+            for spec in all_ideal_specs(A):
+                s0, s1 = k_sequences(A, spec)
+                exact = is_exact(s0) and is_exact(s1)
+                built.append((exact, exact and _splits(s0) and _splits(s1)))
+            assert verdicts == built
+            assert (True, False) in verdicts
 
     def test_torsion_tower_rows(self):
         A = torsion_tower_complex(0)
