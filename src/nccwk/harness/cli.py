@@ -187,8 +187,7 @@ def cmd_order(args) -> int:
     if args.perforation_witness is not None:
         g = _vector(args.perforation_witness[0])
         n = int(args.perforation_witness[1])
-        cone = ConeOracle(sys_obj.cone_membership(args.stage),
-                          description=f"stage {args.stage} cone")
+        cone = ConeOracle(sys_obj.cone_membership(args.stage))
         ok = verify_perforation_witness(cone, g, n)
         print(f"{name}: stage {args.stage} witness {g} with n = {n}: "
               f"{'confirmed' if ok else 'not a witness'}")

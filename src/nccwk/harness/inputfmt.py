@@ -38,6 +38,7 @@ Errors carry the 1-based line number of the offending text.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -160,6 +161,8 @@ class SizeExpr:
             else:
                 out += ("+" if sign > 0 else "-") + body
         return out
+
+    __str__ = render
 
 
 class _ExprParser:
@@ -288,22 +291,9 @@ class MapSpec:
     name: str
     source: str
     target: str
-    f1: tuple  # per target point: tuple of (('point'|'interior'), index) 0-based
-    f2: tuple  # per target block: tuple of (('point'|'interior'|'path'), index)
+    f1: tuple  # per target point: AtPoint / AtInterior atoms, keyword then index order
+    f2: tuple  # per target block: AtPoint / AtInterior / FullPath atoms
     unital: bool
-
-    def atoms_f1(self):
-        return tuple(tuple(AtPoint(i) if kind == "point" else AtInterior(i) for kind, i in ms)
-                     for ms in self.f1)
-
-    def atoms_f2(self):
-        def mk(kind, i):
-            if kind == "point":
-                return AtPoint(i)
-            if kind == "interior":
-                return AtInterior(i)
-            return FullPath(i)
-        return tuple(tuple(mk(kind, i) for kind, i in ms) for ms in self.f2)
 
 
 @dataclass(frozen=True)
@@ -327,6 +317,13 @@ class Query:
         return default
 
 
+def _lookup(pairs, name: str, what: str):
+    for n, value in pairs:
+        if n == name:
+            return value
+    raise KeyError(f"no {what} named {name!r}")
+
+
 @dataclass(frozen=True)
 class InputDocument:
     complexes: tuple  # (name, NccwComplex) pairs in declaration order
@@ -339,44 +336,31 @@ class InputDocument:
         return [n for n, _ in self.complexes]
 
     def get_complex(self, name: str) -> NccwComplex:
-        for n, c in self.complexes:
-            if n == name:
-                return c
-        raise KeyError(f"no complex named {name!r}")
+        return _lookup(self.complexes, name, "complex")
 
     def get_family(self, name: str) -> FamilySpec:
-        for n, f in self.families:
-            if n == name:
-                return f
-        raise KeyError(f"no family named {name!r}")
+        return _lookup(self.families, name, "family")
 
     def get_map(self, name: str) -> MapSpec:
-        for n, m in self.maps:
-            if n == name:
-                return m
-        raise KeyError(f"no map named {name!r}")
+        return _lookup(self.maps, name, "map")
 
     def get_system(self, name: str) -> SystemSpec:
-        for n, s in self.systems:
-            if n == name:
-                return s
-        raise KeyError(f"no system named {name!r}")
+        return _lookup(self.systems, name, "system")
 
     def family_object(self, sysname: str) -> ComplexFamily:
+        """The system's family; parsing checked that its bonding is a self-map."""
         sys_spec = self.get_system(sysname)
         fam = self.get_family(sys_spec.family)
         mp = self.get_map(sys_spec.bonding)
-        if mp.source != fam.name or mp.target != fam.name:
-            raise ValueError(f"system {sysname!r} needs a self-map of family {fam.name!r}")
 
         def complex_at(n):
             return fam.complex_at(fam.n0 + n)
 
         def bonding_at(n):
-            return MapDescription(complex_at(n), complex_at(n + 1),
-                                  mp.atoms_f1(), mp.atoms_f2(), unital=mp.unital)
+            return MapDescription(complex_at(n), complex_at(n + 1), mp.f1, mp.f2,
+                                  unital=mp.unital)
 
-        return ComplexFamily(complex_at, bonding_at, label=fam.name)
+        return ComplexFamily(complex_at, bonding_at)
 
     def system_object(self, sysname: str) -> IndSystem:
         sys_spec = self.get_system(sysname)
@@ -390,6 +374,10 @@ class InputDocument:
 
 _QUERY_KINDS = {"ktheory", "ideal", "classify", "identify", "stages", "divisible",
                 "dominates", "coeff", "perforation-witness"}
+_ATOMS = {"point": AtPoint, "interior": AtInterior, "path": FullPath}
+_WORDS = {cls: word for word, cls in _ATOMS.items()}
+_PLURALS = {"complex": "complexes", "family": "families", "system": "systems",
+            "query": "queries"}
 
 
 def _split_statements(text: str):
@@ -455,19 +443,12 @@ def _parse_matrix(text: str, line: int) -> list:
     return rows
 
 
-def _parse_bool(text: str, line: int) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    raise InputError(line, f"expected true or false, found {text!r}")
-
-
-def _parse_atoms(text: str, line: int, kinds=("point", "interior", "path")):
+def _parse_atoms(text: str, line: int, kinds) -> tuple:
+    """The evaluations of one assignment, in keyword then index order."""
     atoms = []
     text = text.strip()
     if not text:
-        return tuple(atoms)
+        return ()
     for chunk in text.split(","):
         parts = chunk.split()
         if len(parts) not in (2, 4):
@@ -493,185 +474,160 @@ def _parse_atoms(text: str, line: int, kinds=("point", "interior", "path")):
         if index < 1:
             raise InputError(line, "block indices are 1-based")
         atoms.extend([(kind, index - 1)] * mult)
-    return tuple(sorted(atoms))
+    return tuple(_ATOMS[kind](i) for kind, i in sorted(atoms))
+
+
+def _filled(slot: dict, size: int, word: str, name: str) -> tuple:
+    """One assignment per target block; naming a block the target lacks is
+    an error at the assignment's line."""
+    for i, (line, _) in slot.items():
+        if i >= size:
+            raise InputError(line, f"map {name!r}: the target has no {word} {i + 1} "
+                                   f"(it has {size})")
+    return tuple(slot[i][1] if i in slot else () for i in range(size))
+
+
+# helpers on a block's {key: (line, value)} items; each consumes its key
+
+def _bool(items, key: str) -> bool:
+    if key not in items:
+        return True
+    line, text = items.pop(key)
+    if text not in ("true", "false"):
+        raise InputError(line, f"expected true or false, found {text!r}")
+    return text == "true"
+
+
+def _int(items, key: str, default, message: str):
+    if key not in items:
+        return default
+    line, text = items.pop(key)
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(line, message)
+
+
+def _sizes(items, key: str) -> tuple:
+    line, text = items.pop(key, (0, ""))
+    return tuple(parse_size_expr(tok, line) for tok in text.split())
+
+
+def _no_more(items, kind: str):
+    if items:
+        bad = min(items)
+        raise InputError(items[bad][0], f"unknown key {bad!r} in {kind} block")
 
 
 class _Parser:
     def __init__(self, text: str):
         self.statements = list(_split_statements(text))
         self.pos = 0
-        self.complexes = []
-        self.families = []
-        self.maps = []
-        self.systems = []
+        # kind -> {name: parsed value}, in declaration order
+        self.blocks = {"complex": {}, "family": {}, "map": {}, "system": {}}
         self.queries = []
 
-    def peek(self):
-        return self.statements[self.pos] if self.pos < len(self.statements) else None
-
     def take(self):
-        st = self.peek()
-        if st is None:
+        if self.pos == len(self.statements):
             raise InputError(self.statements[-1][0] if self.statements else 1,
                              "unexpected end of document")
         self.pos += 1
-        return st
+        return self.statements[self.pos - 1]
 
     def run(self) -> InputDocument:
-        while self.peek() is not None:
+        readers = {"complex": self.block_stages, "family": self.block_stages,
+                   "map": self.block_map, "system": self.block_system,
+                   "query": self.block_query}
+        while self.pos < len(self.statements):
             line, stmt = self.take()
-            head = stmt.split()
-            if head[0] == "complex":
-                self.block_complex(line, stmt)
-            elif head[0] == "family":
-                self.block_family(line, stmt)
-            elif head[0] == "map":
-                self.block_map(line, stmt)
-            elif head[0] == "system":
-                self.block_system(line, stmt)
-            elif head[0] == "query":
-                self.block_query(line, stmt)
-            else:
-                raise InputError(line, f"unknown section {head[0]!r}")
+            kind = stmt.split()[0]
+            if kind not in readers:
+                raise InputError(line, f"unknown section {kind!r}")
+            readers[kind](line, stmt, kind)
         return self.validated()
 
-    def _block_header(self, line, stmt, keyword):
-        body = stmt[len(keyword):].strip()
-        if not body.endswith("{"):
-            raise InputError(line, f"{keyword} header must end with '{{'")
-        return body[:-1].strip(), line
+    @staticmethod
+    def _head(line, stmt, kind):
+        head = stmt[len(kind):].strip()
+        if not head.endswith("{"):
+            raise InputError(line, f"{kind} header must end with '{{'")
+        return head[:-1].strip()
 
-    def _block_items(self):
-        items = []
+    @staticmethod
+    def _name(line, name, kind):
+        if not name.isidentifier():
+            raise InputError(line, f"bad {kind} name {name!r}")
+        return name
+
+    def _items(self, kind):
+        """The block's 'key = value' items as {key: (line, value)}, and its
+        assignment lines, which only maps take."""
+        items, assigns = {}, []
         while True:
             line, stmt = self.take()
             if stmt == "}":
-                return items
-            items.append((line, stmt))
-
-    @staticmethod
-    def _kv(items):
-        out = {}
-        rest = []
-        for line, stmt in items:
+                break
             if "<-" in stmt:
-                rest.append((line, stmt))
+                assigns.append((line, stmt))
                 continue
             if "=" not in stmt:
                 raise InputError(line, f"expected 'key = value', found {stmt!r}")
             key, val = stmt.split("=", 1)
             key = key.strip()
-            if key in out:
+            if key in items:
                 raise InputError(line, f"duplicate key {key!r}")
-            out[key] = (line, val.strip())
-        return out, rest
+            items[key] = (line, val.strip())
+        if assigns and kind != "map":
+            raise InputError(assigns[0][0], f"{_PLURALS[kind]} take only 'key = value' lines")
+        return items, assigns
 
-    def _sizes(self, kv, key, line, required=True):
-        if key not in kv:
-            if required:
-                raise InputError(line, f"missing '{key} = ...'")
-            return ()
-        ln, val = kv.pop(key)
-        return tuple(parse_size_expr(tok, ln) for tok in val.split())
+    def _add(self, kind, name, value, line):
+        if name in self.blocks[kind]:
+            raise InputError(line, f"duplicate {kind} {name!r}")
+        self.blocks[kind][name] = value
 
-    def block_complex(self, line, stmt):
-        name, _ = self._block_header(line, stmt, "complex")
-        if not name.isidentifier():
-            raise InputError(line, f"bad complex name {name!r}")
-        kv, rest = self._kv(self._block_items())
-        if rest:
-            raise InputError(rest[0][0], "complexes take only 'key = value' lines")
-        k = self._sizes(kv, "k", line)
-        h = self._sizes(kv, "h", line, required=False)
-        for e in (*k, *h):
-            if not e.is_constant():
-                raise InputError(line, "a concrete complex cannot use the stage parameter n; "
-                                       "declare a family instead")
-        alpha_ln, alpha_txt = kv.pop("alpha", (line, None))
-        beta_ln, beta_txt = kv.pop("beta", (line, None))
-        if alpha_txt is None or beta_txt is None:
-            raise InputError(line, "complex needs alpha and beta")
-        unital = True
-        if "unital" in kv:
-            ln, val = kv.pop("unital")
-            unital = _parse_bool(val, ln)
-        if kv:
-            bad = sorted(kv)[0]
-            raise InputError(kv[bad][0], f"unknown key {bad!r} in complex block")
-        ksz = tuple(e.eval(None) for e in k)
-        hsz = tuple(e.eval(None) for e in h)
-        alpha = _parse_matrix(alpha_txt, alpha_ln)
-        beta = _parse_matrix(beta_txt, beta_ln)
-        try:
-            cx = NccwComplex(ksz, hsz,
-                             IntMatrix.from_rows(alpha, cols=len(ksz)),
-                             IntMatrix.from_rows(beta, cols=len(ksz)), unital=unital)
-        except ValueError as exc:
-            raise InputError(line, str(exc))
-        if any(n == name for n, _ in self.complexes):
-            raise InputError(line, f"duplicate complex {name!r}")
-        self.complexes.append((name, cx))
-
-    def block_family(self, line, stmt):
-        name, _ = self._block_header(line, stmt, "family")
-        if not name.isidentifier():
-            raise InputError(line, f"bad family name {name!r}")
-        kv, rest = self._kv(self._block_items())
-        if rest:
-            raise InputError(rest[0][0], "families take only 'key = value' lines")
-        n0 = 0
-        if "n0" in kv:
-            ln, val = kv.pop("n0")
-            try:
-                n0 = int(val)
-            except ValueError:
-                raise InputError(ln, "n0 must be an integer")
-        k = self._sizes(kv, "k", line)
-        h = self._sizes(kv, "h", line, required=False)
-        alpha_ln, alpha_txt = kv.pop("alpha", (line, None))
-        beta_ln, beta_txt = kv.pop("beta", (line, None))
-        if alpha_txt is None or beta_txt is None:
-            raise InputError(line, "family needs alpha and beta")
-        unital = True
-        if "unital" in kv:
-            ln, val = kv.pop("unital")
-            unital = _parse_bool(val, ln)
-        if kv:
-            bad = sorted(kv)[0]
-            raise InputError(kv[bad][0], f"unknown key {bad!r} in family block")
+    def block_stages(self, line, stmt, kind):
+        """A family, or a complex: a family without n0 whose sizes are constant."""
+        name = self._name(line, self._head(line, stmt, kind), kind)
+        items, _ = self._items(kind)
+        n0 = _int(items, "n0", 0, "n0 must be an integer") if kind == "family" else 0
+        if "k" not in items:
+            raise InputError(line, "missing 'k = ...'")
+        k, h = _sizes(items, "k"), _sizes(items, "h")
+        if kind == "complex" and not all(e.is_constant() for e in k + h):
+            raise InputError(line, "a concrete complex cannot use the stage parameter n; "
+                                   "declare a family instead")
+        if "alpha" not in items or "beta" not in items:
+            raise InputError(line, f"{kind} needs alpha and beta")
+        alpha_ln, alpha_txt = items.pop("alpha")
+        beta_ln, beta_txt = items.pop("beta")
+        unital = _bool(items, "unital")
+        _no_more(items, kind)
         alpha = IntMatrix.from_rows(_parse_matrix(alpha_txt, alpha_ln), cols=len(k))
         beta = IntMatrix.from_rows(_parse_matrix(beta_txt, beta_ln), cols=len(k))
-        fam = FamilySpec(name, n0, k, h, alpha, beta, unital)
+        spec = FamilySpec(name, n0, k, h, alpha, beta, unital)
         try:
-            fam.complex_at(n0)
+            first = spec.complex_at(n0)
         except ValueError as exc:
-            raise InputError(line, f"family invalid at its first stage: {exc}")
-        if any(n == name for n, _ in self.families):
-            raise InputError(line, f"duplicate family {name!r}")
-        self.families.append((name, fam))
+            raise InputError(line, f"family invalid at its first stage: {exc}"
+                             if kind == "family" else str(exc))
+        self._add(kind, name, (spec, first), line)
 
-    def block_map(self, line, stmt):
-        head, _ = self._block_header(line, stmt, "map")
+    def block_map(self, line, stmt, kind):
+        head = self._head(line, stmt, kind)
         if ":" not in head or "->" not in head:
             raise InputError(line, "map header looks like: map NAME : SRC -> TGT {")
         name, arrow = head.split(":", 1)
-        name = name.strip()
-        src, tgt = arrow.split("->", 1)
-        src, tgt = src.strip(), tgt.strip()
-        kv, assigns = self._kv(self._block_items())
-        unital = True
-        if "unital" in kv:
-            ln, val = kv.pop("unital")
-            unital = _parse_bool(val, ln)
-        if kv:
-            bad = sorted(kv)[0]
-            raise InputError(kv[bad][0], f"unknown key {bad!r} in map block")
-        f1 = {}
-        f2 = {}
-        for ln, stmt2 in assigns:
-            lhs, rhs = stmt2.split("<-", 1)
+        name = self._name(line, name.strip(), kind)
+        src, tgt = (end.strip() for end in arrow.split("->", 1))
+        items, assigns = self._items(kind)
+        unital = _bool(items, "unital")
+        _no_more(items, kind)
+        slots = {"point": {}, "block": {}}  # target block index -> (line, atoms)
+        for ln, text in assigns:
+            lhs, rhs = text.split("<-", 1)
             parts = lhs.split()
-            if len(parts) != 2 or parts[0] not in ("point", "block"):
+            if len(parts) != 2 or parts[0] not in slots:
                 raise InputError(ln, "assignment lines look like: point J <- ... or block I <- ...")
             try:
                 idx = int(parts[1]) - 1
@@ -679,108 +635,80 @@ class _Parser:
                 raise InputError(ln, "assignment index must be an integer")
             if idx < 0:
                 raise InputError(ln, "assignment indices are 1-based")
-            slot = f1 if parts[0] == "point" else f2
+            slot = slots[parts[0]]
             if idx in slot:
                 raise InputError(ln, f"duplicate assignment for {parts[0]} {idx + 1}")
-            kinds = ("point", "interior") if parts[0] == "point" else ("point", "interior", "path")
-            slot[idx] = _parse_atoms(rhs, ln, kinds)
-        self.maps.append((name, MapSpec(name, src, tgt,
-                                        tuple(f1.get(i, ()) for i in range(max(f1) + 1 if f1 else 0)),
-                                        tuple(f2.get(i, ()) for i in range(max(f2) + 1 if f2 else 0)),
-                                        unital), line))
+            kinds = ("point", "interior") if parts[0] == "point" else _ATOMS
+            slot[idx] = (ln, _parse_atoms(rhs, ln, kinds))
+        self._add(kind, name, (src, tgt, slots, unital, line), line)
 
-    def block_system(self, line, stmt):
-        name, _ = self._block_header(line, stmt, "system")
-        kv, rest = self._kv(self._block_items())
-        if rest:
-            raise InputError(rest[0][0], "systems take only 'key = value' lines")
-
-        def need(key):
-            if key not in kv:
+    def block_system(self, line, stmt, kind):
+        name = self._name(line, self._head(line, stmt, kind), kind)
+        items, _ = self._items(kind)
+        for key in ("family", "bonding", "degree"):
+            if key not in items:
                 raise InputError(line, f"system needs '{key} = ...'")
-            return kv.pop(key)
-
-        fam_ln, fam = need("family")
-        bond_ln, bond = need("bonding")
-        deg_ln, deg = need("degree")
-        try:
-            degree = int(deg)
-        except ValueError:
-            raise InputError(deg_ln, "degree must be 0 or 1")
+        deg_ln = items["degree"][0]
+        degree = _int(items, "degree", None, "degree must be 0 or 1")
         if degree not in (0, 1):
             raise InputError(deg_ln, "degree must be 0 or 1")
-        constant_from = None
-        if "constant_from" in kv:
-            ln, val = kv.pop("constant_from")
-            try:
-                constant_from = int(val)
-            except ValueError:
-                raise InputError(ln, "constant_from must be an integer")
-        if kv:
-            bad = sorted(kv)[0]
-            raise InputError(kv[bad][0], f"unknown key {bad!r} in system block")
-        if any(n == name for n, _, _ in self.systems):
-            raise InputError(line, f"duplicate system {name!r}")
-        self.systems.append((name, SystemSpec(name, fam, bond, degree, constant_from), line))
+        constant_from = _int(items, "constant_from", None, "constant_from must be an integer")
+        family, bonding = items.pop("family")[1], items.pop("bonding")[1]
+        _no_more(items, kind)
+        self._add(kind, name, (SystemSpec(name, family, bonding, degree, constant_from), line),
+                  line)
 
-    def block_query(self, line, stmt):
-        head, _ = self._block_header(line, stmt, "query")
-        if head:
+    def block_query(self, line, stmt, kind):
+        if self._head(line, stmt, kind):
             raise InputError(line, "query blocks are anonymous: query { ... }")
-        kv, rest = self._kv(self._block_items())
-        if rest:
-            raise InputError(rest[0][0], "queries take only 'key = value' lines")
-        if "kind" not in kv:
+        items, _ = self._items(kind)
+        if "kind" not in items:
             raise InputError(line, "query needs 'kind = ...'")
-        ln, kind = kv.pop("kind")
-        if kind not in _QUERY_KINDS:
-            raise InputError(ln, f"unknown query kind {kind!r}; valid: {sorted(_QUERY_KINDS)}")
-        params = tuple(sorted((k, v) for k, (_, v) in kv.items()))
-        self.queries.append((Query(kind, params), line))
+        ln, qkind = items.pop("kind")
+        if qkind not in _QUERY_KINDS:
+            raise InputError(ln, f"unknown query kind {qkind!r}; valid: {sorted(_QUERY_KINDS)}")
+        params = tuple(sorted((k, v) for k, (_, v) in items.items()))
+        self.queries.append((Query(qkind, params), line))
 
     def validated(self) -> InputDocument:
-        maps = []
-        known_complexes = {n for n, _ in self.complexes}
-        known_families = {n for n, _ in self.families}
-        for name, spec, line in self.maps:
-            if any(n == name for n, _ in maps):
-                raise InputError(line, f"duplicate map {name!r}")
-            if spec.source in known_complexes and spec.target in known_complexes:
-                src = dict(self.complexes)[spec.source]
-                tgt = dict(self.complexes)[spec.target]
-                f1 = tuple(spec.f1[i] if i < len(spec.f1) else () for i in range(tgt.p))
-                f2 = tuple(spec.f2[i] if i < len(spec.f2) else () for i in range(tgt.l))
-                spec = MapSpec(name, spec.source, spec.target, f1, f2, spec.unital)
-                try:
-                    MapDescription(src, tgt, spec.atoms_f1(), spec.atoms_f2(), unital=spec.unital)
-                except ValueError as exc:
-                    raise InputError(line, f"map {name!r}: {exc}")
-            elif spec.source in known_families and spec.target == spec.source:
-                fam = dict(self.families)[spec.source]
-                p, l = len(fam.k), len(fam.h)
-                f1 = tuple(spec.f1[i] if i < len(spec.f1) else () for i in range(p))
-                f2 = tuple(spec.f2[i] if i < len(spec.f2) else () for i in range(l))
-                spec = MapSpec(name, spec.source, spec.target, f1, f2, spec.unital)
-                try:
-                    MapDescription(fam.complex_at(fam.n0), fam.complex_at(fam.n0 + 1),
-                                   spec.atoms_f1(), spec.atoms_f2(), unital=spec.unital)
-                except ValueError as exc:
-                    raise InputError(line, f"map {name!r} at stage {fam.n0}: {exc}")
+        complexes, families = self.blocks["complex"], self.blocks["family"]
+        maps = {}
+        for name, (src, tgt, slots, unital, line) in self.blocks["map"].items():
+            # two complexes, or a family's stages n0 -> n0 + 1
+            if src in complexes and tgt in complexes:
+                (_, source), (shape, target) = complexes[src], complexes[tgt]
+                where = ""
+            elif src in families and tgt == src:
+                (shape, source), target = families[src], None
+                where = f" at stage {shape.n0}"
             else:
-                raise InputError(line, f"map {name!r} must connect two complexes or a family to itself")
-            maps.append((name, spec))
-        for name, s, ln in self.systems:
-            if s.family not in known_families:
-                raise InputError(ln, f"system {name!r} references unknown family {s.family!r}")
-            if not any(n == s.bonding for n, _ in maps):
-                raise InputError(ln, f"system {name!r} references unknown map {s.bonding!r}")
-        names = known_complexes | known_families | {n for n, _, _ in self.systems}
-        for q, ln in self.queries:
+                raise InputError(line, f"map {name!r} must connect two complexes "
+                                       "or a family to itself")
+            f1 = _filled(slots["point"], len(shape.k), "point", name)
+            f2 = _filled(slots["block"], len(shape.h), "block", name)
+            try:
+                if target is None:
+                    target = shape.complex_at(shape.n0 + 1)
+                MapDescription(source, target, f1, f2, unital=unital)
+            except ValueError as exc:
+                raise InputError(line, f"map {name!r}{where}: {exc}")
+            maps[name] = MapSpec(name, src, tgt, f1, f2, unital)
+        for name, (s, line) in self.blocks["system"].items():
+            if s.family not in families:
+                raise InputError(line, f"system {name!r} references unknown family {s.family!r}")
+            if s.bonding not in maps:
+                raise InputError(line, f"system {name!r} references unknown map {s.bonding!r}")
+            if maps[s.bonding].source != s.family or maps[s.bonding].target != s.family:
+                raise InputError(line, f"system {name!r} needs a self-map of family {s.family!r}")
+        names = {*complexes, *families, *self.blocks["system"]}
+        for q, line in self.queries:
             target = q.get("target") or q.get("system")
             if target is not None and target not in names:
-                raise InputError(ln, f"query targets unknown object {target!r}")
-        return InputDocument(tuple(self.complexes), tuple(self.families),
-                             tuple(maps), tuple((n, s) for n, s, _ in self.systems),
+                raise InputError(line, f"query targets unknown object {target!r}")
+        return InputDocument(tuple((n, cx) for n, (_, cx) in complexes.items()),
+                             tuple((n, spec) for n, (spec, _) in families.items()),
+                             tuple(maps.items()),
+                             tuple((n, s) for n, (s, _) in self.blocks["system"].items()),
                              tuple(q for q, _ in self.queries))
 
 
@@ -798,63 +726,45 @@ def _render_matrix(M: IntMatrix) -> str:
 
 
 def _render_atoms(ms) -> str:
-    from collections import Counter
-
-    counts = Counter(ms)
+    """Runs of equal atoms as 'kind index * mult', in the stored order."""
     chunks = []
-    for (kind, idx), mult in sorted(counts.items()):
-        base = f"{kind} {idx + 1}"
+    for atom, mult in Counter(ms).items():
+        index = atom.j if isinstance(atom, AtPoint) else atom.i
+        base = f"{_WORDS[type(atom)]} {index + 1}"
         chunks.append(base if mult == 1 else f"{base} * {mult}")
     return ", ".join(chunks)
+
+
+def _stage_lines(k, h, alpha, beta, unital) -> list:
+    """The body of a complex or family block; sizes are ints or SizeExprs."""
+    return ["k = " + " ".join(map(str, k)), "h = " + " ".join(map(str, h)),
+            "alpha = " + _render_matrix(alpha), "beta = " + _render_matrix(beta),
+            f"unital = {str(unital).lower()}"]
 
 
 def render(doc: InputDocument) -> str:
     """Deterministic text form; render(parse(d)) parses back equal."""
     out = []
+
+    def block(head, lines):
+        out.append(f"{head} {{")
+        out.extend("  " + x for x in lines)
+        out.extend(("}", ""))
+
     for name, c in doc.complexes:
-        out.append(f"complex {name} {{")
-        out.append("  k = " + " ".join(str(x) for x in c.k))
-        out.append("  h = " + " ".join(str(x) for x in c.h))
-        out.append("  alpha = " + _render_matrix(c.alpha))
-        out.append("  beta = " + _render_matrix(c.beta))
-        out.append(f"  unital = {'true' if c.unital else 'false'}")
-        out.append("}")
-        out.append("")
+        block(f"complex {name}", _stage_lines(c.k, c.h, c.alpha, c.beta, c.unital))
     for name, f in doc.families:
-        out.append(f"family {name} {{")
-        out.append(f"  n0 = {f.n0}")
-        out.append("  k = " + " ".join(e.render() for e in f.k))
-        out.append("  h = " + " ".join(e.render() for e in f.h))
-        out.append("  alpha = " + _render_matrix(f.alpha))
-        out.append("  beta = " + _render_matrix(f.beta))
-        out.append(f"  unital = {'true' if f.unital else 'false'}")
-        out.append("}")
-        out.append("")
+        block(f"family {name}", [f"n0 = {f.n0}"] + _stage_lines(f.k, f.h, f.alpha, f.beta,
+                                                                 f.unital))
     for name, m in doc.maps:
-        out.append(f"map {name} : {m.source} -> {m.target} {{")
-        out.append(f"  unital = {'true' if m.unital else 'false'}")
-        for i, ms in enumerate(m.f1):
-            if ms:
-                out.append(f"  point {i + 1} <- " + _render_atoms(ms))
-        for i, ms in enumerate(m.f2):
-            if ms:
-                out.append(f"  block {i + 1} <- " + _render_atoms(ms))
-        out.append("}")
-        out.append("")
+        block(f"map {name} : {m.source} -> {m.target}",
+              [f"unital = {str(m.unital).lower()}"]
+              + [f"point {i + 1} <- {_render_atoms(ms)}" for i, ms in enumerate(m.f1) if ms]
+              + [f"block {i + 1} <- {_render_atoms(ms)}" for i, ms in enumerate(m.f2) if ms])
     for name, s in doc.systems:
-        out.append(f"system {name} {{")
-        out.append(f"  family = {s.family}")
-        out.append(f"  bonding = {s.bonding}")
-        out.append(f"  degree = {s.degree}")
-        if s.constant_from is not None:
-            out.append(f"  constant_from = {s.constant_from}")
-        out.append("}")
-        out.append("")
+        block(f"system {name}", [f"family = {s.family}", f"bonding = {s.bonding}",
+                                 f"degree = {s.degree}"]
+              + ([] if s.constant_from is None else [f"constant_from = {s.constant_from}"]))
     for q in doc.queries:
-        out.append("query {")
-        out.append(f"  kind = {q.kind}")
-        for k, v in q.params:
-            out.append(f"  {k} = {v}")
-        out.append("}")
-        out.append("")
+        block("query", [f"kind = {q.kind}"] + [f"{k} = {v}" for k, v in q.params])
     return "\n".join(out)

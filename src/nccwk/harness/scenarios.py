@@ -78,7 +78,7 @@ def odd_tower_bonding(n: int) -> MapDescription:
 
 def odd_tower_family() -> ComplexFamily:
     return ComplexFamily(odd_tower_complex, odd_tower_bonding,
-                         basis_at=lambda n: ODD_BASIS, label="C")
+                         basis_at=lambda n: ODD_BASIS)
 
 
 # -- matrix tails D_n ----------------------------------------------------------
@@ -163,7 +163,7 @@ def torsion_tower_bonding(n: int) -> MapDescription:
 
 def torsion_tower_family() -> ComplexFamily:
     return ComplexFamily(torsion_tower_complex, torsion_tower_bonding,
-                         basis_at=lambda n: TORSION_BASIS, label="E")
+                         basis_at=lambda n: TORSION_BASIS)
 
 
 # -- the full-extension tower with the block-size recursion -------------------
@@ -382,24 +382,21 @@ def _equal_maps_scenario(name: str, title: str, tail_sizes, tail_multiplicity,
     # the second tower's connecting maps; commutes exactly because the paired
     # maps agree on K
     lad0 = compact_ideal_ladder(plain, (2,), 0, eventually_constant_from=0)
-    lad1k = compact_ideal_ladder(plain, (2,), 1, eventually_constant_from=0)
-    tw_i = twisted.ideal_family((2,))
-    tw_q = twisted.quotient_family((2,))
+    lad1 = compact_ideal_ladder(plain, (2,), 1, eventually_constant_from=0)
+    pl_i, pl_q = plain.ideal_family((2,)), plain.quotient_family((2,))
+    tw_i, tw_q = twisted.ideal_family((2,)), twisted.quotient_family((2,))
     ladder_ok = True
     for n in range(2):
-        for deg, lad, ind in ((0, lad0, induced_k0), (1, lad1k, induced_k1)):
+        for lad, ind in ((lad0, induced_k0), (lad1, induced_k1)):
             top = ShortExactSeq(lad.incl_at(n), lad.proj_at(n))
             bottom = ShortExactSeq(lad.incl_at(n + 1), lad.proj_at(n + 1))
-            v_left = ind(tw_i.bonding(n), plain.ideal_family((2,)).kdata(n),
-                         plain.ideal_family((2,)).kdata(n + 1))
+            v_left = ind(tw_i.bonding(n), pl_i.kdata(n), pl_i.kdata(n + 1))
             v_mid = ind(twisted.bonding(n), plain.kdata(n), plain.kdata(n + 1))
-            v_right = ind(tw_q.bonding(n), plain.quotient_family((2,)).kdata(n),
-                          plain.quotient_family((2,)).kdata(n + 1))
+            v_right = ind(tw_q.bonding(n), pl_q.kdata(n), pl_q.kdata(n + 1))
             ladder_ok = ladder_ok and check_ladder(top, bottom, v_left, v_mid, v_right)
     sink.check("ladder.cross",
                "the second tower's induced maps commute with the first tower's ideal rows",
                "derived", True, ladder_ok)
-    lad1 = compact_ideal_ladder(plain, (2,), 1, eventually_constant_from=0)
     verdict = limit_ses_purity(lad1.sys_ideal, lad1.sys_total, lad1.sys_quotient,
                                lad1.incl_at, lad1.proj_at, min(stages, 4))
     sink.check("limit.k1.nonpure",

@@ -34,6 +34,7 @@ from .nccw import (
     CompactIdealSpec,
     KData,
     NccwComplex,
+    _complement,
     ideal_complex,
     inclusion_k_maps,
     k_theory,
@@ -283,13 +284,13 @@ def restrict_to_quotient(m: MapDescription, spec_src: CompactIdealSpec,
                          spec_tgt: CompactIdealSpec) -> MapDescription:
     """The induced description between quotient complexes; evaluations
     supported on the source ideal are zero in the quotient and are dropped."""
-    sc = [j for j in range(m.source.p) if j not in spec_src.S]
-    tc = [i for i in range(m.source.l) if i not in spec_src.T]
+    if not description_maps_ideal(m, spec_src, spec_tgt):
+        raise ValueError("description does not map the ideal into the ideal")
+    sc, tc = _complement(m.source, spec_src)
     src_pt = {j: a for a, j in enumerate(sc)}
     src_bl = {i: a for a, i in enumerate(tc)}
 
-    tgt_sc = [j for j in range(m.target.p) if j not in spec_tgt.S]
-    tgt_tc = [i for i in range(m.target.l) if i not in spec_tgt.T]
+    tgt_sc, tgt_tc = _complement(m.target, spec_tgt)
     f1 = tuple(_relabel(m.f1[j], src_pt, src_bl) for j in tgt_sc)
     f2 = tuple(_relabel(m.f2[i], src_pt, src_bl) for i in tgt_tc)
     return MapDescription(quotient_complex(m.source, spec_src),
@@ -311,13 +312,11 @@ class IndSystem:
     def __init__(self, group_at: Callable[[int], FgGroup],
                  bonding_at: Callable[[int], GroupHom],
                  eventually_constant_from: Optional[int] = None,
-                 cone_at: Optional[Callable[[int], Callable]] = None,
-                 stage_label: Optional[Callable[[int], str]] = None):
+                 cone_at: Optional[Callable[[int], Callable]] = None):
         self._group_at = group_at
         self._bonding_at = bonding_at
         self.eventually_constant_from = eventually_constant_from
         self._cone_at = cone_at
-        self.stage_label = stage_label or str
         self._groups = {}
         self._bondings = {}
 
@@ -806,12 +805,10 @@ class ComplexFamily:
 
     def __init__(self, complex_at: Callable[[int], NccwComplex],
                  bonding_at: Callable[[int], MapDescription],
-                 basis_at: Optional[Callable[[int], IntMatrix]] = None,
-                 label: str = "A"):
+                 basis_at: Optional[Callable[[int], IntMatrix]] = None):
         self.complex_at = complex_at
         self.bonding_at = bonding_at
         self.basis_at = basis_at
-        self.label = label
         self._kd = {}
 
     def complex(self, n: int) -> NccwComplex:
@@ -845,21 +842,19 @@ class ComplexFamily:
     def ideal_spec(self, n: int, S: Sequence[int]) -> CompactIdealSpec:
         return make_ideal_spec(self.complex_at(n), S)
 
-    def ideal_family(self, S: Sequence[int], label: Optional[str] = None) -> "ComplexFamily":
+    def ideal_family(self, S: Sequence[int]) -> "ComplexFamily":
         S = tuple(S)
         return ComplexFamily(
             lambda n: ideal_complex(self.complex_at(n), self.ideal_spec(n, S)),
             lambda n: restrict_to_ideal(self.bonding(n), self.ideal_spec(n, S),
-                                        self.ideal_spec(n + 1, S)),
-            label=label or f"{self.label}-ideal")
+                                        self.ideal_spec(n + 1, S)))
 
-    def quotient_family(self, S: Sequence[int], label: Optional[str] = None) -> "ComplexFamily":
+    def quotient_family(self, S: Sequence[int]) -> "ComplexFamily":
         S = tuple(S)
         return ComplexFamily(
             lambda n: quotient_complex(self.complex_at(n), self.ideal_spec(n, S)),
             lambda n: restrict_to_quotient(self.bonding(n), self.ideal_spec(n, S),
-                                           self.ideal_spec(n + 1, S)),
-            label=label or f"{self.label}-quotient")
+                                           self.ideal_spec(n + 1, S)))
 
 
 @dataclass(frozen=True)

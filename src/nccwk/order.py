@@ -18,12 +18,10 @@ from .homind import IndSystem, LimitElement, _walk
 
 @dataclass(frozen=True)
 class ConeOracle:
-    """Exact membership predicate with a human-readable description."""
+    """Exact membership predicate."""
 
     membership: Callable
-    description: str = ""
     scaling_invariant: bool = False  # n*g in cone iff g in cone, symbolically
-    provenance: str = ""
 
     def contains(self, g) -> bool:
         return bool(self.membership(g))
@@ -141,9 +139,7 @@ def halfplane_cone(first_prime: int, second_prime: int) -> ConeOracle:
         xn = x.numerator
         return xn > 0 or (xn == 0 and y.numerator >= 0)
 
-    return ConeOracle(member,
-                      description=f"x > 0 or (x = 0 and y >= 0) on Z[1/{first_prime}] (+) Z[1/{second_prime}]",
-                      scaling_invariant=True)
+    return ConeOracle(member, scaling_invariant=True)
 
 
 def graded_witness_cone(k0_cone: ConeOracle, table: dict) -> ConeOracle:
@@ -163,8 +159,7 @@ def graded_witness_cone(k0_cone: ConeOracle, table: dict) -> ConeOracle:
             return table[key]
         raise ValueError(f"graded cone oracle is undefined on {g}")
 
-    return ConeOracle(member, description="scenario-supplied graded order data",
-                      provenance="membership values cited, not derived")
+    return ConeOracle(member)
 
 
 def deterministic_localized_samples(first_prime: int, second_prime: int,

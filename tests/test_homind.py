@@ -26,6 +26,7 @@ from nccwk.homind import (
     limit_ses_purity,
     maps_equal_on_k,
     restrict_to_ideal,
+    restrict_to_quotient,
     truncate,
 )
 from nccwk.homind import _char_poly, _integer_eigenvalues, _triangularize
@@ -213,6 +214,16 @@ class TestRestriction:
         assert not description_maps_ideal(m, spec, spec)
         with pytest.raises(ValueError):
             restrict_to_ideal(m, spec, spec)
+
+    def test_both_restrictions_check_the_ideal(self):
+        # the ideal over points {1, 2} spans both interval blocks; target
+        # point 3 lies outside it but takes interior 2, an evaluation on it
+        fam = odd_tower_family()
+        m, s0, s1 = fam.bonding(0), fam.ideal_spec(0, (0, 1)), fam.ideal_spec(1, (0, 1))
+        assert not description_maps_ideal(m, s0, s1)
+        for restrict in (restrict_to_ideal, restrict_to_quotient):
+            with pytest.raises(ValueError, match="does not map the ideal into the ideal"):
+                restrict(m, s0, s1)
 
 
 class TestSystems:

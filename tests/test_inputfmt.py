@@ -119,6 +119,32 @@ class TestErrors:
                 "system s { family = D; bonding = m; degree = 0 }")
         self.err(text)
 
+    def test_map_and_system_names_are_identifiers(self):
+        cx = "complex A { k = 1; h = 2; alpha = [2]; beta = [2] }\n"
+        e = self.err(cx + "map 1m : A -> A { unital = false }")
+        assert e.line == 2 and "bad map name" in str(e)
+        e = self.err("family C { k = 1; h = 2; alpha = [2]; beta = [2] }\n"
+                     "map m : C -> C { unital = false }\n"
+                     "system s 2 { family = C; bonding = m; degree = 0 }")
+        assert e.line == 3 and "bad system name" in str(e)
+
+    def test_assignment_beyond_target_blocks(self):
+        cx = "complex A { k = 1; h = 2; alpha = [2]; beta = [2] }\n"
+        e = self.err(cx + "map m : A -> A { unital = false\n"
+                          "  point 1 <- point 1\n  point 5 <- point 1\n}")
+        assert e.line == 4 and "no point 5" in str(e)
+        e = self.err(cx + "map m : A -> A { unital = false\n  block 2 <- path 1\n}")
+        assert e.line == 3 and "no block 2" in str(e)
+
+    def test_system_bonding_must_be_a_self_map_of_its_family(self):
+        text = ODD_DOC.replace("system k0sys { family = C; bonding = psi;",
+                               "map m : C0 -> C0 { point 1 <- point 1; point 2 <- point 2\n"
+                               "point 3 <- point 3; block 1 <- path 1; block 2 <- path 2 }\n"
+                               "system k0sys { family = C; bonding = m;")
+        e = self.err(text)
+        line = next(i for i, x in enumerate(text.splitlines(), 1) if x.startswith("system"))
+        assert e.line == line and "needs a self-map of family 'C'" in str(e)
+
 
 class TestSizeExpressions:
     def test_recursion_values(self):

@@ -94,11 +94,11 @@ class TestUnperforation:
         assert cone.scaling_invariant
 
     def test_gap_cone_violation(self):
-        cone = ConeOracle(lambda g: g[0] == 0 or g[0] >= 2, "0 or >= 2")
+        cone = ConeOracle(lambda g: g[0] == 0 or g[0] >= 2)
         assert check_unperforated(cone, [(1,)], 4) == ((1,), 2)
 
     def test_full_cone(self):
-        cone = ConeOracle(lambda g: True, "everything")
+        cone = ConeOracle(lambda g: True)
         assert check_unperforated(cone, [(x,) for x in range(-5, 5)], 6) is None
 
     def test_ambient_validation(self):
