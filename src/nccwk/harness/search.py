@@ -1,23 +1,26 @@
 """Exhaustive census of small odd blocks.
 
-Enumerates unital complexes within the given bounds (point count, interval
+Generates unital complexes within the given bounds (point count, interval
 count, multiplicity, point block size; interval sizes are forced by
-unitality), deduplicates up to permuting point and interval blocks, and
-keeps those classified odd.  Every reported witness is re-verified on a
-path independent of the search for exactness as well as purity: its K
-rows are built and decided by is_exact and the splitting-system solve,
-not by the boundary test and isomorphism type that found it.
+unitality) one per orbit under permuting point and interval blocks, with
+no set of the orbits already seen, and streams them into the odd-witness
+search.  Every reported witness is re-verified on a path independent of
+the search for exactness as well as purity: its K rows are built and
+decided by is_exact and the splitting-system solve, not by the boundary
+test and isomorphism type that found it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
-from typing import Optional
+from itertools import combinations_with_replacement, permutations, product
 
 from ..fgab.intmat import IntMatrix
 from ..fgab.groups import _splits, is_exact
 from ..nccw import CompactIdealSpec, NccwComplex, ideal_row_verdicts, k_sequences
+
+# candidates sent to a worker process at a time when jobs > 1
+_IMAP_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -40,9 +43,11 @@ class OddBlock:
 
 def _canonical_key(k, h, alpha_rows, beta_rows):
     """Canonical form under simultaneous permutation of point blocks and of
-    interval blocks (rows permuted brute force, columns sorted per row order)."""
-    from itertools import permutations
+    interval blocks (rows permuted brute force, columns sorted per row order).
 
+    The search calls it once per emitted candidate, to print that candidate
+    in canonical form; the tests use it as the orbit oracle that the orderly
+    generation is checked against."""
     l = len(h)
     best = None
     for perm in permutations(range(l)):
@@ -60,34 +65,64 @@ def _canonical_key(k, h, alpha_rows, beta_rows):
     return best
 
 
+def _row_pairs(k, max_mult):
+    """The (alpha row, beta row, interval size) triples of a unital complex
+    with point sizes k: both rows have the same positive weighted sum."""
+    by_sum = {}
+    for row in product(range(max_mult + 1), repeat=len(k)):
+        s = sum(m * kk for m, kk in zip(row, k))
+        if s > 0:
+            by_sum.setdefault(s, []).append(row)
+    return [(ra, rb, s) for s, rows in sorted(by_sum.items())
+            for ra in rows for rb in rows]
+
+
+def _pair_images(k, pairs):
+    """For every permutation of the points other than the identity that keeps
+    the sizes k, the index of the image of each pair.  Such a permutation
+    keeps weighted row sums, so it maps pairs to pairs."""
+    index = {(ra, rb): i for i, (ra, rb, _) in enumerate(pairs)}
+    points = tuple(range(len(k)))
+    images = []
+    for perm in permutations(points):
+        if perm == points or any(k[j] != k[perm[j]] for j in points):
+            continue
+        images.append(tuple(index[tuple(ra[j] for j in perm), tuple(rb[j] for j in perm)]
+                            for ra, rb, _ in pairs))
+    return images
+
+
 def _enumerate_unital(bounds: SearchBounds):
-    """All unital complexes within bounds, deduplicated up to block permutation."""
-    seen = set()
+    """All unital complexes within bounds, one per orbit under permuting
+    point blocks and interval blocks, in canonical form.
+
+    For point sizes k (non-decreasing) a candidate is a multiset of l row
+    pairs, listed as a non-decreasing tuple of pair indices; permuting the
+    interval blocks leaves that tuple as it is, and a permutation of the
+    points that keeps k maps it to the re-sorted tuple of the images of its
+    pairs.  The generation is orderly (Read, "Every one a winner", 1978): a
+    tuple is emitted iff none of its images is lexicographically smaller, so
+    each orbit is emitted once, where combinations_with_replacement first
+    reaches it, and no record of the orbits already emitted is kept.
+    """
     for p in range(1, bounds.max_p + 1):
-        size_choices = list(combinations_with_replacement(range(1, bounds.max_size + 1), p))
-        row_choices = list(product(range(bounds.max_mult + 1), repeat=p))
-        for k in size_choices:
-            # group candidate rows by weighted sum; alpha and beta rows must agree
-            by_sum = {}
-            for row in row_choices:
-                s = sum(m * kk for m, kk in zip(row, k))
-                if s > 0:
-                    by_sum.setdefault(s, []).append(row)
-            pairs = [(ra, rb, s) for s, rows in sorted(by_sum.items())
-                     for ra in rows for rb in rows]
+        for k in combinations_with_replacement(range(1, bounds.max_size + 1), p):
+            pairs = _row_pairs(k, bounds.max_mult)
+            images = _pair_images(k, pairs)
             for l in range(1, bounds.max_l + 1):
-                for combo in combinations_with_replacement(pairs, l):
-                    alpha_rows = [c[0] for c in combo]
-                    beta_rows = [c[1] for c in combo]
-                    h = tuple(c[2] for c in combo)
-                    key = _canonical_key(k, h, alpha_rows, beta_rows)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    kk, hh, aa, bb = key
-                    yield NccwComplex(kk, hh,
-                                      IntMatrix.from_rows(aa, cols=p),
-                                      IntMatrix.from_rows(bb, cols=p))
+                for combo in combinations_with_replacement(range(len(pairs)), l):
+                    least = list(combo)
+                    for image in images:
+                        if sorted(map(image.__getitem__, combo)) < least:
+                            break
+                    else:
+                        rows = [pairs[i] for i in combo]
+                        kk, hh, aa, bb = _canonical_key(k, tuple(r[2] for r in rows),
+                                                        [r[0] for r in rows],
+                                                        [r[1] for r in rows])
+                        yield NccwComplex(kk, hh,
+                                          IntMatrix.from_rows(aa, cols=p),
+                                          IntMatrix.from_rows(bb, cols=p))
 
 
 def reverify_odd_witness(A: NccwComplex, spec: CompactIdealSpec) -> bool:
@@ -101,29 +136,33 @@ def reverify_odd_witness(A: NccwComplex, spec: CompactIdealSpec) -> bool:
 def search_odd_blocks(max_p: int = 3, max_l: int = 2, max_mult: int = 2,
                       max_size: int = 1, jobs: int = 1):
     """All odd blocks within bounds, each with its first odd witness."""
-    bounds = SearchBounds(max_p, max_l, max_mult, max_size)
-    candidates = list(_enumerate_unital(bounds))
-    if jobs > 1:
-        from multiprocessing import Pool
+    candidates = _enumerate_unital(SearchBounds(max_p, max_l, max_mult, max_size))
+    if jobs <= 1:
+        return _reverified(map(_witnessed, candidates))
+    from multiprocessing import Pool
 
-        with Pool(jobs) as pool:
-            verdicts = pool.map(_first_odd_witness, candidates)
-    else:
-        verdicts = [_first_odd_witness(c) for c in candidates]
+    with Pool(jobs) as pool:
+        return _reverified(pool.imap(_witnessed, candidates, _IMAP_CHUNK))
+
+
+def _witnessed(A: NccwComplex):
+    """A candidate with its first ideal support whose K rows are exact but
+    not pure, or with None if it has none."""
+    return A, next((spec for spec, exact, pure in ideal_row_verdicts(A)
+                    if exact and not pure), None)
+
+
+def _reverified(verdicts) -> list:
+    """The odd blocks among (candidate, witness) verdicts, each witness
+    re-verified."""
     out = []
-    for cx, spec in zip(candidates, verdicts):
+    for cx, spec in verdicts:
         if spec is None:
             continue
         if not reverify_odd_witness(cx, spec):
             raise AssertionError(f"re-verification failed for {cx} with witness {spec.S}")
         out.append(OddBlock(cx, spec))
     return out
-
-
-def _first_odd_witness(A: NccwComplex) -> Optional[CompactIdealSpec]:
-    """First ideal support with exact but non-pure K rows, if any."""
-    return next((spec for spec, exact, pure in ideal_row_verdicts(A)
-                 if exact and not pure), None)
 
 
 def census_lines(blocks) -> list:

@@ -6,12 +6,12 @@ tracking (modulo the determinant when it is nonzero), determinants by
 fraction-free elimination, purity via the raw divisibility definition,
 tensor/Tor via the classification of finitely generated abelian groups,
 characteristic polynomials by cofactor expansion, integer roots by
-scanning divisors, and nonnegative kernel vectors by Fourier-Motzkin
-elimination.
+scanning divisors, nonnegative kernel vectors by Fourier-Motzkin
+elimination, and search candidates by brute-force first appearance.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
 
@@ -337,3 +337,31 @@ def _fourier_motzkin(cons, nvars):
     else:
         ck = (lo_val + up_val) / 2
     return tail + (ck,)
+
+
+def first_appearance_candidates(max_p, max_l, max_mult, max_size, canonical_key):
+    """Canonical forms (k, h, alpha rows, beta rows) of the unital complexes
+    within bounds, one per block-permutation orbit, in the order the orbits
+    first appear.
+
+    Brute force: every multiset of (alpha row, beta row) pairs is put in
+    canonical form by canonical_key and kept unless that form was seen
+    before.
+    """
+    seen = set()
+    for p in range(1, max_p + 1):
+        for k in combinations_with_replacement(range(1, max_size + 1), p):
+            by_sum = {}
+            for row in product(range(max_mult + 1), repeat=p):
+                s = sum(m * kk for m, kk in zip(row, k))
+                if s > 0:
+                    by_sum.setdefault(s, []).append(row)
+            pairs = [(ra, rb, s) for s, rows in sorted(by_sum.items())
+                     for ra in rows for rb in rows]
+            for l in range(1, max_l + 1):
+                for combo in combinations_with_replacement(pairs, l):
+                    key = canonical_key(k, tuple(c[2] for c in combo),
+                                        [c[0] for c in combo], [c[1] for c in combo])
+                    if key not in seen:
+                        seen.add(key)
+                        yield key

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,16 +8,21 @@ import pytest
 from nccwk.fgab.intmat import IntMatrix
 from nccwk.harness.report import render_report
 from nccwk.harness.scenarios import SCENARIOS, odd_tower_complex, run_scenario
+from nccwk.harness import search as search_module
 from nccwk.harness.search import (
     SearchBounds,
     _canonical_key,
+    _enumerate_unital,
     census_lines,
     reverify_odd_witness,
     search_odd_blocks,
 )
 from nccwk.nccw import NccwComplex, classify_block, make_ideal_spec
 
-SAMPLES = Path(__file__).resolve().parent.parent / "docs" / "samples"
+from oracles import first_appearance_candidates
+
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "docs" / "samples"
 DATA = Path(__file__).resolve().parent / "data"
 
 
@@ -100,10 +106,38 @@ class TestSearch:
     def test_bounds_description(self):
         assert "p <= 3" in str(SearchBounds())
 
+    @pytest.mark.parametrize("bounds", [(3, 2, 2, 1), (3, 2, 1, 1), (2, 3, 2, 2)])
+    def test_orderly_generation_matches_first_appearance(self, bounds):
+        """One candidate per orbit, in the order a seen set over every raw
+        candidate finds them; (2,3,2,2) has point sizes up to 2, so only
+        size-keeping point permutations act."""
+        orderly = [(c.k, c.h, c.alpha.entries, c.beta.entries)
+                   for c in _enumerate_unital(SearchBounds(*bounds))]
+        assert orderly == list(first_appearance_candidates(*bounds, _canonical_key))
+
+    def test_canonical_key_once_per_candidate(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _canonical_key(*args)
+
+        monkeypatch.setattr(search_module, "_canonical_key", counted)
+        emitted = sum(1 for _ in _enumerate_unital(SearchBounds()))
+        assert emitted == len(calls) == 1853
+
+    def test_pool_matches_serial(self, default_search):
+        """Two worker processes print the serial census; the default bounds
+        are used because smaller ones hold no odd block."""
+        assert census_lines(search_odd_blocks(jobs=2)) == census_lines(default_search)
+
 
 def run_cli(*argv):
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
     proc = subprocess.run([sys.executable, "-m", "nccwk", *argv],
-                          capture_output=True, text=True, timeout=600)
+                          capture_output=True, text=True, timeout=600, env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 
