@@ -353,14 +353,12 @@ class InputDocument:
         fam = self.get_family(sys_spec.family)
         mp = self.get_map(sys_spec.bonding)
 
-        def complex_at(n):
-            return fam.complex_at(fam.n0 + n)
-
         def bonding_at(n):
-            return MapDescription(complex_at(n), complex_at(n + 1), mp.f1, mp.f2,
+            return MapDescription(family.complex_at(n), family.complex_at(n + 1), mp.f1, mp.f2,
                                   unital=mp.unital)
 
-        return ComplexFamily(complex_at, bonding_at)
+        family = ComplexFamily(lambda n: fam.complex_at(fam.n0 + n), bonding_at)
+        return family
 
     def system_object(self, sysname: str) -> IndSystem:
         sys_spec = self.get_system(sysname)

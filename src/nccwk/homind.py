@@ -801,18 +801,27 @@ def limit_ses_purity(sys_i: IndSystem, sys_e: IndSystem, sys_q: IndSystem,
 # -- families of complexes ----------------------------------------------------
 
 class ComplexFamily:
-    """A stage-indexed family of complexes with self-similar bonding maps."""
+    """A stage-indexed family of complexes with self-similar bonding maps.
+
+    Stage complexes, K data, bondings and ideal specs are built once per
+    stage and memoized.
+    """
 
     def __init__(self, complex_at: Callable[[int], NccwComplex],
                  bonding_at: Callable[[int], MapDescription],
                  basis_at: Optional[Callable[[int], IntMatrix]] = None):
-        self.complex_at = complex_at
+        self._complex_at = complex_at
         self.bonding_at = bonding_at
         self.basis_at = basis_at
+        self._cx = {}
         self._kd = {}
+        self._bond = {}
+        self._spec = {}
 
-    def complex(self, n: int) -> NccwComplex:
-        return self.complex_at(n)
+    def complex_at(self, n: int) -> NccwComplex:
+        if n not in self._cx:
+            self._cx[n] = self._complex_at(n)
+        return self._cx[n]
 
     def kdata(self, n: int) -> KData:
         if n not in self._kd:
@@ -821,10 +830,12 @@ class ComplexFamily:
         return self._kd[n]
 
     def bonding(self, n: int) -> MapDescription:
-        m = self.bonding_at(n)
-        if m.source != self.complex_at(n) or m.target != self.complex_at(n + 1):
-            raise ValueError(f"bonding at stage {n} does not connect the right complexes")
-        return m
+        if n not in self._bond:
+            m = self.bonding_at(n)
+            if m.source != self.complex_at(n) or m.target != self.complex_at(n + 1):
+                raise ValueError(f"bonding at stage {n} does not connect the right complexes")
+            self._bond[n] = m
+        return self._bond[n]
 
     def k0_system(self, eventually_constant_from: Optional[int] = None) -> IndSystem:
         return IndSystem(
@@ -840,7 +851,10 @@ class ComplexFamily:
             eventually_constant_from=eventually_constant_from)
 
     def ideal_spec(self, n: int, S: Sequence[int]) -> CompactIdealSpec:
-        return make_ideal_spec(self.complex_at(n), S)
+        key = (n, tuple(S))
+        if key not in self._spec:
+            self._spec[key] = make_ideal_spec(self.complex_at(n), S)
+        return self._spec[key]
 
     def ideal_family(self, S: Sequence[int]) -> "ComplexFamily":
         S = tuple(S)

@@ -84,15 +84,30 @@ def check_unperforated(cone: ConeOracle, samples: Iterable, nmax: int) -> Option
     """Search for a perforation violation: g outside the cone with n*g
     inside, 2 <= n <= nmax.  None means no violation among the samples;
     a bounded verifier, not a proof (unless the cone is dilation invariant).
+
+    The oracle is asked once per sample and once per (outside sample, n)
+    pair, n ascending, so a run without violation makes
+    len(samples) + outside * (nmax - 1) calls.  A tuple sample outside the
+    cone is split once into numerators and denominators, and each n*g is
+    rebuilt as Fraction(a * n, d) (int coordinates stay ints); a
+    GradedElement dilates through its scale.
     """
     if nmax < 2:
         raise ValueError("nmax must be at least 2")
     contains = cone.contains
+    factors = range(2, nmax + 1)
     for g in samples:
         if contains(g):
             continue
-        for n in range(2, nmax + 1):
-            if contains(_dilate(g, n)):
+        if hasattr(g, "scale"):
+            dilations = map(g.scale, factors)
+        else:
+            parts = [(x.numerator, x.denominator) if type(x) is Fraction else (x, None)
+                     for x in g]
+            dilations = (tuple([a * n if d is None else Fraction(a * n, d) for a, d in parts])
+                         for n in factors)
+        for n, h in zip(factors, dilations):
+            if contains(h):
                 return (g, n)
     return None
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 import sympy
@@ -11,6 +12,7 @@ from nccwk.nccw import NccwComplex, k_theory
 from nccwk.homind import (
     AtInterior,
     AtPoint,
+    ComplexFamily,
     FullPath,
     IndSystem,
     LimitElement,
@@ -30,7 +32,9 @@ from nccwk.homind import (
     truncate,
 )
 from nccwk.homind import _char_poly, _integer_eigenvalues, _triangularize
+from nccwk.harness.inputfmt import FamilySpec, parse
 from nccwk.harness.scenarios import (
+    ODD_BASIS,
     odd_tower_bonding,
     odd_tower_complex,
     odd_tower_family,
@@ -43,6 +47,8 @@ from nccwk.harness.scenarios import (
 )
 
 from oracles import cofactor_char_poly, divisor_scan_integer_roots
+
+SAMPLES = Path(__file__).resolve().parent.parent / "docs" / "samples"
 
 
 class TestDescriptions:
@@ -224,6 +230,42 @@ class TestRestriction:
         for restrict in (restrict_to_ideal, restrict_to_quotient):
             with pytest.raises(ValueError, match="does not map the ideal into the ideal"):
                 restrict(m, s0, s1)
+
+
+class TestFamilyStages:
+    def test_k0sys_truncation_builds_each_stage_once(self, monkeypatch):
+        built = []
+        stage_complex = FamilySpec.complex_at
+
+        def counting(self, n):
+            built.append(n)
+            return stage_complex(self, n)
+
+        doc = parse((SAMPLES / "odd_tower.nccw").read_text())
+        monkeypatch.setattr(FamilySpec, "complex_at", counting)
+        truncate(doc.system_object("k0sys"), 4)
+        assert len(built) == 5 and len(set(built)) == 5
+
+    def test_derived_families_reuse_the_stages(self):
+        built = []
+
+        def counting(n):
+            built.append(n)
+            return odd_tower_complex(n)
+
+        fam = ComplexFamily(counting, odd_tower_bonding, basis_at=lambda n: ODD_BASIS)
+        for degree in (0, 1):
+            lad = compact_ideal_ladder(fam, (2,), degree, eventually_constant_from=0)
+            for sys in (lad.sys_ideal, lad.sys_total, lad.sys_quotient):
+                truncate(sys, 4)
+            for n in range(5):
+                lad.incl_at(n), lad.proj_at(n)
+        assert built == [0, 1, 2, 3, 4]
+
+    def test_bonding_must_connect_the_stages(self):
+        fam = ComplexFamily(odd_tower_complex, lambda n: odd_tower_bonding(n + 1))
+        with pytest.raises(ValueError, match="does not connect the right complexes"):
+            fam.bonding(0)
 
 
 class TestSystems:

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,65 @@ class TestUnperforation:
             cone.contains((0.5, Fraction(0)))
         with pytest.raises(ValueError):
             cone.contains((Fraction(1), "1/3"))
+
+
+def recording(cone):
+    """The cone's oracle, recording every argument it is asked about."""
+    calls = []
+    return ConeOracle(lambda g: calls.append(g) or cone.contains(g)), calls
+
+
+class TestSweepOracleCalls:
+    def test_one_call_per_sample_and_per_outside_dilation(self):
+        cone = halfplane_cone(3, 2)
+        samples = list(deterministic_localized_samples(3, 2, 2000))
+        outside = sum(not cone.contains(g) for g in samples)
+        for nmax in (2, 12):
+            oracle, calls = recording(cone)
+            assert check_unperforated(oracle, samples, nmax) is None
+            assert len(calls) == len(samples) + outside * (nmax - 1)
+
+    def test_stops_at_first_violation(self):
+        oracle, calls = recording(ConeOracle(lambda g: g[0] <= 0 or g[0] >= 6))
+        assert check_unperforated(oracle, [(0,), (2,), (1,), (7,)], 8) == ((2,), 3)
+        assert calls == [(0,), (2,), (4,), (6,)]
+
+    def test_dilations_match_coordinatewise_products(self):
+        samples = [(Fraction(-1, 3), 2), (-4, Fraction(5, 8)), (Fraction(3, 4), Fraction(0)),
+                   (Fraction(7), Fraction(-9, 2)), (True, Fraction(-1, 6))]
+        oracle, calls = recording(ConeOracle(lambda g: False))
+        assert check_unperforated(oracle, samples, 7) is None
+        expected = []
+        for g in samples:
+            expected.append(g)
+            expected.extend(tuple(n * x for x in g) for n in range(2, 8))
+        assert calls == expected
+        for got, want in zip(calls, expected):
+            for x, y in zip(got, want):
+                assert type(x) is type(y)
+                assert (x.numerator, x.denominator) == (y.numerator, y.denominator)
+
+    def test_graded_samples_dilate_through_scale(self):
+        factors = []
+
+        class Recorded(GradedElement):
+            def scale(self, n):
+                factors.append(n)
+                return super().scale(n)
+
+        g = Recorded((Fraction(-1, 2), Fraction(1, 3)), (1,))
+        oracle, calls = recording(ConeOracle(lambda h: False))
+        assert check_unperforated(oracle, [g], 5) is None
+        assert factors == [2, 3, 4, 5]
+        assert calls[1:] == [GradedElement((-n * Fraction(1, 2), n * Fraction(1, 3)), (n,))
+                             for n in range(2, 6)]
+
+
+def test_sample_stream_is_pinned():
+    # sha256 of the repr of the 10^4 samples that thm3.3's sweeps check
+    samples = list(deterministic_localized_samples(3, 2, 10000))
+    assert hashlib.sha256(repr(samples).encode()).hexdigest() == (
+        "754f13a4d4144216c8d97a26ae89ff0fb4123d5cb5f467e0596f88d946d21789")
 
 
 class TestGradedWitness:

@@ -1,10 +1,14 @@
-"""Byte pins for the input reader, the renderer and the README's sample commands.
+"""Byte pins for the input reader, the renderer, the README's sample commands
+and the scenario reports.
 
 The files under tests/data were generated before the input reader was rebuilt
 around one block reader: ``render_<sample>.txt`` holds ``render(parse(text))``
 of each sample document, and ``readme_samples.txt`` holds the exit code and
 stdout of every README command on docs/samples, as ``pin_readme_samples()``
 builds them.  Run this module as a script to print that text.
+``scenario_all.txt`` and ``scenario_all_json.txt`` hold the stdout of
+``nccwk scenario all`` and ``nccwk scenario all --format json-like``, generated
+before the unperforation sweeps and the family stages were made cheaper.
 """
 
 import os
@@ -33,13 +37,17 @@ README_SAMPLES = (
 )
 
 
+def _run_cli(*args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, "-m", "nccwk", *args], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=600)
+
+
 def pin_readme_samples():
     """The pinned text, and the commands whose exit code differs from the README's."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out, wrong = [], []
     for command, expected in README_SAMPLES:
-        proc = subprocess.run([sys.executable, "-m", "nccwk", *command.split()], cwd=ROOT,
-                              env=env, capture_output=True, text=True, timeout=600)
+        proc = _run_cli(*command.split())
         out.append(f"$ nccwk {command}\nexit {proc.returncode}\n{proc.stdout}")
         if proc.returncode != expected:
             wrong.append(command)
@@ -56,6 +64,14 @@ def test_readme_sample_bytes_and_exit_codes():
     text, wrong = pin_readme_samples()
     assert wrong == []
     assert text == (DATA / "readme_samples.txt").read_text()
+
+
+@pytest.mark.parametrize("fmt, pin", [("text", "scenario_all.txt"),
+                                      ("json-like", "scenario_all_json.txt")])
+def test_scenario_all_bytes(fmt, pin):
+    proc = _run_cli("scenario", "all", "--format", fmt)
+    assert proc.returncode == 0
+    assert proc.stdout == (DATA / pin).read_text()
 
 
 if __name__ == "__main__":
