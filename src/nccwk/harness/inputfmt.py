@@ -348,24 +348,19 @@ class InputDocument:
         return _lookup(self.systems, name, "system")
 
     def family_object(self, sysname: str) -> ComplexFamily:
-        """The system's family; parsing checked that its bonding is a self-map."""
+        """The system's family, its stage 0 at the family's n0; parsing
+        checked that its bonding is a self-map."""
         sys_spec = self.get_system(sysname)
         fam = self.get_family(sys_spec.family)
         mp = self.get_map(sys_spec.bonding)
-
-        def bonding_at(n):
-            return MapDescription(family.complex_at(n), family.complex_at(n + 1), mp.f1, mp.f2,
-                                  unital=mp.unital)
-
-        family = ComplexFamily(lambda n: fam.complex_at(fam.n0 + n), bonding_at)
-        return family
+        return ComplexFamily(lambda n: fam.complex_at(fam.n0 + n),
+                             lambda n: (mp.f1, mp.f2, mp.unital), sys_spec.constant_from)
 
     def system_object(self, sysname: str) -> IndSystem:
-        sys_spec = self.get_system(sysname)
         family = self.family_object(sysname)
-        if sys_spec.degree == 0:
-            return family.k0_system(eventually_constant_from=sys_spec.constant_from)
-        return family.k1_system(eventually_constant_from=sys_spec.constant_from)
+        if self.get_system(sysname).degree == 0:
+            return family.k0_system()
+        return family.k1_system()
 
 
 # -- parser -------------------------------------------------------------------

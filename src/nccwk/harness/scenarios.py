@@ -29,7 +29,6 @@ from ..homind import (
     ComplexFamily,
     FullPath,
     LimitElement,
-    MapDescription,
     compact_ideal_ladder,
     divisible_in_limit,
     identify_localized_limit,
@@ -66,18 +65,17 @@ def odd_tower_complex(n: int) -> NccwComplex:
     return NccwComplex((s, s, s), (2 * s, 2 * s), ODD_ALPHA, ODD_BETA)
 
 
-def odd_tower_bonding(n: int) -> MapDescription:
-    return MapDescription(
-        odd_tower_complex(n), odd_tower_complex(n + 1),
-        f1=((AtPoint(0), AtInterior(0)),
-            (AtPoint(1), AtInterior(0)),
-            (AtPoint(2), AtInterior(1))),
-        f2=((FullPath(0), AtInterior(0), AtInterior(0)),
-            (FullPath(1), AtInterior(0), AtInterior(1))))
+# the connecting map's (f1, f2, unital), the same at every stage
+ODD_ASSIGNMENT = (((AtPoint(0), AtInterior(0)),
+                   (AtPoint(1), AtInterior(0)),
+                   (AtPoint(2), AtInterior(1))),
+                  ((FullPath(0), AtInterior(0), AtInterior(0)),
+                   (FullPath(1), AtInterior(0), AtInterior(1))),
+                  True)
 
 
 def odd_tower_family() -> ComplexFamily:
-    return ComplexFamily(odd_tower_complex, odd_tower_bonding,
+    return ComplexFamily(odd_tower_complex, lambda n: ODD_ASSIGNMENT, constant_from=0,
                          basis_at=lambda n: ODD_BASIS)
 
 
@@ -98,40 +96,21 @@ def tailed_stage_complex(n: int, tail_sizes) -> NccwComplex:
                                   matrix_algebra_complex(tail_sizes(n)))
 
 
-def tailed_stage_bonding(n: int, tail_sizes, tail_multiplicity, twisted: bool) -> MapDescription:
+def tailed_stage_assignment(n: int, tail_sizes, tail_multiplicity, twisted: bool) -> tuple:
     """Connecting map: the odd-tower bonding on the first factor, the tail
     shifting with given multiplicity, a point evaluation filling each new end
     slot; the twisted variant ends with the second endpoint evaluation."""
-    src = tailed_stage_complex(n, tail_sizes)
-    tgt = tailed_stage_complex(n + 1, tail_sizes)
-    width = len(tail_sizes(n))
-    f1 = [
-        (AtPoint(0), AtInterior(0)),
-        (AtPoint(1), AtInterior(0)),
-        (AtPoint(2), AtInterior(1)),
-        (AtPoint(0),),
-    ]
-    for m in range(width):
+    odd_f1, odd_f2, _ = ODD_ASSIGNMENT
+    f1 = list(odd_f1) + [(AtPoint(0),)]
+    for m in range(len(tail_sizes(n))):
         f1.append((AtPoint(3 + m),) * tail_multiplicity)
     f1.append((AtPoint(1),) if twisted else (AtPoint(0),))
-    f2 = ((FullPath(0), AtInterior(0), AtInterior(0)),
-          (FullPath(1), AtInterior(0), AtInterior(1)))
-    return MapDescription(src, tgt, tuple(f1), f2)
+    return tuple(f1), odd_f2, True
 
 
 def tailed_family(tail_sizes, tail_multiplicity, twisted: bool) -> ComplexFamily:
-    def basis_at(n):
-        width = len(tail_sizes(n))
-        cols = []
-        for j in range(2):
-            cols.append(tuple(ODD_BASIS[i, j] for i in range(3)) + (0,) * width)
-        for m in range(width):
-            cols.append((0, 0, 0) + tuple(1 if i == m else 0 for i in range(width)))
-        return IntMatrix.from_columns(cols, rows=3 + width)
-
     return ComplexFamily(lambda n: tailed_stage_complex(n, tail_sizes),
-                         lambda n: tailed_stage_bonding(n, tail_sizes, tail_multiplicity, twisted),
-                         basis_at=basis_at)
+                         lambda n: tailed_stage_assignment(n, tail_sizes, tail_multiplicity, twisted))
 
 
 def uhf_tail_sizes(n: int) -> tuple:
@@ -150,19 +129,17 @@ def torsion_tower_complex(n: int) -> NccwComplex:
     return NccwComplex((s, 2 * s, s, 2 * s), (4 * s, 4 * s), TORSION_ALPHA, TORSION_BETA)
 
 
-def torsion_tower_bonding(n: int) -> MapDescription:
-    return MapDescription(
-        torsion_tower_complex(n), torsion_tower_complex(n + 1),
-        f1=((AtPoint(0), AtInterior(0)),
-            (AtPoint(1), AtInterior(0), AtInterior(0)),
-            (AtPoint(2), AtInterior(1)),
-            (AtPoint(3), AtInterior(0), AtInterior(1))),
-        f2=((FullPath(0),) + (AtInterior(0),) * 4,
-            (FullPath(1),) + (AtInterior(0),) * 2 + (AtInterior(1),) * 2))
+TORSION_ASSIGNMENT = (((AtPoint(0), AtInterior(0)),
+                       (AtPoint(1), AtInterior(0), AtInterior(0)),
+                       (AtPoint(2), AtInterior(1)),
+                       (AtPoint(3), AtInterior(0), AtInterior(1))),
+                      ((FullPath(0),) + (AtInterior(0),) * 4,
+                       (FullPath(1),) + (AtInterior(0),) * 2 + (AtInterior(1),) * 2),
+                      True)
 
 
 def torsion_tower_family() -> ComplexFamily:
-    return ComplexFamily(torsion_tower_complex, torsion_tower_bonding,
+    return ComplexFamily(torsion_tower_complex, lambda n: TORSION_ASSIGNMENT, constant_from=0,
                          basis_at=lambda n: TORSION_BASIS)
 
 
@@ -182,12 +159,10 @@ def recursion_stage_complex(n: int) -> NccwComplex:
                                   matrix_algebra_complex(matrix_tail_sizes(n)))
 
 
-def recursion_stage_bonding(n: int, twisted: bool) -> MapDescription:
+def recursion_stage_assignment(n: int, twisted: bool) -> tuple:
     """The tail is absorbed into the third point block with multiplicity
     2*4^(n-1) and also shifts one slot outward; not unital (the remaining
     corank is absorbed by interior evaluations left unspecified)."""
-    src = recursion_stage_complex(n)
-    tgt = recursion_stage_complex(n + 1)
     width = len(matrix_tail_sizes(n))
     mult = 2 * 4 ** (n - 1)
     third = [AtPoint(2), AtInterior(1)]
@@ -207,7 +182,13 @@ def recursion_stage_bonding(n: int, twisted: bool) -> MapDescription:
         tuple([FullPath(1), AtInterior(0), AtInterior(1)]
               + [AtPoint(3 + m) for m in range(width)] * mult),
     ]
-    return MapDescription(src, tgt, tuple(f1), tuple(f2), unital=False)
+    return tuple(f1), tuple(f2), False
+
+
+def recursion_family(twisted: bool) -> ComplexFamily:
+    """Family stage m is the recursion stage n = m + 1."""
+    return ComplexFamily(lambda m: recursion_stage_complex(m + 1),
+                         lambda m: recursion_stage_assignment(m + 1, twisted))
 
 
 # -- scenario implementations --------------------------------------------------
@@ -236,7 +217,7 @@ def build_thm33(stages: int = 5) -> ScenarioReport:
     fam_q = fam.quotient_family((2,))
     _iso(sink, "ideal.k0", "K_0(I_n) = Z", "paper", fam_i.kdata(0).k0, "Z")
     _iso(sink, "ideal.k1", "K_1(I_n) = Z", "paper", fam_i.kdata(0).k1, "Z")
-    quot = quotient_complex(fam.complex_at(0), spec)
+    quot = fam_q.complex_at(0)
     sink.check("quotient.data", "C_n / I_n is the size-two dimension drop block", "paper",
                ("[2 0]", "[0 2]"), (str(quot.alpha), str(quot.beta)))
     _iso(sink, "quotient.k0", "K_0 of the quotient = Z", "paper", fam_q.kdata(0).k0, "Z")
@@ -266,7 +247,7 @@ def build_thm33(stages: int = 5) -> ScenarioReport:
     sink.check("bonding.k1", "the K_1 of the connecting map is the identity", "paper",
                True, k1m.equals(GroupHom.identity(kd0.k1)))
 
-    sys0 = fam.k0_system(eventually_constant_from=0)
+    sys0 = fam.k0_system()
     tr = truncate(sys0, 2)
     sink.check("orbit.first", "(1,0) |-> (3,1) |-> (9,5)", "paper",
                ((1, 0), (3, 1), (9, 5)), tuple(tr.orbit((1, 0))))
@@ -288,22 +269,22 @@ def build_thm33(stages: int = 5) -> ScenarioReport:
     ident = identify_localized_limit(sys0)
     sink.check("limit.k0", "K_0(E) = Z[1/3] (+) Z[1/2]", "paper",
                (2, 3), ident.localization_multiset() if ident else "unidentified")
-    sys_i0 = fam_i.k0_system(eventually_constant_from=0)
+    sys_i0 = fam_i.k0_system()
     ident_i = identify_localized_limit(sys_i0)
     sink.check("limit.ideal.k0", "K_0(I) = Z[1/2]", "paper",
                "Z[1/2]", ident_i.describe() if ident_i else "unidentified")
-    sys_q0 = fam_q.k0_system(eventually_constant_from=0)
+    sys_q0 = fam_q.k0_system()
     ident_q = identify_localized_limit(sys_q0)
     sink.check("limit.quotient.k0", "K_0(E/I) = Z[1/3]", "paper",
                "Z[1/3]", ident_q.describe() if ident_q else "unidentified")
-    sys1 = fam.k1_system(eventually_constant_from=0)
+    sys1 = fam.k1_system()
     ident1 = identify_localized_limit(sys1)
     sink.check("limit.k1", "K_1(E) = Z", "paper",
                "Z", ident1.describe() if ident1 else "unidentified")
-    ident_i1 = identify_localized_limit(fam_i.k1_system(eventually_constant_from=0))
+    ident_i1 = identify_localized_limit(fam_i.k1_system())
     sink.check("limit.ideal.k1", "K_1(I) = Z", "paper",
                "Z", ident_i1.describe() if ident_i1 else "unidentified")
-    ident_q1 = identify_localized_limit(fam_q.k1_system(eventually_constant_from=0))
+    ident_q1 = identify_localized_limit(fam_q.k1_system())
     sink.check("limit.quotient.k1", "K_1(E/I) = Z_2", "paper",
                "Z/2", ident_q1.describe() if ident_q1 else "unidentified")
 
@@ -321,16 +302,14 @@ def build_thm33(stages: int = 5) -> ScenarioReport:
     sink.check("divisible.two", "(0,1) becomes divisible by 2 at the next stage", "paper",
                1, divisible_in_limit(sys0, LimitElement(0, (0, 1)), 2, 5))
 
-    lad1 = compact_ideal_ladder(fam, (2,), 1, eventually_constant_from=0)
-    verdict1 = limit_ses_purity(lad1.sys_ideal, lad1.sys_total, lad1.sys_quotient,
-                                lad1.incl_at, lad1.proj_at, stages)
+    lad1 = compact_ideal_ladder(fam, (2,), 1)
+    verdict1 = limit_ses_purity(lad1, stages)
     sink.check("limit.k1.nonpure",
                "the K_1 sequence of 0 -> I -> E -> E/I -> 0 is stationary and not pure, so E is not K-pure",
                "paper", ("stationary_verdict", False),
                (verdict1.kind, verdict1.limit_pure))
-    lad0 = compact_ideal_ladder(fam, (2,), 0, eventually_constant_from=0)
-    verdict0 = limit_ses_purity(lad0.sys_ideal, lad0.sys_total, lad0.sys_quotient,
-                                lad0.incl_at, lad0.proj_at, stages)
+    lad0 = compact_ideal_ladder(fam, (2,), 0)
+    verdict0 = limit_ses_purity(lad0, stages)
     sink.check("limit.k0.pure", "the K_0 sequence stays pure exact at every stage", "paper",
                "pure_through", verdict0.kind)
 
@@ -375,14 +354,16 @@ def _equal_maps_scenario(name: str, title: str, tail_sizes, tail_multiplicity,
         sink.check(f"equal.stage{n}",
                    "the two connecting maps differ by endpoint evaluations that agree on K-classes",
                    "paper", True,
-                   maps_equal_on_k(plain.bonding(n), twisted.bonding(n)))
+                   maps_equal_on_k(plain.bonding(n), twisted.bonding(n),
+                                   plain.kdata(n), plain.kdata(n + 1)))
     sink.check("equal.self", "a connecting map equals itself on K", "trivial",
-               True, maps_equal_on_k(plain.bonding(0), plain.bonding(0)))
+               True, maps_equal_on_k(plain.bonding(0), plain.bonding(0),
+                                     plain.kdata(0), plain.kdata(1)))
     # the cross-tower ladder: rows of the first tower, verticals induced by
     # the second tower's connecting maps; commutes exactly because the paired
     # maps agree on K
-    lad0 = compact_ideal_ladder(plain, (2,), 0, eventually_constant_from=0)
-    lad1 = compact_ideal_ladder(plain, (2,), 1, eventually_constant_from=0)
+    lad0 = compact_ideal_ladder(plain, (2,), 0)
+    lad1 = compact_ideal_ladder(plain, (2,), 1)
     pl_i, pl_q = plain.ideal_family((2,)), plain.quotient_family((2,))
     tw_i, tw_q = twisted.ideal_family((2,)), twisted.quotient_family((2,))
     ladder_ok = True
@@ -397,8 +378,7 @@ def _equal_maps_scenario(name: str, title: str, tail_sizes, tail_multiplicity,
     sink.check("ladder.cross",
                "the second tower's induced maps commute with the first tower's ideal rows",
                "derived", True, ladder_ok)
-    verdict = limit_ses_purity(lad1.sys_ideal, lad1.sys_total, lad1.sys_quotient,
-                               lad1.incl_at, lad1.proj_at, min(stages, 4))
+    verdict = limit_ses_purity(lad1, min(stages, 4))
     sink.check("limit.k1.nonpure",
                "the K_1 sequence over the embedded ideal is stationary and not pure",
                "paper", ("stationary_verdict", False), (verdict.kind, verdict.limit_pure))
@@ -428,23 +408,24 @@ def build_sec5(stages: int = 3) -> ScenarioReport:
         kd = k_theory(c)
         _iso(sink, f"block.k0.{n}", "K_0 of the recursion block = Z (+) Z", "paper", kd.k0, "Z (+) Z")
         _iso(sink, f"block.k1.{n}", "K_1 of the recursion block = Z", "paper", kd.k1, "Z")
-    cls = classify_block(recursion_tower_complex(1))
+    block = recursion_tower_complex(1)
+    cls = classify_block(block)
     sink.check("block.odd", "the recursion block is odd with the same witness ideal", "derived",
                ("odd", (3,)),
                (cls.verdict.value, tuple(j + 1 for j in cls.odd_witness.S) if cls.odd_witness else "none"))
-    spec = make_ideal_spec(recursion_tower_complex(1), (2,))
-    ideal_kd = k_theory(ideal_complex(recursion_tower_complex(1), spec))
-    quot_kd = k_theory(quotient_complex(recursion_tower_complex(1), spec))
+    spec = make_ideal_spec(block, (2,))
+    ideal_kd = k_theory(ideal_complex(block, spec))
+    quot_kd = k_theory(quotient_complex(block, spec))
     sink.check("ideal.k", "the witness ideal has K_0 = K_1 = Z", "derived",
                ("Z", "Z"), (str(ideal_kd.k0), str(ideal_kd.k1)))
     sink.check("quotient.k", "the quotient is the dimension drop with (Z, Z/2)", "derived",
                ("Z", "Z/2"), (str(quot_kd.k0), str(quot_kd.k1)))
+    plain, twisted = recursion_family(twisted=False), recursion_family(twisted=True)
     for n in range(1, stages + 1):
-        plain = recursion_stage_bonding(n, twisted=False)
-        twisted = recursion_stage_bonding(n, twisted=True)
         sink.check(f"equal.stage{n}",
                    "the full-extension connecting maps agree on K like the tailed towers do",
-                   "paper", True, maps_equal_on_k(plain, twisted))
+                   "paper", True, maps_equal_on_k(plain.bonding(n - 1), twisted.bonding(n - 1),
+                                                  plain.kdata(n - 1), plain.kdata(n)))
     sink.note("the displayed tail multiplicities of this construction do not saturate "
               "the recursion block sizes, so the connecting maps are modeled as "
               "non-unital descriptions; all K-level claims are unaffected")
@@ -480,16 +461,16 @@ def build_ex61(stages: int = 4) -> ScenarioReport:
     k1m = induced_k1(fam.bonding(0), kd0, fam.kdata(1))
     sink.check("bonding.k1", "the connecting map is the identity on K_1", "derived",
                True, k1m.equals(GroupHom.identity(kd0.k1)))
-    ident = identify_localized_limit(fam.k0_system(eventually_constant_from=0))
+    ident = identify_localized_limit(fam.k0_system())
     sink.check("limit.k0", "K_0(E) = Z[1/3] (+) Z[1/5]", "paper",
                (3, 5), ident.localization_multiset() if ident else "unidentified")
-    ident1 = identify_localized_limit(fam.k1_system(eventually_constant_from=0))
+    ident1 = identify_localized_limit(fam.k1_system())
     sink.check("limit.k1", "K_1(E) = Z_4", "paper",
                "Z/4", ident1.describe() if ident1 else "unidentified")
-    ident_b = identify_localized_limit(fam_b.k0_system(eventually_constant_from=0))
+    ident_b = identify_localized_limit(fam_b.k0_system())
     sink.check("limit.ideal.k0", "K_0(B) = Z[1/3]", "paper",
                "Z[1/3]", ident_b.describe() if ident_b else "unidentified")
-    ident_q = identify_localized_limit(fam_q.k0_system(eventually_constant_from=0))
+    ident_q = identify_localized_limit(fam_q.k0_system())
     sink.check("limit.quotient.k0", "K_0(A) = Z[1/5]", "paper",
                "Z[1/5]", ident_q.describe() if ident_q else "unidentified")
 
@@ -499,9 +480,8 @@ def build_ex61(stages: int = 4) -> ScenarioReport:
                (str(s1.left), str(s1.mid), str(s1.right), is_exact(s1), is_pure(s1)))
     sink.check("rows.k0", "the K_0 row is exact and pure", "derived",
                (True, True), (is_exact(s0), is_pure(s0)))
-    lad1 = compact_ideal_ladder(fam, (2, 3), 1, eventually_constant_from=0)
-    verdict = limit_ses_purity(lad1.sys_ideal, lad1.sys_total, lad1.sys_quotient,
-                               lad1.incl_at, lad1.proj_at, stages)
+    lad1 = compact_ideal_ladder(fam, (2, 3), 1)
+    verdict = limit_ses_purity(lad1, stages)
     sink.check("limit.k1.nonpure",
                "the K_1 sequence is stationary and not pure, so E is a non-K-pure ASH algebra",
                "paper", ("stationary_verdict", False), (verdict.kind, verdict.limit_pure))

@@ -8,6 +8,12 @@ of point evaluations drive K_0 and full-path multiplicities drive K_1.
 Inductive systems are stage generators with memoized groups and bondings;
 limits are probed by truncation, and the eventually-constant triangulariz-
 able systems of interest get identified as localizations of Z^r.
+
+A family of complexes owns its stages: it builds each stage complex, its
+K data, each bonding description (from a per-stage assignment), each
+ideal spec, its ideal and quotient families and its K_0 and K_1 systems
+once, and every ladder along the family reads those memoized stages.
+Stages count from 0; a negative stage is rejected where it would be built.
 """
 
 from __future__ import annotations
@@ -35,11 +41,10 @@ from .nccw import (
     KData,
     NccwComplex,
     _complement,
-    ideal_complex,
+    _subcomplex,
     inclusion_k_maps,
     k_theory,
     make_ideal_spec,
-    quotient_complex,
     quotient_k_maps,
 )
 
@@ -183,12 +188,14 @@ def induced_k1(m: MapDescription,
         raise ValueError(f"full-path matrix does not descend to cokernels: {exc}") from exc
 
 
-def maps_equal_on_k(m1: MapDescription, m2: MapDescription) -> bool:
+def maps_equal_on_k(m1: MapDescription, m2: MapDescription,
+                    kd_src: Optional[KData] = None,
+                    kd_tgt: Optional[KData] = None) -> bool:
     """Do two descriptions induce the same K_0 and K_1 maps?"""
     if m1.source != m2.source or m1.target != m2.target:
         raise ValueError("descriptions must share source and target")
-    kd_s = k_theory(m1.source)
-    kd_t = k_theory(m1.target)
+    kd_s = kd_src or k_theory(m1.source)
+    kd_t = kd_tgt or k_theory(m1.target)
     k0_equal = induced_k0(m1, kd_s, kd_t).equals(induced_k0(m2, kd_s, kd_t))
     k1_equal = induced_k1(m1, kd_s, kd_t).equals(induced_k1(m2, kd_s, kd_t))
     return k0_equal and k1_equal
@@ -251,54 +258,43 @@ def description_maps_ideal(m: MapDescription, spec_src: CompactIdealSpec,
     return True
 
 
-def _relabel(ms, src_pt: dict, src_bl: dict) -> tuple:
-    """Evaluations renumbered into a sub-complex of the source; those at
-    points or blocks missing from src_pt / src_bl are dropped."""
-    out = []
-    for a in ms:
-        if isinstance(a, AtPoint) and a.j in src_pt:
-            out.append(AtPoint(src_pt[a.j]))
-        elif isinstance(a, AtInterior) and a.i in src_bl:
-            out.append(AtInterior(src_bl[a.i]))
-        elif isinstance(a, FullPath) and a.i in src_bl:
-            out.append(FullPath(src_bl[a.i]))
-    return tuple(out)
+def _restrict(m: MapDescription, src: tuple, tgt: tuple) -> tuple:
+    """(f1, f2) of m between sub-complexes, each given as (points, blocks)
+    index lists of m's source (src) and target (tgt): the kept target
+    blocks keep their evaluations at kept source blocks, renumbered, and
+    the others vanish."""
+    pt = {j: a for a, j in enumerate(src[0])}
+    bl = {i: a for a, i in enumerate(src[1])}
 
+    def kept(ms):
+        out = []
+        for a in ms:
+            if isinstance(a, AtPoint):
+                if a.j in pt:
+                    out.append(AtPoint(pt[a.j]))
+            elif a.i in bl:
+                out.append(type(a)(bl[a.i]))
+        return tuple(out)
 
-def restrict_to_ideal(m: MapDescription, spec_src: CompactIdealSpec,
-                      spec_tgt: CompactIdealSpec) -> MapDescription:
-    """The induced description between ideal complexes.  Evaluations not
-    supported on the source ideal vanish there and are dropped."""
-    if not description_maps_ideal(m, spec_src, spec_tgt):
-        raise ValueError("description does not map the ideal into the ideal")
-    src_pt = {j: a for a, j in enumerate(spec_src.S)}
-    src_bl = {i: a for a, i in enumerate(spec_src.T)}
-
-    f1 = tuple(_relabel(m.f1[j], src_pt, src_bl) for j in spec_tgt.S)
-    f2 = tuple(_relabel(m.f2[i], src_pt, src_bl) for i in spec_tgt.T)
-    return MapDescription(ideal_complex(m.source, spec_src),
-                          ideal_complex(m.target, spec_tgt), f1, f2, unital=False)
-
-
-def restrict_to_quotient(m: MapDescription, spec_src: CompactIdealSpec,
-                         spec_tgt: CompactIdealSpec) -> MapDescription:
-    """The induced description between quotient complexes; evaluations
-    supported on the source ideal are zero in the quotient and are dropped."""
-    if not description_maps_ideal(m, spec_src, spec_tgt):
-        raise ValueError("description does not map the ideal into the ideal")
-    sc, tc = _complement(m.source, spec_src)
-    src_pt = {j: a for a, j in enumerate(sc)}
-    src_bl = {i: a for a, i in enumerate(tc)}
-
-    tgt_sc, tgt_tc = _complement(m.target, spec_tgt)
-    f1 = tuple(_relabel(m.f1[j], src_pt, src_bl) for j in tgt_sc)
-    f2 = tuple(_relabel(m.f2[i], src_pt, src_bl) for i in tgt_tc)
-    return MapDescription(quotient_complex(m.source, spec_src),
-                          quotient_complex(m.target, spec_tgt), f1, f2,
-                          unital=m.unital)
+    return (tuple(kept(m.f1[j]) for j in tgt[0]), tuple(kept(m.f2[i]) for i in tgt[1]))
 
 
 # -- inductive systems -------------------------------------------------------
+
+class _Stages(dict):
+    """Values by stage, each built by build(n) on its first lookup; stages
+    count from 0, and a negative one raises before anything is built."""
+
+    def __init__(self, build: Callable[[int], object]):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, n: int):
+        if n < 0:
+            raise ValueError("stage index must be nonnegative")
+        value = self[n] = self.build(n)
+        return value
+
 
 class IndSystem:
     """Sequence of f.g. groups with bonding homs, generated lazily.
@@ -313,12 +309,10 @@ class IndSystem:
                  bonding_at: Callable[[int], GroupHom],
                  eventually_constant_from: Optional[int] = None,
                  cone_at: Optional[Callable[[int], Callable]] = None):
-        self._group_at = group_at
-        self._bonding_at = bonding_at
         self.eventually_constant_from = eventually_constant_from
-        self._cone_at = cone_at
-        self._groups = {}
-        self._bondings = {}
+        self._groups = _Stages(group_at)
+        self._bondings = _Stages(bonding_at)
+        self._cones = _Stages(cone_at) if cone_at is not None else None
 
     @staticmethod
     def constant(hom: GroupHom, cone=None) -> "IndSystem":
@@ -336,21 +330,15 @@ class IndSystem:
         return IndSystem.constant(GroupHom(G, G, M), cone=cone)
 
     def group(self, n: int) -> FgGroup:
-        if n < 0:
-            raise ValueError("stage index must be nonnegative")
-        if n not in self._groups:
-            self._groups[n] = self._group_at(n)
         return self._groups[n]
 
     def bonding(self, n: int) -> GroupHom:
-        if n not in self._bondings:
-            self._bondings[n] = self._bonding_at(n)
         return self._bondings[n]
 
     def cone_membership(self, n: int) -> Callable:
-        if self._cone_at is None:
+        if self._cones is None:
             raise ValueError("system carries no positivity data")
-        return self._cone_at(n)
+        return self._cones[n]
 
     def push(self, x: "LimitElement", stage: int) -> tuple:
         """Image of x's vector at the requested (later or equal) stage."""
@@ -444,6 +432,8 @@ def divisible_in_limit(sys: IndSystem, x: LimitElement, n: int, stage_bound: int
     (divisibility persists forward), or None."""
     if n < 1:
         raise ValueError("divisor must be positive")
+    if stage_bound < 0:
+        raise ValueError("bound must be nonnegative")
     for s, v in _walk(sys, x, x.stage, stage_bound):
         if sys.group(s).divide_element(v, n) is not None:
             return s
@@ -761,10 +751,7 @@ class LadderPurity:
                 + ("pure" if self.limit_pure else "not pure"))
 
 
-def limit_ses_purity(sys_i: IndSystem, sys_e: IndSystem, sys_q: IndSystem,
-                     incl_at: Callable[[int], GroupHom],
-                     proj_at: Callable[[int], GroupHom],
-                     N: int) -> LadderPurity:
+def limit_ses_purity(ladder: "IdealLadder", N: int) -> LadderPurity:
     """Stage-wise purity along 0 -> I_n -> E_n -> Q_n -> 0 up to stage N.
 
     All ladder squares must commute.  A purity failure at a stage where all
@@ -772,6 +759,8 @@ def limit_ses_purity(sys_i: IndSystem, sys_e: IndSystem, sys_q: IndSystem,
     verdict about the limit sequence itself, since the sequence no longer
     changes.
     """
+    sys_i, sys_e, sys_q = ladder.sys_ideal, ladder.sys_total, ladder.sys_quotient
+    incl_at, proj_at = ladder.incl_at, ladder.proj_at
     for n in range(N):
         if not incl_at(n + 1).compose(sys_i.bonding(n)).equals(sys_e.bonding(n).compose(incl_at(n))):
             raise ValueError(f"inclusion square does not commute at stage {n}")
@@ -803,72 +792,85 @@ def limit_ses_purity(sys_i: IndSystem, sys_e: IndSystem, sys_q: IndSystem,
 class ComplexFamily:
     """A stage-indexed family of complexes with self-similar bonding maps.
 
-    Stage complexes, K data, bondings and ideal specs are built once per
-    stage and memoized.
+    assignment_at(n) gives (f1, f2, unital) of the bonding from stage n to
+    n + 1; the family builds it as a description between its own stages.
+    constant_from is the stage from which the induced K matrices repeat
+    (None when they keep changing); the K systems and the ideal and
+    quotient families carry it.  Stage complexes, K data, bondings, ideal
+    specs, derived families and K systems are built once and memoized.
     """
 
     def __init__(self, complex_at: Callable[[int], NccwComplex],
-                 bonding_at: Callable[[int], MapDescription],
+                 assignment_at: Callable[[int], tuple],
+                 constant_from: Optional[int] = None,
                  basis_at: Optional[Callable[[int], IntMatrix]] = None):
-        self._complex_at = complex_at
-        self.bonding_at = bonding_at
-        self.basis_at = basis_at
-        self._cx = {}
-        self._kd = {}
-        self._bond = {}
+        self.constant_from = constant_from
+        self._cx = _Stages(complex_at)
+        self._kd = _Stages(lambda n: k_theory(self._cx[n], basis_at(n) if basis_at else None))
+        self._bond = _Stages(lambda n: MapDescription(self._cx[n], self._cx[n + 1],
+                                                      *assignment_at(n)))
         self._spec = {}
+        self._derived = {}
+        self._systems = {}
 
     def complex_at(self, n: int) -> NccwComplex:
-        if n not in self._cx:
-            self._cx[n] = self._complex_at(n)
         return self._cx[n]
 
     def kdata(self, n: int) -> KData:
-        if n not in self._kd:
-            basis = self.basis_at(n) if self.basis_at else None
-            self._kd[n] = k_theory(self.complex_at(n), basis)
         return self._kd[n]
 
     def bonding(self, n: int) -> MapDescription:
-        if n not in self._bond:
-            m = self.bonding_at(n)
-            if m.source != self.complex_at(n) or m.target != self.complex_at(n + 1):
-                raise ValueError(f"bonding at stage {n} does not connect the right complexes")
-            self._bond[n] = m
         return self._bond[n]
 
-    def k0_system(self, eventually_constant_from: Optional[int] = None) -> IndSystem:
-        return IndSystem(
-            lambda n: self.kdata(n).k0,
-            lambda n: induced_k0(self.bonding(n), self.kdata(n), self.kdata(n + 1)),
-            eventually_constant_from=eventually_constant_from,
-            cone_at=lambda n: self.kdata(n).cone_contains)
+    def k0_system(self) -> IndSystem:
+        if 0 not in self._systems:
+            self._systems[0] = IndSystem(
+                lambda n: self._kd[n].k0,
+                lambda n: induced_k0(self._bond[n], self._kd[n], self._kd[n + 1]),
+                eventually_constant_from=self.constant_from,
+                cone_at=lambda n: self._kd[n].cone_contains)
+        return self._systems[0]
 
-    def k1_system(self, eventually_constant_from: Optional[int] = None) -> IndSystem:
-        return IndSystem(
-            lambda n: self.kdata(n).k1,
-            lambda n: induced_k1(self.bonding(n), self.kdata(n), self.kdata(n + 1)),
-            eventually_constant_from=eventually_constant_from)
+    def k1_system(self) -> IndSystem:
+        if 1 not in self._systems:
+            self._systems[1] = IndSystem(
+                lambda n: self._kd[n].k1,
+                lambda n: induced_k1(self._bond[n], self._kd[n], self._kd[n + 1]),
+                eventually_constant_from=self.constant_from)
+        return self._systems[1]
 
     def ideal_spec(self, n: int, S: Sequence[int]) -> CompactIdealSpec:
         key = (n, tuple(S))
         if key not in self._spec:
-            self._spec[key] = make_ideal_spec(self.complex_at(n), S)
+            self._spec[key] = make_ideal_spec(self._cx[n], S)
         return self._spec[key]
 
     def ideal_family(self, S: Sequence[int]) -> "ComplexFamily":
-        S = tuple(S)
-        return ComplexFamily(
-            lambda n: ideal_complex(self.complex_at(n), self.ideal_spec(n, S)),
-            lambda n: restrict_to_ideal(self.bonding(n), self.ideal_spec(n, S),
-                                        self.ideal_spec(n + 1, S)))
+        return self._restricted(tuple(S), quotient=False)
 
     def quotient_family(self, S: Sequence[int]) -> "ComplexFamily":
-        S = tuple(S)
-        return ComplexFamily(
-            lambda n: quotient_complex(self.complex_at(n), self.ideal_spec(n, S)),
-            lambda n: restrict_to_quotient(self.bonding(n), self.ideal_spec(n, S),
-                                           self.ideal_spec(n + 1, S)))
+        return self._restricted(tuple(S), quotient=True)
+
+    def _restricted(self, S: tuple, quotient: bool) -> "ComplexFamily":
+        """The family of ideal (or quotient) complexes over support S, its
+        bondings restricted from this family's; built once per support."""
+        key = (S, quotient)
+        if key not in self._derived:
+            def kept(n):  # (points, blocks) of the sub-complex at stage n
+                spec = self.ideal_spec(n, S)
+                return _complement(self._cx[n], spec) if quotient else (spec.S, spec.T)
+
+            def assignment_at(n):
+                m = self._bond[n]
+                if not description_maps_ideal(m, self.ideal_spec(n, S), self.ideal_spec(n + 1, S)):
+                    raise ValueError("description does not map the ideal into the ideal")
+                # a restriction to ideals is never unital
+                return _restrict(m, blocks[n], blocks[n + 1]) + (quotient and m.unital,)
+
+            blocks = _Stages(kept)
+            self._derived[key] = ComplexFamily(
+                lambda n: _subcomplex(self._cx[n], *blocks[n]), assignment_at, self.constant_from)
+        return self._derived[key]
 
 
 @dataclass(frozen=True)
@@ -883,19 +885,14 @@ class IdealLadder:
     proj_at: Callable[[int], GroupHom]
 
 
-def compact_ideal_ladder(family: ComplexFamily, S: Sequence[int], degree: int,
-                         eventually_constant_from: Optional[int] = None) -> IdealLadder:
+def compact_ideal_ladder(family: ComplexFamily, S: Sequence[int], degree: int) -> IdealLadder:
+    if degree not in (0, 1):
+        raise ValueError("degree must be 0 or 1")
     S = tuple(S)
     fam_i = family.ideal_family(S)
     fam_q = family.quotient_family(S)
-    if degree == 0:
-        sys_i, sys_e, sys_q = fam_i.k0_system(eventually_constant_from), \
-            family.k0_system(eventually_constant_from), fam_q.k0_system(eventually_constant_from)
-    elif degree == 1:
-        sys_i, sys_e, sys_q = fam_i.k1_system(eventually_constant_from), \
-            family.k1_system(eventually_constant_from), fam_q.k1_system(eventually_constant_from)
-    else:
-        raise ValueError("degree must be 0 or 1")
+    sys_i, sys_e, sys_q = (f.k1_system() if degree else f.k0_system()
+                           for f in (fam_i, family, fam_q))
 
     def incl_at(n: int) -> GroupHom:
         spec = family.ideal_spec(n, S)

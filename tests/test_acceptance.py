@@ -116,7 +116,7 @@ def test_criterion_04_induced_maps():
 
 
 def test_criterion_05_stage_order():
-    sys0 = odd_tower_family().k0_system(eventually_constant_from=0)
+    sys0 = odd_tower_family().k0_system()
     ok = (not stage_dominates(sys0, (1, 0), (0, 1), 0)
           and not stage_dominates(sys0, (1, 0), (0, 1), 1)
           and stage_dominates(sys0, (1, 0), (0, 1), 2)
@@ -125,14 +125,14 @@ def test_criterion_05_stage_order():
 
 
 def test_criterion_06_limit_identification():
-    ident_e = identify_localized_limit(odd_tower_family().k0_system(eventually_constant_from=0))
+    ident_e = identify_localized_limit(odd_tower_family().k0_system())
     ident_2 = identify_localized_limit(IndSystem.from_matrix(IntMatrix.from_rows([[2]])))
-    ident_t = identify_localized_limit(torsion_tower_family().k0_system(eventually_constant_from=0))
+    ident_t = identify_localized_limit(torsion_tower_family().k0_system())
     ok = (ident_e is not None and ident_e.localization_multiset() == (2, 3)
           and ident_2 is not None and ident_2.describe() == "Z[1/2]"
           and ident_t is not None and ident_t.localization_multiset() == (3, 5))
-    for sys0, ident in ((odd_tower_family().k0_system(eventually_constant_from=0), ident_e),
-                        (torsion_tower_family().k0_system(eventually_constant_from=0), ident_t)):
+    for sys0, ident in ((odd_tower_family().k0_system(), ident_e),
+                        (torsion_tower_family().k0_system(), ident_t)):
         for i, s in enumerate(ident.diagonal):
             x = LimitElement(ident.stage, ident.basis.col(i))
             for e in range(1, 7):
@@ -143,15 +143,13 @@ def test_criterion_06_limit_identification():
 
 
 def test_criterion_07_non_k_pure_verdicts():
-    lad = compact_ideal_ladder(odd_tower_family(), (2,), 1, eventually_constant_from=0)
-    v1 = limit_ses_purity(lad.sys_ideal, lad.sys_total, lad.sys_quotient,
-                          lad.incl_at, lad.proj_at, 4)
+    lad = compact_ideal_ladder(odd_tower_family(), (2,), 1)
+    v1 = limit_ses_purity(lad, 4)
     fam_t = torsion_tower_family()
     spec = fam_t.ideal_spec(0, (2, 3))
     _, s1 = k_sequences(fam_t.complex_at(0), spec)
-    lad_t = compact_ideal_ladder(fam_t, (2, 3), 1, eventually_constant_from=0)
-    v2 = limit_ses_purity(lad_t.sys_ideal, lad_t.sys_total, lad_t.sys_quotient,
-                          lad_t.incl_at, lad_t.proj_at, 4)
+    lad_t = compact_ideal_ladder(fam_t, (2, 3), 1)
+    v2 = limit_ses_purity(lad_t, 4)
     ok = (v1.kind == "stationary_verdict" and v1.limit_pure is False
           and (s1.left.iso_class(), s1.mid.iso_class(), s1.right.iso_class())
           == ((0, (2,)), (0, (4,)), (0, (2,)))

@@ -174,6 +174,21 @@ class TestCli:
                                "k0sys", "--divisible", "0,1", "8", "--bound", "6")
         assert code == 0 and "stage 3" in out
 
+    def test_limit_divisible_rejects_negative_bound(self):
+        code, out, err = run_cli("limit", str(SAMPLES / "odd_tower.nccw"), "--system",
+                                 "k0sys", "--divisible", "0,1", "2", "--bound", "-3")
+        assert code == 1 and out == "" and "bound must be nonnegative" in err
+
+    def test_order_rejects_stage_before_n0(self, tmp_path):
+        # with n0 = 1, stage -1 would be the family's stage 0
+        doc = tmp_path / "odd_from_1.nccw"
+        text = (SAMPLES / "odd_tower.nccw").read_text()
+        assert "n0 = 0" in text
+        doc.write_text(text.replace("n0 = 0", "n0 = 1"))
+        code, out, err = run_cli("order", str(doc), "--perforation-witness", "1,0", "2",
+                                 "--stage", "-1")
+        assert code == 1 and out == "" and "stage index must be nonnegative" in err
+
     def test_coeff(self):
         code, out, _ = run_cli("coeff", str(SAMPLES / "torsion_tower.nccw"),
                                "--n", "2,3", "--name", "F0")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from pathlib import Path
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nccwk.fgab.intmat import IntMatrix
 from nccwk.fgab.groups import FgGroup, GroupHom
+from nccwk import homind
 from nccwk.nccw import NccwComplex, k_theory
 from nccwk.homind import (
     AtInterior,
@@ -27,21 +29,19 @@ from nccwk.homind import (
     limit_equal,
     limit_ses_purity,
     maps_equal_on_k,
-    restrict_to_ideal,
-    restrict_to_quotient,
     truncate,
 )
 from nccwk.homind import _char_poly, _integer_eigenvalues, _triangularize
 from nccwk.harness.inputfmt import FamilySpec, parse
 from nccwk.harness.scenarios import (
+    ODD_ASSIGNMENT,
     ODD_BASIS,
-    odd_tower_bonding,
+    SCENARIOS,
     odd_tower_complex,
     odd_tower_family,
     tailed_family,
     matrix_tail_sizes,
-    torsion_tower_bonding,
-    torsion_tower_complex,
+    run_scenario,
     torsion_tower_family,
     uhf_tail_sizes,
 )
@@ -81,7 +81,7 @@ class TestDescriptions:
                                (AtPoint(2), AtInterior(1))),
                            f2=((FullPath(0), AtInterior(0), AtInterior(0)),
                                (AtInterior(0), FullPath(1), AtInterior(1))))
-        b = odd_tower_bonding(0)
+        b = odd_tower_family().bonding(0)
         assert a == b
 
 
@@ -138,7 +138,7 @@ class TestMapsEqual:
             assert maps_equal_on_k(plain.bonding(n), twisted.bonding(n))
 
     def test_self_equality(self):
-        m = odd_tower_bonding(0)
+        m = odd_tower_family().bonding(0)
         assert maps_equal_on_k(m, m)
 
     def test_extra_full_path_detected(self):
@@ -153,8 +153,9 @@ class TestMapsEqual:
         assert not maps_equal_on_k(one, two)
 
     def test_shape_mismatch(self):
+        fam = odd_tower_family()
         with pytest.raises(ValueError):
-            maps_equal_on_k(odd_tower_bonding(0), odd_tower_bonding(1))
+            maps_equal_on_k(fam.bonding(0), fam.bonding(1))
 
     def test_equivalence_relation_on_tower_maps(self):
         plain = tailed_family(matrix_tail_sizes, 1, twisted=False)
@@ -207,19 +208,18 @@ class TestRestriction:
         s0 = fam.ideal_spec(0, (2,))
         s1 = fam.ideal_spec(1, (2,))
         assert description_maps_ideal(fam.bonding(0), s0, s1)
-        rest = restrict_to_ideal(fam.bonding(0), s0, s1)
-        hom = induced_k0(rest)
+        hom = induced_k0(fam.ideal_family((2,)).bonding(0))
         assert hom.matrix == IntMatrix.from_rows([[2]])
 
     def test_ideal_violation_detected(self):
+        # a constant family whose self-map sends the ideal's point into an
+        # outside slot
         src = odd_tower_complex(0)
-        spec = odd_tower_family().ideal_spec(0, (2,))
-        # a self-map sending the ideal's point into an outside slot
-        m = MapDescription(src, src,
-                           f1=((AtPoint(2),), (), ()), f2=((), ()), unital=False)
-        assert not description_maps_ideal(m, spec, spec)
+        fam = ComplexFamily(lambda n: src, lambda n: (((AtPoint(2),), (), ()), ((), ()), False))
+        spec = fam.ideal_spec(0, (2,))
+        assert not description_maps_ideal(fam.bonding(0), spec, spec)
         with pytest.raises(ValueError):
-            restrict_to_ideal(m, spec, spec)
+            fam.ideal_family((2,)).bonding(0)
 
     def test_both_restrictions_check_the_ideal(self):
         # the ideal over points {1, 2} spans both interval blocks; target
@@ -227,9 +227,9 @@ class TestRestriction:
         fam = odd_tower_family()
         m, s0, s1 = fam.bonding(0), fam.ideal_spec(0, (0, 1)), fam.ideal_spec(1, (0, 1))
         assert not description_maps_ideal(m, s0, s1)
-        for restrict in (restrict_to_ideal, restrict_to_quotient):
+        for derived in (fam.ideal_family((0, 1)), fam.quotient_family((0, 1))):
             with pytest.raises(ValueError, match="does not map the ideal into the ideal"):
-                restrict(m, s0, s1)
+                derived.bonding(0)
 
 
 class TestFamilyStages:
@@ -253,19 +253,61 @@ class TestFamilyStages:
             built.append(n)
             return odd_tower_complex(n)
 
-        fam = ComplexFamily(counting, odd_tower_bonding, basis_at=lambda n: ODD_BASIS)
+        fam = ComplexFamily(counting, lambda n: ODD_ASSIGNMENT, basis_at=lambda n: ODD_BASIS)
         for degree in (0, 1):
-            lad = compact_ideal_ladder(fam, (2,), degree, eventually_constant_from=0)
+            lad = compact_ideal_ladder(fam, (2,), degree)
             for sys in (lad.sys_ideal, lad.sys_total, lad.sys_quotient):
                 truncate(sys, 4)
             for n in range(5):
                 lad.incl_at(n), lad.proj_at(n)
         assert built == [0, 1, 2, 3, 4]
 
-    def test_bonding_must_connect_the_stages(self):
-        fam = ComplexFamily(odd_tower_complex, lambda n: odd_tower_bonding(n + 1))
-        with pytest.raises(ValueError, match="does not connect the right complexes"):
-            fam.bonding(0)
+    def test_derived_families_and_systems_are_built_once(self):
+        fam = odd_tower_family()
+        assert fam.ideal_family((2,)) is fam.ideal_family([2])
+        assert fam.quotient_family((2,)) is fam.quotient_family((2,))
+        assert fam.ideal_family((2,)) is not fam.quotient_family((2,))
+        assert fam.k0_system() is fam.k0_system() and fam.k1_system() is fam.k1_system()
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_scenarios_compute_k_data_once_per_stage(self, name, monkeypatch):
+        """Every K computation in homind is one family stage's: no complex
+        has its K data computed twice, through repeated ideal_family(S)
+        calls, both ladder degrees or the paired towers' comparisons."""
+        complexes = []
+
+        def counting(A, basis=None):
+            complexes.append(A)
+            return k_theory(A, basis)
+
+        monkeypatch.setattr(homind, "k_theory", counting)
+        run_scenario(name)
+        assert len(complexes) == len(set(complexes))
+        if name == "thm3.3":
+            assert len(complexes) == 21
+
+    @pytest.mark.parametrize("name, most", [("thm3.3", 24), ("ex4.3", 58), ("sec5", 44)])
+    def test_scenario_complex_builds(self, name, most, monkeypatch):
+        """Stage complexes are built by their families only (thm3.3 has 21
+        distinct shapes; before, 112, 166 and 45 complexes were built)."""
+        built = []
+        post_init = NccwComplex.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(NccwComplex, "__post_init__", counting)
+        run_scenario(name)
+        assert len(built) <= most
+
+    def test_negative_stage_rejected(self):
+        fam = odd_tower_family()
+        sys0 = fam.k0_system()
+        for lookup in (fam.complex_at, fam.bonding, sys0.group, sys0.bonding,
+                       sys0.cone_membership, IndSystem.from_matrix(IntMatrix.identity(1)).bonding):
+            with pytest.raises(ValueError, match="stage index must be nonnegative"):
+                lookup(-1)
 
 
 class TestSystems:
@@ -276,18 +318,18 @@ class TestSystems:
         assert all(h.matrix == IntMatrix.from_rows([[2]]) for h in tr.bondings)
 
     def test_truncate_orbits(self):
-        sys0 = odd_tower_family().k0_system(eventually_constant_from=0)
+        sys0 = odd_tower_family().k0_system()
         tr = truncate(sys0, 2)
         assert tr.orbit((1, 0)) == [(1, 0), (3, 1), (9, 5)]
         assert tr.orbit((0, 1)) == [(0, 1), (0, 2), (0, 4)]
 
     def test_truncate_k1_all_identity(self):
-        sys1 = odd_tower_family().k1_system(eventually_constant_from=0)
+        sys1 = odd_tower_family().k1_system()
         tr = truncate(sys1, 5)
         assert all(h.equals(GroupHom.identity(h.source)) for h in tr.bondings)
 
     def test_limit_equal_orbit(self):
-        sys0 = odd_tower_family().k0_system(eventually_constant_from=0)
+        sys0 = odd_tower_family().k0_system()
         v = limit_equal(sys0, LimitElement(0, (1, 0)), LimitElement(1, (3, 1)), 4)
         assert v.kind == "equal"
 
@@ -310,13 +352,13 @@ class TestSystems:
         assert divisible_in_limit(sys2, LimitElement(0, (1,)), 3, 10) is None
         # a bound before the element's stage probes nothing
         assert divisible_in_limit(sys2, LimitElement(4, (2,)), 2, 3) is None
-        sys0 = odd_tower_family().k0_system(eventually_constant_from=0)
+        sys0 = odd_tower_family().k0_system()
         assert divisible_in_limit(sys0, LimitElement(0, (0, 1)), 2, 5) == 1
 
 
 class TestIdentification:
     def test_odd_tower_k0(self):
-        ident = identify_localized_limit(odd_tower_family().k0_system(eventually_constant_from=0))
+        ident = identify_localized_limit(odd_tower_family().k0_system())
         assert ident.localization_multiset() == (2, 3)
 
     def test_constant_doubling(self):
@@ -328,15 +370,15 @@ class TestIdentification:
         assert ident.describe() == "Z"
 
     def test_torsion_tower_k0(self):
-        ident = identify_localized_limit(torsion_tower_family().k0_system(eventually_constant_from=0))
+        ident = identify_localized_limit(torsion_tower_family().k0_system())
         assert ident.localization_multiset() == (3, 5)
 
     def test_fixed_torsion(self):
-        ident = identify_localized_limit(torsion_tower_family().k1_system(eventually_constant_from=0))
+        ident = identify_localized_limit(torsion_tower_family().k1_system())
         assert ident.describe() == "Z/4"
 
     def test_no_metadata_means_none(self):
-        fam = odd_tower_family()
+        fam = ComplexFamily(odd_tower_complex, lambda n: ODD_ASSIGNMENT)
         assert identify_localized_limit(fam.k0_system()) is None
 
     def test_undetected_pattern(self):
@@ -381,8 +423,8 @@ class TestIdentification:
 
     def test_probe_consistency(self):
         for sysname, sys0 in (
-                ("odd", odd_tower_family().k0_system(eventually_constant_from=0)),
-                ("torsion", torsion_tower_family().k0_system(eventually_constant_from=0))):
+                ("odd", odd_tower_family().k0_system()),
+                ("torsion", torsion_tower_family().k0_system())):
             ident = identify_localized_limit(sys0)
             for i, s in enumerate(ident.diagonal):
                 x = LimitElement(ident.stage, ident.basis.col(i))
@@ -487,31 +529,27 @@ def test_triangularize_iff_char_poly_splits(rows):
 
 class TestLadderPurity:
     def test_odd_tower_k1_stationary_not_pure(self):
-        lad = compact_ideal_ladder(odd_tower_family(), (2,), 1, eventually_constant_from=0)
-        v = limit_ses_purity(lad.sys_ideal, lad.sys_total, lad.sys_quotient,
-                             lad.incl_at, lad.proj_at, 4)
+        lad = compact_ideal_ladder(odd_tower_family(), (2,), 1)
+        v = limit_ses_purity(lad, 4)
         assert v.kind == "stationary_verdict" and v.limit_pure is False
 
     def test_odd_tower_k0_pure_through(self):
-        lad = compact_ideal_ladder(odd_tower_family(), (2,), 0, eventually_constant_from=0)
-        v = limit_ses_purity(lad.sys_ideal, lad.sys_total, lad.sys_quotient,
-                             lad.incl_at, lad.proj_at, 4)
+        lad = compact_ideal_ladder(odd_tower_family(), (2,), 0)
+        v = limit_ses_purity(lad, 4)
         assert v.kind == "pure_through" and v.stage == 4
 
     def test_zero_ideal_is_pure_through(self):
-        lad = compact_ideal_ladder(odd_tower_family(), (), 0, eventually_constant_from=0)
-        v = limit_ses_purity(lad.sys_ideal, lad.sys_total, lad.sys_quotient,
-                             lad.incl_at, lad.proj_at, 3)
+        lad = compact_ideal_ladder(odd_tower_family(), (), 0)
+        v = limit_ses_purity(lad, 3)
         assert v.kind == "pure_through"
 
     def test_noncommuting_ladder_rejected(self):
         fam = odd_tower_family()
-        lad = compact_ideal_ladder(fam, (2,), 1, eventually_constant_from=0)
+        lad = compact_ideal_ladder(fam, (2,), 1)
 
         def bad_incl(n):
             hom = lad.incl_at(n)
             return GroupHom(hom.source, hom.target, hom.matrix.scale(3)) if n == 1 else hom
 
         with pytest.raises(ValueError):
-            limit_ses_purity(lad.sys_ideal, lad.sys_total, lad.sys_quotient,
-                             bad_incl, lad.proj_at, 3)
+            limit_ses_purity(dataclasses.replace(lad, incl_at=bad_incl), 3)

@@ -21,7 +21,7 @@ from nccwk.harness.scenarios import odd_tower_family
 
 
 def k0_system():
-    return odd_tower_family().k0_system(eventually_constant_from=0)
+    return odd_tower_family().k0_system()
 
 
 class TestStageDominance:
