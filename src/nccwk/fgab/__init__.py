@@ -7,7 +7,6 @@ from .intmat import (
     in_column_span,
     kernel,
     lattice_preimage,
-    rank,
     smith_normal_form,
     solve,
     solve_matrix,

@@ -88,10 +88,6 @@ class FgGroup:
         out = [d[i] if i < len(d) else 0 for i in range(self.generators)]
         return tuple(out)
 
-    @property
-    def invariant_factors(self) -> tuple:
-        return self.diagonal_orders
-
     @cached_property
     def free_rank(self) -> int:
         return sum(1 for d in self.diagonal_orders if d == 0)
@@ -105,9 +101,6 @@ class FgGroup:
 
     def is_isomorphic_to(self, other: "FgGroup") -> bool:
         return self.iso_class() == other.iso_class()
-
-    def is_trivial_group(self) -> bool:
-        return self.free_rank == 0 and not self.torsion_orders
 
     def order(self) -> Optional[int]:
         """Group order, or None when infinite."""
@@ -159,9 +152,6 @@ class FgGroup:
                 out.append((d, cols.col(i)))
         out.sort(key=lambda t: (t[0] == 0, t[0]))
         return out
-
-    def element_order_divides(self, v, n: int) -> bool:
-        return self.is_zero_element(tuple(n * x for x in self.check_element(v)))
 
     def divide_element(self, v, n: int) -> Optional[tuple]:
         """x with n*x = v in the group, or None; n >= 1 required."""

@@ -408,10 +408,6 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     return _smith_raw(A)
 
 
-def rank(A: IntMatrix) -> int:
-    return sum(1 for d in smith_normal_form(A).invariant_factors if d != 0)
-
-
 def kernel(A: IntMatrix) -> IntMatrix:
     """Columns form a Z-basis of {v : A v = 0}  (an A.cols x nullity matrix)."""
     snf = smith_normal_form(A)

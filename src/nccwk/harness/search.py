@@ -3,11 +3,15 @@
 Generates unital complexes within the given bounds (point count, interval
 count, multiplicity, point block size; interval sizes are forced by
 unitality) one per orbit under permuting point and interval blocks, with
-no set of the orbits already seen, and streams them into the odd-witness
-search.  Every reported witness is re-verified on a path independent of
-the search for exactness as well as purity: its K rows are built and
-decided by is_exact and the splitting-system solve, not by the boundary
-test and isomorphism type that found it.
+no set of the orbits already seen, and streams them into nccw.odd_witnesses.
+That iterator reads the torsion of K_1(A/I) first (K_0(A/I) is free, and
+an exact row onto a free K_1(A/I) splits), so a candidate with no such
+torsion for any proper point subset gets no ideal support built, and a
+support without it gets no boundary test.  Every reported witness is
+re-verified on a path independent of the search for exactness as well as
+purity: its K rows are built and decided by is_exact and the
+splitting-system solve, not by the boundary test and isomorphism type
+that found it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from itertools import combinations_with_replacement, permutations, product
 
 from ..fgab.intmat import IntMatrix
 from ..fgab.groups import _splits, is_exact
-from ..nccw import CompactIdealSpec, NccwComplex, ideal_row_verdicts, k_sequences
+from ..nccw import CompactIdealSpec, NccwComplex, k_sequences, odd_witnesses
 
 # candidates sent to a worker process at a time when jobs > 1
 _IMAP_CHUNK = 32
@@ -148,8 +152,7 @@ def search_odd_blocks(max_p: int = 3, max_l: int = 2, max_mult: int = 2,
 def _witnessed(A: NccwComplex):
     """A candidate with its first ideal support whose K rows are exact but
     not pure, or with None if it has none."""
-    return A, next((spec for spec, exact, pure in ideal_row_verdicts(A)
-                    if exact and not pure), None)
+    return A, next(odd_witnesses(A), None)
 
 
 def _reverified(verdicts) -> list:

@@ -278,42 +278,55 @@ def k_sequences(A: NccwComplex, spec: CompactIdealSpec):
     return ShortExactSeq(i0, q0), ShortExactSeq(i1, q1)
 
 
-def ideal_row_verdicts(A: NccwComplex):
-    """Each compact-ideal support of A, in all_ideal_specs order, as
-    (spec, exact, pure): whether both K rows are exact (the boundary map
-    vanishes) and, when they are, whether both are pure (False otherwise).
+def _boundary_vanishes(A: NccwComplex, spec: CompactIdealSpec) -> bool:
+    """Whether both K rows of the support are exact.
 
     With delta_I = delta[T, S] and delta_Q = delta[T^c, S^c], delta[T^c, S]
     is zero, so 0 -> I -> A -> A/I -> 0 is a short exact sequence of
     two-term complexes.  The snake lemma makes
     0 -> K_0(I) -> K_0(A) -> K_0(A/I) -> K_1(I) -> K_1(A) -> K_1(A/I) -> 0
     exact, with boundary x -> delta[T, S^c] x mod im(delta_I) on
-    ker(delta_Q), so both rows are exact iff it vanishes on a basis.  Then
-    the K_0 row splits (K_0(A/I) is free), and by Miyata's theorem (see
-    fgab.groups.is_pure) the K_1 row splits iff K_1(A) is isomorphic to
-    K_1(I) (+) K_1(A/I).  No K row is built: the re-verifier in
-    harness.search builds them and decides both properties independently.
-
-    The empty support and the support of every point are exact and pure
-    without a test: the first gives 0 -> 0 -> K -> K -> 0, the second a
-    quotient with K_0 = 0 and K_1 free on the blocks that touch no point,
-    and an exact row onto a free group splits.
+    ker(delta_Q), so both rows are exact iff it vanishes on a basis (the
+    empty and the full support need no test).
     """
-    delta = A.delta
-    k1 = cokernel(delta)
-    for spec in all_ideal_specs(A):
-        if len(spec.S) in (0, A.p):
-            yield spec, True, True
-            continue
-        Sc, Tc = _complement(A, spec)
-        delta_i = delta.submatrix(spec.T, spec.S)
-        delta_q = delta.submatrix(Tc, Sc)
-        link = delta.submatrix(spec.T, Sc)
-        if not all(in_column_span(delta_i, link.apply(x)) for x in kernel(delta_q).columns()):
-            yield spec, False, False
-            continue
-        orders = cokernel(delta_i).diagonal_orders + cokernel(delta_q).diagonal_orders
-        yield spec, True, k1.is_isomorphic_to(FgGroup.from_cyclic(orders))
+    if len(spec.S) in (0, A.p):
+        return True
+    Sc, Tc = _complement(A, spec)
+    delta_i = A.delta.submatrix(spec.T, spec.S)
+    link = A.delta.submatrix(spec.T, Sc)
+    return all(in_column_span(delta_i, link.apply(x))
+               for x in kernel(A.delta.submatrix(Tc, Sc)).columns())
+
+
+def odd_witnesses(A: NccwComplex, specs: Optional[list] = None):
+    """The supports of A whose K rows are exact but not pure, in
+    all_ideal_specs order (specs, when given, is that list).
+
+    K_0(A/I) is free, and an exact row onto a free K_1(A/I) = coker delta_Q
+    splits, so only a support with torsion in coker delta_Q can be a
+    witness; one without gets no boundary test and no isomorphism test.
+    The blocks T^c touch no point of S, so coker delta_Q = coker delta[T^c, :]
+    depends on T = adj(S) alone: it is read for every union of the points'
+    adjacent blocks before any support is built, and a complex without
+    such torsion yields nothing.  For an exact row, Miyata's theorem (see
+    fgab.groups.is_pure) makes the K_1 row split iff K_1(A) is isomorphic
+    to K_1(I) (+) K_1(A/I).  No K row is built: the re-verifier in
+    harness.search builds them and decides both properties independently.
+    """
+    unions = set()
+    for j in range(A.p):
+        blocks = frozenset(i for i in range(A.l) if A.alpha[i, j] or A.beta[i, j])
+        unions |= {u | blocks for u in unions} | {blocks}
+    k1_q = {T: cokernel(A.delta.submatrix([i for i in range(A.l) if i not in T], range(A.p)))
+            for T in (tuple(sorted(u)) for u in unions)}
+    if not any(G.torsion_orders for G in k1_q.values()):
+        return
+    k1 = cokernel(A.delta)
+    for spec in all_ideal_specs(A) if specs is None else specs:
+        if 0 < len(spec.S) < A.p and k1_q[spec.T].torsion_orders and _boundary_vanishes(A, spec):
+            orders = cokernel(A.delta.submatrix(spec.T, spec.S)).diagonal_orders
+            if not k1.is_isomorphic_to(FgGroup.from_cyclic(orders + k1_q[spec.T].diagonal_orders)):
+                yield spec
 
 
 class BlockClass(Enum):
@@ -346,7 +359,10 @@ def classify_block(A: NccwComplex) -> Classification:
     exact) but a non-pure row.  Nice means no such witness exists; purity
     is only meaningful for exact rows, so supports with nontrivial
     boundary maps do not disqualify a complex, they are reported
-    separately as diagnostics.
+    separately as diagnostics, from one boundary test per support.  The
+    witnesses come from odd_witnesses, which tests only the supports with
+    torsion in K_1(A/I): K_0(A/I) is free, and an exact row onto a free
+    K_1(A/I) splits.
 
     Cost: finding the minimal supports is 2^p rank tests in the worst
     case, and the supports are the faces of a cone whose number can
@@ -354,15 +370,9 @@ def classify_block(A: NccwComplex) -> Classification:
     p the double description method (Fukuda & Prodon, "Double description
     method revisited", 1996) gives the extreme rays directly.
     """
-    nonexact = []
-    nonpure = []
-    checked = 0
-    for spec, exact, pure in ideal_row_verdicts(A):
-        checked += 1
-        if not exact:
-            nonexact.append(spec)
-        elif not pure:
-            nonpure.append(spec)
+    specs = all_ideal_specs(A)
+    nonexact = tuple(spec for spec in specs if not _boundary_vanishes(A, spec))
+    nonpure = tuple(odd_witnesses(A, specs))
     odd_witness = nonpure[0] if nonpure else None
     verdict = BlockClass.ODD if odd_witness is not None else BlockClass.NICE
-    return Classification(verdict, odd_witness, tuple(nonexact), tuple(nonpure), checked)
+    return Classification(verdict, odd_witness, nonexact, nonpure, len(specs))

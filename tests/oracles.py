@@ -7,7 +7,8 @@ fraction-free elimination, purity via the raw divisibility definition,
 tensor/Tor via the classification of finitely generated abelian groups,
 characteristic polynomials by cofactor expansion, integer roots by
 scanning divisors, nonnegative kernel vectors by Fourier-Motzkin
-elimination, and search candidates by brute-force first appearance.
+elimination, search candidates by brute-force first appearance, and the
+torsion of a quotient's K_1 by gcds of minors.
 """
 
 from fractions import Fraction
@@ -45,6 +46,16 @@ def minor_gcd_invariant_factors(rows):
         out.append(last)
         prev = g
     return tuple(out) + (0,) * (min(m, n) - rank)
+
+
+def quotient_k1_torsion(alpha, beta, S):
+    """Invariant factors > 1 of coker delta[T^c, S^c], where delta is
+    alpha - beta (lists of rows) and T the rows nonzero in alpha or beta on
+    the points S: the torsion of K_1 of the quotient by the ideal over S."""
+    p = len(alpha[0])
+    rows = [tuple(a[j] - b[j] for j in range(p) if j not in S)
+            for a, b in zip(alpha, beta) if not any(a[j] or b[j] for j in S)]
+    return tuple(d for d in minor_gcd_invariant_factors(rows) if d > 1)
 
 
 def _det(sq):

@@ -67,7 +67,7 @@ def test_criterion_01_k_theory_engine():
     kd_c = k_theory(odd_tower_complex(0))
     kd_dd = k_theory(dimension_drop(2))
     kd_t = k_theory(torsion_tower_complex(0))
-    ok = (kd_c.k0.invariant_factors == (0, 0) and kd_c.k1.iso_class() == (1, ())
+    ok = (kd_c.k0.diagonal_orders == (0, 0) and kd_c.k1.iso_class() == (1, ())
           and kd_dd.k0.iso_class() == (1, ()) and kd_dd.k1.iso_class() == (0, (2,))
           and kd_t.k1.iso_class() == (0, (4,)))
     conclude(1, "K-groups of the three named blocks match exactly", ok)

@@ -1,10 +1,12 @@
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from nccwk import nccw
 from nccwk.fgab.intmat import IntMatrix
 from nccwk.harness.report import render_report
 from nccwk.harness.scenarios import SCENARIOS, odd_tower_complex, run_scenario
@@ -17,9 +19,16 @@ from nccwk.harness.search import (
     reverify_odd_witness,
     search_odd_blocks,
 )
-from nccwk.nccw import NccwComplex, classify_block, make_ideal_spec
+from nccwk.nccw import (
+    NccwComplex,
+    _boundary_vanishes,
+    _minimal_supports,
+    all_ideal_specs,
+    classify_block,
+    make_ideal_spec,
+)
 
-from oracles import first_appearance_candidates
+from oracles import first_appearance_candidates, quotient_k1_torsion
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "docs" / "samples"
@@ -125,6 +134,38 @@ class TestSearch:
         monkeypatch.setattr(search_module, "_canonical_key", counted)
         emitted = sum(1 for _ in _enumerate_unital(SearchBounds()))
         assert emitted == len(calls) == 1853
+
+    def test_supports_built_only_past_the_torsion_guard(self, monkeypatch):
+        """At the default bounds only the 132 candidates with torsion in
+        K_1(A/I) for some proper point subset get their supports built, and
+        the boundary test runs only on supports with that torsion, at most
+        49 times."""
+        built, minimal, tested = [], [], []
+
+        def counted_minimal(delta, points):
+            minimal.append(delta)
+            return _minimal_supports(delta, points)
+
+        def counted_specs(A):
+            built.append(A)
+            return all_ideal_specs(A)
+
+        def counted_boundary(A, spec):
+            tested.append((A, spec))
+            return _boundary_vanishes(A, spec)
+
+        def quotient_torsion(A, S):
+            return quotient_k1_torsion(A.alpha.entries, A.beta.entries, S)
+
+        monkeypatch.setattr(nccw, "all_ideal_specs", counted_specs)
+        monkeypatch.setattr(nccw, "_minimal_supports", counted_minimal)
+        monkeypatch.setattr(nccw, "_boundary_vanishes", counted_boundary)
+        assert len(search_odd_blocks()) == 16
+        assert len(built) == len(minimal) == 132
+        assert all(any(quotient_torsion(A, S) for r in range(1, A.p)
+                       for S in combinations(range(A.p), r)) for A in built)
+        assert 0 < len(tested) <= 49
+        assert all(quotient_torsion(A, spec.S) for A, spec in tested)
 
     def test_pool_matches_serial(self, default_search):
         """Two worker processes print the serial census; the default bounds

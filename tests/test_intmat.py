@@ -10,7 +10,6 @@ from nccwk.fgab.intmat import (
     invert_unimodular,
     kernel,
     lattice_preimage,
-    rank,
     smith_normal_form,
     solve,
     solve_matrix,

@@ -9,16 +9,17 @@ from nccwk.fgab.groups import GroupHom, _splits, is_exact, is_pure
 from nccwk.nccw import (
     BlockClass,
     NccwComplex,
+    _boundary_vanishes,
     adjacent_blocks,
     all_ideal_specs,
     classify_block,
     dimension_drop,
     ideal_complex,
-    ideal_row_verdicts,
     inclusion_k_maps,
     k_sequences,
     k_theory,
     make_ideal_spec,
+    odd_witnesses,
     quotient_complex,
     quotient_k_maps,
 )
@@ -27,9 +28,13 @@ from nccwk.harness.scenarios import (
     torsion_tower_complex,
 )
 
-from oracles import nonnegative_kernel_witness
+from oracles import nonnegative_kernel_witness, quotient_k1_torsion
 
 CASES = ("unital", "non-unital", "isolated point")
+
+
+def quotient_torsion(A, S):
+    return quotient_k1_torsion(A.alpha.entries, A.beta.entries, S)
 
 
 def draw_complex(data, case):
@@ -206,8 +211,8 @@ class TestExtensions:
         assert is_pure(s0) and is_pure(s1)
 
     def test_trivial_supports_split(self):
-        """ideal_row_verdicts reports the empty support and the support of
-        every point as exact and pure without building their rows."""
+        """The empty support and the support of every point pass the
+        boundary test and are never odd witnesses, without a test."""
         isolated = NccwComplex((1, 1), (2, 3), IntMatrix.from_rows([[2, 0], [0, 0]]),
                                IntMatrix.from_rows([[0, 2], [0, 0]]), unital=False)
         for A in (odd_tower_complex(0), torsion_tower_complex(0), dimension_drop(3), isolated):
@@ -219,30 +224,53 @@ class TestExtensions:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_boundary_verdicts_match_built_rows(self, case, data):
-        """ideal_row_verdicts decides each support by the connecting map and
-        an isomorphism type; building both K rows and deciding them with
-        is_exact and the splitting system must give the same pair."""
+        """The boundary test decides exactness and odd_witnesses yields the
+        exact, non-pure supports in all_ideal_specs order; building both K
+        rows and deciding them with is_exact and the splitting system must
+        agree, and every witness has torsion in K_1(A/I)."""
         A = draw_complex(data, case)
-        for spec, exact, pure in ideal_row_verdicts(A):
+        exact_nonpure = []
+        for spec in all_ideal_specs(A):
             s0, s1 = k_sequences(A, spec)
             # the snake lemma: one row is exact iff the other is
             assert is_exact(s0) == is_exact(s1)
-            assert exact == is_exact(s0)
-            assert pure == (exact and _splits(s0) and _splits(s1))
+            assert _boundary_vanishes(A, spec) == is_exact(s0)
+            if is_exact(s0) and not (_splits(s0) and _splits(s1)):
+                exact_nonpure.append(spec)
+        assert list(odd_witnesses(A)) == exact_nonpure
+        for spec in exact_nonpure:
+            assert quotient_torsion(A, spec.S)
 
     def test_boundary_verdicts_match_built_rows_on_odd_blocks(self, default_search):
         """The same comparison on the odd blocks of the default census and the
         paper's two towers, where non-pure exact rows occur."""
         blocks = [b.complex for b in default_search]
         for A in blocks + [odd_tower_complex(0), torsion_tower_complex(0)]:
-            verdicts = [(exact, pure) for _, exact, pure in ideal_row_verdicts(A)]
+            specs = all_ideal_specs(A)
+            witnesses = list(odd_witnesses(A))
+            verdicts = [(_boundary_vanishes(A, spec), spec not in witnesses) for spec in specs]
             built = []
-            for spec in all_ideal_specs(A):
+            for spec in specs:
                 s0, s1 = k_sequences(A, spec)
                 exact = is_exact(s0) and is_exact(s1)
-                built.append((exact, exact and _splits(s0) and _splits(s1)))
+                built.append((exact, not exact or (_splits(s0) and _splits(s1))))
             assert verdicts == built
             assert (True, False) in verdicts
+            assert witnesses == [spec for spec, v in zip(specs, verdicts) if v == (True, False)]
+            assert all(quotient_torsion(A, spec.S) for spec in witnesses)
+
+    @pytest.mark.parametrize("case", CASES)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_no_quotient_torsion_no_witness(self, case, data):
+        """A complex with no torsion in K_1(A/I) = coker delta[T^c(S), S^c]
+        for any proper point subset S gets no non-pure witness."""
+        A = draw_complex(data, case)
+        cls = classify_block(A)
+        if not any(quotient_torsion(A, S)
+                   for size in range(1, A.p) for S in combinations(range(A.p), size)):
+            assert cls.odd_witness is None and cls.nonpure_witnesses == ()
+        assert cls.nonpure_witnesses == tuple(odd_witnesses(A))
 
     def test_torsion_tower_rows(self):
         A = torsion_tower_complex(0)
