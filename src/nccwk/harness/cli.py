@@ -2,12 +2,14 @@
 
 Subcommands: scenario, search, ktheory (complex | ideal), classify, limit,
 coeff, order.  Exit code 0 means every check performed by the invocation
-passed; validation problems and failed checks exit nonzero.
+passed; validation problems and failed checks exit nonzero; a stdout closed
+by its reader (`nccwk search | head -1`) ends the command quietly with 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from ..nccw import (
@@ -258,9 +260,15 @@ def main(argv=None) -> int:
     if getattr(args, "what", None) == "ideal" and not getattr(args, "summands", None):
         raise SystemExit("error: ktheory ideal needs --summands")
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
+    except BrokenPipeError:
+        # the reader left: the flush at exit goes to devnull (signal docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

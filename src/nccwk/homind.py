@@ -11,8 +11,9 @@ able systems of interest get identified as localizations of Z^r.
 
 A family of complexes owns its stages: it builds each stage complex, its
 K data, each bonding description (from a per-stage assignment), each
-ideal spec, its ideal and quotient families and its K_0 and K_1 systems
-once, and every ladder along the family reads those memoized stages.
+ideal spec, its ideal and quotient families, its K_0 and K_1 systems and
+the K rows of each ideal at each stage once.  It hands out the ladders
+along an ideal, and every ladder reads those memoized stages and rows.
 Stages count from 0; a negative stage is rejected where it would be built.
 """
 
@@ -42,10 +43,9 @@ from .nccw import (
     NccwComplex,
     _complement,
     _subcomplex,
-    inclusion_k_maps,
+    k_sequences,
     k_theory,
     make_ideal_spec,
-    quotient_k_maps,
 )
 
 
@@ -760,15 +760,15 @@ def limit_ses_purity(ladder: "IdealLadder", N: int) -> LadderPurity:
     changes.
     """
     sys_i, sys_e, sys_q = ladder.sys_ideal, ladder.sys_total, ladder.sys_quotient
-    incl_at, proj_at = ladder.incl_at, ladder.proj_at
     for n in range(N):
-        if not incl_at(n + 1).compose(sys_i.bonding(n)).equals(sys_e.bonding(n).compose(incl_at(n))):
+        row, nxt = ladder.row_at(n), ladder.row_at(n + 1)
+        if not nxt.inj.compose(sys_i.bonding(n)).equals(sys_e.bonding(n).compose(row.inj)):
             raise ValueError(f"inclusion square does not commute at stage {n}")
-        if not proj_at(n + 1).compose(sys_e.bonding(n)).equals(sys_q.bonding(n).compose(proj_at(n))):
+        if not nxt.surj.compose(sys_e.bonding(n)).equals(sys_q.bonding(n).compose(row.surj)):
             raise ValueError(f"projection square does not commute at stage {n}")
     first_bad = None
     for n in range(N + 1):
-        seq = ShortExactSeq(incl_at(n), proj_at(n))
+        seq = ladder.row_at(n)
         if not is_exact(seq):
             raise ValueError(f"stage {n} sequence is not exact")
         if not is_pure(seq):
@@ -797,7 +797,8 @@ class ComplexFamily:
     constant_from is the stage from which the induced K matrices repeat
     (None when they keep changing); the K systems and the ideal and
     quotient families carry it.  Stage complexes, K data, bondings, ideal
-    specs, derived families and K systems are built once and memoized.
+    specs, derived families, K systems and ideal rows are built once and
+    memoized; ladder(S, degree) assembles a ladder from them.
     """
 
     def __init__(self, complex_at: Callable[[int], NccwComplex],
@@ -810,6 +811,7 @@ class ComplexFamily:
         self._bond = _Stages(lambda n: MapDescription(self._cx[n], self._cx[n + 1],
                                                       *assignment_at(n)))
         self._spec = {}
+        self._rows = {}
         self._derived = {}
         self._systems = {}
 
@@ -845,6 +847,24 @@ class ComplexFamily:
             self._spec[key] = make_ideal_spec(self._cx[n], S)
         return self._spec[key]
 
+    def ideal_rows(self, n: int, S: Sequence[int]) -> tuple:
+        """The (K_0, K_1) rows 0 -> K_j(I_n) -> K_j(E_n) -> K_j(E_n/I_n) -> 0 over
+        support S, from the stage-n K data of this family and its derived ones."""
+        key = (n, tuple(S))
+        if key not in self._rows:
+            kds = self._kd[n], self.ideal_family(S).kdata(n), self.quotient_family(S).kdata(n)
+            self._rows[key] = k_sequences(self._cx[n], self.ideal_spec(n, S), *kds)
+        return self._rows[key]
+
+    def ladder(self, S: Sequence[int], degree: int) -> "IdealLadder":
+        """The K_degree ladder of the ideal over support S along the family."""
+        if degree not in (0, 1):
+            raise ValueError("degree must be 0 or 1")
+        S = tuple(S)
+        sys_i, sys_e, sys_q = (f.k1_system() if degree else f.k0_system()
+                               for f in (self.ideal_family(S), self, self.quotient_family(S)))
+        return IdealLadder(sys_i, sys_e, sys_q, lambda n: self.ideal_rows(n, S)[degree])
+
     def ideal_family(self, S: Sequence[int]) -> "ComplexFamily":
         return self._restricted(tuple(S), quotient=False)
 
@@ -875,33 +895,11 @@ class ComplexFamily:
 
 @dataclass(frozen=True)
 class IdealLadder:
-    """The three systems of a compact-ideal extension along a family, with
-    the stage-wise inclusion and projection homs, per K degree."""
+    """The three K_j systems of a compact-ideal extension along a family,
+    with the stage-n row 0 -> K_j(I_n) -> K_j(E_n) -> K_j(E_n/I_n) -> 0;
+    ComplexFamily.ladder hands it out, reading the family's memoized rows."""
 
     sys_ideal: IndSystem
     sys_total: IndSystem
     sys_quotient: IndSystem
-    incl_at: Callable[[int], GroupHom]
-    proj_at: Callable[[int], GroupHom]
-
-
-def compact_ideal_ladder(family: ComplexFamily, S: Sequence[int], degree: int) -> IdealLadder:
-    if degree not in (0, 1):
-        raise ValueError("degree must be 0 or 1")
-    S = tuple(S)
-    fam_i = family.ideal_family(S)
-    fam_q = family.quotient_family(S)
-    sys_i, sys_e, sys_q = (f.k1_system() if degree else f.k0_system()
-                           for f in (fam_i, family, fam_q))
-
-    def incl_at(n: int) -> GroupHom:
-        spec = family.ideal_spec(n, S)
-        maps = inclusion_k_maps(family.complex_at(n), spec, family.kdata(n), fam_i.kdata(n))
-        return maps[degree]
-
-    def proj_at(n: int) -> GroupHom:
-        spec = family.ideal_spec(n, S)
-        maps = quotient_k_maps(family.complex_at(n), spec, family.kdata(n), fam_q.kdata(n))
-        return maps[degree]
-
-    return IdealLadder(sys_i, sys_e, sys_q, incl_at, proj_at)
+    row_at: Callable[[int], ShortExactSeq]

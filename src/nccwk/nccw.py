@@ -268,13 +268,13 @@ def quotient_k_maps(A: NccwComplex, spec: CompactIdealSpec,
     return k0, k1
 
 
-def k_sequences(A: NccwComplex, spec: CompactIdealSpec):
-    """The candidate rows 0 -> K_j(I) -> K_j(A) -> K_j(A/I) -> 0, j = 0, 1."""
-    kd = k_theory(A)
-    kd_i = k_theory(ideal_complex(A, spec))
-    kd_q = k_theory(quotient_complex(A, spec))
-    i0, i1 = inclusion_k_maps(A, spec, kd, kd_i)
-    q0, q1 = quotient_k_maps(A, spec, kd, kd_q)
+def k_sequences(A: NccwComplex, spec: CompactIdealSpec, kd: Optional[KData] = None,
+                kd_ideal: Optional[KData] = None, kd_quot: Optional[KData] = None):
+    """The candidate rows 0 -> K_j(I) -> K_j(A) -> K_j(A/I) -> 0, j = 0, 1, from
+    the K data of A, I and A/I where supplied, computed here otherwise."""
+    kd = kd or k_theory(A)
+    i0, i1 = inclusion_k_maps(A, spec, kd, kd_ideal)
+    q0, q1 = quotient_k_maps(A, spec, kd, kd_quot)
     return ShortExactSeq(i0, q0), ShortExactSeq(i1, q1)
 
 

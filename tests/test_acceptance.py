@@ -24,7 +24,6 @@ from nccwk.nccw import (
 from nccwk.homind import (
     IndSystem,
     LimitElement,
-    compact_ideal_ladder,
     compose_descriptions,
     divisible_in_limit,
     identify_localized_limit,
@@ -143,12 +142,12 @@ def test_criterion_06_limit_identification():
 
 
 def test_criterion_07_non_k_pure_verdicts():
-    lad = compact_ideal_ladder(odd_tower_family(), (2,), 1)
+    lad = odd_tower_family().ladder((2,), 1)
     v1 = limit_ses_purity(lad, 4)
     fam_t = torsion_tower_family()
     spec = fam_t.ideal_spec(0, (2, 3))
     _, s1 = k_sequences(fam_t.complex_at(0), spec)
-    lad_t = compact_ideal_ladder(fam_t, (2, 3), 1)
+    lad_t = fam_t.ladder((2, 3), 1)
     v2 = limit_ses_purity(lad_t, 4)
     ok = (v1.kind == "stationary_verdict" and v1.limit_pure is False
           and (s1.left.iso_class(), s1.mid.iso_class(), s1.right.iso_class())

@@ -173,16 +173,27 @@ class TestSearch:
         assert census_lines(search_odd_blocks(jobs=2)) == census_lines(default_search)
 
 
-def run_cli(*argv):
+def cli_env():
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+
+
+def run_cli(*argv):
     proc = subprocess.run([sys.executable, "-m", "nccwk", *argv],
-                          capture_output=True, text=True, timeout=600, env=env)
+                          capture_output=True, text=True, timeout=600, env=cli_env())
     return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestCli:
+    @pytest.mark.parametrize("argv", [("scenario", "all"), ("search",)])
+    def test_closed_stdout_ends_quietly(self, argv):
+        proc = subprocess.Popen([sys.executable, "-m", "nccwk", *argv], env=cli_env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # before the child writes its first line
+        err = proc.stderr.read()
+        assert proc.wait(timeout=600) == 1 and err == b""
+
     def test_scenario_subcommand(self):
         code, out, _ = run_cli("scenario", "ex6.1")
         assert code == 0

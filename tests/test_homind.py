@@ -8,9 +8,9 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from nccwk.fgab.intmat import IntMatrix
-from nccwk.fgab.groups import FgGroup, GroupHom
-from nccwk import homind
-from nccwk.nccw import NccwComplex, k_theory
+from nccwk.fgab.groups import FgGroup, GroupHom, ShortExactSeq, is_exact, is_pure
+from nccwk import homind, nccw
+from nccwk.nccw import NccwComplex, all_ideal_specs, k_sequences, k_theory
 from nccwk.homind import (
     AtInterior,
     AtPoint,
@@ -19,7 +19,6 @@ from nccwk.homind import (
     IndSystem,
     LimitElement,
     MapDescription,
-    compact_ideal_ladder,
     compose_descriptions,
     description_maps_ideal,
     divisible_in_limit,
@@ -255,12 +254,27 @@ class TestFamilyStages:
 
         fam = ComplexFamily(counting, lambda n: ODD_ASSIGNMENT, basis_at=lambda n: ODD_BASIS)
         for degree in (0, 1):
-            lad = compact_ideal_ladder(fam, (2,), degree)
+            lad = fam.ladder((2,), degree)
             for sys in (lad.sys_ideal, lad.sys_total, lad.sys_quotient):
                 truncate(sys, 4)
             for n in range(5):
-                lad.incl_at(n), lad.proj_at(n)
+                lad.row_at(n)
         assert built == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("make", [odd_tower_family, torsion_tower_family,
+                                      lambda: tailed_family(matrix_tail_sizes, 1, False)])
+    def test_ideal_rows_match_an_independent_build(self, make):
+        """The family's rows agree with k_sequences computing its own K data
+        (groups, exactness and purity; the families keep their own K_0
+        bases, so the matrices may differ) and are built once."""
+        fam = make()
+        for n in range(3):
+            for spec in all_ideal_specs(fam.complex_at(n)):
+                rows = fam.ideal_rows(n, spec.S)
+                assert rows is fam.ideal_rows(n, spec.S)
+                for row, ref in zip(rows, k_sequences(fam.complex_at(n), spec)):
+                    assert ([str(row.left), str(row.mid), str(row.right), is_exact(row), is_pure(row)]
+                            == [str(ref.left), str(ref.mid), str(ref.right), is_exact(ref), is_pure(ref)])
 
     def test_derived_families_and_systems_are_built_once(self):
         fam = odd_tower_family()
@@ -271,9 +285,10 @@ class TestFamilyStages:
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_scenarios_compute_k_data_once_per_stage(self, name, monkeypatch):
-        """Every K computation in homind is one family stage's: no complex
-        has its K data computed twice, through repeated ideal_family(S)
-        calls, both ladder degrees or the paired towers' comparisons."""
+        """Every K computation in homind and nccw is one family stage's: no
+        complex has its K data computed twice, through repeated
+        ideal_family(S) calls, both ladder degrees, the stage rows or the
+        paired towers' comparisons."""
         complexes = []
 
         def counting(A, basis=None):
@@ -281,15 +296,34 @@ class TestFamilyStages:
             return k_theory(A, basis)
 
         monkeypatch.setattr(homind, "k_theory", counting)
+        monkeypatch.setattr(nccw, "k_theory", counting)
         run_scenario(name)
         assert len(complexes) == len(set(complexes))
-        if name == "thm3.3":
-            assert len(complexes) == 21
+        totals = {"thm3.3": 21, "ex6.1": 15}  # before, 24 and 18
+        assert name not in totals or len(complexes) == totals[name]
 
-    @pytest.mark.parametrize("name, most", [("thm3.3", 24), ("ex4.3", 58), ("sec5", 44)])
+    @pytest.mark.parametrize("name, rows", [("thm3.3", 6), ("ex4.3", 5), ("ex4.7", 5),
+                                            ("sec5", 0), ("ex6.1", 5)])
+    def test_scenarios_build_each_row_once(self, name, rows, monkeypatch):
+        """The inclusion and the quotient K maps run once per (support,
+        stage): every ladder square, stage row and scenario claim reads the
+        family's memoized rows (before, 57, 34, 34, 0 and 20 calls of the two)."""
+        calls = {"inclusion_k_maps": [], "quotient_k_maps": []}
+        for fname, seen in calls.items():
+            def counting(A, spec, *kds, fn=getattr(nccw, fname), seen=seen):
+                seen.append((A, spec))
+                return fn(A, spec, *kds)
+
+            monkeypatch.setattr(nccw, fname, counting)
+        run_scenario(name)
+        for seen in calls.values():
+            assert len(seen) == len(set(seen)) == rows
+
+    @pytest.mark.parametrize("name, most", [("thm3.3", 21), ("ex4.3", 58), ("sec5", 44),
+                                            ("ex6.1", 16)])
     def test_scenario_complex_builds(self, name, most, monkeypatch):
         """Stage complexes are built by their families only (thm3.3 has 21
-        distinct shapes; before, 112, 166 and 45 complexes were built)."""
+        distinct shapes; before, 112, 166, 45 and 18 complexes were built)."""
         built = []
         post_init = NccwComplex.__post_init__
 
@@ -529,27 +563,30 @@ def test_triangularize_iff_char_poly_splits(rows):
 
 class TestLadderPurity:
     def test_odd_tower_k1_stationary_not_pure(self):
-        lad = compact_ideal_ladder(odd_tower_family(), (2,), 1)
+        lad = odd_tower_family().ladder((2,), 1)
         v = limit_ses_purity(lad, 4)
         assert v.kind == "stationary_verdict" and v.limit_pure is False
 
     def test_odd_tower_k0_pure_through(self):
-        lad = compact_ideal_ladder(odd_tower_family(), (2,), 0)
+        lad = odd_tower_family().ladder((2,), 0)
         v = limit_ses_purity(lad, 4)
         assert v.kind == "pure_through" and v.stage == 4
 
     def test_zero_ideal_is_pure_through(self):
-        lad = compact_ideal_ladder(odd_tower_family(), (), 0)
+        lad = odd_tower_family().ladder((), 0)
         v = limit_ses_purity(lad, 3)
         assert v.kind == "pure_through"
 
     def test_noncommuting_ladder_rejected(self):
         fam = odd_tower_family()
-        lad = compact_ideal_ladder(fam, (2,), 1)
+        lad = fam.ladder((2,), 1)
 
-        def bad_incl(n):
-            hom = lad.incl_at(n)
-            return GroupHom(hom.source, hom.target, hom.matrix.scale(3)) if n == 1 else hom
+        def bad_row(n):
+            row = lad.row_at(n)
+            if n != 1:
+                return row
+            return ShortExactSeq(GroupHom(row.inj.source, row.inj.target, row.inj.matrix.scale(3)),
+                                 row.surj)
 
         with pytest.raises(ValueError):
-            limit_ses_purity(dataclasses.replace(lad, incl_at=bad_incl), 3)
+            limit_ses_purity(dataclasses.replace(lad, row_at=bad_row), 3)
