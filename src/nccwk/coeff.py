@@ -62,29 +62,14 @@ def mod_n(k0: FgGroup, k1: FgGroup, n: int) -> ModNKData:
         k1_tensor=tensor_zn(k1, n), k1_tor=tor_zn(k0, n))
 
 
-def _tensor_embedding_block(data: ModNKData, degree: int, into_tensor: IntMatrix,
-                            into_tor: IntMatrix, source: FgGroup) -> GroupHom:
-    """Hom into the direct sum K_i(;Z_n) from blocks on the two summands."""
-    target = data.coefficient_group(degree)
-    rows = []
-    for i in range(into_tensor.rows):
-        rows.append(tuple(into_tensor[i, j] for j in range(into_tensor.cols)))
-    for i in range(into_tor.rows):
-        rows.append(tuple(into_tor[i, j] for j in range(into_tor.cols)))
-    return GroupHom(source, target, IntMatrix.from_rows(rows, cols=source.generators))
-
-
 def rho_map(data: ModNKData, degree: int) -> GroupHom:
     """K_i -> K_i(;Z_n): identity onto the tensor summand, zero into Tor."""
     if data.n < 1:
         raise ValueError("rho needs a positive modulus")
     src = data.k0 if degree % 2 == 0 else data.k1
     tor = data.k0_tor if degree % 2 == 0 else data.k1_tor
-    return _tensor_embedding_block(
-        data, degree,
-        IntMatrix.identity(src.generators),
-        IntMatrix.zero(tor.generators, src.generators),
-        src)
+    return GroupHom(src, data.coefficient_group(degree), IntMatrix.block_diag(
+        IntMatrix.identity(src.generators), IntMatrix.zero(tor.generators, 0)))
 
 
 def beta_map(data: ModNKData, degree: int) -> GroupHom:
@@ -92,16 +77,11 @@ def beta_map(data: ModNKData, degree: int) -> GroupHom:
     inclusion of Tor(K_{i+1}, Z_n) as the n-torsion subgroup of K_{i+1}."""
     if data.n < 1:
         raise ValueError("beta needs a positive modulus")
-    src = data.coefficient_group(degree)
     nxt = data.k1 if degree % 2 == 0 else data.k0
     tensor = data.k0_tensor if degree % 2 == 0 else data.k1_tensor
-    emb = tor_zn_embedding(nxt, data.n)
-    cols = []
-    for _ in range(tensor.generators):
-        cols.append(tuple(0 for _ in range(nxt.generators)))
-    for j in range(emb.matrix.cols):
-        cols.append(emb.matrix.col(j))
-    return GroupHom(src, nxt, IntMatrix.from_columns(cols, rows=nxt.generators))
+    emb = tor_zn_embedding(nxt, data.n).matrix
+    return GroupHom(data.coefficient_group(degree), nxt, IntMatrix.block_diag(
+        IntMatrix.zero(0, tensor.generators), emb))
 
 
 def bockstein_segment(k0: FgGroup, k1: FgGroup, n: int, degree: int):
@@ -132,33 +112,10 @@ class KappaMaps:
     from_mn: tuple
 
 
-def _kappa_up_block(G: FgGroup, m: int, n: int) -> IntMatrix:
-    """Tor(G, Z_m) -> Tor(G, Z_mn) induced by Z_m >--n--> Z_mn: the
-    subgroup inclusion G[m] <= G[mn], diagonal with entries gcd(d,mn)/gcd(d,m)."""
-    orders = [d for d, _ in G.cyclic_generators() if d > 1]
-    diag = [gcd(d, m * n) // gcd(d, m) for d in orders]
-    return IntMatrix.from_rows(
-        [tuple(diag[i] if i == j else 0 for j in range(len(orders))) for i in range(len(orders))],
-        cols=len(orders))
-
-
-def _kappa_down_block(G: FgGroup, m: int, n: int) -> IntMatrix:
-    """Tor(G, Z_mn) -> Tor(G, Z_n) induced by Z_mn ->> Z_n: multiplication
-    by m on the torsion subgroups, diagonal entries m*gcd(d,n)/gcd(d,mn)."""
-    orders = [d for d, _ in G.cyclic_generators() if d > 1]
-    diag = [m * gcd(d, n) // gcd(d, m * n) for d in orders]
-    return IntMatrix.from_rows(
-        [tuple(diag[i] if i == j else 0 for j in range(len(orders))) for i in range(len(orders))],
-        cols=len(orders))
-
-
-def _block_diag_hom(src: FgGroup, tgt: FgGroup, a: IntMatrix, b: IntMatrix) -> GroupHom:
-    rows = []
-    for i in range(a.rows):
-        rows.append(tuple(a[i, j] for j in range(a.cols)) + tuple(0 for _ in range(b.cols)))
-    for i in range(b.rows):
-        rows.append(tuple(0 for _ in range(a.cols)) + tuple(b[i, j] for j in range(b.cols)))
-    return GroupHom(src, tgt, IntMatrix.from_rows(rows, cols=src.generators))
+def _tor_diagonal(entries) -> IntMatrix:
+    """A map between Tor(G, -) summands, diagonal on their generators (one
+    per torsion order d of G, in the order of G.torsion_orders)."""
+    return IntMatrix.block_diag(*(IntMatrix(1, 1, ((e,),)) for e in entries))
 
 
 def kappa_maps(k0: FgGroup, k1: FgGroup, m: int, n: int) -> KappaMaps:
@@ -172,16 +129,17 @@ def kappa_maps(k0: FgGroup, k1: FgGroup, m: int, n: int) -> KappaMaps:
     from_mn = []
     for degree in (0, 1):
         ki = k0 if degree == 0 else k1
-        knext = k1 if degree == 0 else k0
-        src_m = data_m.coefficient_group(degree)
-        src_mn = data_mn.coefficient_group(degree)
-        tgt_n = data_n.coefficient_group(degree)
-        # tensor part of kappa_{mn,m} is multiplication by n on generators
-        up_tensor = IntMatrix.identity(ki.generators).scale(n)
-        up = _block_diag_hom(src_m, src_mn, up_tensor, _kappa_up_block(knext, m, n))
-        to_mn.append(up)
-        # tensor part of kappa_{n,mn} is the identity on generators
-        down_tensor = IntMatrix.identity(ki.generators)
-        down = _block_diag_hom(src_mn, tgt_n, down_tensor, _kappa_down_block(knext, m, n))
-        from_mn.append(down)
+        tor = (k1 if degree == 0 else k0).torsion_orders
+        # Z_m >--n--> Z_mn is multiplication by n on the tensor part and the
+        # inclusion G[m] <= G[mn] on Tor(G, -), G = K_{i+1}: gcd(d, mn) / gcd(d, m)
+        up = IntMatrix.block_diag(IntMatrix.identity(ki.generators).scale(n),
+                                  _tor_diagonal(gcd(d, m * n) // gcd(d, m) for d in tor))
+        to_mn.append(GroupHom(data_m.coefficient_group(degree),
+                              data_mn.coefficient_group(degree), up))
+        # Z_mn ->> Z_n is the identity on the tensor part and multiplication
+        # by m on the torsion subgroups: m * gcd(d, n) / gcd(d, mn)
+        down = IntMatrix.block_diag(IntMatrix.identity(ki.generators),
+                                    _tor_diagonal(m * gcd(d, n) // gcd(d, m * n) for d in tor))
+        from_mn.append(GroupHom(data_mn.coefficient_group(degree),
+                                data_n.coefficient_group(degree), down))
     return KappaMaps(tuple(to_mn), tuple(from_mn))

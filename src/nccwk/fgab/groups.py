@@ -56,26 +56,13 @@ class FgGroup:
 
     @staticmethod
     def direct_sum(*parts: "FgGroup") -> "FgGroup":
-        g = sum(p.generators for p in parts)
-        cols = []
-        offset = 0
-        for p in parts:
-            for j in range(p.relations.cols):
-                col = [0] * g
-                for i in range(p.generators):
-                    col[offset + i] = p.relations[i, j]
-                cols.append(tuple(col))
-            offset += p.generators
-        return FgGroup(g, IntMatrix.from_columns(cols, rows=g))
+        return FgGroup(sum(p.generators for p in parts),
+                       IntMatrix.block_diag(*(p.relations for p in parts)))
 
     @cached_property
-    def _snf(self):
-        return smith_normal_form(self.relations)
-
-    @property
     def presentation_smith(self):
         """Smith data of the relation matrix (U diagonalizes the generators)."""
-        return self._snf
+        return smith_normal_form(self.relations)
 
     @cached_property
     def diagonal_orders(self) -> tuple:
@@ -84,7 +71,7 @@ class FgGroup:
         Entries follow the invariant-factor chain, padded with 0 for
         generators not hit by any relation.
         """
-        d = self._snf.invariant_factors
+        d = self.presentation_smith.invariant_factors
         out = [d[i] if i < len(d) else 0 for i in range(self.generators)]
         return tuple(out)
 
@@ -130,7 +117,7 @@ class FgGroup:
         """Coordinates in the diagonalized presentation; a complete equality
         invariant for classes of elements."""
         v = self.check_element(v)
-        y = self._snf.U.apply(v)
+        y = self.presentation_smith.U.apply(v)
         out = []
         for yi, d in zip(y, self.diagonal_orders):
             out.append(yi % d if d > 0 else yi)
@@ -145,7 +132,7 @@ class FgGroup:
     def cyclic_generators(self) -> list:
         """(order, generator vector) per nontrivial cyclic summand,
         free summands last with order 0."""
-        cols = self._snf.Uinv
+        cols = self.presentation_smith.Uinv
         out = []
         for i, d in enumerate(self.diagonal_orders):
             if d != 1:

@@ -66,6 +66,20 @@ class IntMatrix:
         return IntMatrix(rows, cols, tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
 
     @staticmethod
+    def block_diag(*blocks: "IntMatrix") -> "IntMatrix":
+        """The blocks down the diagonal and zeros elsewhere.  Blocks with no
+        rows or no columns are allowed, so [I; 0] and [0 | E] are
+        block_diag(I, zero(t, 0)) and block_diag(zero(0, g), E)."""
+        ncols = sum(B.cols for B in blocks)
+        data = []
+        left = 0
+        for B in blocks:
+            before, after = (0,) * left, (0,) * (ncols - left - B.cols)
+            data.extend(before + row + after for row in B.entries)
+            left += B.cols
+        return IntMatrix(len(data), ncols, tuple(data))
+
+    @staticmethod
     def column(vec: Sequence[int]) -> "IntMatrix":
         return IntMatrix(len(vec), 1, tuple((int(x),) for x in vec))
 

@@ -27,9 +27,6 @@ class ScenarioReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.claims)
 
-    def failures(self):
-        return [c for c in self.claims if not c.passed]
-
 
 class ClaimSink:
     """Collects claim results; comparison is on canonical display strings."""

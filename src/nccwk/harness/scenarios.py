@@ -194,7 +194,7 @@ def _iso(sink, claim_id, anchor, source, group, expected: str):
     sink.check(claim_id, anchor, source, expected, str(group))
 
 
-def build_thm33(stages: int = 5) -> ScenarioReport:
+def build_thm33() -> ScenarioReport:
     sink = ClaimSink()
     fam = odd_tower_family()
     for n in range(3):
@@ -298,13 +298,13 @@ def build_thm33(stages: int = 5) -> ScenarioReport:
                1, divisible_in_limit(sys0, LimitElement(0, (0, 1)), 2, 5))
 
     lad1 = fam.ladder((2,), 1)
-    verdict1 = limit_ses_purity(lad1, stages)
+    verdict1 = limit_ses_purity(lad1, 5)
     sink.check("limit.k1.nonpure",
                "the K_1 sequence of 0 -> I -> E -> E/I -> 0 is stationary and not pure, so E is not K-pure",
                "paper", ("stationary_verdict", False),
                (verdict1.kind, verdict1.limit_pure))
     lad0 = fam.ladder((2,), 0)
-    verdict0 = limit_ses_purity(lad0, stages)
+    verdict0 = limit_ses_purity(lad0, 5)
     sink.check("limit.k0.pure", "the K_0 sequence stays pure exact at every stage", "paper",
                "pure_through", verdict0.kind)
 
@@ -334,18 +334,17 @@ def build_thm33(stages: int = 5) -> ScenarioReport:
     return sink.report("thm3.3", "an odd tower whose limit is not K-pure")
 
 
-def _equal_maps_scenario(name: str, title: str, tail_sizes, tail_multiplicity,
-                         stages: int) -> ScenarioReport:
+def _equal_maps_scenario(name: str, title: str, tail_sizes, tail_multiplicity) -> ScenarioReport:
     sink = ClaimSink()
     plain = tailed_family(tail_sizes, tail_multiplicity, twisted=False)
     twisted = tailed_family(tail_sizes, tail_multiplicity, twisted=True)
-    for n in range(min(stages, 3) + 1):
+    for n in range(4):
         kd = plain.kdata(n)
         width = len(tail_sizes(n))
         _iso(sink, f"k0.stage{n}", "K_0 of the stage algebra is free of rank 2 + (2n+1)",
              "derived", kd.k0, " (+) ".join(["Z"] * (2 + width)))
         _iso(sink, f"k1.stage{n}", "K_1 of the stage algebra = Z", "derived", kd.k1, "Z")
-    for n in range(stages + 1):
+    for n in range(6):
         sink.check(f"equal.stage{n}",
                    "the two connecting maps differ by endpoint evaluations that agree on K-classes",
                    "paper", True,
@@ -372,26 +371,26 @@ def _equal_maps_scenario(name: str, title: str, tail_sizes, tail_multiplicity,
     sink.check("ladder.cross",
                "the second tower's induced maps commute with the first tower's ideal rows",
                "derived", True, ladder_ok)
-    verdict = limit_ses_purity(lad1, min(stages, 4))
+    verdict = limit_ses_purity(lad1, 4)
     sink.check("limit.k1.nonpure",
                "the K_1 sequence over the embedded ideal is stationary and not pure",
                "paper", ("stationary_verdict", False), (verdict.kind, verdict.limit_pure))
     return sink.report(name, title)
 
 
-def build_ex43(stages: int = 5) -> ScenarioReport:
+def build_ex43() -> ScenarioReport:
     return _equal_maps_scenario(
         "ex4.3", "two towers with matrix tails and K-equal connecting maps",
-        matrix_tail_sizes, 1, stages)
+        matrix_tail_sizes, 1)
 
 
-def build_ex47(stages: int = 5) -> ScenarioReport:
+def build_ex47() -> ScenarioReport:
     return _equal_maps_scenario(
         "ex4.7", "the same towers with constant-size tails absorbed with multiplicity three",
-        uhf_tail_sizes, 3, stages)
+        uhf_tail_sizes, 3)
 
 
-def build_sec5(stages: int = 3) -> ScenarioReport:
+def build_sec5() -> ScenarioReport:
     sink = ClaimSink()
     sink.check("recursion.values", "l_1 = 9 and l_{n+1} = 2 l_n + 3^(n+1) + 2*4^(n-1) + (3 + ... + 3^n) 4^n",
                "paper", (9, 41, 309, 3227), tuple(l5_value(m) for m in (1, 2, 3, 4)))
@@ -415,7 +414,7 @@ def build_sec5(stages: int = 3) -> ScenarioReport:
     sink.check("quotient.k", "the quotient is the dimension drop with (Z, Z/2)", "derived",
                ("Z", "Z/2"), (str(quot_kd.k0), str(quot_kd.k1)))
     plain, twisted = recursion_family(twisted=False), recursion_family(twisted=True)
-    for n in range(1, stages + 1):
+    for n in range(1, 4):
         sink.check(f"equal.stage{n}",
                    "the full-extension connecting maps agree on K like the tailed towers do",
                    "paper", True, maps_equal_on_k(plain.bonding(n - 1), twisted.bonding(n - 1),
@@ -426,7 +425,7 @@ def build_sec5(stages: int = 3) -> ScenarioReport:
     return sink.report("sec5", "the full-extension variant built on the block-size recursion")
 
 
-def build_ex61(stages: int = 4) -> ScenarioReport:
+def build_ex61() -> ScenarioReport:
     sink = ClaimSink()
     fam = torsion_tower_family()
     for n in range(2):
@@ -475,7 +474,7 @@ def build_ex61(stages: int = 4) -> ScenarioReport:
     sink.check("rows.k0", "the K_0 row is exact and pure", "derived",
                (True, True), (is_exact(s0), is_pure(s0)))
     lad1 = fam.ladder((2, 3), 1)
-    verdict = limit_ses_purity(lad1, stages)
+    verdict = limit_ses_purity(lad1, 4)
     sink.check("limit.k1.nonpure",
                "the K_1 sequence is stationary and not pure, so E is a non-K-pure ASH algebra",
                "paper", ("stationary_verdict", False), (verdict.kind, verdict.limit_pure))
@@ -498,7 +497,7 @@ SCENARIOS = {
 }
 
 
-def run_scenario(name: str, **kwargs) -> ScenarioReport:
+def run_scenario(name: str) -> ScenarioReport:
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; available: {', '.join(sorted(SCENARIOS))}")
-    return SCENARIOS[name](**kwargs)
+    return SCENARIOS[name]()

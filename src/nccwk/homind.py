@@ -594,11 +594,7 @@ def _triangularize(M: IntMatrix) -> Optional[IntMatrix]:
             g = gcd(g, x)
         P1 = unimodular_completion([x // g for x in v])
         N = (invert_unimodular(P1) @ N @ P1).submatrix(range(1, n), range(1, n))
-        emb = [[int(i == j) for j in range(r)] for i in range(r)]
-        for i in range(n):
-            for j in range(n):
-                emb[k + i][k + j] = P1[i, j]
-        P = P @ IntMatrix.from_rows(emb, cols=r)
+        P = P @ IntMatrix.block_diag(IntMatrix.identity(k), P1)
     return P
 
 
@@ -673,7 +669,7 @@ class LocalizedLimit:
         return " (+) ".join(parts) if parts else "0"
 
 
-def identify_localized_limit(sys: IndSystem, confirm_stages: int = 2) -> Optional[LocalizedLimit]:
+def identify_localized_limit(sys: IndSystem) -> Optional[LocalizedLimit]:
     """Pattern-match the limit of an eventually constant system.
 
     Free stage group: search a unimodular basis making the bonding matrix
@@ -688,7 +684,7 @@ def identify_localized_limit(sys: IndSystem, confirm_stages: int = 2) -> Optiona
         return None
     hom = sys.bonding(n0)
     G = sys.group(n0)
-    for extra in range(1, confirm_stages + 1):
+    for extra in (1, 2):
         later = sys.bonding(n0 + extra)
         if later.matrix != hom.matrix or later.source.relations != hom.source.relations:
             return None
@@ -789,6 +785,12 @@ def limit_ses_purity(ladder: "IdealLadder", N: int) -> LadderPurity:
 
 # -- families of complexes ----------------------------------------------------
 
+def _support(S: Sequence[int]) -> tuple:
+    """The memo key of an ideal support: one spelling per point set, the
+    one make_ideal_spec validates."""
+    return tuple(sorted(set(S)))
+
+
 class ComplexFamily:
     """A stage-indexed family of complexes with self-similar bonding maps.
 
@@ -842,7 +844,7 @@ class ComplexFamily:
         return self._systems[1]
 
     def ideal_spec(self, n: int, S: Sequence[int]) -> CompactIdealSpec:
-        key = (n, tuple(S))
+        key = (n, _support(S))
         if key not in self._spec:
             self._spec[key] = make_ideal_spec(self._cx[n], S)
         return self._spec[key]
@@ -850,7 +852,7 @@ class ComplexFamily:
     def ideal_rows(self, n: int, S: Sequence[int]) -> tuple:
         """The (K_0, K_1) rows 0 -> K_j(I_n) -> K_j(E_n) -> K_j(E_n/I_n) -> 0 over
         support S, from the stage-n K data of this family and its derived ones."""
-        key = (n, tuple(S))
+        key = (n, _support(S))
         if key not in self._rows:
             kds = self._kd[n], self.ideal_family(S).kdata(n), self.quotient_family(S).kdata(n)
             self._rows[key] = k_sequences(self._cx[n], self.ideal_spec(n, S), *kds)
@@ -860,16 +862,16 @@ class ComplexFamily:
         """The K_degree ladder of the ideal over support S along the family."""
         if degree not in (0, 1):
             raise ValueError("degree must be 0 or 1")
-        S = tuple(S)
+        S = _support(S)
         sys_i, sys_e, sys_q = (f.k1_system() if degree else f.k0_system()
                                for f in (self.ideal_family(S), self, self.quotient_family(S)))
         return IdealLadder(sys_i, sys_e, sys_q, lambda n: self.ideal_rows(n, S)[degree])
 
     def ideal_family(self, S: Sequence[int]) -> "ComplexFamily":
-        return self._restricted(tuple(S), quotient=False)
+        return self._restricted(_support(S), quotient=False)
 
     def quotient_family(self, S: Sequence[int]) -> "ComplexFamily":
-        return self._restricted(tuple(S), quotient=True)
+        return self._restricted(_support(S), quotient=True)
 
     def _restricted(self, S: tuple, quotient: bool) -> "ComplexFamily":
         """The family of ideal (or quotient) complexes over support S, its

@@ -64,32 +64,19 @@ class NccwComplex:
 
     @staticmethod
     def direct_sum(*parts: "NccwComplex") -> "NccwComplex":
-        k = tuple(x for c in parts for x in c.k)
-        h = tuple(x for c in parts for x in c.h)
-        l, p = len(h), len(k)
-        roff = 0
-        coff = 0
-        alpha_rows = [[0] * p for _ in range(l)]
-        beta_rows = [[0] * p for _ in range(l)]
-        for c in parts:
-            for i in range(c.l):
-                for j in range(c.p):
-                    alpha_rows[roff + i][coff + j] = c.alpha[i, j]
-                    beta_rows[roff + i][coff + j] = c.beta[i, j]
-            roff += c.l
-            coff += c.p
-        return NccwComplex(k, h, IntMatrix.from_rows(alpha_rows, cols=p),
-                           IntMatrix.from_rows(beta_rows, cols=p),
+        return NccwComplex(tuple(x for c in parts for x in c.k), tuple(x for c in parts for x in c.h),
+                           IntMatrix.block_diag(*(c.alpha for c in parts)),
+                           IntMatrix.block_diag(*(c.beta for c in parts)),
                            unital=all(c.unital for c in parts))
 
     def __str__(self):
         return f"NCCW(p={self.p}, l={self.l}, k={list(self.k)}, h={list(self.h)})"
 
 
-def dimension_drop(p: int, scale: int = 1) -> NccwComplex:
+def dimension_drop(p: int) -> NccwComplex:
     """The prototype interval algebra with scalar fibers of multiplicity p
     at both endpoints; p = 2 is the building block of the torsion examples."""
-    return NccwComplex((scale, scale), (p * scale,),
+    return NccwComplex((1, 1), (p,),
                        IntMatrix.from_rows([[p, 0]]),
                        IntMatrix.from_rows([[0, p]]))
 

@@ -3,8 +3,7 @@
 Stage cones come from the complexes themselves (kernel coordinates with
 nonnegative point ranks); limit cones are supplied as exact membership
 oracles.  Unperforation checking is a bounded, sampled verifier, never a
-prover; closed-form cones additionally carry a dilation-invariance flag
-when n*g in cone iff g in cone holds symbolically.
+prover.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ class ConeOracle:
     """Exact membership predicate."""
 
     membership: Callable
-    scaling_invariant: bool = False  # n*g in cone iff g in cone, symbolically
 
     def contains(self, g) -> bool:
         return bool(self.membership(g))
@@ -141,7 +139,7 @@ def halfplane_cone(first_prime: int, second_prime: int) -> ConeOracle:
 
     Dilation invariant: n x > 0 iff x > 0 and n y >= 0 iff y >= 0 for
     n >= 1, so n*g in cone iff g in cone and sampled search cannot find a
-    violation; the flag records that symbolic argument.
+    violation.
     """
 
     def member(g) -> bool:
@@ -154,7 +152,7 @@ def halfplane_cone(first_prime: int, second_prime: int) -> ConeOracle:
         xn = x.numerator
         return xn > 0 or (xn == 0 and y.numerator >= 0)
 
-    return ConeOracle(member, scaling_invariant=True)
+    return ConeOracle(member)
 
 
 def graded_witness_cone(k0_cone: ConeOracle, table: dict) -> ConeOracle:

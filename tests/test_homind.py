@@ -283,6 +283,13 @@ class TestFamilyStages:
         assert fam.ideal_family((2,)) is not fam.quotient_family((2,))
         assert fam.k0_system() is fam.k0_system() and fam.k1_system() is fam.k1_system()
 
+    def test_one_support_spelled_three_ways_is_one_memo_entry(self):
+        fam = torsion_tower_family()
+        for get in (lambda S: fam.ideal_spec(0, S), lambda S: fam.ideal_rows(0, S),
+                    fam.ideal_family, fam.quotient_family,
+                    lambda S: fam.ladder(S, 1).sys_quotient):
+            assert get((3, 2)) is get((2, 3)) is get((2, 2, 3))
+
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_scenarios_compute_k_data_once_per_stage(self, name, monkeypatch):
         """Every K computation in homind and nccw is one family stage's: no

@@ -2,7 +2,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nccwk.fgab.intmat import (
     IntMatrix,
@@ -185,6 +185,30 @@ def test_invert_unimodular(case):
             P[i] = [a + c * b for a, b in zip(P[i], P[j])]
     P = M(P)
     assert invert_unimodular(P) @ P == IntMatrix.identity(n)
+
+
+block_lists = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+        lambda rc: st.lists(st.lists(st.integers(-9, 9), min_size=rc[1], max_size=rc[1]),
+                            min_size=rc[0], max_size=rc[0]).map(lambda rows: M(rows, cols=rc[1]))),
+    max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_lists)
+@example([])
+@example([IntMatrix.zero(0, 0), IntMatrix.zero(0, 2), M([[5]]), IntMatrix.zero(2, 0)])
+def test_block_diag_matches_the_entrywise_definition(blocks):
+    B = IntMatrix.block_diag(*blocks)
+    assert (B.rows, B.cols) == (sum(b.rows for b in blocks), sum(b.cols for b in blocks))
+    placed = {}
+    top = left = 0
+    for b in blocks:
+        for i in range(b.rows):
+            for j in range(b.cols):
+                placed[top + i, left + j] = b[i, j]
+        top, left = top + b.rows, left + b.cols
+    assert all(B[i, j] == placed.get((i, j), 0) for i in range(B.rows) for j in range(B.cols))
 
 
 def test_invert_unimodular_refuses():

@@ -92,7 +92,6 @@ class TestUnperforation:
         samples = list(deterministic_localized_samples(3, 2, 2000))
         assert check_unperforated(cone, samples, 12) is None
         assert check_unperforated(cone, samples, 24) is None
-        assert cone.scaling_invariant
 
     def test_gap_cone_violation(self):
         cone = ConeOracle(lambda g: g[0] == 0 or g[0] >= 2)
