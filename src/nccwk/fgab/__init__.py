@@ -4,12 +4,12 @@ from .intmat import (
     IntMatrix,
     SmithDecomposition,
     det,
-    in_column_span,
     kernel,
     lattice_preimage,
     smith_normal_form,
     solve,
     solve_matrix,
+    spans,
 )
 from .groups import (
     FgGroup,

@@ -23,6 +23,8 @@ bound; the test suite checks this bound on random and seeded matrices.
 >>> A = IntMatrix.from_rows([[2, -2, 0], [1, -1, 0]])
 >>> smith_normal_form(A).invariant_factors
 (1, 0)
+>>> spans(A, IntMatrix.from_rows([[4], [2]])), spans(A, IntMatrix.from_rows([[1], [0]]))
+(True, False)
 """
 
 from __future__ import annotations
@@ -94,17 +96,8 @@ class IntMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def col(self, j: int) -> tuple:
         return tuple(self.entries[i][j] for i in range(self.rows))
-
-    def columns(self) -> list:
-        return [self.col(j) for j in range(self.cols)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(self.col(j) for j in range(self.cols)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -120,12 +113,6 @@ class IntMatrix:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         return tuple(sum(self.entries[i][k] * vec[k] for k in range(self.cols)) for i in range(self.rows))
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return IntMatrix(self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -463,8 +450,11 @@ def solve_matrix(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
     return IntMatrix.from_columns(cols, rows=A.cols)
 
 
-def in_column_span(A: IntMatrix, b: Sequence[int]) -> bool:
-    return solve(A, b) is not None
+def spans(A: IntMatrix, B: IntMatrix) -> bool:
+    """Whether every column of B lies in the column lattice of A."""
+    if B.rows != A.rows:
+        raise ValueError("shape mismatch")
+    return all(solve(A, B.col(j)) is not None for j in range(B.cols))
 
 
 def lattice_preimage(M: IntMatrix, R: IntMatrix) -> IntMatrix:

@@ -25,7 +25,7 @@ from ..coeff import mod_n
 from .inputfmt import InputError, parse
 from .report import render_report
 from .scenarios import SCENARIOS, run_scenario
-from .search import census_lines, search_odd_blocks
+from .search import SearchBounds, census_lines, search_odd_blocks
 
 
 def _load(path: str):
@@ -83,8 +83,8 @@ def cmd_scenario(args) -> int:
 def cmd_search(args) -> int:
     blocks = search_odd_blocks(args.max_p, args.max_l, args.max_mult, args.max_size,
                                jobs=args.jobs)
-    print(f"odd blocks with p <= {args.max_p}, l <= {args.max_l}, "
-          f"multiplicities <= {args.max_mult}, point sizes <= {args.max_size}: {len(blocks)}")
+    bounds = SearchBounds(args.max_p, args.max_l, args.max_mult, args.max_size)
+    print(f"odd blocks with {bounds}: {len(blocks)}")
     for line in census_lines(blocks):
         print(line)
     return 0
@@ -174,9 +174,6 @@ def cmd_order(args) -> int:
     names = [n for n, s in doc.systems if s.degree == 0]
     name = _pick(names, args.system, "degree-0 system",
                  _query_hint(doc, "dominates", "system"), flag="--system")
-    sys_spec = doc.get_system(name)
-    if sys_spec.degree != 0:
-        raise SystemExit("error: order comparisons live on a degree-0 system")
     sys_obj = doc.system_object(name)
     if args.dominates is not None:
         u, v = _vector(args.dominates[0]), _vector(args.dominates[1])

@@ -553,12 +553,6 @@ def _integer_roots(poly):
     return sorted(roots, key=lambda v: (-abs(v), v))
 
 
-def _integer_eigenvalues(M: IntMatrix):
-    """Distinct integer eigenvalues of M, sorted (-|v|, v), in time
-    polynomial in the rank and the entries' bit size."""
-    return _integer_roots(_char_poly(M))
-
-
 def _triangularize(M: IntMatrix) -> Optional[IntMatrix]:
     """Unimodular P with P^-1 M P upper triangular, via integer eigenflags,
     or None when none exists.
@@ -662,9 +656,7 @@ class LocalizedLimit:
         return tuple(sorted(_radical(s) for s in self.diagonal))
 
     def describe(self) -> str:
-        parts = []
-        for s in sorted(_radical(x) for x in self.diagonal):
-            parts.append("Z" if s == 1 else f"Z[1/{s}]")
+        parts = ["Z" if s == 1 else f"Z[1/{s}]" for s in self.localization_multiset()]
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " (+) ".join(parts) if parts else "0"
 

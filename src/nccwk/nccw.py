@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .fgab.intmat import IntMatrix, in_column_span, kernel, solve_matrix
+from .fgab.intmat import IntMatrix, kernel, solve_matrix, spans
 from .fgab.groups import FgGroup, GroupHom, ShortExactSeq, cokernel
 
 
@@ -101,13 +101,6 @@ class KData:
         """Membership of a K_0 class (kernel coordinates) in the cone."""
         return all(x >= 0 for x in self.ambient(v))
 
-    def coordinates(self, ambient_vec: Sequence[int]) -> Optional[tuple]:
-        """Kernel coordinates of an ambient vector, or None if outside."""
-        sol = solve_matrix(self.k0_basis, IntMatrix.column(ambient_vec))
-        if sol is None:
-            return None
-        return sol.col(0)
-
 
 def k_theory(A: NccwComplex, basis: Optional[IntMatrix] = None) -> KData:
     """K-data of a complex; an explicit kernel basis may be supplied and is
@@ -120,7 +113,7 @@ def k_theory(A: NccwComplex, basis: Optional[IntMatrix] = None) -> KData:
             raise ValueError("basis has wrong ambient dimension")
         if not (A.delta @ basis).is_zero():
             raise ValueError("supplied basis does not lie in the kernel")
-        if solve_matrix(basis, computed) is None or solve_matrix(computed, basis) is None:
+        if not (spans(basis, computed) and spans(computed, basis)):
             raise ValueError("supplied columns do not span the kernel lattice")
     return KData(FgGroup.free(basis.cols), basis, cokernel(A.delta))
 
@@ -281,8 +274,7 @@ def _boundary_vanishes(A: NccwComplex, spec: CompactIdealSpec) -> bool:
     Sc, Tc = _complement(A, spec)
     delta_i = A.delta.submatrix(spec.T, spec.S)
     link = A.delta.submatrix(spec.T, Sc)
-    return all(in_column_span(delta_i, link.apply(x))
-               for x in kernel(A.delta.submatrix(Tc, Sc)).columns())
+    return spans(delta_i, link @ kernel(A.delta.submatrix(Tc, Sc)))
 
 
 def odd_witnesses(A: NccwComplex, specs: Optional[list] = None):
@@ -295,10 +287,11 @@ def odd_witnesses(A: NccwComplex, specs: Optional[list] = None):
     The blocks T^c touch no point of S, so coker delta_Q = coker delta[T^c, :]
     depends on T = adj(S) alone: it is read for every union of the points'
     adjacent blocks before any support is built, and a complex without
-    such torsion yields nothing.  For an exact row, Miyata's theorem (see
-    fgab.groups.is_pure) makes the K_1 row split iff K_1(A) is isomorphic
-    to K_1(I) (+) K_1(A/I).  No K row is built: the re-verifier in
-    harness.search builds them and decides both properties independently.
+    such torsion yields nothing.  For an exact row, Miyata's theorem makes
+    the K_1 row split iff K_1(A) is isomorphic to K_1(I) (+) K_1(A/I), which
+    is FgGroup.is_sum_of, the same test fgab.groups.is_pure makes.  No K
+    row is built: the re-verifier in harness.search builds them and decides
+    both properties independently.
     """
     unions = set()
     for j in range(A.p):
@@ -311,8 +304,7 @@ def odd_witnesses(A: NccwComplex, specs: Optional[list] = None):
     k1 = cokernel(A.delta)
     for spec in all_ideal_specs(A) if specs is None else specs:
         if 0 < len(spec.S) < A.p and k1_q[spec.T].torsion_orders and _boundary_vanishes(A, spec):
-            orders = cokernel(A.delta.submatrix(spec.T, spec.S)).diagonal_orders
-            if not k1.is_isomorphic_to(FgGroup.from_cyclic(orders + k1_q[spec.T].diagonal_orders)):
+            if not k1.is_sum_of(cokernel(A.delta.submatrix(spec.T, spec.S)), k1_q[spec.T]):
                 yield spec
 
 

@@ -241,6 +241,20 @@ class TestCli:
                                  "--stage", "-1")
         assert code == 1 and out == "" and "stage index must be nonnegative" in err
 
+    def test_order_rejects_a_degree_one_system(self):
+        code, out, err = run_cli("order", str(SAMPLES / "odd_tower.nccw"), "--system", "k1sys",
+                                 "--dominates", "1,0", "0,1")
+        assert code == 1 and out == ""
+        assert err == "error: no degree-0 system named 'k1sys'; available: k0sys\n"
+
+    @pytest.mark.parametrize("argv, header", [
+        ((), "odd blocks with p <= 3, l <= 2, multiplicities <= 2, point sizes <= 1: 16"),
+        (("--max-p", "2"), "odd blocks with p <= 2, l <= 2, multiplicities <= 2, point sizes <= 1: 0"),
+    ])
+    def test_search_header(self, argv, header):
+        code, out, _ = run_cli("search", *argv)
+        assert code == 0 and out.splitlines()[0] == header
+
     def test_coeff(self):
         code, out, _ = run_cli("coeff", str(SAMPLES / "torsion_tower.nccw"),
                                "--n", "2,3", "--name", "F0")

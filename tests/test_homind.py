@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from nccwk.fgab.intmat import IntMatrix
+from nccwk.fgab.intmat import IntMatrix, solve_matrix
 from nccwk.fgab.groups import FgGroup, GroupHom, ShortExactSeq, is_exact, is_pure
 from nccwk import homind, nccw
 from nccwk.nccw import NccwComplex, all_ideal_specs, k_sequences, k_theory
@@ -30,7 +30,7 @@ from nccwk.homind import (
     maps_equal_on_k,
     truncate,
 )
-from nccwk.homind import _char_poly, _integer_eigenvalues, _triangularize
+from nccwk.homind import _char_poly, _integer_roots, _triangularize
 from nccwk.harness.inputfmt import FamilySpec, parse
 from nccwk.harness.scenarios import (
     ODD_ASSIGNMENT,
@@ -107,8 +107,8 @@ class TestInducedMaps:
         for fam in (odd_tower_family(), torsion_tower_family()):
             src, tgt = fam.complex_at(0), fam.complex_at(1)
             kd_s, kd_t = fam.kdata(0), fam.kdata(1)
-            unit_src = kd_s.coordinates(src.k)
-            unit_tgt = kd_t.coordinates(tgt.k)
+            unit_src = solve_matrix(kd_s.k0_basis, IntMatrix.column(src.k)).col(0)
+            unit_tgt = solve_matrix(kd_t.k0_basis, IntMatrix.column(tgt.k)).col(0)
             hom = induced_k0(fam.bonding(0), kd_s, kd_t)
             assert hom.apply(unit_src) == unit_tgt
 
@@ -547,7 +547,7 @@ def test_char_poly_matches_cofactor_and_sympy(rows):
 def test_integer_eigenvalues_match_divisor_scan(rows):
     poly = cofactor_char_poly(rows)
     assume(abs(next(c for c in poly if c != 0)) <= 10 ** 4)
-    assert _integer_eigenvalues(IntMatrix.from_rows(rows)) == divisor_scan_integer_roots(poly)
+    assert _integer_roots(_char_poly(IntMatrix.from_rows(rows))) == divisor_scan_integer_roots(poly)
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,6 +13,7 @@ from nccwk.fgab.intmat import (
     smith_normal_form,
     solve,
     solve_matrix,
+    spans,
     unimodular_completion,
 )
 
@@ -125,7 +126,7 @@ def entry_bit_bound(A):
         for v in vectors:
             h2 *= max(1, sum(x * x for x in v))
         return h2
-    h2 = min(squared(A.entries), squared(A.columns()))
+    h2 = min(squared(A.entries), squared([A.col(j) for j in range(A.cols)]))
     log_h = ((h2 - 1).bit_length() + 1) // 2  # ceil(log2 sqrt(h2))
     return max(A.rows, A.cols) * (log_h + 1)
 
@@ -209,6 +210,31 @@ def test_block_diag_matches_the_entrywise_definition(blocks):
                 placed[top + i, left + j] = b[i, j]
         top, left = top + b.rows, left + b.cols
     assert all(B[i, j] == placed.get((i, j), 0) for i in range(B.rows) for j in range(B.cols))
+
+
+def _matrix(m, n, lo=-6, hi=6):
+    return st.lists(st.lists(st.integers(lo, hi), min_size=n, max_size=n),
+                    min_size=m, max_size=m).map(lambda rows: M(rows, cols=n))
+
+
+# (A, B, built): B is A X for a random integer X when built is True
+span_cases = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3)).flatmap(
+    lambda mnk: st.tuples(_matrix(mnk[0], mnk[1]), _matrix(mnk[1], mnk[2], -3, 3),
+                          _matrix(mnk[0], mnk[2]), st.booleans())).map(
+    lambda t: (t[0], t[0] @ t[1], True) if t[3] else (t[0], t[2], False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(span_cases)
+@example((IntMatrix.zero(3, 0), IntMatrix.zero(3, 0), True))
+@example((IntMatrix.zero(2, 0), M([[0], [0]]), True))
+@example((IntMatrix.zero(2, 0), M([[1], [0]]), False))
+@example((M([[2, 4], [0, 6]]), IntMatrix.zero(2, 0), True))
+def test_spans_is_columnwise_solvability(case):
+    A, B, built = case
+    assert spans(A, B) == all(solve(A, B.col(j)) is not None for j in range(B.cols))
+    if built:
+        assert spans(A, B)
 
 
 def test_invert_unimodular_refuses():
