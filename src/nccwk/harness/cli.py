@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import astuple, fields
 
 from ..nccw import (
     classify_block,
@@ -81,9 +82,8 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_search(args) -> int:
-    blocks = search_odd_blocks(args.max_p, args.max_l, args.max_mult, args.max_size,
-                               jobs=args.jobs)
     bounds = SearchBounds(args.max_p, args.max_l, args.max_mult, args.max_size)
+    blocks = search_odd_blocks(*astuple(bounds), jobs=args.jobs)
     print(f"odd blocks with {bounds}: {len(blocks)}")
     for line in census_lines(blocks):
         print(line)
@@ -206,10 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     sc.set_defaults(fn=cmd_scenario)
 
     se = sub.add_parser("search", help="census of small odd blocks")
-    se.add_argument("--max-p", type=int, default=3)
-    se.add_argument("--max-l", type=int, default=2)
-    se.add_argument("--max-mult", type=int, default=2)
-    se.add_argument("--max-size", type=int, default=1)
+    for bound in fields(SearchBounds):
+        se.add_argument("--" + bound.name.replace("_", "-"), type=int, default=bound.default)
     se.add_argument("--jobs", type=int, default=1)
     se.set_defaults(fn=cmd_search)
 

@@ -137,8 +137,9 @@ def reverify_odd_witness(A: NccwComplex, spec: CompactIdealSpec) -> bool:
     return is_exact(s0) and is_exact(s1) and not (_splits(s0) and _splits(s1))
 
 
-def search_odd_blocks(max_p: int = 3, max_l: int = 2, max_mult: int = 2,
-                      max_size: int = 1, jobs: int = 1):
+def search_odd_blocks(max_p: int = SearchBounds.max_p, max_l: int = SearchBounds.max_l,
+                      max_mult: int = SearchBounds.max_mult,
+                      max_size: int = SearchBounds.max_size, jobs: int = 1):
     """All odd blocks within bounds, each with its first odd witness."""
     candidates = _enumerate_unital(SearchBounds(max_p, max_l, max_mult, max_size))
     if jobs <= 1:

@@ -34,6 +34,7 @@ from .fgab.groups import (
     FgGroup,
     GroupHom,
     ShortExactSeq,
+    check_ladder,
     is_exact,
     is_pure,
 )
@@ -142,18 +143,15 @@ class MapDescription:
         return IntMatrix.from_rows(rows, cols=self.source.l)
 
 
-def induced_k0(m: MapDescription,
-               kd_src: Optional[KData] = None,
-               kd_tgt: Optional[KData] = None) -> GroupHom:
-    """K_0 of a described map, in the kernel bases of source and target.
+def induced_k0(m: MapDescription, kd_src: KData, kd_tgt: KData) -> GroupHom:
+    """K_0 of a described map, in the kernel bases of kd_src and kd_tgt, the
+    K data of its source and target (a family's kdata(n), or k_theory).
 
     A kernel vector v has rank (alpha v)_i at any interior point of block i,
     so the image rank at a target point is the sum of v_j over point
     evaluations plus (alpha v)_i over interior ones; the result must land
     back in the target kernel.
     """
-    kd_src = kd_src or k_theory(m.source)
-    kd_tgt = kd_tgt or k_theory(m.target)
     image_cols = []
     for c in range(kd_src.rank):
         v = kd_src.k0_basis.col(c)
@@ -174,30 +172,24 @@ def induced_k0(m: MapDescription,
     return GroupHom(kd_src.k0, kd_tgt.k0, coords)
 
 
-def induced_k1(m: MapDescription,
-               kd_src: Optional[KData] = None,
-               kd_tgt: Optional[KData] = None) -> GroupHom:
+def induced_k1(m: MapDescription, kd_src: KData, kd_tgt: KData) -> GroupHom:
     """K_1 of a described map: the full-path multiplicity matrix pushed
-    through the cokernel presentations."""
-    kd_src = kd_src or k_theory(m.source)
-    kd_tgt = kd_tgt or k_theory(m.target)
-    N = m.full_path_matrix()
+    through the cokernel presentations of kd_src and kd_tgt, the K data of
+    its source and target."""
     try:
-        return GroupHom(kd_src.k1, kd_tgt.k1, N)
+        return GroupHom(kd_src.k1, kd_tgt.k1, m.full_path_matrix())
     except ValueError as exc:
         raise ValueError(f"full-path matrix does not descend to cokernels: {exc}") from exc
 
 
 def maps_equal_on_k(m1: MapDescription, m2: MapDescription,
-                    kd_src: Optional[KData] = None,
-                    kd_tgt: Optional[KData] = None) -> bool:
-    """Do two descriptions induce the same K_0 and K_1 maps?"""
+                    kd_src: KData, kd_tgt: KData) -> bool:
+    """Do two descriptions induce the same K_0 and K_1 maps?  kd_src and
+    kd_tgt are the K data of their shared source and target."""
     if m1.source != m2.source or m1.target != m2.target:
         raise ValueError("descriptions must share source and target")
-    kd_s = kd_src or k_theory(m1.source)
-    kd_t = kd_tgt or k_theory(m1.target)
-    k0_equal = induced_k0(m1, kd_s, kd_t).equals(induced_k0(m2, kd_s, kd_t))
-    k1_equal = induced_k1(m1, kd_s, kd_t).equals(induced_k1(m2, kd_s, kd_t))
+    k0_equal = induced_k0(m1, kd_src, kd_tgt).equals(induced_k0(m2, kd_src, kd_tgt))
+    k1_equal = induced_k1(m1, kd_src, kd_tgt).equals(induced_k1(m2, kd_src, kd_tgt))
     return k0_equal and k1_equal
 
 
@@ -315,19 +307,17 @@ class IndSystem:
         self._cones = _Stages(cone_at) if cone_at is not None else None
 
     @staticmethod
-    def constant(hom: GroupHom, cone=None) -> "IndSystem":
+    def constant(hom: GroupHom) -> "IndSystem":
         if hom.source.generators != hom.target.generators or hom.source.relations != hom.target.relations:
             raise ValueError("constant system needs an endomorphism")
-        return IndSystem(lambda n: hom.source, lambda n: hom,
-                         eventually_constant_from=0,
-                         cone_at=(lambda n: cone) if cone is not None else None)
+        return IndSystem(lambda n: hom.source, lambda n: hom, eventually_constant_from=0)
 
     @staticmethod
-    def from_matrix(M: IntMatrix, cone=None) -> "IndSystem":
+    def from_matrix(M: IntMatrix) -> "IndSystem":
         if M.rows != M.cols:
             raise ValueError("bonding matrix must be square")
         G = FgGroup.free(M.rows)
-        return IndSystem.constant(GroupHom(G, G, M), cone=cone)
+        return IndSystem.constant(GroupHom(G, G, M))
 
     def group(self, n: int) -> FgGroup:
         return self._groups[n]
@@ -349,6 +339,17 @@ class IndSystem:
             v = self.bonding(s).apply(v)
         return v
 
+    def walk(self, x: "LimitElement", start: int, stop: int):
+        """(s, image of x at stage s) for s = start..stop, carried forward one
+        bonding per stage; nothing when stop < start."""
+        if stop < start:
+            return
+        v = self.push(x, start)
+        yield start, v
+        for s in range(start, stop):
+            v = self.bonding(s).apply(v)
+            yield s + 1, v
+
 
 @dataclass(frozen=True)
 class LimitElement:
@@ -364,12 +365,6 @@ class TruncatedSystem:
     groups: tuple    # stages 0..N
     bondings: tuple  # homs n -> n+1 for n < N
 
-    def orbit(self, vec: Sequence[int]) -> list:
-        out = [tuple(int(x) for x in vec)]
-        for hom in self.bondings:
-            out.append(hom.apply(out[-1]))
-        return out
-
 
 def truncate(sys: IndSystem, N: int) -> TruncatedSystem:
     """Materialize stages 0..N (N >= 1): N + 1 groups and N bondings."""
@@ -381,18 +376,6 @@ def truncate(sys: IndSystem, N: int) -> TruncatedSystem:
         if bondings[n].source.generators != groups[n].generators:
             raise ValueError(f"bonding at stage {n} does not match its group")
     return TruncatedSystem(groups, bondings)
-
-
-def _walk(sys: IndSystem, x: LimitElement, start: int, stop: int):
-    """(s, image of x at stage s) for s = start..stop, carried forward one
-    bonding per stage; nothing when stop < start."""
-    if stop < start:
-        return
-    v = sys.push(x, start)
-    yield start, v
-    for s in range(start, stop):
-        v = sys.bonding(s).apply(v)
-        yield s + 1, v
 
 
 @dataclass(frozen=True)
@@ -415,7 +398,7 @@ def limit_equal(sys: IndSystem, x: LimitElement, y: LimitElement, bound: int) ->
     if bound < start:
         raise ValueError("bound precedes the elements' stages")
     all_injective = True
-    for (s, vx), (_, vy) in zip(_walk(sys, x, start, bound), _walk(sys, y, start, bound)):
+    for (s, vx), (_, vy) in zip(sys.walk(x, start, bound), sys.walk(y, start, bound)):
         if sys.group(s).elements_equal(vx, vy):
             return EqualityVerdict("equal", s)
         if s < bound and not sys.bonding(s).is_injective():
@@ -434,7 +417,7 @@ def divisible_in_limit(sys: IndSystem, x: LimitElement, n: int, stage_bound: int
         raise ValueError("divisor must be positive")
     if stage_bound < 0:
         raise ValueError("bound must be nonnegative")
-    for s, v in _walk(sys, x, x.stage, stage_bound):
+    for s, v in sys.walk(x, x.stage, stage_bound):
         if sys.group(s).divide_element(v, n) is not None:
             return s
     return None
@@ -749,11 +732,9 @@ def limit_ses_purity(ladder: "IdealLadder", N: int) -> LadderPurity:
     """
     sys_i, sys_e, sys_q = ladder.sys_ideal, ladder.sys_total, ladder.sys_quotient
     for n in range(N):
-        row, nxt = ladder.row_at(n), ladder.row_at(n + 1)
-        if not nxt.inj.compose(sys_i.bonding(n)).equals(sys_e.bonding(n).compose(row.inj)):
-            raise ValueError(f"inclusion square does not commute at stage {n}")
-        if not nxt.surj.compose(sys_e.bonding(n)).equals(sys_q.bonding(n).compose(row.surj)):
-            raise ValueError(f"projection square does not commute at stage {n}")
+        if not check_ladder(ladder.row_at(n), ladder.row_at(n + 1),
+                            sys_i.bonding(n), sys_e.bonding(n), sys_q.bonding(n)):
+            raise ValueError(f"ladder square does not commute at stage {n}")
     first_bad = None
     for n in range(N + 1):
         seq = ladder.row_at(n)
@@ -790,18 +771,20 @@ class ComplexFamily:
     n + 1; the family builds it as a description between its own stages.
     constant_from is the stage from which the induced K matrices repeat
     (None when they keep changing); the K systems and the ideal and
-    quotient families carry it.  Stage complexes, K data, bondings, ideal
-    specs, derived families, K systems and ideal rows are built once and
-    memoized; ladder(S, degree) assembles a ladder from them.
+    quotient families carry it.  basis, when given, is the K_0 basis of
+    every stage (k_theory checks it), and the induced K_0 maps are matrices
+    in it.  Stage complexes, K data, bondings, ideal specs, derived
+    families, K systems and ideal rows are built once and memoized;
+    ladder(S, degree) assembles a ladder from them.
     """
 
     def __init__(self, complex_at: Callable[[int], NccwComplex],
                  assignment_at: Callable[[int], tuple],
                  constant_from: Optional[int] = None,
-                 basis_at: Optional[Callable[[int], IntMatrix]] = None):
+                 basis: Optional[IntMatrix] = None):
         self.constant_from = constant_from
         self._cx = _Stages(complex_at)
-        self._kd = _Stages(lambda n: k_theory(self._cx[n], basis_at(n) if basis_at else None))
+        self._kd = _Stages(lambda n: k_theory(self._cx[n], basis))
         self._bond = _Stages(lambda n: MapDescription(self._cx[n], self._cx[n + 1],
                                                       *assignment_at(n)))
         self._spec = {}

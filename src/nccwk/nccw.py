@@ -213,16 +213,13 @@ def quotient_complex(A: NccwComplex, spec: CompactIdealSpec) -> NccwComplex:
     return _subcomplex(A, *_complement(A, spec))
 
 
-def inclusion_k_maps(A: NccwComplex, spec: CompactIdealSpec,
-                     kd: Optional[KData] = None,
-                     kd_ideal: Optional[KData] = None):
-    """(K_0, K_1) of the embedding of the compact ideal into A.
+def inclusion_k_maps(A: NccwComplex, spec: CompactIdealSpec, kd: KData, kd_ideal: KData):
+    """(K_0, K_1) of the embedding of the compact ideal into A, in the K_0
+    bases of kd (A's K data) and kd_ideal (that of ideal_complex(A, spec)).
 
     K_0 zero-pads ideal kernel coordinates into Z^p and re-expresses them in
     A's kernel basis; K_1 zero-pads Z^T into Z^l and descends to cokernels.
     """
-    kd = kd or k_theory(A)
-    kd_ideal = kd_ideal or k_theory(ideal_complex(A, spec))
     padded = IntMatrix.identity(A.p).submatrix(range(A.p), spec.S) @ kd_ideal.k0_basis
     coords = solve_matrix(kd.k0_basis, padded)
     if coords is None:
@@ -232,12 +229,9 @@ def inclusion_k_maps(A: NccwComplex, spec: CompactIdealSpec,
     return k0, k1
 
 
-def quotient_k_maps(A: NccwComplex, spec: CompactIdealSpec,
-                    kd: Optional[KData] = None,
-                    kd_quot: Optional[KData] = None):
-    """(K_0, K_1) of the quotient map onto the complement blocks."""
-    kd = kd or k_theory(A)
-    kd_quot = kd_quot or k_theory(quotient_complex(A, spec))
+def quotient_k_maps(A: NccwComplex, spec: CompactIdealSpec, kd: KData, kd_quot: KData):
+    """(K_0, K_1) of the quotient map onto the complement blocks, in the K_0
+    bases of kd (A's K data) and kd_quot (that of quotient_complex(A, spec))."""
     Sc, Tc = _complement(A, spec)
     restricted = kd.k0_basis.submatrix(Sc, range(kd.rank))
     coords = solve_matrix(kd_quot.k0_basis, restricted)
@@ -251,10 +245,11 @@ def quotient_k_maps(A: NccwComplex, spec: CompactIdealSpec,
 def k_sequences(A: NccwComplex, spec: CompactIdealSpec, kd: Optional[KData] = None,
                 kd_ideal: Optional[KData] = None, kd_quot: Optional[KData] = None):
     """The candidate rows 0 -> K_j(I) -> K_j(A) -> K_j(A/I) -> 0, j = 0, 1, from
-    the K data of A, I and A/I where supplied, computed here otherwise."""
+    the K data of A, I and A/I where supplied, computed here otherwise: the
+    one K-level builder that fills in K data it was not given."""
     kd = kd or k_theory(A)
-    i0, i1 = inclusion_k_maps(A, spec, kd, kd_ideal)
-    q0, q1 = quotient_k_maps(A, spec, kd, kd_quot)
+    i0, i1 = inclusion_k_maps(A, spec, kd, kd_ideal or k_theory(ideal_complex(A, spec)))
+    q0, q1 = quotient_k_maps(A, spec, kd, kd_quot or k_theory(quotient_complex(A, spec)))
     return ShortExactSeq(i0, q0), ShortExactSeq(i1, q1)
 
 
@@ -315,11 +310,17 @@ class BlockClass(Enum):
 
 @dataclass(frozen=True)
 class Classification:
-    verdict: BlockClass
-    odd_witness: Optional[CompactIdealSpec]
     nonexact_witnesses: tuple  # specs whose rows fail exactness (boundary maps nonzero)
     nonpure_witnesses: tuple   # exact but non-pure specs
     specs_checked: int
+
+    @property
+    def odd_witness(self) -> Optional[CompactIdealSpec]:
+        return self.nonpure_witnesses[0] if self.nonpure_witnesses else None
+
+    @property
+    def verdict(self) -> BlockClass:
+        return BlockClass.ODD if self.nonpure_witnesses else BlockClass.NICE
 
     def __str__(self):
         extra = ""
@@ -351,7 +352,4 @@ def classify_block(A: NccwComplex) -> Classification:
     """
     specs = all_ideal_specs(A)
     nonexact = tuple(spec for spec in specs if not _boundary_vanishes(A, spec))
-    nonpure = tuple(odd_witnesses(A, specs))
-    odd_witness = nonpure[0] if nonpure else None
-    verdict = BlockClass.ODD if odd_witness is not None else BlockClass.NICE
-    return Classification(verdict, odd_witness, nonexact, nonpure, len(specs))
+    return Classification(nonexact, tuple(odd_witnesses(A, specs)), len(specs))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
-from .homind import IndSystem, LimitElement, _walk
+from .homind import IndSystem, LimitElement
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ def eventual_dominates(sys: IndSystem, u: Sequence[int], v: Sequence[int],
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     first = None
-    walks = zip(_walk(sys, LimitElement(0, tuple(u)), 0, bound),
-                _walk(sys, LimitElement(0, tuple(v)), 0, bound))
+    walks = zip(sys.walk(LimitElement(0, tuple(u)), 0, bound),
+                sys.walk(LimitElement(0, tuple(v)), 0, bound))
     for (s, pu), (_, pv) in walks:
         holds = sys.cone_membership(s)(tuple(a - b for a, b in zip(pu, pv)))
         if holds and first is None:
@@ -175,12 +175,14 @@ def graded_witness_cone(k0_cone: ConeOracle, table: dict) -> ConeOracle:
     return ConeOracle(member)
 
 
-def deterministic_localized_samples(first_prime: int, second_prime: int,
-                                    count: int, seed: int = 20250809):
+_SAMPLE_SEED = 20250809
+
+
+def deterministic_localized_samples(first_prime: int, second_prime: int, count: int):
     """Deterministic sample stream of Z[1/p] (+) Z[1/q] pairs."""
     import random
 
-    rng = random.Random(seed)
+    rng = random.Random(_SAMPLE_SEED)
     for _ in range(count):
         a = rng.randint(-40, 40)
         i = rng.randint(0, 4)

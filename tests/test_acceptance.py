@@ -77,8 +77,9 @@ def test_criterion_02_ideal_calculus():
     spec = make_ideal_spec(A, [2])
     kd_i = k_theory(ideal_complex(A, spec))
     kd_q = k_theory(quotient_complex(A, spec))
-    _, i1 = inclusion_k_maps(A, spec)
-    target = k_theory(A).k1
+    kd = k_theory(A)
+    _, i1 = inclusion_k_maps(A, spec, kd, kd_i)
+    target = kd.k1
     doubling = target.elements_equal(i1.apply((1,)), (2, 2))
     ok = (kd_i.k0.iso_class() == (1, ()) and kd_i.k1.iso_class() == (1, ())
           and kd_q.k0.iso_class() == (1, ()) and kd_q.k1.iso_class() == (0, (2,))
@@ -163,7 +164,8 @@ def test_criterion_08_map_equality_through_stage_five():
         plain = tailed_family(tail, mult, twisted=False)
         twisted = tailed_family(tail, mult, twisted=True)
         for n in range(6):
-            ok = ok and maps_equal_on_k(plain.bonding(n), twisted.bonding(n))
+            ok = ok and maps_equal_on_k(plain.bonding(n), twisted.bonding(n),
+                                        plain.kdata(n), plain.kdata(n + 1))
     conclude(8, "the paired connecting maps agree on K at stages 0..5 in both towers", ok)
 
 
@@ -246,5 +248,7 @@ def test_criterion_11_property_suites():
     for a, b in ((plain, plain), (plain, twisted), (twisted, twisted)):
         m1, m2 = a.bonding(0), b.bonding(1)
         comp = compose_descriptions(m2, m1)
-        ok = ok and induced_k0(comp).equals(induced_k0(m2).compose(induced_k0(m1)))
+        kd0, kd1, kd2 = a.kdata(0), a.kdata(1), b.kdata(2)
+        ok = ok and induced_k0(comp, kd0, kd2).equals(
+            induced_k0(m2, kd1, kd2).compose(induced_k0(m1, kd0, kd1)))
     conclude(11, "SNF identities (10^3 matrices), Bockstein exactness (200), functoriality: zero failures", ok)

@@ -1,6 +1,8 @@
+import inspect
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 from itertools import combinations
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 
 from nccwk import nccw
 from nccwk.fgab.intmat import IntMatrix
+from nccwk.harness.cli import build_parser
 from nccwk.harness.report import render_report
 from nccwk.harness.scenarios import SCENARIOS, odd_tower_complex, run_scenario
 from nccwk.harness import search as search_module
@@ -114,6 +117,12 @@ class TestSearch:
 
     def test_bounds_description(self):
         assert "p <= 3" in str(SearchBounds())
+
+    def test_default_bounds_stated_once(self):
+        args = build_parser().parse_args(["search"])
+        assert SearchBounds(args.max_p, args.max_l, args.max_mult, args.max_size) == SearchBounds()
+        defaults = [p.default for p in inspect.signature(search_odd_blocks).parameters.values()]
+        assert tuple(defaults[:4]) == astuple(SearchBounds())
 
     @pytest.mark.parametrize("bounds", [(3, 2, 2, 1), (3, 2, 1, 1), (2, 3, 2, 2)])
     def test_orderly_generation_matches_first_appearance(self, bounds):

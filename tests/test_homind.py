@@ -100,7 +100,8 @@ class TestInducedMaps:
         m = MapDescription(src, src,
                            f1=((), (), ()), f2=(((AtInterior(0),)), (AtInterior(1),)),
                            unital=False)
-        hom = induced_k1(m)
+        kd = k_theory(src)
+        hom = induced_k1(m, kd, kd)
         assert hom.is_zero_hom()
 
     def test_unit_class_goes_to_unit_class(self):
@@ -119,8 +120,9 @@ class TestInducedMaps:
                           IntMatrix.from_rows([[0, 2]]))
         m = MapDescription(src, src, f1=((AtPoint(0),), ()),
                            f2=((FullPath(0),),), unital=False)
+        kd = k_theory(src)
         with pytest.raises(ValueError):
-            induced_k0(m)
+            induced_k0(m, kd, kd)
 
 
 class TestMapsEqual:
@@ -128,17 +130,20 @@ class TestMapsEqual:
         plain = tailed_family(matrix_tail_sizes, 1, twisted=False)
         twisted = tailed_family(matrix_tail_sizes, 1, twisted=True)
         for n in range(3):
-            assert maps_equal_on_k(plain.bonding(n), twisted.bonding(n))
+            assert maps_equal_on_k(plain.bonding(n), twisted.bonding(n),
+                                   plain.kdata(n), plain.kdata(n + 1))
 
     def test_uhf_pairs_agree(self):
         plain = tailed_family(uhf_tail_sizes, 3, twisted=False)
         twisted = tailed_family(uhf_tail_sizes, 3, twisted=True)
         for n in range(3):
-            assert maps_equal_on_k(plain.bonding(n), twisted.bonding(n))
+            assert maps_equal_on_k(plain.bonding(n), twisted.bonding(n),
+                                   plain.kdata(n), plain.kdata(n + 1))
 
     def test_self_equality(self):
-        m = odd_tower_family().bonding(0)
-        assert maps_equal_on_k(m, m)
+        fam = odd_tower_family()
+        m = fam.bonding(0)
+        assert maps_equal_on_k(m, m, fam.kdata(0), fam.kdata(1))
 
     def test_extra_full_path_detected(self):
         base = NccwComplex((1, 1), (2,), IntMatrix.from_rows([[2, 0]]),
@@ -149,19 +154,20 @@ class TestMapsEqual:
                              f2=((FullPath(0),),), unital=False)
         two = MapDescription(base, big, f1=((AtPoint(0),), (AtPoint(1),)),
                              f2=((FullPath(0), FullPath(0)),), unital=False)
-        assert not maps_equal_on_k(one, two)
+        assert not maps_equal_on_k(one, two, k_theory(base), k_theory(big))
 
     def test_shape_mismatch(self):
         fam = odd_tower_family()
         with pytest.raises(ValueError):
-            maps_equal_on_k(fam.bonding(0), fam.bonding(1))
+            maps_equal_on_k(fam.bonding(0), fam.bonding(1), fam.kdata(0), fam.kdata(1))
 
     def test_equivalence_relation_on_tower_maps(self):
         plain = tailed_family(matrix_tail_sizes, 1, twisted=False)
         twisted = tailed_family(matrix_tail_sizes, 1, twisted=True)
         a, b = plain.bonding(0), twisted.bonding(0)
-        assert maps_equal_on_k(a, a)
-        assert maps_equal_on_k(a, b) == maps_equal_on_k(b, a)
+        kds = plain.kdata(0), plain.kdata(1)
+        assert maps_equal_on_k(a, a, *kds)
+        assert maps_equal_on_k(a, b, *kds) == maps_equal_on_k(b, a, *kds)
 
 
 class TestComposition:
@@ -207,7 +213,8 @@ class TestRestriction:
         s0 = fam.ideal_spec(0, (2,))
         s1 = fam.ideal_spec(1, (2,))
         assert description_maps_ideal(fam.bonding(0), s0, s1)
-        hom = induced_k0(fam.ideal_family((2,)).bonding(0))
+        fam_i = fam.ideal_family((2,))
+        hom = induced_k0(fam_i.bonding(0), fam_i.kdata(0), fam_i.kdata(1))
         assert hom.matrix == IntMatrix.from_rows([[2]])
 
     def test_ideal_violation_detected(self):
@@ -252,7 +259,7 @@ class TestFamilyStages:
             built.append(n)
             return odd_tower_complex(n)
 
-        fam = ComplexFamily(counting, lambda n: ODD_ASSIGNMENT, basis_at=lambda n: ODD_BASIS)
+        fam = ComplexFamily(counting, lambda n: ODD_ASSIGNMENT, basis=ODD_BASIS)
         for degree in (0, 1):
             lad = fam.ladder((2,), degree)
             for sys in (lad.sys_ideal, lad.sys_total, lad.sys_quotient):
@@ -360,9 +367,12 @@ class TestSystems:
 
     def test_truncate_orbits(self):
         sys0 = odd_tower_family().k0_system()
-        tr = truncate(sys0, 2)
-        assert tr.orbit((1, 0)) == [(1, 0), (3, 1), (9, 5)]
-        assert tr.orbit((0, 1)) == [(0, 1), (0, 2), (0, 4)]
+
+        def orbit(vec):
+            return [v for _, v in sys0.walk(LimitElement(0, vec), 0, 2)]
+
+        assert orbit((1, 0)) == [(1, 0), (3, 1), (9, 5)]
+        assert orbit((0, 1)) == [(0, 1), (0, 2), (0, 4)]
 
     def test_truncate_k1_all_identity(self):
         sys1 = odd_tower_family().k1_system()
@@ -596,4 +606,19 @@ class TestLadderPurity:
                                  row.surj)
 
         with pytest.raises(ValueError):
+            limit_ses_purity(dataclasses.replace(lad, row_at=bad_row), 3)
+
+    def test_noncommuting_projection_square_rejected(self):
+        # the stage-1 K_0 row with its projection tripled: the inclusion
+        # squares still commute, the projection square into stage 1 does not
+        lad = odd_tower_family().ladder((2,), 0)
+
+        def bad_row(n):
+            row = lad.row_at(n)
+            if n != 1:
+                return row
+            return ShortExactSeq(row.inj, GroupHom(row.surj.source, row.surj.target,
+                                                   row.surj.matrix.scale(3)))
+
+        with pytest.raises(ValueError, match="ladder square does not commute at stage 0"):
             limit_ses_purity(dataclasses.replace(lad, row_at=bad_row), 3)

@@ -171,28 +171,30 @@ class TestIdealCalculus:
     def test_k1_inclusion_is_doubling(self):
         A = odd_tower_complex(0)
         spec = make_ideal_spec(A, [2])
-        _, i1 = inclusion_k_maps(A, spec)
-        target = k_theory(A).k1
+        kd = k_theory(A)
+        _, i1 = inclusion_k_maps(A, spec, kd, k_theory(ideal_complex(A, spec)))
+        target = kd.k1
         assert target.elements_equal(i1.apply((1,)), (2, 2))
 
     def test_k0_inclusion_pads_into_kernel_basis(self):
         A = odd_tower_complex(0)
         spec = make_ideal_spec(A, [2])
-        i0, _ = inclusion_k_maps(A, spec)
         kd = k_theory(A)
+        i0, _ = inclusion_k_maps(A, spec, kd, k_theory(ideal_complex(A, spec)))
         assert kd.ambient(i0.apply((1,))) == (0, 0, 1)
 
     def test_empty_support_maps_are_zero(self):
         A = odd_tower_complex(0)
         spec = make_ideal_spec(A, [])
-        i0, i1 = inclusion_k_maps(A, spec)
+        i0, i1 = inclusion_k_maps(A, spec, k_theory(A), k_theory(ideal_complex(A, spec)))
         assert i0.source.generators == 0 and i1.source.generators == 0
 
     def test_inclusion_then_quotient_is_zero(self):
         A = torsion_tower_complex(0)
+        kd = k_theory(A)
         for spec in all_ideal_specs(A):
-            i0, i1 = inclusion_k_maps(A, spec)
-            q0, q1 = quotient_k_maps(A, spec)
+            i0, i1 = inclusion_k_maps(A, spec, kd, k_theory(ideal_complex(A, spec)))
+            q0, q1 = quotient_k_maps(A, spec, kd, k_theory(quotient_complex(A, spec)))
             assert q0.compose(i0).is_zero_hom()
             assert q1.compose(i1).is_zero_hom()
 

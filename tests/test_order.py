@@ -52,8 +52,8 @@ class TestStageDominance:
 
     def test_eventual_rejects_non_monotone_dominance(self):
         G = FgGroup.free(1)
-        flip = IndSystem.constant(GroupHom(G, G, IntMatrix.from_rows([[-1]])),
-                                  cone=lambda g: g[0] >= 0)
+        hom = GroupHom(G, G, IntMatrix.from_rows([[-1]]))
+        flip = IndSystem(lambda n: G, lambda n: hom, 0, cone_at=lambda n: lambda g: g[0] >= 0)
         with pytest.raises(ValueError, match="holds at stage 0, fails at stage 1"):
             eventual_dominates(flip, (1,), (0,), 3)
 

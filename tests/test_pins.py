@@ -9,6 +9,8 @@ builds them.  Run this module as a script to print that text.
 ``scenario_all.txt`` and ``scenario_all_json.txt`` hold the stdout of
 ``nccwk scenario all`` and ``nccwk scenario all --format json-like``, generated
 before the unperforation sweeps and the family stages were made cheaper.
+The README's "Library use" snippet is run as written and must print its
+commented verdict.
 """
 
 import os
@@ -37,10 +39,14 @@ README_SAMPLES = (
 )
 
 
-def _run_cli(*args):
+def _run_python(*args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    return subprocess.run([sys.executable, "-m", "nccwk", *args], cwd=ROOT,
+    return subprocess.run([sys.executable, *args], cwd=ROOT,
                           env=env, capture_output=True, text=True, timeout=600)
+
+
+def _run_cli(*args):
+    return _run_python("-m", "nccwk", *args)
 
 
 def pin_readme_samples():
@@ -64,6 +70,14 @@ def test_readme_sample_bytes_and_exit_codes():
     text, wrong = pin_readme_samples()
     assert wrong == []
     assert text == (DATA / "readme_samples.txt").read_text()
+
+
+def test_readme_library_snippet_runs():
+    readme = (ROOT / "README.md").read_text()
+    snippet = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    proc = _run_python("-c", snippet)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "odd (witness S = [3])\n"
 
 
 @pytest.mark.parametrize("fmt, pin", [("text", "scenario_all.txt"),
