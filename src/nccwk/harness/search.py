@@ -3,7 +3,10 @@
 Generates unital complexes within the given bounds (point count, interval
 count, multiplicity, point block size; interval sizes are forced by
 unitality) one per orbit under permuting point and interval blocks, with
-no set of the orbits already seen, and streams them into nccw.odd_witnesses.
+no set of the orbits already seen.  Whether a candidate is odd depends
+only on alpha - beta and on which entries of alpha or beta are nonzero,
+so nccw.odd_witnesses runs once per such key in a search; only an odd
+candidate is put in canonical form, where its printed witness is taken.
 That iterator reads the torsion of K_1(A/I) first (K_0(A/I) is free, and
 an exact row onto a free K_1(A/I) splits), so a candidate with no such
 torsion for any proper point subset gets no ideal support built, and a
@@ -17,6 +20,7 @@ that found it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations_with_replacement, permutations, product
 
 from ..fgab.intmat import IntMatrix
@@ -49,8 +53,8 @@ def _canonical_key(k, h, alpha_rows, beta_rows):
     """Canonical form under simultaneous permutation of point blocks and of
     interval blocks (rows permuted brute force, columns sorted per row order).
 
-    The search calls it once per emitted candidate, to print that candidate
-    in canonical form; the tests use it as the orbit oracle that the orderly
+    The search calls it once per odd block, to print that block in
+    canonical form; the tests use it as the orbit oracle that the orderly
     generation is checked against."""
     l = len(h)
     best = None
@@ -98,7 +102,8 @@ def _pair_images(k, pairs):
 
 def _enumerate_unital(bounds: SearchBounds):
     """All unital complexes within bounds, one per orbit under permuting
-    point blocks and interval blocks, in canonical form.
+    point blocks and interval blocks, each in the form it is generated in
+    (point sizes non-decreasing, rows in pair order), not in canonical form.
 
     For point sizes k (non-decreasing) a candidate is a multiset of l row
     pairs, listed as a non-decreasing tuple of pair indices; permuting the
@@ -121,12 +126,9 @@ def _enumerate_unital(bounds: SearchBounds):
                             break
                     else:
                         rows = [pairs[i] for i in combo]
-                        kk, hh, aa, bb = _canonical_key(k, tuple(r[2] for r in rows),
-                                                        [r[0] for r in rows],
-                                                        [r[1] for r in rows])
-                        yield NccwComplex(kk, hh,
-                                          IntMatrix.from_rows(aa, cols=p),
-                                          IntMatrix.from_rows(bb, cols=p))
+                        yield NccwComplex(k, tuple(r[2] for r in rows),
+                                          IntMatrix.from_rows([r[0] for r in rows], cols=p),
+                                          IntMatrix.from_rows([r[1] for r in rows], cols=p))
 
 
 def reverify_odd_witness(A: NccwComplex, spec: CompactIdealSpec) -> bool:
@@ -142,18 +144,38 @@ def search_odd_blocks(max_p: int = SearchBounds.max_p, max_l: int = SearchBounds
                       max_size: int = SearchBounds.max_size, jobs: int = 1):
     """All odd blocks within bounds, each with its first odd witness."""
     candidates = _enumerate_unital(SearchBounds(max_p, max_l, max_mult, max_size))
+    witnessed = partial(_witnessed, verdicts={})
     if jobs <= 1:
-        return _reverified(map(_witnessed, candidates))
+        return _reverified(map(witnessed, candidates))
     from multiprocessing import Pool
 
+    # each chunk unpickles its own copy of the empty memo
     with Pool(jobs) as pool:
-        return _reverified(pool.imap(_witnessed, candidates, _IMAP_CHUNK))
+        return _reverified(pool.imap(witnessed, candidates, _IMAP_CHUNK))
 
 
-def _witnessed(A: NccwComplex):
-    """A candidate with its first ideal support whose K rows are exact but
-    not pure, or with None if it has none."""
-    return A, next(odd_witnesses(A), None)
+def _witnessed(A: NccwComplex, verdicts: dict):
+    """(B, witness) for an odd candidate A, where B is A in canonical form
+    and witness the first ideal support of B whose K rows are exact but not
+    pure; (A, None) for any other candidate.
+
+    Whether A is odd depends only on alpha - beta and on which entries of
+    alpha or beta are nonzero: odd_witnesses reads nothing else.  So
+    verdicts, a memo that lives for one search, holds it per such key, and
+    odd_witnesses runs only on a miss.  An odd candidate is put in canonical
+    form and its witness taken there, since the order of all_ideal_specs,
+    and so the first witness, depends on the order of the points."""
+    a, b = A.alpha.entries, A.beta.entries
+    key = (tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)),
+           tuple(tuple(bool(x or y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)))
+    odd = verdicts.get(key)
+    if odd is None:
+        odd = verdicts[key] = next(odd_witnesses(A), None) is not None
+    if not odd:
+        return A, None
+    k, h, aa, bb = _canonical_key(A.k, A.h, a, b)
+    A = NccwComplex(k, h, IntMatrix.from_rows(aa, cols=A.p), IntMatrix.from_rows(bb, cols=A.p))
+    return A, next(odd_witnesses(A))
 
 
 def _reverified(verdicts) -> list:

@@ -152,6 +152,8 @@ def induced_k0(m: MapDescription, kd_src: KData, kd_tgt: KData) -> GroupHom:
     evaluations plus (alpha v)_i over interior ones; the result must land
     back in the target kernel.
     """
+    kd_src.check_delta(m.source.delta, "kd_src")
+    kd_tgt.check_delta(m.target.delta, "kd_tgt")
     image_cols = []
     for c in range(kd_src.rank):
         v = kd_src.k0_basis.col(c)
@@ -176,6 +178,8 @@ def induced_k1(m: MapDescription, kd_src: KData, kd_tgt: KData) -> GroupHom:
     """K_1 of a described map: the full-path multiplicity matrix pushed
     through the cokernel presentations of kd_src and kd_tgt, the K data of
     its source and target."""
+    kd_src.check_delta(m.source.delta, "kd_src")
+    kd_tgt.check_delta(m.target.delta, "kd_tgt")
     try:
         return GroupHom(kd_src.k1, kd_tgt.k1, m.full_path_matrix())
     except ValueError as exc:

@@ -39,12 +39,13 @@ class NccwComplex:
             raise ValueError(f"alpha and beta must be {l}x{p}")
         if any(s <= 0 for s in self.k) or any(s <= 0 for s in self.h):
             raise ValueError("block sizes must be positive")
-        for M in (self.alpha, self.beta):
-            if any(M[i, j] < 0 for i in range(l) for j in range(p)):
+        rows = (self.alpha.entries, self.beta.entries)
+        for M in rows:
+            if any(x < 0 for row in M for x in row):
                 raise ValueError("multiplicities must be nonnegative")
         for i in range(l):
-            for M in (self.alpha, self.beta):
-                s = sum(M[i, j] * self.k[j] for j in range(p))
+            for M in rows:
+                s = sum(m * kk for m, kk in zip(M[i], self.k))
                 if s > self.h[i]:
                     raise ValueError(f"size accounting fails in interval block {i + 1}: {s} > {self.h[i]}")
                 if self.unital and s != self.h[i]:
@@ -88,10 +89,18 @@ class KData:
     k0: FgGroup       # free group on the kernel basis columns
     k0_basis: IntMatrix  # p x rank, columns a Z-basis of ker(alpha - beta)
     k1: FgGroup       # presented on Z^l by the columns of alpha - beta
+    delta: IntMatrix  # the alpha - beta these groups were computed for
 
     @property
     def rank(self) -> int:
         return self.k0_basis.cols
+
+    def check_delta(self, delta: IntMatrix, name: str) -> None:
+        """Raise a ValueError naming the argument `name` unless this is the
+        K data of a complex with this alpha - beta."""
+        if self.delta != delta:
+            raise ValueError(f"{name} is the K data of another complex: it was computed "
+                             f"for alpha - beta = {self.delta}, not {delta}")
 
     def ambient(self, v: Sequence[int]) -> tuple:
         """Kernel coordinates -> point coordinates in Z^p."""
@@ -115,7 +124,7 @@ def k_theory(A: NccwComplex, basis: Optional[IntMatrix] = None) -> KData:
             raise ValueError("supplied basis does not lie in the kernel")
         if not (spans(basis, computed) and spans(computed, basis)):
             raise ValueError("supplied columns do not span the kernel lattice")
-    return KData(FgGroup.free(basis.cols), basis, cokernel(A.delta))
+    return KData(FgGroup.free(basis.cols), basis, cokernel(A.delta), A.delta)
 
 
 @dataclass(frozen=True)
@@ -220,6 +229,8 @@ def inclusion_k_maps(A: NccwComplex, spec: CompactIdealSpec, kd: KData, kd_ideal
     K_0 zero-pads ideal kernel coordinates into Z^p and re-expresses them in
     A's kernel basis; K_1 zero-pads Z^T into Z^l and descends to cokernels.
     """
+    kd.check_delta(A.delta, "kd")
+    kd_ideal.check_delta(A.delta.submatrix(spec.T, spec.S), "kd_ideal")
     padded = IntMatrix.identity(A.p).submatrix(range(A.p), spec.S) @ kd_ideal.k0_basis
     coords = solve_matrix(kd.k0_basis, padded)
     if coords is None:
@@ -233,6 +244,8 @@ def quotient_k_maps(A: NccwComplex, spec: CompactIdealSpec, kd: KData, kd_quot: 
     """(K_0, K_1) of the quotient map onto the complement blocks, in the K_0
     bases of kd (A's K data) and kd_quot (that of quotient_complex(A, spec))."""
     Sc, Tc = _complement(A, spec)
+    kd.check_delta(A.delta, "kd")
+    kd_quot.check_delta(A.delta.submatrix(Tc, Sc), "kd_quot")
     restricted = kd.k0_basis.submatrix(Sc, range(kd.rank))
     coords = solve_matrix(kd_quot.k0_basis, restricted)
     if coords is None:

@@ -29,6 +29,7 @@ from nccwk.nccw import (
     all_ideal_specs,
     classify_block,
     make_ideal_spec,
+    odd_witnesses,
 )
 
 from oracles import first_appearance_candidates, quotient_k1_torsion
@@ -73,6 +74,30 @@ class TestScenarios:
 def canonical(c):
     return _canonical_key(c.k, c.h, [tuple(r) for r in c.alpha.entries],
                           [tuple(r) for r in c.beta.entries])
+
+
+def verdict_key(c):
+    """alpha - beta with the entries where alpha or beta is nonzero: all
+    that odd_witnesses reads of a complex."""
+    return c.delta, tuple(tuple(bool(x or y) for x, y in zip(ra, rb))
+                          for ra, rb in zip(c.alpha.entries, c.beta.entries))
+
+
+def permuted(c, points, blocks):
+    """c with point j' = points[j] and interval block i' = blocks[i]."""
+    def move(M):
+        rows = [[0] * c.p for _ in range(c.l)]
+        for i, row in enumerate(M.entries):
+            for j, x in enumerate(row):
+                rows[blocks[i]][points[j]] = x
+        return IntMatrix.from_rows(rows)
+
+    k, h = [0] * c.p, [0] * c.l
+    for j, s in enumerate(c.k):
+        k[points[j]] = s
+    for i, s in enumerate(c.h):
+        h[blocks[i]] = s
+    return NccwComplex(tuple(k), tuple(h), move(c.alpha), move(c.beta))
 
 
 class TestSearch:
@@ -127,13 +152,15 @@ class TestSearch:
     @pytest.mark.parametrize("bounds", [(3, 2, 2, 1), (3, 2, 1, 1), (2, 3, 2, 2)])
     def test_orderly_generation_matches_first_appearance(self, bounds):
         """One candidate per orbit, in the order a seen set over every raw
-        candidate finds them; (2,3,2,2) has point sizes up to 2, so only
-        size-keeping point permutations act."""
-        orderly = [(c.k, c.h, c.alpha.entries, c.beta.entries)
-                   for c in _enumerate_unital(SearchBounds(*bounds))]
+        candidate finds them; candidates are emitted as generated, so each is
+        compared by its canonical form.  (2,3,2,2) has point sizes up to 2,
+        so only size-keeping point permutations act."""
+        orderly = [canonical(c) for c in _enumerate_unital(SearchBounds(*bounds))]
         assert orderly == list(first_appearance_candidates(*bounds, _canonical_key))
 
-    def test_canonical_key_once_per_candidate(self, monkeypatch):
+    def test_canonical_key_once_per_odd_block(self, monkeypatch):
+        """Only the printed blocks are put in canonical form: 16 calls for
+        the 16 odd blocks among the 1,853 default candidates."""
         calls = []
 
         def counted(*args):
@@ -141,14 +168,17 @@ class TestSearch:
             return _canonical_key(*args)
 
         monkeypatch.setattr(search_module, "_canonical_key", counted)
-        emitted = sum(1 for _ in _enumerate_unital(SearchBounds()))
-        assert emitted == len(calls) == 1853
+        assert len(search_odd_blocks()) == len(calls) == 16
 
     def test_supports_built_only_past_the_torsion_guard(self, monkeypatch):
-        """At the default bounds only the 132 candidates with torsion in
-        K_1(A/I) for some proper point subset get their supports built, and
-        the boundary test runs only on supports with that torsion, at most
-        49 times."""
+        """At the default bounds 132 candidates have torsion in K_1(A/I) for
+        some proper point subset; they fall into 39 (delta, pattern) keys,
+        and only the first candidate of each key reaches odd_witnesses.  So
+        supports are built 39 times for the memo misses and 16 more times,
+        once for each odd block put in canonical form: 55.  The boundary
+        test runs only on supports with that torsion: 14 times over the 39
+        misses, and once for each odd block, whose first support with
+        torsion is its witness: 30."""
         built, minimal, tested = [], [], []
 
         def counted_minimal(delta, points):
@@ -166,15 +196,68 @@ class TestSearch:
         def quotient_torsion(A, S):
             return quotient_k1_torsion(A.alpha.entries, A.beta.entries, S)
 
+        def past_guard(A):
+            return any(quotient_torsion(A, S) for r in range(1, A.p)
+                       for S in combinations(range(A.p), r))
+
+        guarded = [A for A in _enumerate_unital(SearchBounds()) if past_guard(A)]
+        assert len(guarded) == 132 and len({verdict_key(A) for A in guarded}) == 39
         monkeypatch.setattr(nccw, "all_ideal_specs", counted_specs)
         monkeypatch.setattr(nccw, "_minimal_supports", counted_minimal)
         monkeypatch.setattr(nccw, "_boundary_vanishes", counted_boundary)
-        assert len(search_odd_blocks()) == 16
-        assert len(built) == len(minimal) == 132
-        assert all(any(quotient_torsion(A, S) for r in range(1, A.p)
-                       for S in combinations(range(A.p), r)) for A in built)
-        assert 0 < len(tested) <= 49
+        blocks = search_odd_blocks()
+        assert len(blocks) == 16
+        assert len(built) == len(minimal) == 55
+        printed = {id(b.complex) for b in blocks}
+        misses = [A for A in built if id(A) not in printed]
+        assert len(misses) == len({verdict_key(A) for A in misses}) == 39
+        assert all(past_guard(A) for A in built)
+        assert len(tested) == 30
+        assert sum(id(A) in printed for A, _ in tested) == 16
         assert all(quotient_torsion(A, spec.S) for A, spec in tested)
+
+    def test_odd_witnesses_once_per_key_and_odd_block(self, monkeypatch):
+        """odd_witnesses runs once per distinct (delta, pattern) key, 394 of
+        them among 1,853 default candidates, and once more per odd block, on
+        its canonical form: 410 runs."""
+        keys = {verdict_key(A) for A in _enumerate_unital(SearchBounds())}
+        runs = []
+
+        def counted(A, specs=None):
+            runs.append(A)
+            return odd_witnesses(A, specs)
+
+        monkeypatch.setattr(search_module, "odd_witnesses", counted)
+        blocks = search_odd_blocks()
+        assert (len(keys), len(blocks)) == (394, 16)
+        assert len(runs) == len(keys) + len(blocks) == 410
+
+    def test_one_key_one_witness_list(self, default_search):
+        """Complexes sharing delta and the nonzero pattern of alpha, beta get
+        the same witnesses, though k, h, alpha and beta differ: here k is
+        doubled and 1 added to alpha and beta wherever either is nonzero.
+        Permuting both the same way keeps them equal, and moves every
+        witness support along with the points."""
+        for block in default_search:
+            A = block.complex
+            a = [[x + (x > 0 or y > 0) for x, y in zip(ra, rb)]
+                 for ra, rb in zip(A.alpha.entries, A.beta.entries)]
+            b = [[y + (x > 0 or y > 0) for x, y in zip(ra, rb)]
+                 for ra, rb in zip(A.alpha.entries, A.beta.entries)]
+            k = tuple(2 * s for s in A.k)
+            h = tuple(sum(m * s for m, s in zip(row, k)) for row in a)
+            B = NccwComplex(k, h, IntMatrix.from_rows(a), IntMatrix.from_rows(b))
+            assert verdict_key(A) == verdict_key(B)
+            assert (B.k, B.h) != (A.k, A.h) and B.alpha != A.alpha and B.beta != A.beta
+            witnesses = list(odd_witnesses(A))
+            assert witnesses and list(odd_witnesses(B)) == witnesses
+            points, blocks = list(reversed(range(A.p))), list(reversed(range(A.l)))
+            A2, B2 = (permuted(C, points, blocks) for C in (A, B))
+            assert verdict_key(A2) == verdict_key(B2)
+            moved = list(odd_witnesses(A2))
+            assert list(odd_witnesses(B2)) == moved
+            assert ({frozenset(points[j] for j in w.S) for w in moved}
+                    == {frozenset(w.S) for w in witnesses})
 
     def test_pool_matches_serial(self, default_search):
         """Two worker processes print the serial census; the default bounds

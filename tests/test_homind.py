@@ -161,6 +161,26 @@ class TestMapsEqual:
         with pytest.raises(ValueError):
             maps_equal_on_k(fam.bonding(0), fam.bonding(1), fam.kdata(0), fam.kdata(1))
 
+    def test_k_data_of_another_stage_is_named(self):
+        """ex4.3's stage 1 has more tail points than stage 0, so stage-0 K
+        data cannot describe the bonding out of stage 1."""
+        plain = tailed_family(matrix_tail_sizes, 1, twisted=False)
+        twisted = tailed_family(matrix_tail_sizes, 1, twisted=True)
+        with pytest.raises(ValueError, match="^kd_src is the K data of another complex"):
+            maps_equal_on_k(plain.bonding(1), twisted.bonding(1), plain.kdata(0), plain.kdata(1))
+        for induced in (induced_k0, induced_k1):
+            with pytest.raises(ValueError, match="^kd_tgt is the K data of another complex"):
+                induced(plain.bonding(1), plain.kdata(1), plain.kdata(1))
+
+    def test_stages_sharing_delta_share_k_data(self):
+        """The torsion tower's stages differ in k and h but share alpha - beta,
+        so stage-0 and stage-1 K data serve the bonding out of stage 1 and
+        give the family's own matrix in TORSION_BASIS."""
+        fam = torsion_tower_family()
+        assert fam.complex_at(1).k != fam.complex_at(0).k != fam.complex_at(2).k
+        hom = induced_k0(fam.bonding(1), fam.kdata(0), fam.kdata(1))
+        assert hom.matrix == IntMatrix.from_rows([[5, 0], [2, 3]])
+
     def test_equivalence_relation_on_tower_maps(self):
         plain = tailed_family(matrix_tail_sizes, 1, twisted=False)
         twisted = tailed_family(matrix_tail_sizes, 1, twisted=True)

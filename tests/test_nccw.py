@@ -168,6 +168,19 @@ class TestIdealCalculus:
         assert sorted(I.h + Q.h) == sorted(A.h)
         assert I.alpha == A.alpha.submatrix(spec.T, spec.S)
 
+    def test_k_data_of_another_complex_is_named(self):
+        A = odd_tower_complex(0)
+        spec = make_ideal_spec(A, [2])
+        kd = k_theory(A)
+        kd_i, kd_q = k_theory(ideal_complex(A, spec)), k_theory(quotient_complex(A, spec))
+        for call, name in ((lambda: inclusion_k_maps(A, spec, kd_i, kd_i), "kd"),
+                           (lambda: inclusion_k_maps(A, spec, kd, kd_q), "kd_ideal"),
+                           (lambda: quotient_k_maps(A, spec, kd_q, kd_q), "kd"),
+                           (lambda: quotient_k_maps(A, spec, kd, kd_i), "kd_quot")):
+            with pytest.raises(ValueError, match=f"^{name} is the K data of another complex"):
+                call()
+        assert k_theory(A).delta == A.delta and kd_q.delta == A.delta.submatrix((0,), (0, 1))
+
     def test_k1_inclusion_is_doubling(self):
         A = odd_tower_complex(0)
         spec = make_ideal_spec(A, [2])
