@@ -15,6 +15,10 @@ re-verified on a path independent of the search for exactness as well as
 purity: its K rows are built and decided by is_exact and the
 splitting-system solve, not by the boundary test and isomorphism type
 that found it.
+
+A serial search keeps the verdict memo in a dict of its own call.  With
+jobs > 1 each worker process keeps one for the whole search as module
+state, made by the pool's initializer; the parent process has none.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations_with_replacement, permutations, product
+from typing import Optional
 
 from ..fgab.intmat import IntMatrix
 from ..fgab.groups import _splits, is_exact
@@ -144,14 +149,26 @@ def search_odd_blocks(max_p: int = SearchBounds.max_p, max_l: int = SearchBounds
                       max_size: int = SearchBounds.max_size, jobs: int = 1):
     """All odd blocks within bounds, each with its first odd witness."""
     candidates = _enumerate_unital(SearchBounds(max_p, max_l, max_mult, max_size))
-    witnessed = partial(_witnessed, verdicts={})
     if jobs <= 1:
-        return _reverified(map(witnessed, candidates))
+        return _reverified(map(partial(_witnessed, verdicts={}), candidates))
     from multiprocessing import Pool
 
-    # each chunk unpickles its own copy of the empty memo
-    with Pool(jobs) as pool:
-        return _reverified(pool.imap(witnessed, candidates, _IMAP_CHUNK))
+    with Pool(jobs, initializer=_start_worker) as pool:
+        return _reverified(pool.imap(_worker_witnessed, candidates, _IMAP_CHUNK))
+
+
+# the verdict memo of a worker process for the whole search, made by
+# _start_worker; None in the parent process
+_worker_verdicts: Optional[dict] = None
+
+
+def _start_worker():
+    global _worker_verdicts
+    _worker_verdicts = {}
+
+
+def _worker_witnessed(A: NccwComplex):
+    return _witnessed(A, _worker_verdicts)
 
 
 def _witnessed(A: NccwComplex, verdicts: dict):
@@ -161,10 +178,11 @@ def _witnessed(A: NccwComplex, verdicts: dict):
 
     Whether A is odd depends only on alpha - beta and on which entries of
     alpha or beta are nonzero: odd_witnesses reads nothing else.  So
-    verdicts, a memo that lives for one search, holds it per such key, and
-    odd_witnesses runs only on a miss.  An odd candidate is put in canonical
-    form and its witness taken there, since the order of all_ideal_specs,
-    and so the first witness, depends on the order of the points."""
+    verdicts, a memo that lives for one search (for one worker of it when
+    jobs > 1), holds it per such key, and odd_witnesses runs only on a
+    miss.  An odd candidate is put in canonical form and its witness taken
+    there, since the order of all_ideal_specs, and so the first witness,
+    depends on the order of the points."""
     a, b = A.alpha.entries, A.beta.entries
     key = (tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)),
            tuple(tuple(bool(x or y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from .homind import IndSystem, LimitElement
@@ -86,24 +87,35 @@ def check_unperforated(cone: ConeOracle, samples: Iterable, nmax: int) -> Option
     The oracle is asked once per sample and once per (outside sample, n)
     pair, n ascending, so a run without violation makes
     len(samples) + outside * (nmax - 1) calls.  A tuple sample outside the
-    cone is split once into numerators and denominators, and each n*g is
-    rebuilt as Fraction(a * n, d) (int coordinates stay ints); a
+    cone dilates coordinatewise: each coordinate's row of dilations
+    n*x, n = 2..nmax, is built once per call, as Fraction(a * n, d) for a
+    Fraction a/d and x * n for anything else, and shared by every sample
+    with that coordinate.  Rows are keyed so that equal coordinates of
+    different types (2, Fraction(2), True) keep their own rows.  A
     GradedElement dilates through its scale.
     """
     if nmax < 2:
         raise ValueError("nmax must be at least 2")
     contains = cone.contains
     factors = range(2, nmax + 1)
+    rows = {}
+
+    def row(x):
+        exact = type(x) is Fraction
+        key = (x.numerator, x.denominator) if exact else (type(x), x)
+        r = rows.get(key)
+        if r is None:
+            r = rows[key] = ([Fraction(x.numerator * n, x.denominator) for n in factors]
+                             if exact else [x * n for n in factors])
+        return r
+
     for g in samples:
         if contains(g):
             continue
         if hasattr(g, "scale"):
             dilations = map(g.scale, factors)
         else:
-            parts = [(x.numerator, x.denominator) if type(x) is Fraction else (x, None)
-                     for x in g]
-            dilations = (tuple([a * n if d is None else Fraction(a * n, d) for a, d in parts])
-                         for n in factors)
+            dilations = zip(*map(row, g)) if g else repeat(())
         for n, h in zip(factors, dilations):
             if contains(h):
                 return (g, n)
@@ -142,13 +154,19 @@ def halfplane_cone(first_prime: int, second_prime: int) -> ConeOracle:
     violation.
     """
 
+    # denominators already found to be powers of each prime, for this cone
+    x_ok, y_ok = set(), set()
+
     def member(g) -> bool:
         x, y = g[0], g[1]
         if not (isinstance(x, _EXACT) and isinstance(y, _EXACT)):
             raise ValueError(f"coordinates must be int or Fraction, not {x!r}, {y!r}")
-        if not (_check_localized(x.denominator, first_prime)
-                and _check_localized(y.denominator, second_prime)):
-            raise ValueError("element outside the localized ambient group")
+        dx, dy = x.denominator, y.denominator
+        if dx not in x_ok or dy not in y_ok:
+            if not (_check_localized(dx, first_prime) and _check_localized(dy, second_prime)):
+                raise ValueError("element outside the localized ambient group")
+            x_ok.add(dx)
+            y_ok.add(dy)
         xn = x.numerator
         return xn > 0 or (xn == 0 and y.numerator >= 0)
 

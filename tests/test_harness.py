@@ -232,6 +232,26 @@ class TestSearch:
         assert (len(keys), len(blocks)) == (394, 16)
         assert len(runs) == len(keys) + len(blocks) == 410
 
+    def test_worker_memo_spans_the_search(self, monkeypatch):
+        """A worker's memo lives from its start to the end of the search, not
+        per chunk: one worker fed every default candidate decides each key
+        once, as the serial search does, and a new worker starts empty."""
+        runs = []
+
+        def counted(A, specs=None):
+            runs.append(A)
+            return odd_witnesses(A, specs)
+
+        monkeypatch.setattr(search_module, "odd_witnesses", counted)
+        monkeypatch.setattr(search_module, "_worker_verdicts", None)
+        search_module._start_worker()
+        verdicts = list(map(search_module._worker_witnessed, _enumerate_unital(SearchBounds())))
+        assert sum(spec is not None for _, spec in verdicts) == 16
+        assert len(runs) == 410
+        assert len(search_module._worker_verdicts) == 394
+        search_module._start_worker()
+        assert search_module._worker_verdicts == {}
+
     def test_one_key_one_witness_list(self, default_search):
         """Complexes sharing delta and the nonzero pattern of alpha, beta get
         the same witnesses, though k, h, alpha and beta differ: here k is

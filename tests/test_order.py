@@ -111,6 +111,22 @@ class TestUnperforation:
         with pytest.raises(ValueError):
             cone.contains((Fraction(1), "1/3"))
 
+    def test_accepted_denominators_are_per_cone(self):
+        """A denominator that is not a power of the prime raises on every
+        call; one accepted by a cone is accepted by that cone only."""
+        cone = halfplane_cone(3, 2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="outside the localized ambient group"):
+                cone.contains((Fraction(1, 5), 0))
+            with pytest.raises(ValueError, match="outside the localized ambient group"):
+                cone.contains((0, Fraction(1, 3)))
+        assert cone.contains((Fraction(1, 3), 0))
+        swapped = halfplane_cone(2, 3)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="outside the localized ambient group"):
+                swapped.contains((Fraction(1, 3), 0))
+        assert cone.contains((Fraction(1, 3), 0))
+
 
 def recording(cone):
     """The cone's oracle, recording every argument it is asked about."""
@@ -147,6 +163,29 @@ class TestSweepOracleCalls:
             for x, y in zip(got, want):
                 assert type(x) is type(y)
                 assert (x.numerator, x.denominator) == (y.numerator, y.denominator)
+
+    def test_repeated_mixed_coordinates_keep_their_types(self):
+        """Coordinates that repeat across samples and compare equal but have
+        different types (2, Fraction(2), True) each dilate by their own rule."""
+        column = [2, Fraction(2), True, Fraction(-1, 3), -4]
+        samples = [(x, y) for x in column for y in column] + [(True, 2), (Fraction(2), True)]
+        oracle, calls = recording(ConeOracle(lambda g: False))
+        assert check_unperforated(oracle, samples, 9) is None
+        expected = []
+        for g in samples:
+            expected.append(g)
+            expected.extend(tuple(n * x for x in g) for n in range(2, 10))
+        assert calls == expected
+        for got, want in zip(calls, expected):
+            assert type(got) is tuple
+            for x, y in zip(got, want):
+                assert type(x) is type(y)
+                assert (x.numerator, x.denominator) == (y.numerator, y.denominator)
+
+    def test_empty_sample_is_asked_once_per_n(self):
+        oracle, calls = recording(ConeOracle(lambda g: False))
+        assert check_unperforated(oracle, [()], 4) is None
+        assert calls == [()] * 4
 
     def test_graded_samples_dilate_through_scale(self):
         factors = []
