@@ -83,7 +83,7 @@ def cmd_scenario(args) -> int:
 
 def cmd_search(args) -> int:
     bounds = SearchBounds(args.max_p, args.max_l, args.max_mult, args.max_size)
-    blocks = search_odd_blocks(*astuple(bounds), jobs=args.jobs)
+    blocks = search_odd_blocks(*astuple(bounds))
     print(f"odd blocks with {bounds}: {len(blocks)}")
     for line in census_lines(blocks):
         print(line)
@@ -208,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     se = sub.add_parser("search", help="census of small odd blocks")
     for bound in fields(SearchBounds):
         se.add_argument("--" + bound.name.replace("_", "-"), type=int, default=bound.default)
-    se.add_argument("--jobs", type=int, default=1)
     se.set_defaults(fn=cmd_search)
 
     kt = sub.add_parser("ktheory", help="K-groups of a complex or of one of its ideals")

@@ -436,6 +436,17 @@ def _parse_matrix(text: str, line: int) -> list:
     return rows
 
 
+def _multiplicities(text: str, line: int, key: str, l: int, p: int) -> IntMatrix:
+    """The l x p multiplicity matrix `key` written on `line`; a wrong shape or
+    a negative entry is reported at that line, not at the block header."""
+    rows = _parse_matrix(text, line)  # rows of equal length
+    if len(rows) != l or rows and len(rows[0]) != p:
+        raise InputError(line, f"{key} must be {l}x{p}")
+    if rows and min(map(min, rows)) < 0:
+        raise InputError(line, "multiplicities must be nonnegative")
+    return IntMatrix.from_rows(rows, cols=p)
+
+
 def _parse_atoms(text: str, line: int, kinds) -> tuple:
     """The evaluations of one assignment, in keyword then index order."""
     atoms = []
@@ -596,8 +607,8 @@ class _Parser:
         beta_ln, beta_txt = items.pop("beta")
         unital = _bool(items, "unital")
         _no_more(items, kind)
-        alpha = IntMatrix.from_rows(_parse_matrix(alpha_txt, alpha_ln), cols=len(k))
-        beta = IntMatrix.from_rows(_parse_matrix(beta_txt, beta_ln), cols=len(k))
+        alpha = _multiplicities(alpha_txt, alpha_ln, "alpha", len(h), len(k))
+        beta = _multiplicities(beta_txt, beta_ln, "beta", len(h), len(k))
         spec = FamilySpec(name, n0, k, h, alpha, beta, unital)
         try:
             first = spec.complex_at(n0)

@@ -193,6 +193,12 @@ def _iso(sink, claim_id, anchor, source, group, expected: str):
     sink.check(claim_id, anchor, source, expected, str(group))
 
 
+def _limit(sink, claim_id, anchor, source, system, expected: str):
+    ident = identify_localized_limit(system)
+    sink.check(claim_id, anchor, source, expected,
+               ident.describe() if ident else "unidentified")
+
+
 def build_thm33() -> ScenarioReport:
     sink = ClaimSink()
     fam = odd_tower_family()
@@ -263,24 +269,11 @@ def build_thm33() -> ScenarioReport:
     ident = identify_localized_limit(sys0)
     sink.check("limit.k0", "K_0(E) = Z[1/3] (+) Z[1/2]", "paper",
                (2, 3), ident.localization_multiset() if ident else "unidentified")
-    sys_i0 = fam_i.k0_system()
-    ident_i = identify_localized_limit(sys_i0)
-    sink.check("limit.ideal.k0", "K_0(I) = Z[1/2]", "paper",
-               "Z[1/2]", ident_i.describe() if ident_i else "unidentified")
-    sys_q0 = fam_q.k0_system()
-    ident_q = identify_localized_limit(sys_q0)
-    sink.check("limit.quotient.k0", "K_0(E/I) = Z[1/3]", "paper",
-               "Z[1/3]", ident_q.describe() if ident_q else "unidentified")
-    sys1 = fam.k1_system()
-    ident1 = identify_localized_limit(sys1)
-    sink.check("limit.k1", "K_1(E) = Z", "paper",
-               "Z", ident1.describe() if ident1 else "unidentified")
-    ident_i1 = identify_localized_limit(fam_i.k1_system())
-    sink.check("limit.ideal.k1", "K_1(I) = Z", "paper",
-               "Z", ident_i1.describe() if ident_i1 else "unidentified")
-    ident_q1 = identify_localized_limit(fam_q.k1_system())
-    sink.check("limit.quotient.k1", "K_1(E/I) = Z_2", "paper",
-               "Z/2", ident_q1.describe() if ident_q1 else "unidentified")
+    _limit(sink, "limit.ideal.k0", "K_0(I) = Z[1/2]", "paper", fam_i.k0_system(), "Z[1/2]")
+    _limit(sink, "limit.quotient.k0", "K_0(E/I) = Z[1/3]", "paper", fam_q.k0_system(), "Z[1/3]")
+    _limit(sink, "limit.k1", "K_1(E) = Z", "paper", fam.k1_system(), "Z")
+    _limit(sink, "limit.ideal.k1", "K_1(I) = Z", "paper", fam_i.k1_system(), "Z")
+    _limit(sink, "limit.quotient.k1", "K_1(E/I) = Z_2", "paper", fam_q.k1_system(), "Z/2")
 
     if ident:
         probes_ok = True
@@ -456,15 +449,9 @@ def build_ex61() -> ScenarioReport:
     ident = identify_localized_limit(fam.k0_system())
     sink.check("limit.k0", "K_0(E) = Z[1/3] (+) Z[1/5]", "paper",
                (3, 5), ident.localization_multiset() if ident else "unidentified")
-    ident1 = identify_localized_limit(fam.k1_system())
-    sink.check("limit.k1", "K_1(E) = Z_4", "paper",
-               "Z/4", ident1.describe() if ident1 else "unidentified")
-    ident_b = identify_localized_limit(fam_b.k0_system())
-    sink.check("limit.ideal.k0", "K_0(B) = Z[1/3]", "paper",
-               "Z[1/3]", ident_b.describe() if ident_b else "unidentified")
-    ident_q = identify_localized_limit(fam_q.k0_system())
-    sink.check("limit.quotient.k0", "K_0(A) = Z[1/5]", "paper",
-               "Z[1/5]", ident_q.describe() if ident_q else "unidentified")
+    _limit(sink, "limit.k1", "K_1(E) = Z_4", "paper", fam.k1_system(), "Z/4")
+    _limit(sink, "limit.ideal.k0", "K_0(B) = Z[1/3]", "paper", fam_b.k0_system(), "Z[1/3]")
+    _limit(sink, "limit.quotient.k0", "K_0(A) = Z[1/5]", "paper", fam_q.k0_system(), "Z[1/5]")
 
     s0, s1 = fam.ideal_rows(0, (2, 3))
     sink.check("rows.k1", "0 -> Z_2 -> Z_4 -> Z_2 -> 0 is exact and not a pure group extension",

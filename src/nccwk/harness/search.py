@@ -5,8 +5,9 @@ count, multiplicity, point block size; interval sizes are forced by
 unitality) one per orbit under permuting point and interval blocks, with
 no set of the orbits already seen.  Whether a candidate is odd depends
 only on alpha - beta and on which entries of alpha or beta are nonzero,
-so nccw.odd_witnesses runs once per such key in a search; only an odd
-candidate is put in canonical form, where its printed witness is taken.
+so nccw.odd_witnesses runs once per such key, through a verdict memo
+that lives for one call of search_odd_blocks; only an odd candidate is
+put in canonical form, where its printed witness is taken.
 That iterator reads the torsion of K_1(A/I) first (K_0(A/I) is free, and
 an exact row onto a free K_1(A/I) splits), so a candidate with no such
 torsion for any proper point subset gets no ideal support built, and a
@@ -15,25 +16,16 @@ re-verified on a path independent of the search for exactness as well as
 purity: its K rows are built and decided by is_exact and the
 splitting-system solve, not by the boundary test and isomorphism type
 that found it.
-
-A serial search keeps the verdict memo in a dict of its own call.  With
-jobs > 1 each worker process keeps one for the whole search as module
-state, made by the pool's initializer; the parent process has none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations_with_replacement, permutations, product
-from typing import Optional
 
 from ..fgab.intmat import IntMatrix
 from ..fgab.groups import _splits, is_exact
 from ..nccw import CompactIdealSpec, NccwComplex, k_sequences, odd_witnesses
-
-# candidates sent to a worker process at a time when jobs > 1
-_IMAP_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -146,66 +138,33 @@ def reverify_odd_witness(A: NccwComplex, spec: CompactIdealSpec) -> bool:
 
 def search_odd_blocks(max_p: int = SearchBounds.max_p, max_l: int = SearchBounds.max_l,
                       max_mult: int = SearchBounds.max_mult,
-                      max_size: int = SearchBounds.max_size, jobs: int = 1):
-    """All odd blocks within bounds, each with its first odd witness."""
-    candidates = _enumerate_unital(SearchBounds(max_p, max_l, max_mult, max_size))
-    if jobs <= 1:
-        return _reverified(map(partial(_witnessed, verdicts={}), candidates))
-    from multiprocessing import Pool
+                      max_size: int = SearchBounds.max_size):
+    """All odd blocks within bounds, each in canonical form with its first
+    odd witness, re-verified.
 
-    with Pool(jobs, initializer=_start_worker) as pool:
-        return _reverified(pool.imap(_worker_witnessed, candidates, _IMAP_CHUNK))
-
-
-# the verdict memo of a worker process for the whole search, made by
-# _start_worker; None in the parent process
-_worker_verdicts: Optional[dict] = None
-
-
-def _start_worker():
-    global _worker_verdicts
-    _worker_verdicts = {}
-
-
-def _worker_witnessed(A: NccwComplex):
-    return _witnessed(A, _worker_verdicts)
-
-
-def _witnessed(A: NccwComplex, verdicts: dict):
-    """(B, witness) for an odd candidate A, where B is A in canonical form
-    and witness the first ideal support of B whose K rows are exact but not
-    pure; (A, None) for any other candidate.
-
-    Whether A is odd depends only on alpha - beta and on which entries of
-    alpha or beta are nonzero: odd_witnesses reads nothing else.  So
-    verdicts, a memo that lives for one search (for one worker of it when
-    jobs > 1), holds it per such key, and odd_witnesses runs only on a
-    miss.  An odd candidate is put in canonical form and its witness taken
-    there, since the order of all_ideal_specs, and so the first witness,
-    depends on the order of the points."""
-    a, b = A.alpha.entries, A.beta.entries
-    key = (tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)),
-           tuple(tuple(bool(x or y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)))
-    odd = verdicts.get(key)
-    if odd is None:
-        odd = verdicts[key] = next(odd_witnesses(A), None) is not None
-    if not odd:
-        return A, None
-    k, h, aa, bb = _canonical_key(A.k, A.h, a, b)
-    A = NccwComplex(k, h, IntMatrix.from_rows(aa, cols=A.p), IntMatrix.from_rows(bb, cols=A.p))
-    return A, next(odd_witnesses(A))
-
-
-def _reverified(verdicts) -> list:
-    """The odd blocks among (candidate, witness) verdicts, each witness
-    re-verified."""
+    verdicts, a memo that lives for this call, holds whether a candidate is
+    odd per (alpha - beta, nonzero pattern of alpha or beta) key, the only
+    data odd_witnesses reads; odd_witnesses runs only on a miss.  The
+    witness is taken on the canonical form, since the order of
+    all_ideal_specs, and so the first witness, depends on the order of the
+    points."""
+    verdicts = {}
     out = []
-    for cx, spec in verdicts:
-        if spec is None:
+    for A in _enumerate_unital(SearchBounds(max_p, max_l, max_mult, max_size)):
+        a, b = A.alpha.entries, A.beta.entries
+        key = (tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)),
+               tuple(tuple(bool(x or y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)))
+        odd = verdicts.get(key)
+        if odd is None:
+            odd = verdicts[key] = next(odd_witnesses(A), None) is not None
+        if not odd:
             continue
-        if not reverify_odd_witness(cx, spec):
-            raise AssertionError(f"re-verification failed for {cx} with witness {spec.S}")
-        out.append(OddBlock(cx, spec))
+        k, h, aa, bb = _canonical_key(A.k, A.h, a, b)
+        B = NccwComplex(k, h, IntMatrix.from_rows(aa, cols=A.p), IntMatrix.from_rows(bb, cols=A.p))
+        spec = next(odd_witnesses(B))
+        if not reverify_odd_witness(B, spec):
+            raise AssertionError(f"re-verification failed for {B} with witness {spec.S}")
+        out.append(OddBlock(B, spec))
     return out
 
 

@@ -9,12 +9,14 @@ from pathlib import Path
 import pytest
 
 from nccwk import nccw
+from nccwk.fgab.groups import _splits, is_exact
 from nccwk.fgab.intmat import IntMatrix
 from nccwk.harness.cli import build_parser
 from nccwk.harness.report import render_report
 from nccwk.harness.scenarios import SCENARIOS, odd_tower_complex, run_scenario
 from nccwk.harness import search as search_module
 from nccwk.harness.search import (
+    OddBlock,
     SearchBounds,
     _canonical_key,
     _enumerate_unital,
@@ -23,16 +25,18 @@ from nccwk.harness.search import (
     search_odd_blocks,
 )
 from nccwk.nccw import (
+    CompactIdealSpec,
     NccwComplex,
     _boundary_vanishes,
     _minimal_supports,
     all_ideal_specs,
     classify_block,
+    k_sequences,
     make_ideal_spec,
     odd_witnesses,
 )
 
-from oracles import first_appearance_candidates, quotient_k1_torsion
+from oracles import first_appearance_candidates, nonnegative_kernel_witness, quotient_k1_torsion
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "docs" / "samples"
@@ -158,6 +162,31 @@ class TestSearch:
         orderly = [canonical(c) for c in _enumerate_unital(SearchBounds(*bounds))]
         assert orderly == list(first_appearance_candidates(*bounds, _canonical_key))
 
+    def test_census_matches_independent_oracle(self, default_search):
+        """The default census, rebuilt without the search's reasoning (orderly
+        generation, verdict memo, torsion guard, minimal supports, boundary
+        test): every orbit from the brute-force first-appearance oracle, and
+        for each one the point subsets S with 0 < |S| < p by size then
+        lexicographically, S a support iff delta[:, S] has a kernel vector
+        >= 1 on all of S (Fourier-Motzkin), T the interval blocks meeting S.
+        The first S whose K rows are exact and not both split is the
+        witness; a candidate with none is not odd."""
+        blocks = []
+        for k, h, a, b in first_appearance_candidates(*astuple(SearchBounds()), _canonical_key):
+            A = NccwComplex(k, h, IntMatrix.from_rows(a, cols=len(k)),
+                            IntMatrix.from_rows(b, cols=len(k)))
+            for S in (S for r in range(1, A.p) for S in combinations(range(A.p), r)):
+                v = nonnegative_kernel_witness(A.delta.submatrix(range(A.l), S), range(len(S)))
+                if v is None:
+                    continue
+                T = tuple(i for i in range(A.l) if any(a[i][j] or b[i][j] for j in S))
+                spec = CompactIdealSpec(S, T, v)
+                rows = k_sequences(A, spec)
+                if all(map(is_exact, rows)) and not all(map(_splits, rows)):
+                    blocks.append(OddBlock(A, spec))
+                    break
+        assert census_lines(blocks) == census_lines(default_search)
+
     def test_canonical_key_once_per_odd_block(self, monkeypatch):
         """Only the printed blocks are put in canonical form: 16 calls for
         the 16 odd blocks among the 1,853 default candidates."""
@@ -232,26 +261,6 @@ class TestSearch:
         assert (len(keys), len(blocks)) == (394, 16)
         assert len(runs) == len(keys) + len(blocks) == 410
 
-    def test_worker_memo_spans_the_search(self, monkeypatch):
-        """A worker's memo lives from its start to the end of the search, not
-        per chunk: one worker fed every default candidate decides each key
-        once, as the serial search does, and a new worker starts empty."""
-        runs = []
-
-        def counted(A, specs=None):
-            runs.append(A)
-            return odd_witnesses(A, specs)
-
-        monkeypatch.setattr(search_module, "odd_witnesses", counted)
-        monkeypatch.setattr(search_module, "_worker_verdicts", None)
-        search_module._start_worker()
-        verdicts = list(map(search_module._worker_witnessed, _enumerate_unital(SearchBounds())))
-        assert sum(spec is not None for _, spec in verdicts) == 16
-        assert len(runs) == 410
-        assert len(search_module._worker_verdicts) == 394
-        search_module._start_worker()
-        assert search_module._worker_verdicts == {}
-
     def test_one_key_one_witness_list(self, default_search):
         """Complexes sharing delta and the nonzero pattern of alpha, beta get
         the same witnesses, though k, h, alpha and beta differ: here k is
@@ -278,11 +287,6 @@ class TestSearch:
             assert list(odd_witnesses(B2)) == moved
             assert ({frozenset(points[j] for j in w.S) for w in moved}
                     == {frozenset(w.S) for w in witnesses})
-
-    def test_pool_matches_serial(self, default_search):
-        """Two worker processes print the serial census; the default bounds
-        are used because smaller ones hold no odd block."""
-        assert census_lines(search_odd_blocks(jobs=2)) == census_lines(default_search)
 
 
 def cli_env():
@@ -386,9 +390,13 @@ class TestCli:
         bad = tmp_path / "bad.nccw"
         bad.write_text("complex X {\n  k = 1\n  h = 2\n  alpha = [-1]\n  beta = [1]\n}\n")
         code, _, err = run_cli("ktheory", "complex", str(bad))
-        assert code != 0 and "line 1" in err
+        assert code != 0 and "line 4: multiplicities must be nonnegative" in err
 
     def test_search_cli(self):
         code, out, _ = run_cli("search", "--max-p", "2", "--max-l", "2",
                                "--max-mult", "2", "--max-size", "1")
         assert code == 0 and "odd blocks" in out
+
+    def test_search_has_no_jobs_option(self):
+        code, out, err = run_cli("search", "--jobs", "2")
+        assert code == 2 and out == "" and "unrecognized arguments: --jobs 2" in err

@@ -83,8 +83,20 @@ class TestErrors:
         return exc.value
 
     def test_negative_multiplicity_positioned(self):
-        e = self.err("complex X {\n  k = 1\n  h = 2\n  alpha = [-1]\n  beta = [1]\n}")
-        assert "nonnegative" in str(e)
+        """A negative entry or a wrong shape is reported at the matrix's own
+        line, in a complex and in a family alike."""
+        for text, line, message in [
+            ("complex X {\n  k = 1\n  h = 2\n  alpha = [-1]\n  beta = [1]\n}",
+             4, "multiplicities must be nonnegative"),
+            ("complex X {\n  k = 1 1\n  h = 2\n  alpha = [2 0 0]\n  beta = [2 0]\n}",
+             4, "alpha must be 1x2"),
+            ("complex X {\n  k = 1 1\n  h = 2\n  alpha = [2 0]\n  beta = [2 0; 0 2]\n}",
+             5, "beta must be 1x2"),
+            ("family C {\n  n0 = 0\n  k = 3^n 3^n\n  h = 2*3^n\n  alpha = [2 0]\n"
+             "  beta = [2; 0]\n}", 6, "beta must be 1x2"),
+        ]:
+            e = self.err(text)
+            assert e.line == line and message in str(e), (text, e)
 
     def test_unital_size_violation(self):
         e = self.err("complex X { k = 1 1; h = 3; alpha = [2 0]; beta = [0 2]; unital = true }")
