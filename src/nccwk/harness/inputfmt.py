@@ -436,7 +436,7 @@ def _parse_matrix(text: str, line: int) -> list:
     return rows
 
 
-def _multiplicities(text: str, line: int, key: str, l: int, p: int) -> IntMatrix:
+def _multiplicities(line: int, text: str, key: str, l: int, p: int) -> IntMatrix:
     """The l x p multiplicity matrix `key` written on `line`; a wrong shape or
     a negative entry is reported at that line, not at the block header."""
     rows = _parse_matrix(text, line)  # rows of equal length
@@ -450,8 +450,7 @@ def _multiplicities(text: str, line: int, key: str, l: int, p: int) -> IntMatrix
 def _parse_atoms(text: str, line: int, kinds) -> tuple:
     """The evaluations of one assignment, in keyword then index order."""
     atoms = []
-    text = text.strip()
-    if not text:
+    if not text.strip():
         return ()
     for chunk in text.split(","):
         parts = chunk.split()
@@ -514,7 +513,7 @@ def _int(items, key: str, default, message: str):
 
 def _sizes(items, key: str) -> tuple:
     line, text = items.pop(key, (0, ""))
-    return tuple(parse_size_expr(tok, line) for tok in text.split())
+    return line, tuple(parse_size_expr(tok, line) for tok in text.split())
 
 
 def _no_more(items, kind: str):
@@ -597,24 +596,29 @@ class _Parser:
         n0 = _int(items, "n0", 0, "n0 must be an integer") if kind == "family" else 0
         if "k" not in items:
             raise InputError(line, "missing 'k = ...'")
-        k, h = _sizes(items, "k"), _sizes(items, "h")
+        (k_line, k), (h_line, h) = _sizes(items, "k"), _sizes(items, "h")
         if kind == "complex" and not all(e.is_constant() for e in k + h):
             raise InputError(line, "a concrete complex cannot use the stage parameter n; "
                                    "declare a family instead")
+        invalid = "family invalid at its first stage: " if kind == "family" else ""
+        for size_line, sizes in ((k_line, k), (h_line, h)):
+            try:  # a size undefined or not positive at n0 is reported at its own line
+                if any(e.eval(n0) <= 0 for e in sizes):
+                    raise ValueError("block sizes must be positive")
+            except ValueError as exc:
+                raise InputError(size_line, invalid + str(exc))
         if "alpha" not in items or "beta" not in items:
             raise InputError(line, f"{kind} needs alpha and beta")
-        alpha_ln, alpha_txt = items.pop("alpha")
-        beta_ln, beta_txt = items.pop("beta")
+        alpha_item, beta_item = items.pop("alpha"), items.pop("beta")
         unital = _bool(items, "unital")
         _no_more(items, kind)
-        alpha = _multiplicities(alpha_txt, alpha_ln, "alpha", len(h), len(k))
-        beta = _multiplicities(beta_txt, beta_ln, "beta", len(h), len(k))
+        alpha = _multiplicities(*alpha_item, "alpha", len(h), len(k))
+        beta = _multiplicities(*beta_item, "beta", len(h), len(k))
         spec = FamilySpec(name, n0, k, h, alpha, beta, unital)
         try:
             first = spec.complex_at(n0)
         except ValueError as exc:
-            raise InputError(line, f"family invalid at its first stage: {exc}"
-                             if kind == "family" else str(exc))
+            raise InputError(line, invalid + str(exc))
         self._add(kind, name, (spec, first), line)
 
     def block_map(self, line, stmt, kind):

@@ -2,12 +2,13 @@
 
 Generates unital complexes within the given bounds (point count, interval
 count, multiplicity, point block size; interval sizes are forced by
-unitality) one per orbit under permuting point and interval blocks, with
-no set of the orbits already seen.  Whether a candidate is odd depends
-only on alpha - beta and on which entries of alpha or beta are nonzero,
-so nccw.odd_witnesses runs once per such key, through a verdict memo
-that lives for one call of search_odd_blocks; only an odd candidate is
-put in canonical form, where its printed witness is taken.
+unitality) as rows (k, h, alpha rows, beta rows), one per orbit under
+permuting point and interval blocks, keeping no set of the orbits seen.
+Whether a candidate is odd depends only on alpha - beta and on which
+entries of alpha or beta are nonzero; a verdict memo on that key lives for
+one call of search_odd_blocks, and only on a miss is an NccwComplex built
+and nccw.odd_witnesses run.  Only an odd candidate is built again, in
+canonical form, where its printed witness is taken.
 That iterator reads the torsion of K_1(A/I) first (K_0(A/I) is free, and
 an exact row onto a free K_1(A/I) splits), so a candidate with no such
 torsion for any proper point subset gets no ideal support built, and a
@@ -97,10 +98,14 @@ def _pair_images(k, pairs):
     return images
 
 
+def _complex(k, h, alpha_rows, beta_rows) -> NccwComplex:
+    return NccwComplex(k, h, IntMatrix.from_rows(alpha_rows), IntMatrix.from_rows(beta_rows))
+
+
 def _enumerate_unital(bounds: SearchBounds):
     """All unital complexes within bounds, one per orbit under permuting
-    point blocks and interval blocks, each in the form it is generated in
-    (point sizes non-decreasing, rows in pair order), not in canonical form.
+    point blocks and interval blocks, each as rows (k, h, alpha, beta) in the
+    form it is generated in (point sizes non-decreasing, rows in pair order).
 
     For point sizes k (non-decreasing) a candidate is a multiset of l row
     pairs, listed as a non-decreasing tuple of pair indices; permuting the
@@ -122,10 +127,8 @@ def _enumerate_unital(bounds: SearchBounds):
                         if sorted(map(image.__getitem__, combo)) < least:
                             break
                     else:
-                        rows = [pairs[i] for i in combo]
-                        yield NccwComplex(k, tuple(r[2] for r in rows),
-                                          IntMatrix.from_rows([r[0] for r in rows], cols=p),
-                                          IntMatrix.from_rows([r[1] for r in rows], cols=p))
+                        alpha, beta, h = zip(*map(pairs.__getitem__, combo))
+                        yield k, h, alpha, beta
 
 
 def reverify_odd_witness(A: NccwComplex, spec: CompactIdealSpec) -> bool:
@@ -144,23 +147,19 @@ def search_odd_blocks(max_p: int = SearchBounds.max_p, max_l: int = SearchBounds
 
     verdicts, a memo that lives for this call, holds whether a candidate is
     odd per (alpha - beta, nonzero pattern of alpha or beta) key, the only
-    data odd_witnesses reads; odd_witnesses runs only on a miss.  The
-    witness is taken on the canonical form, since the order of
-    all_ideal_specs, and so the first witness, depends on the order of the
-    points."""
-    verdicts = {}
-    out = []
-    for A in _enumerate_unital(SearchBounds(max_p, max_l, max_mult, max_size)):
-        a, b = A.alpha.entries, A.beta.entries
+    data odd_witnesses reads.  The witness is taken on the canonical form,
+    since the order of all_ideal_specs, and so the first witness, depends
+    on the order of the points."""
+    verdicts, out = {}, []
+    for k, h, a, b in _enumerate_unital(SearchBounds(max_p, max_l, max_mult, max_size)):
         key = (tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)),
                tuple(tuple(bool(x or y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)))
         odd = verdicts.get(key)
         if odd is None:
-            odd = verdicts[key] = next(odd_witnesses(A), None) is not None
+            odd = verdicts[key] = next(odd_witnesses(_complex(k, h, a, b)), None) is not None
         if not odd:
             continue
-        k, h, aa, bb = _canonical_key(A.k, A.h, a, b)
-        B = NccwComplex(k, h, IntMatrix.from_rows(aa, cols=A.p), IntMatrix.from_rows(bb, cols=A.p))
+        B = _complex(*_canonical_key(k, h, a, b))
         spec = next(odd_witnesses(B))
         if not reverify_odd_witness(B, spec):
             raise AssertionError(f"re-verification failed for {B} with witness {spec.S}")
@@ -169,9 +168,6 @@ def search_odd_blocks(max_p: int = SearchBounds.max_p, max_l: int = SearchBounds
 
 
 def census_lines(blocks) -> list:
-    lines = []
-    for b in blocks:
-        lines.append(f"odd: k={list(b.complex.k)} h={list(b.complex.h)} "
-                     f"alpha={b.complex.alpha} beta={b.complex.beta} "
-                     f"witness S={[j + 1 for j in b.witness.S]}")
-    return lines
+    return [f"odd: k={list(b.complex.k)} h={list(b.complex.h)} "
+            f"alpha={b.complex.alpha} beta={b.complex.beta} "
+            f"witness S={[j + 1 for j in b.witness.S]}" for b in blocks]

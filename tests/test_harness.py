@@ -75,16 +75,26 @@ class TestScenarios:
             render_report(r, "yaml")
 
 
+def as_candidate(c):
+    """A complex in the shape the search generates candidates in."""
+    return c.k, c.h, c.alpha.entries, c.beta.entries
+
+
 def canonical(c):
-    return _canonical_key(c.k, c.h, [tuple(r) for r in c.alpha.entries],
-                          [tuple(r) for r in c.beta.entries])
+    return _canonical_key(*as_candidate(c))
 
 
-def verdict_key(c):
+def verdict_key(k, h, alpha, beta):
     """alpha - beta with the entries where alpha or beta is nonzero: all
-    that odd_witnesses reads of a complex."""
-    return c.delta, tuple(tuple(bool(x or y) for x, y in zip(ra, rb))
-                          for ra, rb in zip(c.alpha.entries, c.beta.entries))
+    that odd_witnesses reads of a complex, here given as rows."""
+    return (tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(alpha, beta)),
+            tuple(tuple(bool(x or y) for x, y in zip(ra, rb)) for ra, rb in zip(alpha, beta)))
+
+
+def past_guard(k, h, alpha, beta):
+    """Whether K_1(A/I) has torsion for some proper point subset S."""
+    return any(quotient_k1_torsion(alpha, beta, S) for r in range(1, len(k))
+               for S in combinations(range(len(k)), r))
 
 
 def permuted(c, points, blocks):
@@ -159,20 +169,53 @@ class TestSearch:
         candidate finds them; candidates are emitted as generated, so each is
         compared by its canonical form.  (2,3,2,2) has point sizes up to 2,
         so only size-keeping point permutations act."""
-        orderly = [canonical(c) for c in _enumerate_unital(SearchBounds(*bounds))]
+        orderly = [_canonical_key(*c) for c in _enumerate_unital(SearchBounds(*bounds))]
         assert orderly == list(first_appearance_candidates(*bounds, _canonical_key))
 
-    def test_census_matches_independent_oracle(self, default_search):
-        """The default census, rebuilt without the search's reasoning (orderly
+    @pytest.mark.parametrize("bounds", [(3, 2, 2, 1), (3, 2, 1, 1), (2, 3, 2, 2)])
+    def test_candidates_are_valid_unital_complexes(self, bounds):
+        """The search builds a complex only on a verdict-memo miss or for an
+        odd block, so most candidates are never validated at run time: here
+        every one builds a valid unital complex within its bounds."""
+        max_p, max_l, max_mult, max_size = bounds
+        for k, h, a, b in _enumerate_unital(SearchBounds(*bounds)):
+            A = NccwComplex(k, h, IntMatrix.from_rows(a, cols=len(k)),
+                            IntMatrix.from_rows(b, cols=len(k)))
+            assert A.unital and 1 <= A.p <= max_p and 1 <= A.l <= max_l
+            assert max(A.k) <= max_size
+            assert max(max(row) for M in (A.alpha, A.beta) for row in M.entries) <= max_mult
+
+    def test_complex_built_once_per_key_and_odd_block(self, monkeypatch):
+        """Candidates stay rows: the search builds a complex once per
+        (delta, pattern) key, 394 of them among the 1,853 default candidates,
+        and once per odd block, in canonical form: 410 builds."""
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return NccwComplex(*args, **kwargs)
+
+        monkeypatch.setattr(search_module, "NccwComplex", counted)
+        assert len(search_odd_blocks()) == 16
+        assert len(built) == 394 + 16
+
+    @pytest.mark.parametrize("bounds", [
+        pytest.param((3, 2, 2, 1), id="default"),
+        pytest.param((3, 2, 3, 1), marks=pytest.mark.slow, id="max_mult3"),
+    ])
+    def test_census_matches_independent_oracle(self, bounds, default_search):
+        """The census, rebuilt without the search's reasoning (orderly
         generation, verdict memo, torsion guard, minimal supports, boundary
         test): every orbit from the brute-force first-appearance oracle, and
         for each one the point subsets S with 0 < |S| < p by size then
         lexicographically, S a support iff delta[:, S] has a kernel vector
         >= 1 on all of S (Fourier-Motzkin), T the interval blocks meeting S.
         The first S whose K rows are exact and not both split is the
-        witness; a candidate with none is not odd."""
+        witness; a candidate with none is not odd.  At --max-mult 3 (318
+        blocks, about 30 s) it is marked slow and left out of the default
+        run."""
         blocks = []
-        for k, h, a, b in first_appearance_candidates(*astuple(SearchBounds()), _canonical_key):
+        for k, h, a, b in first_appearance_candidates(*bounds, _canonical_key):
             A = NccwComplex(k, h, IntMatrix.from_rows(a, cols=len(k)),
                             IntMatrix.from_rows(b, cols=len(k)))
             for S in (S for r in range(1, A.p) for S in combinations(range(A.p), r)):
@@ -185,7 +228,8 @@ class TestSearch:
                 if all(map(is_exact, rows)) and not all(map(_splits, rows)):
                     blocks.append(OddBlock(A, spec))
                     break
-        assert census_lines(blocks) == census_lines(default_search)
+        search = default_search if bounds == astuple(SearchBounds()) else search_odd_blocks(*bounds)
+        assert census_lines(blocks) == census_lines(search)
 
     def test_canonical_key_once_per_odd_block(self, monkeypatch):
         """Only the printed blocks are put in canonical form: 16 calls for
@@ -222,15 +266,8 @@ class TestSearch:
             tested.append((A, spec))
             return _boundary_vanishes(A, spec)
 
-        def quotient_torsion(A, S):
-            return quotient_k1_torsion(A.alpha.entries, A.beta.entries, S)
-
-        def past_guard(A):
-            return any(quotient_torsion(A, S) for r in range(1, A.p)
-                       for S in combinations(range(A.p), r))
-
-        guarded = [A for A in _enumerate_unital(SearchBounds()) if past_guard(A)]
-        assert len(guarded) == 132 and len({verdict_key(A) for A in guarded}) == 39
+        guarded = [c for c in _enumerate_unital(SearchBounds()) if past_guard(*c)]
+        assert len(guarded) == 132 and len({verdict_key(*c) for c in guarded}) == 39
         monkeypatch.setattr(nccw, "all_ideal_specs", counted_specs)
         monkeypatch.setattr(nccw, "_minimal_supports", counted_minimal)
         monkeypatch.setattr(nccw, "_boundary_vanishes", counted_boundary)
@@ -239,17 +276,18 @@ class TestSearch:
         assert len(built) == len(minimal) == 55
         printed = {id(b.complex) for b in blocks}
         misses = [A for A in built if id(A) not in printed]
-        assert len(misses) == len({verdict_key(A) for A in misses}) == 39
-        assert all(past_guard(A) for A in built)
+        assert len(misses) == len({verdict_key(*as_candidate(A)) for A in misses}) == 39
+        assert all(past_guard(*as_candidate(A)) for A in built)
         assert len(tested) == 30
         assert sum(id(A) in printed for A, _ in tested) == 16
-        assert all(quotient_torsion(A, spec.S) for A, spec in tested)
+        assert all(quotient_k1_torsion(A.alpha.entries, A.beta.entries, spec.S)
+                   for A, spec in tested)
 
     def test_odd_witnesses_once_per_key_and_odd_block(self, monkeypatch):
         """odd_witnesses runs once per distinct (delta, pattern) key, 394 of
         them among 1,853 default candidates, and once more per odd block, on
         its canonical form: 410 runs."""
-        keys = {verdict_key(A) for A in _enumerate_unital(SearchBounds())}
+        keys = {verdict_key(*c) for c in _enumerate_unital(SearchBounds())}
         runs = []
 
         def counted(A, specs=None):
@@ -276,13 +314,13 @@ class TestSearch:
             k = tuple(2 * s for s in A.k)
             h = tuple(sum(m * s for m, s in zip(row, k)) for row in a)
             B = NccwComplex(k, h, IntMatrix.from_rows(a), IntMatrix.from_rows(b))
-            assert verdict_key(A) == verdict_key(B)
+            assert verdict_key(*as_candidate(A)) == verdict_key(*as_candidate(B))
             assert (B.k, B.h) != (A.k, A.h) and B.alpha != A.alpha and B.beta != A.beta
             witnesses = list(odd_witnesses(A))
             assert witnesses and list(odd_witnesses(B)) == witnesses
             points, blocks = list(reversed(range(A.p))), list(reversed(range(A.l)))
             A2, B2 = (permuted(C, points, blocks) for C in (A, B))
-            assert verdict_key(A2) == verdict_key(B2)
+            assert verdict_key(*as_candidate(A2)) == verdict_key(*as_candidate(B2))
             moved = list(odd_witnesses(A2))
             assert list(odd_witnesses(B2)) == moved
             assert ({frozenset(points[j] for j in w.S) for w in moved}

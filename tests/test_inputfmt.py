@@ -98,6 +98,29 @@ class TestErrors:
             e = self.err(text)
             assert e.line == line and message in str(e), (text, e)
 
+    def test_nonpositive_size_positioned(self):
+        """A block size that is not positive, or not defined, at the first
+        stage is reported at its own k or h line, not at the block header;
+        size accounting across lines stays at the header."""
+        for text, line, message in [
+            ("complex X {\n  k = 0\n  h = 2\n  alpha = [2]\n  beta = [2]\n}",
+             2, "block sizes must be positive"),
+            ("complex X {\n  k = 1\n  h = 0\n  alpha = [2]\n  beta = [2]\n}",
+             3, "block sizes must be positive"),
+            ("family C {\n  n0 = 0\n  k = 3^n\n  h = 0*3^n\n  alpha = [2]\n  beta = [2]\n}",
+             4, "family invalid at its first stage: block sizes must be positive"),
+            ("family C {\n  n0 = 0\n  k = 3^(n-1)\n  h = 2\n  alpha = [2]\n  beta = [2]\n}",
+             3, "family invalid at its first stage: negative exponent -1"),
+            ("family C {\n  n0 = 0\n  k = l5(n)\n  h = 2*l5(n)\n  alpha = [2]\n"
+             "  beta = [2]\n}", 3, "l5 is defined for stages >= 1"),
+            ("complex X {\n  k = 1\n  h = 3\n  alpha = [2]\n  beta = [2]\n}",
+             1, "unital complex needs equality in block 1"),
+        ]:
+            e = self.err(text)
+            assert e.line == line and message in str(e), (text, e)
+        assert parse("family C {\n  n0 = 1\n  k = l5(n)\n  h = 2*l5(n)\n  alpha = [2]\n"
+                     "  beta = [2]\n}").get_family("C").complex_at(1).k == (9,)
+
     def test_unital_size_violation(self):
         e = self.err("complex X { k = 1 1; h = 3; alpha = [2 0]; beta = [0 2]; unital = true }")
         assert "unital" in str(e) or "size accounting" in str(e)
