@@ -4,9 +4,9 @@ Everything downstream (K-groups, induced maps, purity checks) reduces to
 integer linear algebra on small matrices, so this module keeps entries as
 plain Python ints (arbitrary precision) and never touches floats.
 
-The Smith normal form here tracks all four transforms: D = U*A*V with
-U, V unimodular, and the inverses Uinv, Vinv accumulated alongside so
-cyclic decompositions of cokernels come for free.  It takes two passes
+The Smith normal form here tracks the two transforms of D = U*A*V, U and
+V unimodular; their inverses, which the cyclic decomposition of a
+cokernel reads, are factored only when asked for.  It takes two passes
 (Kannan & Bachem, SIAM J. Comput. 8, 1979):
 
 1. Hermite passes.  The rows are put in Hermite normal form one row at a
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -173,22 +173,27 @@ def det(A: IntMatrix) -> int:
 class SmithDecomposition:
     """D = U*A*V with U, V unimodular and D diagonal, d_i | d_{i+1}, d_i >= 0.
 
-    Uinv and Vinv are the exact inverses of U and V; columns of Uinv
-    realize the cyclic decomposition of coker(A) on the original generators.
+    Uinv and Vinv, the exact inverses of U and V, are computed on first
+    read; columns of Uinv realize the cyclic decomposition of coker(A) on
+    the original generators.
     """
 
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
-    Uinv: IntMatrix
-    Vinv: IntMatrix
     invariant_factors: tuple
 
+    @cached_property
+    def Uinv(self) -> IntMatrix:
+        return invert_unimodular(self.U)
+
+    @cached_property
+    def Vinv(self) -> IntMatrix:
+        return invert_unimodular(self.V)
+
     def verify(self, A: IntMatrix) -> bool:
-        # integer matrices with integer inverses are unimodular
         ok = (self.U @ A @ self.V) == self.D
-        ok = ok and (self.U @ self.Uinv) == IntMatrix.identity(A.rows)
-        ok = ok and (self.V @ self.Vinv) == IntMatrix.identity(A.cols)
+        ok = ok and all(P.rows == P.cols and abs(det(P)) == 1 for P in (self.U, self.V))
         d = self.invariant_factors
         for i in range(len(d) - 1):
             if d[i] != 0 and d[i + 1] % d[i] != 0:
@@ -214,11 +219,11 @@ def _xgcd(a: int, b: int):
 
 
 class _Worker:
-    """Mutable state for the reduction; transforms and inverses kept in sync.
+    """Mutable state for the reduction: D and its two transforms.
 
-    The column side is stored transposed, Vt = V^T and Vinvt = Vinv^T, so
-    a column operation changes Vt and Vinvt exactly as a row operation
-    changes U and Uinv, and transposing the state only transposes D.
+    The column side is stored transposed, Vt = V^T, so a column operation
+    changes Vt exactly as a row operation changes U, and transposing the
+    state only transposes D.
     """
 
     def __init__(self, A: IntMatrix):
@@ -226,17 +231,13 @@ class _Worker:
         self.n = A.cols
         self.D = [list(row) for row in A.entries]
         self.U = [[1 if i == j else 0 for j in range(self.m)] for i in range(self.m)]
-        self.Uinv = [[1 if i == j else 0 for j in range(self.m)] for i in range(self.m)]
         self.Vt = [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
-        self.Vinvt = [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
 
-    # Row ops act on D and U on the left; the inverse op is applied to
-    # Uinv on the right (columns), keeping U*Uinv = I at every step.
+    # Row ops act on D and U on the left.
     def permute_rows(self, order):
         # new row b is old row order[b]
         self.D = [self.D[i] for i in order]
         self.U = [self.U[i] for i in order]
-        self.Uinv = [[r[i] for i in order] for r in self.Uinv]
 
     def transpose(self):
         # U A V = D  iff  V^T A^T U^T = D^T: row operations on the
@@ -245,14 +246,11 @@ class _Worker:
         self.m, self.n = self.n, self.m
         self.D = [list(r) for r in zip(*self.D)]
         self.U, self.Vt = self.Vt, self.U
-        self.Uinv, self.Vinvt = self.Vinvt, self.Uinv
 
     def add_row(self, i, k, q):
         # row i += q * row k
         for M in (self.D, self.U):
             M[i] = [x + q * y for x, y in zip(M[i], M[k])]
-        for r in self.Uinv:
-            r[k] -= q * r[i]
 
     def add_col(self, j, k, q):
         # col j += q * col k
@@ -261,8 +259,6 @@ class _Worker:
                 r[j] += q * r[k]
         Vt = self.Vt
         Vt[j] = [x + q * y for x, y in zip(Vt[j], Vt[k])]
-        for r in self.Vinvt:
-            r[k] -= q * r[j]
 
     def row_combine(self, i, j, a, b, c, d):
         # rows (i,j) <- (a*ri + b*rj, c*ri + d*rj); requires a*d - b*c = +-1
@@ -270,18 +266,10 @@ class _Worker:
             ri, rj = M[i], M[j]
             M[i] = [a * x + b * y for x, y in zip(ri, rj)]
             M[j] = [c * x + d * y for x, y in zip(ri, rj)]
-        det2 = a * d - b * c  # +-1
-        ai, bi, ci, di = det2 * d, -det2 * b, -det2 * c, det2 * a
-        for r in self.Uinv:
-            x, y = r[i], r[j]
-            r[i] = x * ai + y * ci
-            r[j] = x * bi + y * di
 
     def negate_row(self, i):
         self.D[i] = [-x for x in self.D[i]]
         self.U[i] = [-x for x in self.U[i]]
-        for r in self.Uinv:
-            r[i] = -r[i]
 
 
 def _hermite(w: _Worker):
@@ -398,9 +386,7 @@ def _smith_raw(A: IntMatrix) -> SmithDecomposition:
     D = IntMatrix(A.rows, A.cols, tuple(map(tuple, w.D)))
     U = IntMatrix(A.rows, A.rows, tuple(map(tuple, w.U)))
     V = IntMatrix(A.cols, A.cols, tuple(zip(*w.Vt)))
-    Uinv = IntMatrix(A.rows, A.rows, tuple(map(tuple, w.Uinv)))
-    Vinv = IntMatrix(A.cols, A.cols, tuple(zip(*w.Vinvt)))
-    return SmithDecomposition(U, D, V, Uinv, Vinv, factors)
+    return SmithDecomposition(U, D, V, factors)
 
 
 @lru_cache(maxsize=None)
@@ -468,25 +454,30 @@ def lattice_preimage(M: IntMatrix, R: IntMatrix) -> IntMatrix:
     return K.submatrix(range(M.cols), range(K.cols))
 
 
-def unimodular_completion(v: Sequence[int]) -> IntMatrix:
-    """A unimodular matrix whose first column is the primitive vector v."""
+def unimodular_completion(v: Sequence[int]) -> tuple:
+    """(P, P^-1) with P unimodular and its first column the primitive v."""
     g = 0
     for x in v:
         g = gcd(g, x)
     if g != 1:
         raise ValueError("vector is not primitive")
     snf = smith_normal_form(IntMatrix.column(v))
-    # U v = +-e1, so Uinv has +-v as first column
-    P = snf.Uinv
+    # U v = +-e1, so Uinv has +-v as first column; negating that column of
+    # P negates the first row of P^-1
+    P, Pinv = snf.Uinv, snf.U
     if P.col(0) != tuple(v):
         P = IntMatrix.from_columns([tuple(-x for x in P.col(0))] + [P.col(j) for j in range(1, P.cols)])
+        Pinv = IntMatrix(Pinv.rows, Pinv.cols, (tuple(-x for x in Pinv.entries[0]),) + Pinv.entries[1:])
     assert P.col(0) == tuple(v)
-    return P
+    return P, Pinv
 
 
 def invert_unimodular(P: IntMatrix) -> IntMatrix:
-    """P^-1 = V U, read off U P V = I when every invariant factor is 1."""
-    snf = smith_normal_form(P)
+    """P^-1 = V U, read off U P V = I when every invariant factor is 1.
+
+    Factors P with the uncached engine, so reading a cached decomposition's
+    inverse neither calls smith_normal_form nor adds to its cache."""
+    snf = _smith_raw(P)
     if P.rows != P.cols or snf.invariant_factors.count(1) != P.rows:
         raise ValueError("matrix is not invertible over the integers")
     return snf.V @ snf.U

@@ -208,7 +208,7 @@ class _ExprParser:
         t = self.take()
         if t == "l5":
             self.expect("(")
-            arg = self.explin()
+            arg = self.explin(True)
             self.expect(")")
             return L5(arg)
         if isinstance(t, int):
@@ -218,14 +218,15 @@ class _ExprParser:
             return Const(t)
         raise InputError(self.line, f"unexpected '{t}' in size expression")
 
-    def explin(self) -> ExpLin:
+    def explin(self, offset: bool = False) -> ExpLin:
+        # n +- k only inside parentheses: B^n+1 is B^n plus 1
         t = self.take()
         if t == "(":
-            inner = self.explin()
+            inner = self.explin(True)
             self.expect(")")
             return inner
         if t == "n":
-            if self.peek() in ("+", "-"):
+            if offset and self.peek() in ("+", "-"):
                 sign = 1 if self.take() == "+" else -1
                 off = self.take()
                 if not isinstance(off, int):

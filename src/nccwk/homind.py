@@ -573,8 +573,8 @@ def _triangularize(M: IntMatrix) -> Optional[IntMatrix]:
         g = 0
         for x in v:
             g = gcd(g, x)
-        P1 = unimodular_completion([x // g for x in v])
-        N = (invert_unimodular(P1) @ N @ P1).submatrix(range(1, n), range(1, n))
+        P1, P1inv = unimodular_completion([x // g for x in v])
+        N = (P1inv @ N @ P1).submatrix(range(1, n), range(1, n))
         P = P @ IntMatrix.block_diag(IntMatrix.identity(k), P1)
     return P
 

@@ -201,6 +201,15 @@ class TestSizeExpressions:
             e = parse_size_expr(text)
             assert parse_size_expr(e.render()) == e
 
+    def test_offset_only_inside_parentheses(self):
+        e = parse_size_expr("3^n+1")
+        assert e.eval(1) == 4 and e.render() == "3^n+1"
+        assert parse_size_expr("3^n-1").eval(2) == 8
+        for text, value in (("3^(n+1)", 9), ("l5(n+1)", 41), ("2*3^(n+2)-1", 53)):
+            e = parse_size_expr(text)
+            assert e.eval(1) == value
+            assert e.render() == text and parse_size_expr(e.render()) == e
+
     def test_bad_expressions(self):
         for text in ("3^", "l5", "n*", "3^^2", "q"):
             with pytest.raises(InputError):

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -6,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from nccwk.fgab.intmat import (
     IntMatrix,
+    SmithDecomposition,
     det,
     invert_unimodular,
     kernel,
@@ -168,10 +168,21 @@ def test_smith_large_seeded_matrices():
 
 
 def test_verify_rejects_a_wrong_inverse():
-    A = M([[6, 4], [2, 8]])
-    s = smith_normal_form(A)
-    bad = dataclasses.replace(s, Uinv=s.Uinv.scale(-1))
+    # U A V = D holds, but U = [2] has no integer inverse
+    A = M([[0]])
+    bad = SmithDecomposition(M([[2]]), M([[0]]), M([[1]]), (0,))
+    assert bad.U @ A @ bad.V == bad.D
     assert not bad.verify(A)
+
+
+def test_inverses_are_computed_when_read():
+    A = M([[6, 4, 1], [2, 8, 3]])
+    s = smith_normal_form(A)
+    assert "Uinv" not in vars(s) and "Vinv" not in vars(s)
+    before = smith_normal_form.cache_info()
+    assert s.U @ s.Uinv == IntMatrix.identity(A.rows)
+    assert s.V @ s.Vinv == IntMatrix.identity(A.cols)
+    assert smith_normal_form.cache_info() == before
 
 
 @settings(max_examples=40, deadline=None)
@@ -272,9 +283,10 @@ def test_unimodular_completion(v):
         with pytest.raises(ValueError):
             unimodular_completion(v)
         return
-    P = unimodular_completion(v)
+    P, Pinv = unimodular_completion(v)
     assert P.col(0) == tuple(v)
     assert abs(det(P)) == 1
+    assert Pinv @ P == IntMatrix.identity(len(v))
 
 
 @settings(max_examples=60, deadline=None)
