@@ -3,7 +3,8 @@
 Generates unital complexes within the given bounds (point count, interval
 count, multiplicity, point block size; interval sizes are forced by
 unitality) as rows (k, h, alpha rows, beta rows), one per orbit under
-permuting point and interval blocks, keeping no set of the orbits seen.
+permuting point and interval blocks, by an orderly test pruned by prefix
+(McKay 1998) that keeps no set of the orbits seen.
 Whether a candidate is odd depends only on alpha - beta and on which
 entries of alpha or beta are nonzero; a verdict memo on that key lives for
 one call of search_odd_blocks, and only on a miss is an NccwComplex built
@@ -87,14 +88,15 @@ def _pair_images(k, pairs):
     """For every permutation of the points other than the identity that keeps
     the sizes k, the index of the image of each pair.  Such a permutation
     keeps weighted row sums, so it maps pairs to pairs."""
-    index = {(ra, rb): i for i, (ra, rb, _) in enumerate(pairs)}
+    rows = {ra: r for r, ra in enumerate(dict.fromkeys(ra for ra, _, _ in pairs))}
+    index = {(rows[ra], rows[rb]): i for i, (ra, rb, _) in enumerate(pairs)}
     points = tuple(range(len(k)))
     images = []
     for perm in permutations(points):
         if perm == points or any(k[j] != k[perm[j]] for j in points):
             continue
-        images.append(tuple(index[tuple(ra[j] for j in perm), tuple(rb[j] for j in perm)]
-                            for ra, rb, _ in pairs))
+        moved = [rows[tuple(map(row.__getitem__, perm))] for row in rows]
+        images.append(tuple(index[moved[a], moved[b]] for a, b in index))
     return images
 
 
@@ -115,20 +117,34 @@ def _enumerate_unital(bounds: SearchBounds):
     tuple is emitted iff none of its images is lexicographically smaller, so
     each orbit is emitted once, where combinations_with_replacement first
     reaches it, and no record of the orbits already emitted is kept.
+    The test is pruned by prefix (McKay, "Isomorph-free exhaustive
+    generation", J. Algorithms 26, 1998): an image sending an entry below the
+    first entry f sorts below the tuple, so every entry j needs low[j] >= f,
+    low[j] the least image of pair j; an image sending no entry onto f sorts
+    above it, so only images onto f are tested.  Same tuples, same order.
     """
     for p in range(1, bounds.max_p + 1):
         for k in combinations_with_replacement(range(1, bounds.max_size + 1), p):
             pairs = _row_pairs(k, bounds.max_mult)
             images = _pair_images(k, pairs)
+            n = len(pairs)
+            low = [min((image[j] for image in images), default=j) for j in range(n)]
+            inverses = [sorted(range(n), key=image.__getitem__) for image in images]
+            firsts = []
+            for f in (f for f in range(n) if low[f] >= f):
+                onto = {j: [] for j in range(f, n) if low[j] >= f}
+                for image, inverse in zip(images, inverses):
+                    onto.get(inverse[f], []).append(image)
+                firsts.append((f, onto))
             for l in range(1, bounds.max_l + 1):
-                for combo in combinations_with_replacement(range(len(pairs)), l):
-                    least = list(combo)
-                    for image in images:
-                        if sorted(map(image.__getitem__, combo)) < least:
-                            break
-                    else:
-                        alpha, beta, h = zip(*map(pairs.__getitem__, combo))
-                        yield k, h, alpha, beta
+                for f, onto in firsts:
+                    for rest in combinations_with_replacement(onto, l - 1):
+                        combo = (f, *rest)
+                        least = list(combo)
+                        if not any(sorted(map(image.__getitem__, combo)) < least
+                                   for j in set(combo) for image in onto[j]):
+                            alpha, beta, h = zip(*map(pairs.__getitem__, combo))
+                            yield k, h, alpha, beta
 
 
 def reverify_odd_witness(A: NccwComplex, spec: CompactIdealSpec) -> bool:

@@ -7,12 +7,13 @@ fraction-free elimination, purity via the raw divisibility definition,
 tensor/Tor via the classification of finitely generated abelian groups,
 characteristic polynomials by cofactor expansion, integer roots by
 scanning divisors, nonnegative kernel vectors by Fourier-Motzkin
-elimination, search candidates by brute-force first appearance, and the
-torsion of a quotient's K_1 by gcds of minors.
+elimination, search candidates by brute-force first appearance and by
+the orderly test against every point permutation, and the torsion of a
+quotient's K_1 by gcds of minors.
 """
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import gcd
 
 
@@ -362,13 +363,7 @@ def first_appearance_candidates(max_p, max_l, max_mult, max_size, canonical_key)
     seen = set()
     for p in range(1, max_p + 1):
         for k in combinations_with_replacement(range(1, max_size + 1), p):
-            by_sum = {}
-            for row in product(range(max_mult + 1), repeat=p):
-                s = sum(m * kk for m, kk in zip(row, k))
-                if s > 0:
-                    by_sum.setdefault(s, []).append(row)
-            pairs = [(ra, rb, s) for s, rows in sorted(by_sum.items())
-                     for ra in rows for rb in rows]
+            pairs = _unital_row_pairs(k, max_mult)
             for l in range(1, max_l + 1):
                 for combo in combinations_with_replacement(pairs, l):
                     key = canonical_key(k, tuple(c[2] for c in combo),
@@ -376,3 +371,41 @@ def first_appearance_candidates(max_p, max_l, max_mult, max_size, canonical_key)
                     if key not in seen:
                         seen.add(key)
                         yield key
+
+
+def _unital_row_pairs(k, max_mult):
+    """(alpha row, beta row, interval size) triples with the same positive
+    weighted sum, by sum, then alpha row, then beta row."""
+    by_sum = {}
+    for row in product(range(max_mult + 1), repeat=len(k)):
+        s = sum(m * kk for m, kk in zip(row, k))
+        if s > 0:
+            by_sum.setdefault(s, []).append(row)
+    return [(ra, rb, s) for s, rows in sorted(by_sum.items())
+            for ra in rows for rb in rows]
+
+
+def all_images_orderly_candidates(max_p, max_l, max_mult, max_size):
+    """The unital complexes within bounds as (k, h, alpha rows, beta rows),
+    one per orbit, by the orderly test with no pruning: a non-decreasing
+    tuple of pair indices is kept iff no size-keeping point permutation
+    maps it to a lexicographically smaller sorted tuple.  Every tuple is
+    tested against every non-identity permutation."""
+    for p in range(1, max_p + 1):
+        for k in combinations_with_replacement(range(1, max_size + 1), p):
+            pairs = _unital_row_pairs(k, max_mult)
+            index = {(ra, rb): i for i, (ra, rb, _) in enumerate(pairs)}
+            points = tuple(range(p))
+            images = [tuple(index[tuple(ra[j] for j in perm), tuple(rb[j] for j in perm)]
+                            for ra, rb, _ in pairs)
+                      for perm in permutations(points)
+                      if perm != points and all(k[j] == k[perm[j]] for j in points)]
+            for l in range(1, max_l + 1):
+                for combo in combinations_with_replacement(range(len(pairs)), l):
+                    least = list(combo)
+                    for image in images:
+                        if sorted(map(image.__getitem__, combo)) < least:
+                            break
+                    else:
+                        alpha, beta, h = zip(*map(pairs.__getitem__, combo))
+                        yield k, h, alpha, beta

@@ -36,7 +36,12 @@ from nccwk.nccw import (
     odd_witnesses,
 )
 
-from oracles import first_appearance_candidates, nonnegative_kernel_witness, quotient_k1_torsion
+from oracles import (
+    all_images_orderly_candidates,
+    first_appearance_candidates,
+    nonnegative_kernel_witness,
+    quotient_k1_torsion,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "docs" / "samples"
@@ -171,6 +176,22 @@ class TestSearch:
         so only size-keeping point permutations act."""
         orderly = [_canonical_key(*c) for c in _enumerate_unital(SearchBounds(*bounds))]
         assert orderly == list(first_appearance_candidates(*bounds, _canonical_key))
+
+    @pytest.mark.parametrize("bounds", [
+        (3, 2, 2, 1), (3, 2, 1, 1), (2, 3, 2, 2), (3, 2, 3, 1),
+        pytest.param((4, 2, 2, 1), marks=pytest.mark.slow),
+        pytest.param((3, 3, 2, 1), marks=pytest.mark.slow),
+    ])
+    def test_pruned_generation_matches_all_images_test(self, bounds):
+        """The prefix-pruned orderly test emits the same rows in the same
+        order as the test against every size-keeping point permutation."""
+        pruned = list(_enumerate_unital(SearchBounds(*bounds)))
+        assert pruned == list(all_images_orderly_candidates(*bounds))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("bounds, count", [((4, 2, 2, 1), 28_879), ((5, 2, 2, 1), 393_172)])
+    def test_emission_counts(self, bounds, count):
+        assert sum(1 for _ in _enumerate_unital(SearchBounds(*bounds))) == count
 
     @pytest.mark.parametrize("bounds", [(3, 2, 2, 1), (3, 2, 1, 1), (2, 3, 2, 2)])
     def test_candidates_are_valid_unital_complexes(self, bounds):
