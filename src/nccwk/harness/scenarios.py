@@ -199,6 +199,16 @@ def _limit(sink, claim_id, anchor, source, system, expected: str):
                ident.describe() if ident else "unidentified")
 
 
+def _sweeps(cone, samples, small: int, large: int):
+    """check_unperforated to small and to large.  The small sweep asks the large
+    one's questions up to each outside g's small*g, in order, so a wide answer
+    that is None or has n <= small is the narrow one too; else sweep again."""
+    wide = check_unperforated(cone, samples, large)
+    if wide is None or wide[1] <= small:
+        return wide, wide
+    return check_unperforated(cone, samples, small), wide
+
+
 def build_thm33() -> ScenarioReport:
     sink = ClaimSink()
     fam = odd_tower_family()
@@ -304,11 +314,10 @@ def build_thm33() -> ScenarioReport:
     sink.note("the K_0(E) cone {x > 0, or x = 0 and y >= 0} is dilation invariant, "
               "so no sampled dilation can exhibit perforation; the sampled check "
               "below confirms this on 10^4 deterministic points")
-    samples = list(deterministic_localized_samples(3, 2, 10000))
-    sink.check("cone.unperforated", "K_0(E) is unperforated", "paper",
-               "none", check_unperforated(cone, samples, 12) or "none")
+    narrow, wide = _sweeps(cone, list(deterministic_localized_samples(3, 2, 10000)), 12, 24)
+    sink.check("cone.unperforated", "K_0(E) is unperforated", "paper", "none", narrow or "none")
     sink.check("cone.unperforated.stable", "enlarging the dilation bound finds nothing new",
-               "derived", "none", check_unperforated(cone, samples, 24) or "none")
+               "derived", "none", wide or "none")
 
     table = {
         ((Fraction(0), Fraction(1)), (2,)): True,

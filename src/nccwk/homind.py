@@ -25,7 +25,6 @@ from typing import Callable, Optional, Sequence
 
 from .fgab.intmat import (
     IntMatrix,
-    invert_unimodular,
     kernel,
     solve_matrix,
     unimodular_completion,
@@ -540,9 +539,9 @@ def _integer_roots(poly):
     return sorted(roots, key=lambda v: (-abs(v), v))
 
 
-def _triangularize(M: IntMatrix) -> Optional[IntMatrix]:
-    """Unimodular P with P^-1 M P upper triangular, via integer eigenflags,
-    or None when none exists.
+def _triangularize(M: IntMatrix) -> Optional[tuple]:
+    """(P, P^-1) with P unimodular and P^-1 M P upper triangular, via
+    integer eigenflags, or None when no such P exists.
 
     Such a P exists iff det(xI - M) splits into integer linear factors: an
     integer eigenvalue has a primitive integer eigenvector, which completes
@@ -550,7 +549,9 @@ def _triangularize(M: IntMatrix) -> Optional[IntMatrix]:
     quotient.  So the roots are taken with multiplicity by synthetic
     division, a leftover factor of positive degree returns None, and the
     flags are split off in (-|v|, v) order, one kernel and one completion
-    per eigenvalue: polynomial in r and the entries' bit size.
+    per eigenvalue, whose inverse extends P^-1 as the completion extends P
+    (past the first flag, only P's last r - k columns and P^-1's last r - k
+    rows change): polynomial in r and the entries' bit size.
     """
     r = M.rows
     poly = _char_poly(M)
@@ -564,19 +565,21 @@ def _triangularize(M: IntMatrix) -> Optional[IntMatrix]:
             roots.append(lam)
     if len(poly) > 1:
         return None
-    P = IntMatrix.identity(r)
+    P = Pinv = IntMatrix.identity(r)
     N = M
     for k, lam in enumerate(roots[:-1]):
         n = r - k
         K = kernel(N - IntMatrix.identity(n).scale(lam))
         v = list(K.col(0))
-        g = 0
-        for x in v:
-            g = gcd(g, x)
+        g = gcd(*v)
         P1, P1inv = unimodular_completion([x // g for x in v])
-        N = (P1inv @ N @ P1).submatrix(range(1, n), range(1, n))
-        P = P @ IntMatrix.block_diag(IntMatrix.identity(k), P1)
-    return P
+        N = P1inv.submatrix(range(1, n), range(n)) @ N @ P1.submatrix(range(n), range(1, n))
+        if k:
+            rows, tail = range(r), range(k, r)
+            P1 = P.submatrix(rows, range(k)).hstack(P.submatrix(rows, tail) @ P1)
+            P1inv = IntMatrix(r, r, Pinv.entries[:k] + (P1inv @ Pinv.submatrix(tail, rows)).entries)
+        P, Pinv = P1, P1inv
+    return P, Pinv
 
 
 def _decouple(T: IntMatrix, P: IntMatrix):
@@ -684,10 +687,11 @@ def identify_localized_limit(sys: IndSystem) -> Optional[LocalizedLimit]:
     gen_basis = snf.Uinv.submatrix(range(G.generators), free_idx)
     if M.rows == 0:
         return LocalizedLimit(n0, (), gen_basis, ())
-    P = _triangularize(M)
-    if P is None:
+    flag = _triangularize(M)
+    if flag is None:
         return None
-    T = invert_unimodular(P) @ M @ P
+    P, Pinv = flag
+    T = Pinv @ M @ P
     T, P = _decouple(T, P)
     P = gen_basis @ P
     r = T.rows

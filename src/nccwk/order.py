@@ -84,8 +84,8 @@ def check_unperforated(cone: ConeOracle, samples: Iterable, nmax: int) -> Option
     inside, 2 <= n <= nmax.  None means no violation among the samples;
     a bounded verifier, not a proof (unless the cone is dilation invariant).
 
-    The oracle is asked once per sample and once per (outside sample, n)
-    pair, n ascending, so a run without violation makes
+    The bare predicate cone.membership is asked once per sample and once per
+    (outside sample, n) pair, n ascending, so a run without violation makes
     len(samples) + outside * (nmax - 1) calls.  A tuple sample outside the
     cone dilates coordinatewise: each coordinate's row of dilations
     n*x, n = 2..nmax, is built once per call, as Fraction(a * n, d) for a
@@ -96,7 +96,7 @@ def check_unperforated(cone: ConeOracle, samples: Iterable, nmax: int) -> Option
     """
     if nmax < 2:
         raise ValueError("nmax must be at least 2")
-    contains = cone.contains
+    contains = cone.membership
     factors = range(2, nmax + 1)
     rows = {}
 
@@ -126,12 +126,8 @@ def verify_perforation_witness(cone: ConeOracle, g, n: int) -> bool:
     """Confirm a perforation witness: n*g positive but g not."""
     if n < 2:
         raise ValueError("a witness needs n >= 2")
-    return cone.contains(_dilate(g, n)) and not cone.contains(g)
-
-
-def _dilate(g, n: int):
-    """n*g for a GradedElement or a plain coordinate tuple."""
-    return g.scale(n) if hasattr(g, "scale") else tuple([x * n for x in g])
+    ng = g.scale(n) if hasattr(g, "scale") else tuple([x * n for x in g])
+    return cone.contains(ng) and not cone.contains(g)
 
 
 # -- the concrete cones of the inductive-limit constructions -----------------
@@ -158,8 +154,12 @@ def halfplane_cone(first_prime: int, second_prime: int) -> ConeOracle:
     x_ok, y_ok = set(), set()
 
     def member(g) -> bool:
-        x, y = g[0], g[1]
-        if not (isinstance(x, _EXACT) and isinstance(y, _EXACT)):
+        try:
+            x, y = g
+        except ValueError:
+            raise ValueError(f"cone elements are pairs, not {len(g)}-tuples") from None
+        if not ((type(x) is Fraction or type(x) is int or isinstance(x, _EXACT))
+                and (type(y) is Fraction or type(y) is int or isinstance(y, _EXACT))):
             raise ValueError(f"coordinates must be int or Fraction, not {x!r}, {y!r}")
         dx, dy = x.denominator, y.denominator
         if dx not in x_ok or dy not in y_ok:
@@ -197,13 +197,13 @@ _SAMPLE_SEED = 20250809
 
 
 def deterministic_localized_samples(first_prime: int, second_prime: int, count: int):
-    """Deterministic sample stream of Z[1/p] (+) Z[1/q] pairs."""
+    """Deterministic sample stream of Z[1/p] (+) Z[1/q] pairs.  Each side's 405
+    coordinates Fraction(a, p**i), keyed by (a, i), are built once and shared."""
     import random
 
-    rng = random.Random(_SAMPLE_SEED)
+    randint = random.Random(_SAMPLE_SEED).randint
+    xs = {(a, i): Fraction(a, first_prime ** i) for a in range(-40, 41) for i in range(5)}
+    ys = {(b, j): Fraction(b, second_prime ** j) for b in range(-40, 41) for j in range(5)}
     for _ in range(count):
-        a = rng.randint(-40, 40)
-        i = rng.randint(0, 4)
-        b = rng.randint(-40, 40)
-        j = rng.randint(0, 4)
-        yield (Fraction(a, first_prime ** i), Fraction(b, second_prime ** j))
+        a, i, b, j = randint(-40, 40), randint(0, 4), randint(-40, 40), randint(0, 4)
+        yield (xs[a, i], ys[b, j])

@@ -587,9 +587,11 @@ def test_triangularize_iff_char_poly_splits(rows):
     x = sympy.Symbol("x")
     _, factors = sympy.factor_list(sympy.Matrix(rows).charpoly(x).as_expr(), x)
     linear = sum(e for f, e in factors if sympy.degree(f, x) == 1)
-    P = _triangularize(IntMatrix.from_rows(rows))
-    assert (P is None) == (linear < r)
-    if P is not None:
+    flag = _triangularize(IntMatrix.from_rows(rows))
+    assert (flag is None) == (linear < r)
+    if flag is not None:
+        P, Pinv = flag
+        assert P @ Pinv == IntMatrix.identity(r)
         Ps = sympy.Matrix([list(row) for row in P.entries])
         assert abs(Ps.det()) == 1
         T = Ps.inv() * sympy.Matrix(rows) * Ps

@@ -17,7 +17,8 @@ from nccwk.order import (
     stage_dominates,
     verify_perforation_witness,
 )
-from nccwk.harness.scenarios import odd_tower_family
+from nccwk.harness import scenarios
+from nccwk.harness.scenarios import _sweeps, odd_tower_family, run_scenario
 
 
 def k0_system():
@@ -110,6 +111,12 @@ class TestUnperforation:
             cone.contains((0.5, Fraction(0)))
         with pytest.raises(ValueError):
             cone.contains((Fraction(1), "1/3"))
+        # elements are pairs: a third coordinate is not dropped, a lone one
+        # is not an IndexError
+        with pytest.raises(ValueError, match="pairs, not 3-tuples"):
+            cone.contains((1, 0, -5))
+        with pytest.raises(ValueError, match="pairs, not 1-tuples"):
+            cone.contains((1,))
 
     def test_accepted_denominators_are_per_cone(self):
         """A denominator that is not a power of the prime raises on every
@@ -201,6 +208,60 @@ class TestSweepOracleCalls:
         assert factors == [2, 3, 4, 5]
         assert calls[1:] == [GradedElement((-n * Fraction(1, 2), n * Fraction(1, 3)), (n,))
                              for n in range(2, 6)]
+
+
+class TestSweeps:
+    """thm3.3's two dilation bounds from one sweep, against one direct
+    check_unperforated call per bound."""
+
+    def both(self, cone, samples, small, large):
+        oracle, calls = recording(cone)
+        got = _sweeps(oracle, samples, small, large)
+        direct = [recording(cone) for _ in range(2)]
+        want = (check_unperforated(direct[0][0], samples, small),
+                check_unperforated(direct[1][0], samples, large))
+        assert got == want
+        return got, len(calls), [len(c) for _, c in direct]
+
+    def test_clean_cone_takes_one_sweep(self):
+        samples = list(deterministic_localized_samples(3, 2, 500))
+        got, asked, (_, wide) = self.both(halfplane_cone(3, 2), samples, 12, 24)
+        assert got == (None, None)
+        assert asked == wide
+
+    def test_small_violation_takes_one_sweep(self):
+        cone = ConeOracle(lambda g: g[0] == 0 or g[0] >= 2)
+        got, asked, (_, wide) = self.both(cone, [(0,), (1,), (3,)], 3, 6)
+        assert got == (((1,), 2), ((1,), 2))
+        assert asked == wide
+
+    def test_large_violation_falls_back(self):
+        # (2,) first lands inside at n = 5 > small; the later (5,) at n = 2
+        cone = ConeOracle(lambda g: g[0] <= 0 or g[0] >= 10)
+        got, asked, (narrow, wide) = self.both(cone, [(0,), (2,), (5,)], 3, 6)
+        assert got == (((5,), 2), ((2,), 5))
+        assert asked == narrow + wide
+
+
+def test_sample_coordinates_are_shared():
+    samples = list(deterministic_localized_samples(3, 2, 10000))
+    assert len({id(x) for x, _ in samples}) <= 405
+    assert len({id(y) for _, y in samples}) <= 405
+
+
+def test_thm33_cone_questions(monkeypatch):
+    """One sweep to 24 answers both bounds: 10^4 samples, 4,942 of them
+    outside, each asked at n = 2..24, plus the two graded checks' K_0
+    questions.  Two sweeps (to 12 and to 24) asked 188,030."""
+    calls = []
+
+    def counting(p, q):
+        cone = halfplane_cone(p, q)
+        return ConeOracle(lambda g: calls.append(g) or cone.membership(g))
+
+    monkeypatch.setattr(scenarios, "halfplane_cone", counting)
+    run_scenario("thm3.3")
+    assert len(calls) == 10000 + 4942 * 23 + 2 == 123668
 
 
 def test_sample_stream_is_pinned():
