@@ -661,7 +661,10 @@ class _Parser:
         degree = _int(items, "degree", None, "degree must be 0 or 1")
         if degree not in (0, 1):
             raise InputError(deg_ln, "degree must be 0 or 1")
+        given = items.get("constant_from")
         constant_from = _int(items, "constant_from", None, "constant_from must be an integer")
+        if constant_from is not None and constant_from < 0:
+            raise InputError(given[0], "constant_from must be nonnegative: stages count from 0")
         family, bonding = items.pop("family")[1], items.pop("bonding")[1]
         _no_more(items, kind)
         self._add(kind, name, (SystemSpec(name, family, bonding, degree, constant_from), line),

@@ -6,11 +6,11 @@ unitality) as rows (k, h, alpha rows, beta rows), one per orbit under
 permuting point and interval blocks, by an orderly test pruned by prefix
 (McKay 1998) that keeps no set of the orbits seen.
 Whether a candidate is odd depends only on alpha - beta and on which
-entries of alpha or beta are nonzero; a verdict memo on that key lives for
-one call of search_odd_blocks, and only on a miss is an NccwComplex built
-and nccw.odd_witnesses run.  Only an odd candidate is built again, in
-canonical form, where its printed witness is taken.
-That iterator reads the torsion of K_1(A/I) first (K_0(A/I) is free, and
+entries of alpha or beta are nonzero, the arguments of nccw.odd_witnesses;
+a verdict memo on their rows lives for one call of search_odd_blocks.  An
+NccwComplex is built only for an odd candidate, once, in canonical form,
+where its printed witness is taken.
+odd_witnesses reads the torsion of K_1(A/I) first (K_0(A/I) is free, and
 an exact row onto a free K_1(A/I) splits), so a candidate with no such
 torsion for any proper point subset gets no ideal support built, and a
 support without it gets no boundary test.  Every reported witness is
@@ -100,10 +100,6 @@ def _pair_images(k, pairs):
     return images
 
 
-def _complex(k, h, alpha_rows, beta_rows) -> NccwComplex:
-    return NccwComplex(k, h, IntMatrix.from_rows(alpha_rows), IntMatrix.from_rows(beta_rows))
-
-
 def _enumerate_unital(bounds: SearchBounds):
     """All unital complexes within bounds, one per orbit under permuting
     point blocks and interval blocks, each as rows (k, h, alpha, beta) in the
@@ -162,21 +158,23 @@ def search_odd_blocks(max_p: int = SearchBounds.max_p, max_l: int = SearchBounds
     odd witness, re-verified.
 
     verdicts, a memo that lives for this call, holds whether a candidate is
-    odd per (alpha - beta, nonzero pattern of alpha or beta) key, the only
-    data odd_witnesses reads.  The witness is taken on the canonical form,
-    since the order of all_ideal_specs, and so the first witness, depends
-    on the order of the points."""
+    odd per rows of (alpha - beta, nonzero pattern of alpha or beta), the
+    arguments of odd_witnesses, made a matrix only on a miss.  The witness
+    is taken on the canonical form, since the order of all_ideal_specs, and
+    so the first witness, depends on the order of the points."""
     verdicts, out = {}, []
     for k, h, a, b in _enumerate_unital(SearchBounds(max_p, max_l, max_mult, max_size)):
         key = (tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)),
                tuple(tuple(bool(x or y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)))
         odd = verdicts.get(key)
         if odd is None:
-            odd = verdicts[key] = next(odd_witnesses(_complex(k, h, a, b)), None) is not None
+            delta = IntMatrix(len(h), len(k), key[0])
+            odd = verdicts[key] = next(odd_witnesses(delta, key[1]), None) is not None
         if not odd:
             continue
-        B = _complex(*_canonical_key(k, h, a, b))
-        spec = next(odd_witnesses(B))
+        k, h, a, b = _canonical_key(k, h, a, b)
+        B = NccwComplex(k, h, IntMatrix.from_rows(a), IntMatrix.from_rows(b))
+        spec = next(odd_witnesses(B.delta, B.pattern))
         if not reverify_odd_witness(B, spec):
             raise AssertionError(f"re-verification failed for {B} with witness {spec.S}")
         out.append(OddBlock(B, spec))

@@ -276,18 +276,18 @@ def _restrict(m: MapDescription, src: tuple, tgt: tuple) -> tuple:
 
 # -- inductive systems -------------------------------------------------------
 
-class _Stages(dict):
-    """Values by stage, each built by build(n) on its first lookup; stages
-    count from 0, and a negative one raises before anything is built."""
+class _Memo(dict):
+    """Values by key, each built by build(key) on its first lookup; stage keys
+    (by_stage) count from 0, and a negative one raises before any build."""
 
-    def __init__(self, build: Callable[[int], object]):
+    def __init__(self, build: Callable[[object], object], by_stage: bool = True):
         super().__init__()
-        self.build = build
+        self.build, self.by_stage = build, by_stage
 
-    def __missing__(self, n: int):
-        if n < 0:
+    def __missing__(self, key):
+        if self.by_stage and key < 0:
             raise ValueError("stage index must be nonnegative")
-        value = self[n] = self.build(n)
+        value = self[key] = self.build(key)
         return value
 
 
@@ -305,9 +305,9 @@ class IndSystem:
                  eventually_constant_from: Optional[int] = None,
                  cone_at: Optional[Callable[[int], Callable]] = None):
         self.eventually_constant_from = eventually_constant_from
-        self._groups = _Stages(group_at)
-        self._bondings = _Stages(bonding_at)
-        self._cones = _Stages(cone_at) if cone_at is not None else None
+        self._groups = _Memo(group_at)
+        self._bondings = _Memo(bonding_at)
+        self._cones = _Memo(cone_at) if cone_at is not None else None
 
     @staticmethod
     def constant(hom: GroupHom) -> "IndSystem":
@@ -791,13 +791,15 @@ class ComplexFamily:
                  constant_from: Optional[int] = None,
                  basis: Optional[IntMatrix] = None):
         self.constant_from = constant_from
-        self._cx = _Stages(complex_at)
-        self._kd = _Stages(lambda n: k_theory(self._cx[n], basis))
-        self._bond = _Stages(lambda n: MapDescription(self._cx[n], self._cx[n + 1],
-                                                      *assignment_at(n)))
-        self._spec = {}
-        self._rows = {}
-        self._derived = {}
+        self._cx = _Memo(complex_at)
+        self._kd = _Memo(lambda n: k_theory(self._cx[n], basis))
+        self._bond = _Memo(lambda n: MapDescription(self._cx[n], self._cx[n + 1],
+                                                    *assignment_at(n)))
+        self._spec = _Memo(lambda S: _Memo(lambda n: make_ideal_spec(self._cx[n], S)), by_stage=False)
+        self._rows = _Memo(lambda S: _Memo(lambda n: k_sequences(
+            self._cx[n], self.ideal_spec(n, S), self._kd[n],
+            self.ideal_family(S).kdata(n), self.quotient_family(S).kdata(n))), by_stage=False)
+        self._derived = _Memo(lambda key: self._restricted(*key), by_stage=False)
         self._systems = {}
 
     def complex_at(self, n: int) -> NccwComplex:
@@ -827,19 +829,12 @@ class ComplexFamily:
         return self._systems[1]
 
     def ideal_spec(self, n: int, S: Sequence[int]) -> CompactIdealSpec:
-        key = (n, _support(S))
-        if key not in self._spec:
-            self._spec[key] = make_ideal_spec(self._cx[n], S)
-        return self._spec[key]
+        return self._spec[_support(S)][n]
 
     def ideal_rows(self, n: int, S: Sequence[int]) -> tuple:
         """The (K_0, K_1) rows 0 -> K_j(I_n) -> K_j(E_n) -> K_j(E_n/I_n) -> 0 over
         support S, from the stage-n K data of this family and its derived ones."""
-        key = (n, _support(S))
-        if key not in self._rows:
-            kds = self._kd[n], self.ideal_family(S).kdata(n), self.quotient_family(S).kdata(n)
-            self._rows[key] = k_sequences(self._cx[n], self.ideal_spec(n, S), *kds)
-        return self._rows[key]
+        return self._rows[_support(S)][n]
 
     def ladder(self, S: Sequence[int], degree: int) -> "IdealLadder":
         """The K_degree ladder of the ideal over support S along the family."""
@@ -851,31 +846,28 @@ class ComplexFamily:
         return IdealLadder(sys_i, sys_e, sys_q, lambda n: self.ideal_rows(n, S)[degree])
 
     def ideal_family(self, S: Sequence[int]) -> "ComplexFamily":
-        return self._restricted(_support(S), quotient=False)
+        return self._derived[_support(S), False]
 
     def quotient_family(self, S: Sequence[int]) -> "ComplexFamily":
-        return self._restricted(_support(S), quotient=True)
+        return self._derived[_support(S), True]
 
     def _restricted(self, S: tuple, quotient: bool) -> "ComplexFamily":
         """The family of ideal (or quotient) complexes over support S, its
-        bondings restricted from this family's; built once per support."""
-        key = (S, quotient)
-        if key not in self._derived:
-            def kept(n):  # (points, blocks) of the sub-complex at stage n
-                spec = self.ideal_spec(n, S)
-                return _complement(self._cx[n], spec) if quotient else (spec.S, spec.T)
+        bondings restricted from this family's; _derived builds it once per support."""
+        def kept(n):  # (points, blocks) of the sub-complex at stage n
+            spec = self.ideal_spec(n, S)
+            return _complement(self._cx[n].delta, spec) if quotient else (spec.S, spec.T)
 
-            def assignment_at(n):
-                m = self._bond[n]
-                if not description_maps_ideal(m, self.ideal_spec(n, S), self.ideal_spec(n + 1, S)):
-                    raise ValueError("description does not map the ideal into the ideal")
-                # a restriction to ideals is never unital
-                return _restrict(m, blocks[n], blocks[n + 1]) + (quotient and m.unital,)
+        def assignment_at(n):
+            m = self._bond[n]
+            if not description_maps_ideal(m, self.ideal_spec(n, S), self.ideal_spec(n + 1, S)):
+                raise ValueError("description does not map the ideal into the ideal")
+            # a restriction to ideals is never unital
+            return _restrict(m, blocks[n], blocks[n + 1]) + (quotient and m.unital,)
 
-            blocks = _Stages(kept)
-            self._derived[key] = ComplexFamily(
-                lambda n: _subcomplex(self._cx[n], *blocks[n]), assignment_at, self.constant_from)
-        return self._derived[key]
+        blocks = _Memo(kept)
+        return ComplexFamily(
+            lambda n: _subcomplex(self._cx[n], *blocks[n]), assignment_at, self.constant_from)
 
 
 @dataclass(frozen=True)

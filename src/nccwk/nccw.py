@@ -63,6 +63,12 @@ class NccwComplex:
     def delta(self) -> IntMatrix:
         return self.alpha - self.beta
 
+    @cached_property
+    def pattern(self) -> tuple:
+        """Where alpha or beta is nonzero, as rows: with delta, all the verdicts read."""
+        return tuple(tuple(bool(x or y) for x, y in zip(ra, rb))
+                     for ra, rb in zip(self.alpha.entries, self.beta.entries))
+
     @staticmethod
     def direct_sum(*parts: "NccwComplex") -> "NccwComplex":
         return NccwComplex(tuple(x for c in parts for x in c.k), tuple(x for c in parts for x in c.h),
@@ -137,9 +143,8 @@ class CompactIdealSpec:
     witness: tuple  # nonnegative kernel vector positive on all of S
 
 
-def adjacent_blocks(A: NccwComplex, S: Sequence[int]) -> tuple:
-    return tuple(i for i in range(A.l)
-                 if any(A.alpha[i, j] != 0 or A.beta[i, j] != 0 for j in S))
+def adjacent_blocks(pattern: tuple, S: Sequence[int]) -> tuple:
+    return tuple(i for i, row in enumerate(pattern) if any(row[j] for j in S))
 
 
 def _minimal_supports(delta: IntMatrix, points: Sequence[int]) -> list:
@@ -165,10 +170,10 @@ def _minimal_supports(delta: IntMatrix, points: Sequence[int]) -> list:
     return found
 
 
-def _spec(A: NccwComplex, S: tuple, minimal: list) -> CompactIdealSpec:
+def _spec(pattern: tuple, S: tuple, minimal: list) -> CompactIdealSpec:
     """S with the sum of the generators of the minimal supports inside it."""
     inside = [m for m in minimal if m.keys() <= set(S)]
-    return CompactIdealSpec(S, adjacent_blocks(A, S),
+    return CompactIdealSpec(S, adjacent_blocks(pattern, S),
                             tuple(sum(m.get(j, 0) for m in inside) for j in S))
 
 
@@ -184,24 +189,24 @@ def make_ideal_spec(A: NccwComplex, S: Sequence[int]) -> CompactIdealSpec:
     if set().union(*minimal) != set(S):
         raise ValueError(
             f"no projection-generated ideal has point support {[j + 1 for j in S]}")
-    return _spec(A, S, minimal)
+    return _spec(A.pattern, S, minimal)
 
 
-def all_ideal_specs(A: NccwComplex) -> list:
+def all_ideal_specs(delta: IntMatrix, pattern: tuple) -> list:
     """Every valid compact-ideal support, by size then lexicographically:
     the unions of the minimal supports, the empty union included."""
-    minimal = _minimal_supports(A.delta, range(A.p))
+    minimal = _minimal_supports(delta, range(delta.cols))
     closure = {frozenset()}
     for m in minimal:
         closure |= {c.union(m) for c in closure}
     supports = sorted((tuple(sorted(c)) for c in closure), key=lambda S: (len(S), S))
-    return [_spec(A, S, minimal) for S in supports]
+    return [_spec(pattern, S, minimal) for S in supports]
 
 
-def _complement(A: NccwComplex, spec: CompactIdealSpec):
+def _complement(delta: IntMatrix, spec: CompactIdealSpec):
     """The points S^c and interval blocks T^c of the quotient."""
-    return (tuple(j for j in range(A.p) if j not in spec.S),
-            tuple(i for i in range(A.l) if i not in spec.T))
+    return (tuple(j for j in range(delta.cols) if j not in spec.S),
+            tuple(i for i in range(delta.rows) if i not in spec.T))
 
 
 def _subcomplex(A: NccwComplex, points: tuple, blocks: tuple) -> NccwComplex:
@@ -219,7 +224,7 @@ def ideal_complex(A: NccwComplex, spec: CompactIdealSpec) -> NccwComplex:
 
 
 def quotient_complex(A: NccwComplex, spec: CompactIdealSpec) -> NccwComplex:
-    return _subcomplex(A, *_complement(A, spec))
+    return _subcomplex(A, *_complement(A.delta, spec))
 
 
 def inclusion_k_maps(A: NccwComplex, spec: CompactIdealSpec, kd: KData, kd_ideal: KData):
@@ -243,7 +248,7 @@ def inclusion_k_maps(A: NccwComplex, spec: CompactIdealSpec, kd: KData, kd_ideal
 def quotient_k_maps(A: NccwComplex, spec: CompactIdealSpec, kd: KData, kd_quot: KData):
     """(K_0, K_1) of the quotient map onto the complement blocks, in the K_0
     bases of kd (A's K data) and kd_quot (that of quotient_complex(A, spec))."""
-    Sc, Tc = _complement(A, spec)
+    Sc, Tc = _complement(A.delta, spec)
     kd.check_delta(A.delta, "kd")
     kd_quot.check_delta(A.delta.submatrix(Tc, Sc), "kd_quot")
     restricted = kd.k0_basis.submatrix(Sc, range(kd.rank))
@@ -266,7 +271,7 @@ def k_sequences(A: NccwComplex, spec: CompactIdealSpec, kd: Optional[KData] = No
     return ShortExactSeq(i0, q0), ShortExactSeq(i1, q1)
 
 
-def _boundary_vanishes(A: NccwComplex, spec: CompactIdealSpec) -> bool:
+def _boundary_vanishes(delta: IntMatrix, spec: CompactIdealSpec) -> bool:
     """Whether both K rows of the support are exact.
 
     With delta_I = delta[T, S] and delta_Q = delta[T^c, S^c], delta[T^c, S]
@@ -277,17 +282,18 @@ def _boundary_vanishes(A: NccwComplex, spec: CompactIdealSpec) -> bool:
     ker(delta_Q), so both rows are exact iff it vanishes on a basis (the
     empty and the full support need no test).
     """
-    if len(spec.S) in (0, A.p):
+    if len(spec.S) in (0, delta.cols):
         return True
-    Sc, Tc = _complement(A, spec)
-    delta_i = A.delta.submatrix(spec.T, spec.S)
-    link = A.delta.submatrix(spec.T, Sc)
-    return spans(delta_i, link @ kernel(A.delta.submatrix(Tc, Sc)))
+    Sc, Tc = _complement(delta, spec)
+    delta_i = delta.submatrix(spec.T, spec.S)
+    link = delta.submatrix(spec.T, Sc)
+    return spans(delta_i, link @ kernel(delta.submatrix(Tc, Sc)))
 
 
-def odd_witnesses(A: NccwComplex, specs: Optional[list] = None):
-    """The supports of A whose K rows are exact but not pure, in
-    all_ideal_specs order (specs, when given, is that list).
+def odd_witnesses(delta: IntMatrix, pattern: tuple, specs: Optional[list] = None):
+    """The supports whose K rows are exact but not pure, in all_ideal_specs
+    order (specs, when given, is that list), of every complex with this
+    delta = alpha - beta and this nonzero pattern of alpha or beta.
 
     K_0(A/I) is free, and an exact row onto a free K_1(A/I) = coker delta_Q
     splits, so only a support with torsion in coker delta_Q can be a
@@ -302,17 +308,17 @@ def odd_witnesses(A: NccwComplex, specs: Optional[list] = None):
     both properties independently.
     """
     unions = set()
-    for j in range(A.p):
-        blocks = frozenset(i for i in range(A.l) if A.alpha[i, j] or A.beta[i, j])
+    for j in range(delta.cols):
+        blocks = frozenset(i for i, row in enumerate(pattern) if row[j])
         unions |= {u | blocks for u in unions} | {blocks}
-    k1_q = {T: cokernel(A.delta.submatrix([i for i in range(A.l) if i not in T], range(A.p)))
+    k1_q = {T: cokernel(delta.submatrix([i for i in range(delta.rows) if i not in T], range(delta.cols)))
             for T in (tuple(sorted(u)) for u in unions)}
     if not any(G.torsion_orders for G in k1_q.values()):
         return
-    k1 = cokernel(A.delta)
-    for spec in all_ideal_specs(A) if specs is None else specs:
-        if 0 < len(spec.S) < A.p and k1_q[spec.T].torsion_orders and _boundary_vanishes(A, spec):
-            if not k1.is_sum_of(cokernel(A.delta.submatrix(spec.T, spec.S)), k1_q[spec.T]):
+    k1 = cokernel(delta)
+    for spec in all_ideal_specs(delta, pattern) if specs is None else specs:
+        if 0 < len(spec.S) < delta.cols and k1_q[spec.T].torsion_orders and _boundary_vanishes(delta, spec):
+            if not k1.is_sum_of(cokernel(delta.submatrix(spec.T, spec.S)), k1_q[spec.T]):
                 yield spec
 
 
@@ -355,7 +361,7 @@ def classify_block(A: NccwComplex) -> Classification:
     separately as diagnostics, from one boundary test per support.  The
     witnesses come from odd_witnesses, which tests only the supports with
     torsion in K_1(A/I): K_0(A/I) is free, and an exact row onto a free
-    K_1(A/I) splits.
+    K_1(A/I) splits; A is read through A.delta and A.pattern alone.
 
     Cost: finding the minimal supports is 2^p rank tests in the worst
     case, and the supports are the faces of a cone whose number can
@@ -363,6 +369,6 @@ def classify_block(A: NccwComplex) -> Classification:
     p the double description method (Fukuda & Prodon, "Double description
     method revisited", 1996) gives the extreme rays directly.
     """
-    specs = all_ideal_specs(A)
-    nonexact = tuple(spec for spec in specs if not _boundary_vanishes(A, spec))
-    return Classification(nonexact, tuple(odd_witnesses(A, specs)), len(specs))
+    specs = all_ideal_specs(A.delta, A.pattern)
+    nonexact = tuple(spec for spec in specs if not _boundary_vanishes(A.delta, spec))
+    return Classification(nonexact, tuple(odd_witnesses(A.delta, A.pattern, specs)), len(specs))

@@ -195,9 +195,10 @@ class TestSearch:
 
     @pytest.mark.parametrize("bounds", [(3, 2, 2, 1), (3, 2, 1, 1), (2, 3, 2, 2)])
     def test_candidates_are_valid_unital_complexes(self, bounds):
-        """The search builds a complex only on a verdict-memo miss or for an
-        odd block, so most candidates are never validated at run time: here
-        every one builds a valid unital complex within its bounds."""
+        """The search builds a complex only for an odd block, so candidates
+        are never validated at run time: here every one builds a valid
+        unital complex within its bounds, whose delta and pattern are the
+        memo key the search reads off its rows."""
         max_p, max_l, max_mult, max_size = bounds
         for k, h, a, b in _enumerate_unital(SearchBounds(*bounds)):
             A = NccwComplex(k, h, IntMatrix.from_rows(a, cols=len(k)),
@@ -205,11 +206,13 @@ class TestSearch:
             assert A.unital and 1 <= A.p <= max_p and 1 <= A.l <= max_l
             assert max(A.k) <= max_size
             assert max(max(row) for M in (A.alpha, A.beta) for row in M.entries) <= max_mult
+            assert verdict_key(k, h, a, b) == (A.delta.entries, A.pattern)
 
-    def test_complex_built_once_per_key_and_odd_block(self, monkeypatch):
-        """Candidates stay rows: the search builds a complex once per
-        (delta, pattern) key, 394 of them among the 1,853 default candidates,
-        and once per odd block, in canonical form: 410 builds."""
+    def test_complex_built_once_per_odd_block(self, monkeypatch):
+        """Candidates stay rows: a verdict-memo miss passes odd_witnesses
+        alpha - beta and the nonzero pattern, not a complex, so among the
+        1,853 default candidates (394 keys) a complex is built only for each
+        odd block, once, in canonical form: 16 builds."""
         built = []
 
         def counted(*args, **kwargs):
@@ -217,8 +220,9 @@ class TestSearch:
             return NccwComplex(*args, **kwargs)
 
         monkeypatch.setattr(search_module, "NccwComplex", counted)
-        assert len(search_odd_blocks()) == 16
-        assert len(built) == 394 + 16
+        blocks = search_odd_blocks()
+        assert len(blocks) == len(built) == 16
+        assert [args[:2] for args in built] == [(b.complex.k, b.complex.h) for b in blocks]
 
     @pytest.mark.parametrize("bounds", [
         pytest.param((3, 2, 2, 1), id="default"),
@@ -272,21 +276,24 @@ class TestSearch:
         once for each odd block put in canonical form: 55.  The boundary
         test runs only on supports with that torsion: 14 times over the 39
         misses, and once for each odd block, whose first support with
-        torsion is its witness: 30."""
+        torsion is its witness: 30.  Each call's arguments lead back to a
+        candidate: a printed block's by the identity of its delta, a memo
+        miss's through verdict_key."""
         built, minimal, tested = [], [], []
 
         def counted_minimal(delta, points):
             minimal.append(delta)
             return _minimal_supports(delta, points)
 
-        def counted_specs(A):
-            built.append(A)
-            return all_ideal_specs(A)
+        def counted_specs(delta, pattern):
+            built.append((delta, pattern))
+            return all_ideal_specs(delta, pattern)
 
-        def counted_boundary(A, spec):
-            tested.append((A, spec))
-            return _boundary_vanishes(A, spec)
+        def counted_boundary(delta, spec):
+            tested.append((delta, spec))
+            return _boundary_vanishes(delta, spec)
 
+        by_key = {verdict_key(*c): c for c in _enumerate_unital(SearchBounds())}
         guarded = [c for c in _enumerate_unital(SearchBounds()) if past_guard(*c)]
         assert len(guarded) == 132 and len({verdict_key(*c) for c in guarded}) == 39
         monkeypatch.setattr(nccw, "all_ideal_specs", counted_specs)
@@ -295,14 +302,15 @@ class TestSearch:
         blocks = search_odd_blocks()
         assert len(blocks) == 16
         assert len(built) == len(minimal) == 55
-        printed = {id(b.complex) for b in blocks}
-        misses = [A for A in built if id(A) not in printed]
-        assert len(misses) == len({verdict_key(*as_candidate(A)) for A in misses}) == 39
-        assert all(past_guard(*as_candidate(A)) for A in built)
+        printed = {id(b.complex.delta): as_candidate(b.complex) for b in blocks}
+        candidate = {id(delta): printed.get(id(delta)) or by_key[delta.entries, pattern]
+                     for delta, pattern in built}
+        misses = [candidate[id(delta)] for delta, _ in built if id(delta) not in printed]
+        assert len(misses) == len({verdict_key(*c) for c in misses}) == 39
+        assert all(past_guard(*c) for c in candidate.values())
         assert len(tested) == 30
-        assert sum(id(A) in printed for A, _ in tested) == 16
-        assert all(quotient_k1_torsion(A.alpha.entries, A.beta.entries, spec.S)
-                   for A, spec in tested)
+        assert sum(id(delta) in printed for delta, _ in tested) == 16
+        assert all(quotient_k1_torsion(*candidate[id(delta)][2:], spec.S) for delta, spec in tested)
 
     def test_odd_witnesses_once_per_key_and_odd_block(self, monkeypatch):
         """odd_witnesses runs once per distinct (delta, pattern) key, 394 of
@@ -311,9 +319,9 @@ class TestSearch:
         keys = {verdict_key(*c) for c in _enumerate_unital(SearchBounds())}
         runs = []
 
-        def counted(A, specs=None):
-            runs.append(A)
-            return odd_witnesses(A, specs)
+        def counted(delta, pattern, specs=None):
+            runs.append(delta)
+            return odd_witnesses(delta, pattern, specs)
 
         monkeypatch.setattr(search_module, "odd_witnesses", counted)
         blocks = search_odd_blocks()
@@ -337,13 +345,13 @@ class TestSearch:
             B = NccwComplex(k, h, IntMatrix.from_rows(a), IntMatrix.from_rows(b))
             assert verdict_key(*as_candidate(A)) == verdict_key(*as_candidate(B))
             assert (B.k, B.h) != (A.k, A.h) and B.alpha != A.alpha and B.beta != A.beta
-            witnesses = list(odd_witnesses(A))
-            assert witnesses and list(odd_witnesses(B)) == witnesses
+            witnesses = list(odd_witnesses(A.delta, A.pattern))
+            assert witnesses and list(odd_witnesses(B.delta, B.pattern)) == witnesses
             points, blocks = list(reversed(range(A.p))), list(reversed(range(A.l)))
             A2, B2 = (permuted(C, points, blocks) for C in (A, B))
             assert verdict_key(*as_candidate(A2)) == verdict_key(*as_candidate(B2))
-            moved = list(odd_witnesses(A2))
-            assert list(odd_witnesses(B2)) == moved
+            moved = list(odd_witnesses(A2.delta, A2.pattern))
+            assert list(odd_witnesses(B2.delta, B2.pattern)) == moved
             assert ({frozenset(points[j] for j in w.S) for w in moved}
                     == {frozenset(w.S) for w in witnesses})
 

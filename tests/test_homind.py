@@ -296,10 +296,11 @@ class TestFamilyStages:
         bases, so the matrices may differ) and are built once."""
         fam = make()
         for n in range(3):
-            for spec in all_ideal_specs(fam.complex_at(n)):
+            A = fam.complex_at(n)
+            for spec in all_ideal_specs(A.delta, A.pattern):
                 rows = fam.ideal_rows(n, spec.S)
                 assert rows is fam.ideal_rows(n, spec.S)
-                for row, ref in zip(rows, k_sequences(fam.complex_at(n), spec)):
+                for row, ref in zip(rows, k_sequences(A, spec)):
                     assert ([str(row.left), str(row.mid), str(row.right), is_exact(row), is_pure(row)]
                             == [str(ref.left), str(ref.mid), str(ref.right), is_exact(ref), is_pure(ref)])
 

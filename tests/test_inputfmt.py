@@ -148,6 +148,17 @@ class TestErrors:
         e = self.err("complex A { k = 3^n; h = 2*3^n; alpha = [2]; beta = [2] }")
         assert "family" in str(e)
 
+    def test_negative_constant_from_positioned(self):
+        """constant_from is a stage, so a negative one is an error at its own
+        line when the document is read, not when a command later reads a
+        stage before 0."""
+        text = ODD_DOC.replace("degree = 0; constant_from = 0 }",
+                               "degree = 0\n  constant_from = -1\n}")
+        line = next(i for i, x in enumerate(text.splitlines(), 1) if "constant_from = -1" in x)
+        e = self.err(text)
+        assert e.line == line and "constant_from must be nonnegative" in str(e)
+        assert parse(ODD_DOC.replace("constant_from = 0", "constant_from = 2")) is not None
+
     def test_system_needs_known_family(self):
         text = ("family C { n0 = 0; k = 1; h = 2; alpha = [2]; beta = [2] }\n"
                 "map m : C -> C { unital = false }\n"

@@ -118,7 +118,8 @@ class TestIdealSpecs:
                 make_ideal_spec(odd_tower_complex(0), S)
 
     def test_all_supports_of_odd_block(self):
-        specs = all_ideal_specs(odd_tower_complex(0))
+        A = odd_tower_complex(0)
+        specs = all_ideal_specs(A.delta, A.pattern)
         assert [s.S for s in specs] == [(), (2,), (0, 1), (0, 1, 2)]
 
     @pytest.mark.parametrize("case", CASES)
@@ -130,8 +131,8 @@ class TestIdealSpecs:
         A = draw_complex(data, case)
         accepted = [S for size in range(A.p + 1) for S in combinations(range(A.p), size)
                     if nonnegative_kernel_witness(
-                        A.delta.submatrix(adjacent_blocks(A, S), S), range(len(S))) is not None]
-        specs = all_ideal_specs(A)
+                        A.delta.submatrix(adjacent_blocks(A.pattern, S), S), range(len(S))) is not None]
+        specs = all_ideal_specs(A.delta, A.pattern)
         assert [spec.S for spec in specs] == accepted
         for spec in specs:
             assert make_ideal_spec(A, spec.S) == spec
@@ -205,7 +206,7 @@ class TestIdealCalculus:
     def test_inclusion_then_quotient_is_zero(self):
         A = torsion_tower_complex(0)
         kd = k_theory(A)
-        for spec in all_ideal_specs(A):
+        for spec in all_ideal_specs(A.delta, A.pattern):
             i0, i1 = inclusion_k_maps(A, spec, kd, k_theory(ideal_complex(A, spec)))
             q0, q1 = quotient_k_maps(A, spec, kd, k_theory(quotient_complex(A, spec)))
             assert q0.compose(i0).is_zero_hom()
@@ -245,14 +246,14 @@ class TestExtensions:
         agree, and every witness has torsion in K_1(A/I)."""
         A = draw_complex(data, case)
         exact_nonpure = []
-        for spec in all_ideal_specs(A):
+        for spec in all_ideal_specs(A.delta, A.pattern):
             s0, s1 = k_sequences(A, spec)
             # the snake lemma: one row is exact iff the other is
             assert is_exact(s0) == is_exact(s1)
-            assert _boundary_vanishes(A, spec) == is_exact(s0)
+            assert _boundary_vanishes(A.delta, spec) == is_exact(s0)
             if is_exact(s0) and not (_splits(s0) and _splits(s1)):
                 exact_nonpure.append(spec)
-        assert list(odd_witnesses(A)) == exact_nonpure
+        assert list(odd_witnesses(A.delta, A.pattern)) == exact_nonpure
         for spec in exact_nonpure:
             assert quotient_torsion(A, spec.S)
 
@@ -261,9 +262,9 @@ class TestExtensions:
         paper's two towers, where non-pure exact rows occur."""
         blocks = [b.complex for b in default_search]
         for A in blocks + [odd_tower_complex(0), torsion_tower_complex(0)]:
-            specs = all_ideal_specs(A)
-            witnesses = list(odd_witnesses(A))
-            verdicts = [(_boundary_vanishes(A, spec), spec not in witnesses) for spec in specs]
+            specs = all_ideal_specs(A.delta, A.pattern)
+            witnesses = list(odd_witnesses(A.delta, A.pattern))
+            verdicts = [(_boundary_vanishes(A.delta, spec), spec not in witnesses) for spec in specs]
             built = []
             for spec in specs:
                 s0, s1 = k_sequences(A, spec)
@@ -285,7 +286,7 @@ class TestExtensions:
         if not any(quotient_torsion(A, S)
                    for size in range(1, A.p) for S in combinations(range(A.p), size)):
             assert cls.odd_witness is None and cls.nonpure_witnesses == ()
-        assert cls.nonpure_witnesses == tuple(odd_witnesses(A))
+        assert cls.nonpure_witnesses == tuple(odd_witnesses(A.delta, A.pattern))
 
     def test_torsion_tower_rows(self):
         A = torsion_tower_complex(0)
@@ -299,7 +300,7 @@ class TestExtensions:
     def test_rank_additivity_when_boundary_trivial(self):
         for A in (odd_tower_complex(0), torsion_tower_complex(0), dimension_drop(3)):
             kd = k_theory(A)
-            for spec in all_ideal_specs(A):
+            for spec in all_ideal_specs(A.delta, A.pattern):
                 s0, s1 = k_sequences(A, spec)
                 if not (is_exact(s0) and is_exact(s1)):
                     continue
@@ -351,7 +352,7 @@ class TestClassification:
                 if sa > 0 and sa == sum(x * y for x, y in zip(b, k)):
                     break
             A = NccwComplex(k, (sa,), IntMatrix.from_rows([a]), IntMatrix.from_rows([b]))
-            for spec in all_ideal_specs(A):
+            for spec in all_ideal_specs(A.delta, A.pattern):
                 s0, s1 = k_sequences(A, spec)
                 if is_exact(s0) and is_exact(s1):
                     assert is_pure(s0) and is_pure(s1)
@@ -366,6 +367,6 @@ class TestClassification:
 
     def test_nice_verdict_rechecks(self):
         A = dimension_drop(2)
-        for spec in all_ideal_specs(A):
+        for spec in all_ideal_specs(A.delta, A.pattern):
             s0, s1 = k_sequences(A, spec)
             assert is_pure(s0) and is_pure(s1)
