@@ -108,7 +108,7 @@ class FgGroup:
         """Coordinates in the diagonalized presentation; a complete equality
         invariant for classes of elements."""
         v = self.check_element(v)
-        y = self.presentation_smith.U.apply(v)
+        y = self.presentation_smith.apply_U(v)
         out = []
         for yi, d in zip(y, self.diagonal_orders):
             out.append(yi % d if d > 0 else yi)

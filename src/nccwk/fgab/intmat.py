@@ -4,10 +4,12 @@ Everything downstream (K-groups, induced maps, purity checks) reduces to
 integer linear algebra on small matrices, so this module keeps entries as
 plain Python ints (arbitrary precision) and never touches floats.
 
-The Smith normal form here tracks the two transforms of D = U*A*V, U and
-V unimodular; their inverses, which the cyclic decomposition of a
-cokernel reads, are factored only when asked for.  It takes two passes
-(Kannan & Bachem, SIAM J. Comput. 8, 1979):
+The Smith normal form here reduces A to D = U*A*V, U and V unimodular,
+and records the row and column operations it applies instead of carrying
+U and V.  U, V and their inverses (the cyclic decomposition of a cokernel
+reads Uinv) are replayed from those records when first read, and a solve
+replays the row record onto its right-hand side alone.  The reduction
+takes two passes (Kannan & Bachem, SIAM J. Comput. 8, 1979):
 
 1. Hermite passes.  The rows are put in Hermite normal form one row at a
    time, each new row eliminated against the pivots found so far, with
@@ -173,23 +175,62 @@ def det(A: IntMatrix) -> int:
 class SmithDecomposition:
     """D = U*A*V with U, V unimodular and D diagonal, d_i | d_{i+1}, d_i >= 0.
 
-    Uinv and Vinv, the exact inverses of U and V, are computed on first
-    read; columns of Uinv realize the cyclic decomposition of coker(A) on
-    the original generators.
+    The engine records its row and column operations (see _Worker).  U, V
+    and their exact inverses Uinv and Vinv are replayed from those records
+    on first read, and apply_U replays the row record onto one vector.
+    Columns of Uinv realize the cyclic decomposition of coker(A) on the
+    original generators.
     """
 
-    U: IntMatrix
     D: IntMatrix
-    V: IntMatrix
     invariant_factors: tuple
+    row_ops: tuple
+    col_ops: tuple
+
+    @cached_property
+    def U(self) -> IntMatrix:
+        m = self.D.rows
+        return IntMatrix(m, m, tuple(map(tuple, _replay(self.row_ops, m))))
+
+    @cached_property
+    def V(self) -> IntMatrix:
+        # the column record acts on V^T by rows
+        n = self.D.cols
+        return IntMatrix(n, n, tuple(zip(*_replay(self.col_ops, n))))
 
     @cached_property
     def Uinv(self) -> IntMatrix:
-        return invert_unimodular(self.U)
+        # U = E_N ... E_1, so Uinv^T = E_N^-T ... E_1^-T: the inverse-transposed
+        # operations replayed in recorded order
+        m = self.D.rows
+        return IntMatrix(m, m, tuple(zip(*_replay(_inverse_transposed(self.row_ops), m))))
 
     @cached_property
     def Vinv(self) -> IntMatrix:
-        return invert_unimodular(self.V)
+        # V = F_1^T ... F_M^T, so Vinv = F_M^-T ... F_1^-T
+        n = self.D.cols
+        return IntMatrix(n, n, tuple(map(tuple, _replay(_inverse_transposed(self.col_ops), n))))
+
+    def apply_U(self, vec: Sequence[int]) -> tuple:
+        """U vec, replayed from the row record without building U."""
+        if len(vec) != self.D.rows:
+            raise ValueError("vector length mismatch")
+        v = list(vec)
+        for op in self.row_ops:
+            kind = op[0]
+            if kind == 0:
+                _, i, k, q = op
+                v[i] += q * v[k]
+            elif kind == 1:
+                _, i, j, a, b, c, d = op
+                x, y = v[i], v[j]
+                v[i] = a * x + b * y
+                v[j] = c * x + d * y
+            elif kind == 2:
+                v[op[1]] = -v[op[1]]
+            else:
+                v = [v[i] for i in op[1]]
+        return tuple(v)
 
     def verify(self, A: IntMatrix) -> bool:
         ok = (self.U @ A @ self.V) == self.D
@@ -201,6 +242,45 @@ class SmithDecomposition:
             if d[i] == 0 and d[i + 1] != 0:
                 return False
         return ok
+
+
+def _replay(ops, n: int) -> list:
+    """The rows of the n x n identity after the recorded row operations."""
+    M = [[0] * n for _ in range(n)]
+    for i in range(n):
+        M[i][i] = 1
+    for op in ops:
+        kind = op[0]
+        if kind == 0:
+            _, i, k, q = op
+            M[i] = [x + q * y for x, y in zip(M[i], M[k])]
+        elif kind == 1:
+            _, i, j, a, b, c, d = op
+            ri, rj = M[i], M[j]
+            M[i] = [a * x + b * y for x, y in zip(ri, rj)]
+            M[j] = [c * x + d * y for x, y in zip(ri, rj)]
+        elif kind == 2:
+            M[op[1]] = [-x for x in M[op[1]]]
+        else:
+            M = [M[i] for i in op[1]]
+    return M
+
+
+def _inverse_transposed(ops):
+    """Each recorded operation E as the operation E^-T.  A negation and a
+    permutation are their own inverse transposes; a combine has
+    determinant e = ad - bc = +-1, so its inverse is e * [[d, -b], [-c, a]]."""
+    for op in ops:
+        kind = op[0]
+        if kind == 0:
+            _, i, k, q = op
+            yield (0, k, i, -q)
+        elif kind == 1:
+            _, i, j, a, b, c, d = op
+            e = a * d - b * c
+            yield (1, i, j, e * d, -e * c, -e * b, e * a)
+        else:
+            yield op
 
 
 def _xgcd(a: int, b: int):
@@ -219,25 +299,31 @@ def _xgcd(a: int, b: int):
 
 
 class _Worker:
-    """Mutable state for the reduction: D and its two transforms.
+    """Mutable state for the reduction: D and a record of each side's
+    operations on it.  A record is a list of small tuples,
 
-    The column side is stored transposed, Vt = V^T, so a column operation
-    changes Vt exactly as a row operation changes U, and transposing the
-    state only transposes D.
+        (0, i, k, q)           row i += q * row k,
+        (1, i, j, a, b, c, d)  rows (i, j) <- (a*ri + b*rj, c*ri + d*rj),
+                               a*d - b*c = +-1,
+        (2, i)                 row i negated,
+        (3, order)             new row b is old row order[b];
+
+    the column side records its operations as row operations on V^T, so
+    transposing the state swaps the records and transposes D.
     """
 
     def __init__(self, A: IntMatrix):
         self.m = A.rows
         self.n = A.cols
         self.D = [list(row) for row in A.entries]
-        self.U = [[1 if i == j else 0 for j in range(self.m)] for i in range(self.m)]
-        self.Vt = [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
+        self.row_ops = []
+        self.col_ops = []
 
-    # Row ops act on D and U on the left.
+    # Row ops act on D on the left and go to the row record.
     def permute_rows(self, order):
         # new row b is old row order[b]
         self.D = [self.D[i] for i in order]
-        self.U = [self.U[i] for i in order]
+        self.row_ops.append((3, tuple(order)))
 
     def transpose(self):
         # U A V = D  iff  V^T A^T U^T = D^T: row operations on the
@@ -245,31 +331,32 @@ class _Worker:
         # with m, n >= 1, so zip sees every column)
         self.m, self.n = self.n, self.m
         self.D = [list(r) for r in zip(*self.D)]
-        self.U, self.Vt = self.Vt, self.U
+        self.row_ops, self.col_ops = self.col_ops, self.row_ops
 
     def add_row(self, i, k, q):
         # row i += q * row k
-        for M in (self.D, self.U):
-            M[i] = [x + q * y for x, y in zip(M[i], M[k])]
+        D = self.D
+        D[i] = [x + q * y for x, y in zip(D[i], D[k])]
+        self.row_ops.append((0, i, k, q))
 
     def add_col(self, j, k, q):
         # col j += q * col k
         for r in self.D:
             if r[k]:
                 r[j] += q * r[k]
-        Vt = self.Vt
-        Vt[j] = [x + q * y for x, y in zip(Vt[j], Vt[k])]
+        self.col_ops.append((0, j, k, q))
 
     def row_combine(self, i, j, a, b, c, d):
         # rows (i,j) <- (a*ri + b*rj, c*ri + d*rj); requires a*d - b*c = +-1
-        for M in (self.D, self.U):
-            ri, rj = M[i], M[j]
-            M[i] = [a * x + b * y for x, y in zip(ri, rj)]
-            M[j] = [c * x + d * y for x, y in zip(ri, rj)]
+        D = self.D
+        ri, rj = D[i], D[j]
+        D[i] = [a * x + b * y for x, y in zip(ri, rj)]
+        D[j] = [c * x + d * y for x, y in zip(ri, rj)]
+        self.row_ops.append((1, i, j, a, b, c, d))
 
     def negate_row(self, i):
         self.D[i] = [-x for x in self.D[i]]
-        self.U[i] = [-x for x in self.U[i]]
+        self.row_ops.append((2, i))
 
 
 def _hermite(w: _Worker):
@@ -384,9 +471,7 @@ def _smith_raw(A: IntMatrix) -> SmithDecomposition:
     r = min(A.rows, A.cols)
     factors = tuple([w.D[i][i] for i in range(r)])
     D = IntMatrix(A.rows, A.cols, tuple(map(tuple, w.D)))
-    U = IntMatrix(A.rows, A.rows, tuple(map(tuple, w.U)))
-    V = IntMatrix(A.cols, A.cols, tuple(zip(*w.Vt)))
-    return SmithDecomposition(U, D, V, factors)
+    return SmithDecomposition(D, factors, tuple(w.row_ops), tuple(w.col_ops))
 
 
 @lru_cache(maxsize=None)
@@ -408,7 +493,7 @@ def solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
     if len(b) != A.rows:
         raise ValueError("rhs length mismatch")
     snf = smith_normal_form(A)
-    c = snf.U.apply(b)
+    c = snf.apply_U(b)
     d = snf.invariant_factors
     y = [0] * A.cols
     for i in range(A.rows):
@@ -471,13 +556,3 @@ def unimodular_completion(v: Sequence[int]) -> tuple:
     assert P.col(0) == tuple(v)
     return P, Pinv
 
-
-def invert_unimodular(P: IntMatrix) -> IntMatrix:
-    """P^-1 = V U, read off U P V = I when every invariant factor is 1.
-
-    Factors P with the uncached engine, so reading a cached decomposition's
-    inverse neither calls smith_normal_form nor adds to its cache."""
-    snf = _smith_raw(P)
-    if P.rows != P.cols or snf.invariant_factors.count(1) != P.rows:
-        raise ValueError("matrix is not invertible over the integers")
-    return snf.V @ snf.U

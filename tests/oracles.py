@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: invariant factors
 via gcds of minors and via plain elementary reduction without transform
 tracking (modulo the determinant when it is nonzero), determinants by
-fraction-free elimination, purity via the raw divisibility definition,
+fraction-free elimination, inverses of unimodular matrices as adjugates
+of those determinants, purity via the raw divisibility definition,
 tensor/Tor via the classification of finitely generated abelian groups,
 characteristic polynomials by cofactor expansion, integer roots by
 scanning divisors, nonnegative kernel vectors by Fourier-Motzkin
@@ -75,6 +76,25 @@ def _det(sq):
             a[i] = [(x * a[k][k] - a[i][k] * y) // prev for x, y in zip(a[i], a[k])]
         prev = a[k][k]
     return sign * prev
+
+
+def invert_unimodular(P):
+    """P^-1 for a square integer matrix P with det P = +-1, as det(P) * adj(P),
+    every cofactor a Bareiss determinant; a matrix of P's type.  P is any
+    matrix with row tuples `entries` and sizes `rows` and `cols`.  Raises
+    ValueError for any other P."""
+    n = P.rows
+    a = [list(row) for row in P.entries]
+    e = _det(a) if P.cols == n else 0
+    if e not in (1, -1):
+        raise ValueError("matrix is not invertible over the integers")
+
+    def cofactor(i, j):
+        minor = [row[:j] + row[j + 1:] for r, row in enumerate(a) if r != i]
+        return (-1) ** (i + j) * _det(minor)
+
+    # (P^-1)[i][j] = e * C[j][i], since 1/e = e
+    return type(P)(n, n, tuple(tuple(e * cofactor(j, i) for j in range(n)) for i in range(n)))
 
 
 def reduction_invariant_factors(rows):

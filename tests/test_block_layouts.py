@@ -15,7 +15,7 @@ from pathlib import Path
 
 from nccwk.coeff import beta_map, kappa_maps, mod_n, rho_map
 from nccwk.fgab.groups import FgGroup, cokernel
-from nccwk.fgab.intmat import IntMatrix, invert_unimodular
+from nccwk.fgab.intmat import IntMatrix
 from nccwk.harness.scenarios import (
     matrix_tail_sizes,
     recursion_stage_complex,
@@ -23,6 +23,8 @@ from nccwk.harness.scenarios import (
     uhf_tail_sizes,
 )
 from nccwk.homind import IndSystem, identify_localized_limit
+
+from oracles import invert_unimodular
 
 DATA = Path(__file__).resolve().parent / "data"
 

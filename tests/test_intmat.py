@@ -3,11 +3,11 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from nccwk.fgab import intmat
 from nccwk.fgab.intmat import (
     IntMatrix,
     SmithDecomposition,
     det,
-    invert_unimodular,
     kernel,
     lattice_preimage,
     smith_normal_form,
@@ -18,6 +18,7 @@ from nccwk.fgab.intmat import (
 )
 
 from oracles import (
+    invert_unimodular,
     minor_gcd_invariant_factors,
     nonnegative_kernel_witness,
     rational_rank,
@@ -167,22 +168,72 @@ def test_smith_large_seeded_matrices():
     assert smith_normal_form(M(deficient)).invariant_factors[-3:] == (0, 0, 0)
 
 
+@pytest.mark.slow
+def test_replayed_transforms_at_benchmark_sizes():
+    """The sizes of the lattices benchmark: one full-rank n x n matrix for
+    n = 8, 12, ..., 32 and one n = 32 matrix with three dependent rows."""
+    rng = random.Random(24)
+    cases = [[[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)] for n in range(8, 33, 4)]
+    deficient = [[rng.randint(-3, 3) for _ in range(32)] for _ in range(29)]
+    deficient += [[a - b for a, b in zip(deficient[i], deficient[i + 1])] for i in range(3)]
+    for rows in cases + [deficient]:
+        A = M(rows)
+        s = smith_normal_form(A)
+        n = A.rows
+        assert s.U @ A @ s.V == s.D
+        assert s.U @ s.Uinv == IntMatrix.identity(n) and s.V @ s.Vinv == IntMatrix.identity(n)
+        assert largest_entry_bits(s) <= entry_bit_bound(A)
+        assert s.invariant_factors.count(0) == (3 if rows is deficient else 0)
+
+
+transform_cases = st.integers(0, 8).flatmap(
+    lambda m: st.integers(0, 8).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n),
+                     min_size=m, max_size=m).map(lambda rows: M(rows, cols=n)),
+            st.lists(st.integers(-9, 9), min_size=m, max_size=m))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(transform_cases)
+@example((IntMatrix.zero(0, 3), []))
+@example((IntMatrix.zero(4, 0), [1, -2, 0, 5]))
+@example((IntMatrix.zero(0, 0), []))
+def test_replayed_transforms_and_inverses(case):
+    A, b = case
+    s = smith_normal_form(A)
+    assert s.U @ A @ s.V == s.D
+    assert s.U @ s.Uinv == IntMatrix.identity(A.rows)
+    assert s.V @ s.Vinv == IntMatrix.identity(A.cols)
+    assert s.Uinv == invert_unimodular(s.U) and s.Vinv == invert_unimodular(s.V)
+    assert s.apply_U(b) == s.U.apply(b)
+
+
 def test_verify_rejects_a_wrong_inverse():
-    # U A V = D holds, but U = [2] has no integer inverse
+    # U A V = D holds, but U = [2] has no integer inverse: the record's one
+    # operation adds row 0 to itself, which the reduction never records
     A = M([[0]])
-    bad = SmithDecomposition(M([[2]]), M([[0]]), M([[1]]), (0,))
+    bad = SmithDecomposition(M([[0]]), (0,), ((0, 0, 0, 1),), ())
+    assert (bad.U, bad.V) == (M([[2]]), M([[1]]))
     assert bad.U @ A @ bad.V == bad.D
     assert not bad.verify(A)
 
 
-def test_inverses_are_computed_when_read():
-    A = M([[6, 4, 1], [2, 8, 3]])
+def test_inverses_are_computed_when_read(monkeypatch):
+    A = M([[61, 44, 1], [2, 83, 35]])
+    misses = smith_normal_form.cache_info().misses
+    kernel(A)
+    assert solve(A, A.apply((1, 2, 3))) is not None
     s = smith_normal_form(A)
-    assert "Uinv" not in vars(s) and "Vinv" not in vars(s)
+    assert smith_normal_form.cache_info().misses == misses + 1
+    assert not {"U", "Uinv", "Vinv"} & set(vars(s))
+    raw = intmat._smith_raw
+    calls = []
+    monkeypatch.setattr(intmat, "_smith_raw", lambda B: calls.append(B) or raw(B))
     before = smith_normal_form.cache_info()
     assert s.U @ s.Uinv == IntMatrix.identity(A.rows)
     assert s.V @ s.Vinv == IntMatrix.identity(A.cols)
-    assert smith_normal_form.cache_info() == before
+    assert calls == [] and smith_normal_form.cache_info() == before
 
 
 @settings(max_examples=40, deadline=None)
