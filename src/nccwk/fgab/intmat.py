@@ -6,10 +6,12 @@ plain Python ints (arbitrary precision) and never touches floats.
 
 The Smith normal form here reduces A to D = U*A*V, U and V unimodular,
 and records the row and column operations it applies instead of carrying
-U and V.  U, V and their inverses (the cyclic decomposition of a cokernel
-reads Uinv) are replayed from those records when first read, and a solve
-replays the row record onto its right-hand side alone.  The reduction
-takes two passes (Kannan & Bachem, SIAM J. Comput. 8, 1979):
+U and V.  One function, _replay, applies a record to a list of vectors:
+the reduction applies each operation to the columns of D as it records
+it, U, V and their inverses (the cyclic decomposition of a cokernel reads
+Uinv) are the records replayed onto the unit vectors when first read, and
+a solve replays the row record onto its right-hand side alone.  The
+reduction takes two passes (Kannan & Bachem, SIAM J. Comput. 8, 1979):
 
 1. Hermite passes.  The rows are put in Hermite normal form one row at a
    time, each new row eliminated against the pivots found so far, with
@@ -175,11 +177,11 @@ def det(A: IntMatrix) -> int:
 class SmithDecomposition:
     """D = U*A*V with U, V unimodular and D diagonal, d_i | d_{i+1}, d_i >= 0.
 
-    The engine records its row and column operations (see _Worker).  U, V
-    and their exact inverses Uinv and Vinv are replayed from those records
-    on first read, and apply_U replays the row record onto one vector.
-    Columns of Uinv realize the cyclic decomposition of coker(A) on the
-    original generators.
+    row_ops and col_ops are the engine's records (see _replay); col_ops
+    acts on V^T.  U, V and their exact inverses Uinv and Vinv are the
+    records replayed onto the unit vectors on first read, and apply_U
+    replays the row record onto one vector.  Columns of Uinv realize the
+    cyclic decomposition of coker(A) on the original generators.
     """
 
     D: IntMatrix
@@ -189,47 +191,30 @@ class SmithDecomposition:
 
     @cached_property
     def U(self) -> IntMatrix:
-        m = self.D.rows
-        return IntMatrix(m, m, tuple(map(tuple, _replay(self.row_ops, m))))
+        return _replayed_identity(self.row_ops, self.D.rows, by_columns=True)
 
     @cached_property
     def V(self) -> IntMatrix:
-        # the column record acts on V^T by rows
-        n = self.D.cols
-        return IntMatrix(n, n, tuple(zip(*_replay(self.col_ops, n))))
+        # the column record acts on V^T, whose columns are the rows of V
+        return _replayed_identity(self.col_ops, self.D.cols, by_columns=False)
 
     @cached_property
     def Uinv(self) -> IntMatrix:
         # U = E_N ... E_1, so Uinv^T = E_N^-T ... E_1^-T: the inverse-transposed
         # operations replayed in recorded order
-        m = self.D.rows
-        return IntMatrix(m, m, tuple(zip(*_replay(_inverse_transposed(self.row_ops), m))))
+        return _replayed_identity(_inverse_transposed(self.row_ops), self.D.rows, by_columns=False)
 
     @cached_property
     def Vinv(self) -> IntMatrix:
         # V = F_1^T ... F_M^T, so Vinv = F_M^-T ... F_1^-T
-        n = self.D.cols
-        return IntMatrix(n, n, tuple(map(tuple, _replay(_inverse_transposed(self.col_ops), n))))
+        return _replayed_identity(_inverse_transposed(self.col_ops), self.D.cols, by_columns=True)
 
     def apply_U(self, vec: Sequence[int]) -> tuple:
         """U vec, replayed from the row record without building U."""
         if len(vec) != self.D.rows:
             raise ValueError("vector length mismatch")
         v = list(vec)
-        for op in self.row_ops:
-            kind = op[0]
-            if kind == 0:
-                _, i, k, q = op
-                v[i] += q * v[k]
-            elif kind == 1:
-                _, i, j, a, b, c, d = op
-                x, y = v[i], v[j]
-                v[i] = a * x + b * y
-                v[j] = c * x + d * y
-            elif kind == 2:
-                v[op[1]] = -v[op[1]]
-            else:
-                v = [v[i] for i in op[1]]
+        _replay(self.row_ops, [v])
         return tuple(v)
 
     def verify(self, A: IntMatrix) -> bool:
@@ -244,26 +229,49 @@ class SmithDecomposition:
         return ok
 
 
-def _replay(ops, n: int) -> list:
-    """The rows of the n x n identity after the recorded row operations."""
-    M = [[0] * n for _ in range(n)]
-    for i in range(n):
-        M[i][i] = 1
+def _replay(ops, vecs) -> None:
+    """Apply a record of row operations, in order and in place, to each
+    vector in vecs (a row operation acts on every column of a matrix
+    alike).  A record is a sequence of small tuples,
+
+        (0, i, k, q)           v[i] += q * v[k],
+        (1, i, j, a, b, c, d)  (v[i], v[j]) <- (a*v[i] + b*v[j], c*v[i] + d*v[j]),
+                               a*d - b*c = +-1,
+        (2, i)                 v[i] negated,
+        (3, order)             new v[b] is old v[order[b]].
+    """
     for op in ops:
         kind = op[0]
         if kind == 0:
             _, i, k, q = op
-            M[i] = [x + q * y for x, y in zip(M[i], M[k])]
+            for v in vecs:
+                if v[k]:
+                    v[i] += q * v[k]
         elif kind == 1:
             _, i, j, a, b, c, d = op
-            ri, rj = M[i], M[j]
-            M[i] = [a * x + b * y for x, y in zip(ri, rj)]
-            M[j] = [c * x + d * y for x, y in zip(ri, rj)]
+            for v in vecs:
+                x, y = v[i], v[j]
+                if x or y:
+                    v[i] = a * x + b * y
+                    v[j] = c * x + d * y
         elif kind == 2:
-            M[op[1]] = [-x for x in M[op[1]]]
+            i = op[1]
+            for v in vecs:
+                v[i] = -v[i]
         else:
-            M = [M[i] for i in op[1]]
-    return M
+            order = op[1]
+            for v in vecs:
+                v[:] = [v[i] for i in order]
+
+
+def _replayed_identity(ops, n: int, by_columns: bool) -> IntMatrix:
+    """The n x n matrix whose columns (or rows) are the unit vectors after
+    the recorded operations."""
+    vecs = [[0] * n for _ in range(n)]
+    for i in range(n):
+        vecs[i][i] = 1
+    _replay(ops, vecs)
+    return IntMatrix(n, n, tuple(zip(*vecs)) if by_columns else tuple(map(tuple, vecs)))
 
 
 def _inverse_transposed(ops):
@@ -299,64 +307,33 @@ def _xgcd(a: int, b: int):
 
 
 class _Worker:
-    """Mutable state for the reduction: D and a record of each side's
-    operations on it.  A record is a list of small tuples,
-
-        (0, i, k, q)           row i += q * row k,
-        (1, i, j, a, b, c, d)  rows (i, j) <- (a*ri + b*rj, c*ri + d*rj),
-                               a*d - b*c = +-1,
-        (2, i)                 row i negated,
-        (3, order)             new row b is old row order[b];
-
-    the column side records its operations as row operations on V^T, so
+    """Mutable state for the reduction: D, held by its columns C, and a
+    record of each side's operations on it (see _replay).  A row operation
+    on D acts on every column of D alike, so it is _replay on C.  The
+    column side records its operations as row operations on V^T, so
     transposing the state swaps the records and transposes D.
     """
 
     def __init__(self, A: IntMatrix):
         self.m = A.rows
         self.n = A.cols
-        self.D = [list(row) for row in A.entries]
+        self.C = [list(c) for c in zip(*A.entries)] if A.rows else [[] for _ in range(A.cols)]
         self.row_ops = []
         self.col_ops = []
 
-    # Row ops act on D on the left and go to the row record.
-    def permute_rows(self, order):
-        # new row b is old row order[b]
-        self.D = [self.D[i] for i in order]
-        self.row_ops.append((3, tuple(order)))
+    def do(self, *op):
+        """Record the row operation op and apply it to D."""
+        self.row_ops.append(op)
+        _replay((op,), self.C)
 
     def transpose(self):
         # U A V = D  iff  V^T A^T U^T = D^T: row operations on the
         # transposed state are column operations on this one (called only
-        # with m, n >= 1, so zip sees every column)
+        # with m, n >= 1, so zip sees every row); in place, so a caller's
+        # reference to C stays current
         self.m, self.n = self.n, self.m
-        self.D = [list(r) for r in zip(*self.D)]
+        self.C[:] = [list(r) for r in zip(*self.C)]
         self.row_ops, self.col_ops = self.col_ops, self.row_ops
-
-    def add_row(self, i, k, q):
-        # row i += q * row k
-        D = self.D
-        D[i] = [x + q * y for x, y in zip(D[i], D[k])]
-        self.row_ops.append((0, i, k, q))
-
-    def add_col(self, j, k, q):
-        # col j += q * col k
-        for r in self.D:
-            if r[k]:
-                r[j] += q * r[k]
-        self.col_ops.append((0, j, k, q))
-
-    def row_combine(self, i, j, a, b, c, d):
-        # rows (i,j) <- (a*ri + b*rj, c*ri + d*rj); requires a*d - b*c = +-1
-        D = self.D
-        ri, rj = D[i], D[j]
-        D[i] = [a * x + b * y for x, y in zip(ri, rj)]
-        D[j] = [c * x + d * y for x, y in zip(ri, rj)]
-        self.row_ops.append((1, i, j, a, b, c, d))
-
-    def negate_row(self, i):
-        self.D[i] = [-x for x in self.D[i]]
-        self.row_ops.append((2, i))
 
 
 def _hermite(w: _Worker):
@@ -370,38 +347,38 @@ def _hermite(w: _Worker):
     above a pivot lies in [0, pivot).  The pivot rows end on top, in
     column order; rows that eliminated to zero follow.
     """
-    D = w.D
+    C = w.C
     cols = []  # pivot columns, ascending
     owner = [None] * w.n  # pivot column -> row holding that pivot
     zero_rows = []
     for i in range(w.m):
         lead = None
         for j in range(w.n):
-            x = D[i][j]
+            x = C[j][i]
             if x == 0:
                 continue
             k = owner[j]
             if k is None:
                 lead = j
                 break
-            p = D[k][j]
+            p = C[j][k]
             if x % p == 0:
-                w.add_row(i, k, -(x // p))
+                w.do(0, i, k, -(x // p))
             else:
                 g, s, t = _xgcd(p, x)
-                w.row_combine(k, i, s, t, -(x // g), p // g)
+                w.do(1, k, i, s, t, -(x // g), p // g)
                 _restore(w, cols, owner, j)
         if lead is None:
             zero_rows.append(i)
             continue
-        if D[i][lead] < 0:
-            w.negate_row(i)
+        if C[lead][i] < 0:
+            w.do(2, i)
         cols.insert(bisect_left(cols, lead), lead)
         owner[lead] = i
         _restore(w, cols, owner, lead)
     order = [owner[c] for c in cols] + zero_rows
     if order != list(range(w.m)):
-        w.permute_rows(order)
+        w.do(3, tuple(order))
 
 
 def _restore(w: _Worker, cols, owner, j):
@@ -409,20 +386,20 @@ def _restore(w: _Worker, cols, owner, j):
     then every earlier pivot row modulo this pivot and the later ones."""
     if len(cols) == 1:
         return
-    D = w.D
+    C = w.C
     pos = bisect_left(cols, j)
     for rows, tail in (((owner[j],), cols[pos + 1:]),
                        ([owner[c] for c in cols[:pos]], cols[pos:])):
         for h in rows:
             for c in tail:
                 k = owner[c]
-                q = D[h][c] // D[k][c]
+                q = C[c][h] // C[c][k]
                 if q:
-                    w.add_row(h, k, -q)
+                    w.do(0, h, k, -q)
 
 
-def _is_diagonal(D) -> bool:
-    for i, row in enumerate(D):
+def _is_diagonal(C) -> bool:
+    for i, row in enumerate(C):
         for j, x in enumerate(row):
             if x and i != j:
                 return False
@@ -430,28 +407,33 @@ def _is_diagonal(D) -> bool:
 
 
 def _chain(w: _Worker):
-    """Turn a diagonal D with its zeros last into a divisibility chain."""
-    D = w.D
+    """Turn a diagonal D with its zeros last into a divisibility chain; its
+    two column operations are row operations on the transposed state."""
+    C = w.C
     r = min(w.m, w.n)
     changed = True
     while changed:
         changed = False
         for i in range(r - 1):
-            a, b = D[i][i], D[i + 1][i + 1]
+            a, b = C[i][i], C[i + 1][i + 1]
             if (a == 0 and b == 0) or (a != 0 and b % a == 0):
                 continue
             # fold gcd(a, b) into position i and lcm into position i+1
-            w.add_col(i, i + 1, 1)  # c_i += c_{i+1}
-            g, s, u = _xgcd(D[i][i], D[i + 1][i])
-            aa, bb = D[i][i] // g, D[i + 1][i] // g
-            w.row_combine(i, i + 1, s, u, -bb, aa)
-            if D[i][i + 1] != 0:
-                q = D[i][i + 1] // D[i][i]
-                w.add_col(i + 1, i, -q)
-            if D[i][i] < 0:
-                w.negate_row(i)
-            if D[i + 1][i + 1] < 0:
-                w.negate_row(i + 1)
+            w.transpose()
+            w.do(0, i, i + 1, 1)  # column i += column i + 1
+            w.transpose()
+            g, s, u = _xgcd(C[i][i], C[i][i + 1])
+            aa, bb = C[i][i] // g, C[i][i + 1] // g
+            w.do(1, i, i + 1, s, u, -bb, aa)
+            if C[i + 1][i] != 0:
+                q = C[i + 1][i] // C[i][i]
+                w.transpose()
+                w.do(0, i + 1, i, -q)
+                w.transpose()
+            if C[i][i] < 0:
+                w.do(2, i)
+            if C[i + 1][i + 1] < 0:
+                w.do(2, i + 1)
             changed = True
 
 
@@ -461,7 +443,7 @@ def _smith_raw(A: IntMatrix) -> SmithDecomposition:
     # column or replaces it by a proper divisor, so the alternation ends
     flipped = False
     _hermite(w)
-    while not _is_diagonal(w.D):
+    while not _is_diagonal(w.C):
         w.transpose()
         flipped = not flipped
         _hermite(w)
@@ -469,8 +451,8 @@ def _smith_raw(A: IntMatrix) -> SmithDecomposition:
         w.transpose()
     _chain(w)
     r = min(A.rows, A.cols)
-    factors = tuple([w.D[i][i] for i in range(r)])
-    D = IntMatrix(A.rows, A.cols, tuple(map(tuple, w.D)))
+    factors = tuple([w.C[i][i] for i in range(r)])
+    D = IntMatrix(A.rows, A.cols, tuple(zip(*w.C)) if A.cols else ((),) * A.rows)
     return SmithDecomposition(D, factors, tuple(w.row_ops), tuple(w.col_ops))
 
 

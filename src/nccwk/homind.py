@@ -108,18 +108,13 @@ class MapDescription:
         for ms in self.f2:
             for a in ms:
                 self._check_atom(a)
-        for j, ms in enumerate(self.f1):
-            used = sum(_atom_size(a, self.source) for a in ms)
-            if used > self.target.k[j]:
-                raise ValueError(f"target point {j + 1} overfilled: {used} > {self.target.k[j]}")
-            if self.unital and used != self.target.k[j]:
-                raise ValueError(f"unital description must fill target point {j + 1}: {used} != {self.target.k[j]}")
-        for i, ms in enumerate(self.f2):
-            used = sum(_atom_size(a, self.source) for a in ms)
-            if used > self.target.h[i]:
-                raise ValueError(f"target block {i + 1} overfilled: {used} > {self.target.h[i]}")
-            if self.unital and used != self.target.h[i]:
-                raise ValueError(f"unital description must fill target block {i + 1}: {used} != {self.target.h[i]}")
+        for kind, assigned, sizes in (("point", self.f1, self.target.k), ("block", self.f2, self.target.h)):
+            for j, (ms, size) in enumerate(zip(assigned, sizes)):
+                used = sum(_atom_size(a, self.source) for a in ms)
+                if used > size:
+                    raise ValueError(f"target {kind} {j + 1} overfilled: {used} > {size}")
+                if self.unital and used != size:
+                    raise ValueError(f"unital description must fill target {kind} {j + 1}: {used} != {size}")
 
     def _check_atom(self, a):
         if isinstance(a, AtPoint):
@@ -378,6 +373,8 @@ def truncate(sys: IndSystem, N: int) -> TruncatedSystem:
     for n in range(N):
         if bondings[n].source.generators != groups[n].generators:
             raise ValueError(f"bonding at stage {n} does not match its group")
+        if bondings[n].target.generators != groups[n + 1].generators:
+            raise ValueError(f"bonding at stage {n} does not land in the group at stage {n + 1}")
     return TruncatedSystem(groups, bondings)
 
 

@@ -66,6 +66,21 @@ class TestDescriptions:
                            f1=((AtPoint(0), AtPoint(1)), (AtPoint(1),), (AtPoint(2),)),
                            f2=((FullPath(0),), (FullPath(1),)), unital=False)
 
+    @pytest.mark.parametrize("f1, f2, unital, message", [
+        (((AtPoint(0), AtPoint(1)), (AtPoint(1),), (AtPoint(2),)), ((FullPath(0),), (FullPath(1),)),
+         False, "target point 1 overfilled: 2 > 1"),
+        (((AtPoint(0),), (), (AtPoint(2),)), ((FullPath(0),), (FullPath(1),)),
+         True, "unital description must fill target point 2: 0 != 1"),
+        (((AtPoint(0),), (AtPoint(1),), (AtPoint(2),)), ((FullPath(0),), (FullPath(1), AtPoint(0))),
+         False, "target block 2 overfilled: 3 > 2"),
+        (((AtPoint(0),), (AtPoint(1),), (AtPoint(2),)), ((AtPoint(0),), (FullPath(1),)),
+         True, "unital description must fill target block 1: 1 != 2"),
+    ])
+    def test_size_accounting_messages(self, f1, f2, unital, message):
+        src = odd_tower_complex(0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MapDescription(src, src, f1=f1, f2=f2, unital=unital)
+
     def test_full_path_not_allowed_in_points(self):
         src = odd_tower_complex(0)
         with pytest.raises(ValueError):
@@ -385,6 +400,13 @@ class TestSystems:
         tr = truncate(sys2, 3)
         assert len(tr.groups) == 4 and len(tr.bondings) == 3
         assert all(h.matrix == IntMatrix.from_rows([[2]]) for h in tr.bondings)
+
+    def test_truncate_rejects_a_bonding_into_the_wrong_group(self):
+        Z, Z2 = FgGroup.free(1), FgGroup.free(2)
+        widening = GroupHom(Z, Z2, IntMatrix.from_rows([[1], [0]]))
+        sys = IndSystem(lambda n: Z, lambda n: widening)
+        with pytest.raises(ValueError, match="bonding at stage 0 does not land in the group at stage 1"):
+            truncate(sys, 2)
 
     def test_truncate_orbits(self):
         sys0 = odd_tower_family().k0_system()

@@ -1,0 +1,56 @@
+"""Floats and runtime dependencies stay at zero in src/.
+
+Every module is parsed and walked; a float literal, true division, the
+name `float` or an import from outside nccwk and the standard library
+fails the test with its file and line.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted(SRC.rglob("*.py"))
+
+
+def offences(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            yield node, f"float constant {node.value!r}"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            yield node, "true division"
+        elif isinstance(node, ast.Name) and node.id == "float":
+            yield node, "the name float"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom):
+                names = [] if node.level else [node.module]
+            else:
+                names = [alias.name for alias in node.names]
+            for name in names:
+                top = name.split(".")[0]
+                if top != "nccwk" and top not in sys.stdlib_module_names:
+                    yield node, f"import of {name}"
+
+
+def test_sources_found():
+    assert SRC / "nccwk" / "fgab" / "intmat.py" in SOURCES
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_floats_or_dependencies(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"{path.relative_to(SRC)}:{node.lineno}: {what}" for node, what in offences(tree)]
+    assert found == []
+
+
+@pytest.mark.parametrize("snippet", ["x = 0.5", "x = a / b", "x /= 2", "y = float(x)",
+                                     "import numpy", "from sympy import Matrix", "x = 1j"])
+def test_guard_catches(snippet):
+    assert list(offences(ast.parse(snippet)))
+
+
+def test_guard_passes_exact_code():
+    code = "from __future__ import annotations\nfrom .groups import FgGroup\nimport math\nx = 7 // 2\n"
+    assert not list(offences(ast.parse(code)))
