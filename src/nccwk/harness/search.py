@@ -11,13 +11,13 @@ a verdict memo on their rows lives for one call of search_odd_blocks.  An
 NccwComplex is built only for an odd candidate, once, in canonical form,
 where its printed witness is taken.
 odd_witnesses reads the torsion of K_1(A/I) first (K_0(A/I) is free, and
-an exact row onto a free K_1(A/I) splits), so a candidate with no such
-torsion for any proper point subset gets no ideal support built, and a
-support without it gets no boundary test.  Every reported witness is
-re-verified on a path independent of the search for exactness as well as
-purity: its K rows are built and decided by is_exact and the
-splitting-system solve, not by the boundary test and isomorphism type
-that found it.
+an exact row onto a free K_1(A/I) splits): a candidate without it for any
+proper point subset gets no ideal support built, supports are listed only
+among the points whose blocks lie in some T with it, and a support without
+it gets no boundary test.  Every reported witness is re-verified on a path
+independent of the search for exactness as well as purity: its K rows are
+built and decided by is_exact and the splitting-system solve, not by the
+boundary test and isomorphism type that found it.
 """
 
 from __future__ import annotations

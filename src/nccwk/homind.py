@@ -371,9 +371,9 @@ def truncate(sys: IndSystem, N: int) -> TruncatedSystem:
     groups = tuple(sys.group(n) for n in range(N + 1))
     bondings = tuple(sys.bonding(n) for n in range(N))
     for n in range(N):
-        if bondings[n].source.generators != groups[n].generators:
+        if bondings[n].source != groups[n]:
             raise ValueError(f"bonding at stage {n} does not match its group")
-        if bondings[n].target.generators != groups[n + 1].generators:
+        if bondings[n].target != groups[n + 1]:
             raise ValueError(f"bonding at stage {n} does not land in the group at stage {n + 1}")
     return TruncatedSystem(groups, bondings)
 

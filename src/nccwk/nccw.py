@@ -192,10 +192,10 @@ def make_ideal_spec(A: NccwComplex, S: Sequence[int]) -> CompactIdealSpec:
     return _spec(A.pattern, S, minimal)
 
 
-def all_ideal_specs(delta: IntMatrix, pattern: tuple) -> list:
-    """Every valid compact-ideal support, by size then lexicographically:
-    the unions of the minimal supports, the empty union included."""
-    minimal = _minimal_supports(delta, range(delta.cols))
+def all_ideal_specs(delta: IntMatrix, pattern: tuple, points: Optional[Sequence[int]] = None) -> list:
+    """Every valid compact-ideal support inside points (default: all), by
+    size then lexicographically: the unions of the minimal supports there."""
+    minimal = _minimal_supports(delta, range(delta.cols) if points is None else points)
     closure = {frozenset()}
     for m in minimal:
         closure |= {c.union(m) for c in closure}
@@ -290,34 +290,36 @@ def _boundary_vanishes(delta: IntMatrix, spec: CompactIdealSpec) -> bool:
     return spans(delta_i, link @ kernel(delta.submatrix(Tc, Sc)))
 
 
-def odd_witnesses(delta: IntMatrix, pattern: tuple, specs: Optional[list] = None):
+def odd_witnesses(delta: IntMatrix, pattern: tuple):
     """The supports whose K rows are exact but not pure, in all_ideal_specs
-    order (specs, when given, is that list), of every complex with this
-    delta = alpha - beta and this nonzero pattern of alpha or beta.
+    order, of every complex with this delta = alpha - beta and this nonzero
+    pattern of alpha or beta.
 
     K_0(A/I) is free, and an exact row onto a free K_1(A/I) = coker delta_Q
     splits, so only a support with torsion in coker delta_Q can be a
-    witness; one without gets no boundary test and no isomorphism test.
-    The blocks T^c touch no point of S, so coker delta_Q = coker delta[T^c, :]
-    depends on T = adj(S) alone: it is read for every union of the points'
-    adjacent blocks before any support is built, and a complex without
-    such torsion yields nothing.  For an exact row, Miyata's theorem makes
-    the K_1 row split iff K_1(A) is isomorphic to K_1(I) (+) K_1(A/I), which
-    is FgGroup.is_sum_of, the same test fgab.groups.is_pure makes.  No K
-    row is built: the re-verifier in harness.search builds them and decides
-    both properties independently.
+    witness.  The blocks T^c touch no point of S, so coker delta_Q =
+    coker delta[T^c, :] depends on T = adj(S) alone; it is read first, for
+    every union T of the points' adjacent blocks.  A witness lies inside
+    P, the points j with adj(j) inside some T with torsion, and a minimal
+    support inside P is one of ker(delta): supports are listed inside P
+    alone, in the same order and with the same vectors.  For an exact row,
+    Miyata's theorem makes the K_1 row split iff K_1(A) is isomorphic to
+    K_1(I) (+) K_1(A/I), which is FgGroup.is_sum_of, as in is_pure.  No K
+    row is built: harness.search re-verifies both properties on built rows.
     """
+    adjacent = [frozenset(i for i, row in enumerate(pattern) if row[j]) for j in range(delta.cols)]
     unions = set()
-    for j in range(delta.cols):
-        blocks = frozenset(i for i, row in enumerate(pattern) if row[j])
+    for blocks in adjacent:
         unions |= {u | blocks for u in unions} | {blocks}
-    k1_q = {T: cokernel(delta.submatrix([i for i in range(delta.rows) if i not in T], range(delta.cols)))
-            for T in (tuple(sorted(u)) for u in unions)}
-    if not any(G.torsion_orders for G in k1_q.values()):
+    k1_q = {T: G for T in (tuple(sorted(u)) for u in unions)
+            if (G := cokernel(delta.submatrix([i for i in range(delta.rows) if i not in T],
+                                              range(delta.cols)))).torsion_orders}
+    if not k1_q:
         return
     k1 = cokernel(delta)
-    for spec in all_ideal_specs(delta, pattern) if specs is None else specs:
-        if 0 < len(spec.S) < delta.cols and k1_q[spec.T].torsion_orders and _boundary_vanishes(delta, spec):
+    points = [j for j, blocks in enumerate(adjacent) if any(blocks.issubset(T) for T in k1_q)]
+    for spec in all_ideal_specs(delta, pattern, points):
+        if 0 < len(spec.S) < delta.cols and spec.T in k1_q and _boundary_vanishes(delta, spec):
             if not k1.is_sum_of(cokernel(delta.submatrix(spec.T, spec.S)), k1_q[spec.T]):
                 yield spec
 
@@ -357,18 +359,16 @@ def classify_block(A: NccwComplex) -> Classification:
     Odd means: some compact ideal has trivial boundary maps (both K rows
     exact) but a non-pure row.  Nice means no such witness exists; purity
     is only meaningful for exact rows, so supports with nontrivial
-    boundary maps do not disqualify a complex, they are reported
-    separately as diagnostics, from one boundary test per support.  The
-    witnesses come from odd_witnesses, which tests only the supports with
-    torsion in K_1(A/I): K_0(A/I) is free, and an exact row onto a free
-    K_1(A/I) splits; A is read through A.delta and A.pattern alone.
+    boundary maps do not disqualify a complex: they are diagnostics, one
+    boundary test per support of all_ideal_specs (the supports checked).
+    The witnesses come from odd_witnesses, which lists supports only among
+    the points a witness can contain; A is read through delta and pattern.
 
-    Cost: finding the minimal supports is 2^p rank tests in the worst
-    case, and the supports are the faces of a cone whose number can
-    itself be exponential in p; every one of them is visited.  For large
-    p the double description method (Fukuda & Prodon, "Double description
-    method revisited", 1996) gives the extreme rays directly.
+    Cost: the minimal supports take up to 2^p rank tests, and the supports,
+    the faces of a cone, can be exponential in number; every one is
+    visited.  The double description method (Fukuda & Prodon, "Double
+    description method revisited", 1996) gives the extreme rays directly.
     """
     specs = all_ideal_specs(A.delta, A.pattern)
     nonexact = tuple(spec for spec in specs if not _boundary_vanishes(A.delta, spec))
-    return Classification(nonexact, tuple(odd_witnesses(A.delta, A.pattern, specs)), len(specs))
+    return Classification(nonexact, tuple(odd_witnesses(A.delta, A.pattern)), len(specs))

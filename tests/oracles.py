@@ -9,8 +9,12 @@ tensor/Tor via the classification of finitely generated abelian groups,
 characteristic polynomials by cofactor expansion, integer roots by
 scanning divisors, nonnegative kernel vectors by Fourier-Motzkin
 elimination, search candidates by brute-force first appearance and by
-the orderly test against every point permutation, and the torsion of a
-quotient's K_1 by gcds of minors.
+the orderly test against every point permutation, their number by
+Burnside's lemma, and the torsion of a quotient's K_1 by gcds of minors.
+
+One reference does call the library: full_path_odd_witnesses, the odd
+witnesses filtered from every valid support, against which the listing of
+supports among the torsion points alone is checked.
 """
 
 from fractions import Fraction
@@ -429,3 +433,55 @@ def all_images_orderly_candidates(max_p, max_l, max_mult, max_size):
                     else:
                         alpha, beta, h = zip(*map(pairs.__getitem__, combo))
                         yield k, h, alpha, beta
+
+
+def burnside_orbit_counts(max_p, max_l, max_mult, max_size):
+    """The number of unital complexes within bounds up to permuting point
+    and interval blocks, per (point sizes k, l), by Burnside's lemma
+    (Cauchy-Frobenius): the mean over the size-keeping point permutations
+    sigma of the multisets of l row pairs that sigma fixes.  Those number
+    the coefficient of x^l in the product over the cycles c of sigma on the
+    row pairs of 1 / (1 - x^|c|) (Polya 1937)."""
+    counts = {}
+    for p in range(1, max_p + 1):
+        for k in combinations_with_replacement(range(1, max_size + 1), p):
+            pairs = [(ra, rb) for ra, rb, _ in _unital_row_pairs(k, max_mult)]
+            index = {pair: i for i, pair in enumerate(pairs)}
+            group = [perm for perm in permutations(range(p)) if all(k[j] == k[perm[j]] for j in range(p))]
+            fixed = [0] * (max_l + 1)
+            for perm in group:
+                image = [index[tuple(ra[j] for j in perm), tuple(rb[j] for j in perm)] for ra, rb in pairs]
+                series = [1] + [0] * max_l
+                seen = [False] * len(pairs)
+                for start in range(len(pairs)):
+                    if seen[start]:
+                        continue
+                    length, i = 0, start
+                    while not seen[i]:
+                        seen[i], i, length = True, image[i], length + 1
+                    for d in range(length, max_l + 1):  # times 1 / (1 - x^length)
+                        series[d] += series[d - length]
+                fixed = [f + x for f, x in zip(fixed, series)]
+            for l in range(1, max_l + 1):
+                orbits, rest = divmod(fixed[l], len(group))
+                assert rest == 0, (k, l)
+                counts[k, l] = orbits
+    return counts
+
+
+def full_path_odd_witnesses(delta, pattern):
+    """The odd witnesses of (delta, pattern) from every valid support: each
+    support of all_ideal_specs that is proper, has torsion in
+    coker delta[T^c, :], passes the boundary test and fails is_sum_of."""
+    from nccwk.fgab.groups import cokernel
+    from nccwk.nccw import _boundary_vanishes, all_ideal_specs
+
+    k1 = cokernel(delta)
+    out = []
+    for spec in all_ideal_specs(delta, pattern):
+        k1_q = cokernel(delta.submatrix([i for i in range(delta.rows) if i not in spec.T],
+                                        range(delta.cols)))
+        if (0 < len(spec.S) < delta.cols and k1_q.torsion_orders and _boundary_vanishes(delta, spec)
+                and not k1.is_sum_of(cokernel(delta.submatrix(spec.T, spec.S)), k1_q)):
+            out.append(spec)
+    return out

@@ -2,6 +2,7 @@ import inspect
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import astuple
 from itertools import combinations
 from pathlib import Path
@@ -38,6 +39,7 @@ from nccwk.nccw import (
 
 from oracles import (
     all_images_orderly_candidates,
+    burnside_orbit_counts,
     first_appearance_candidates,
     nonnegative_kernel_witness,
     quotient_k1_torsion,
@@ -188,10 +190,18 @@ class TestSearch:
         pruned = list(_enumerate_unital(SearchBounds(*bounds)))
         assert pruned == list(all_images_orderly_candidates(*bounds))
 
-    @pytest.mark.slow
-    @pytest.mark.parametrize("bounds, count", [((4, 2, 2, 1), 28_879), ((5, 2, 2, 1), 393_172)])
-    def test_emission_counts(self, bounds, count):
-        assert sum(1 for _ in _enumerate_unital(SearchBounds(*bounds))) == count
+    @pytest.mark.parametrize("bounds, total", [
+        ((3, 2, 2, 1), 1_853), ((3, 2, 3, 1), 28_943), ((4, 2, 2, 1), 28_879),
+        ((3, 3, 2, 1), 80_883), ((3, 2, 2, 2), 8_429),
+        pytest.param((5, 2, 2, 1), 393_172, marks=pytest.mark.slow),
+    ])
+    def test_emission_counts(self, bounds, total):
+        """The candidates emitted for each (point sizes k, l) are as many as
+        Burnside's lemma counts orbits, on a path that shares no code with
+        the search; the totals are those of the pinned censuses."""
+        emitted = Counter((k, len(h)) for k, h, _, _ in _enumerate_unital(SearchBounds(*bounds)))
+        orbits = burnside_orbit_counts(*bounds)
+        assert emitted == orbits and sum(orbits.values()) == total
 
     @pytest.mark.parametrize("bounds", [(3, 2, 2, 1), (3, 2, 1, 1), (2, 3, 2, 2)])
     def test_candidates_are_valid_unital_complexes(self, bounds):
@@ -272,36 +282,57 @@ class TestSearch:
         """At the default bounds 132 candidates have torsion in K_1(A/I) for
         some proper point subset; they fall into 39 (delta, pattern) keys,
         and only the first candidate of each key reaches odd_witnesses.  So
-        supports are built 39 times for the memo misses and 16 more times,
-        once for each odd block put in canonical form: 55.  The boundary
-        test runs only on supports with that torsion: 14 times over the 39
-        misses, and once for each odd block, whose first support with
-        torsion is its witness: 30.  Each call's arguments lead back to a
-        candidate: a printed block's by the identity of its delta, a memo
-        miss's through verdict_key."""
-        built, minimal, tested = [], [], []
+        minimal supports are scanned 39 times for the memo misses and 16
+        more times, once for each odd block put in canonical form: 55.  Each
+        scan covers only the points whose blocks lie inside a union T with
+        torsion in coker delta[T^c, :]: it makes 116 kernel calls, its
+        nullity call included, and its closure lists 85 supports, each empty
+        union included.  The boundary test runs only on supports with that
+        torsion: 14 times over the 39 misses, and once for each odd block,
+        whose first support with torsion is its witness: 30.  Each call's
+        arguments lead back to a candidate: a printed block's by the
+        identity of its delta, a memo miss's through verdict_key."""
+        built, minimal, kernels, listed, tested = [], [], [], [], []
+        scanning = []
 
         def counted_minimal(delta, points):
             minimal.append(delta)
-            return _minimal_supports(delta, points)
+            scanning.append(True)
+            try:
+                return _minimal_supports(delta, points)
+            finally:
+                scanning.pop()
 
-        def counted_specs(delta, pattern):
+        def counted_kernel(M):
+            if scanning:
+                kernels.append(M)
+            return nccw_kernel(M)
+
+        def counted_spec(pattern, S, minimal_supports):
+            listed.append(S)
+            return nccw_spec(pattern, S, minimal_supports)
+
+        def counted_specs(delta, pattern, points=None):
             built.append((delta, pattern))
-            return all_ideal_specs(delta, pattern)
+            return all_ideal_specs(delta, pattern, points)
 
         def counted_boundary(delta, spec):
             tested.append((delta, spec))
             return _boundary_vanishes(delta, spec)
 
+        nccw_kernel, nccw_spec = nccw.kernel, nccw._spec
         by_key = {verdict_key(*c): c for c in _enumerate_unital(SearchBounds())}
         guarded = [c for c in _enumerate_unital(SearchBounds()) if past_guard(*c)]
         assert len(guarded) == 132 and len({verdict_key(*c) for c in guarded}) == 39
         monkeypatch.setattr(nccw, "all_ideal_specs", counted_specs)
         monkeypatch.setattr(nccw, "_minimal_supports", counted_minimal)
+        monkeypatch.setattr(nccw, "kernel", counted_kernel)
+        monkeypatch.setattr(nccw, "_spec", counted_spec)
         monkeypatch.setattr(nccw, "_boundary_vanishes", counted_boundary)
         blocks = search_odd_blocks()
         assert len(blocks) == 16
         assert len(built) == len(minimal) == 55
+        assert (len(kernels), len(listed)) == (116, 85)
         printed = {id(b.complex.delta): as_candidate(b.complex) for b in blocks}
         candidate = {id(delta): printed.get(id(delta)) or by_key[delta.entries, pattern]
                      for delta, pattern in built}
@@ -319,9 +350,9 @@ class TestSearch:
         keys = {verdict_key(*c) for c in _enumerate_unital(SearchBounds())}
         runs = []
 
-        def counted(delta, pattern, specs=None):
+        def counted(delta, pattern):
             runs.append(delta)
-            return odd_witnesses(delta, pattern, specs)
+            return odd_witnesses(delta, pattern)
 
         monkeypatch.setattr(search_module, "odd_witnesses", counted)
         blocks = search_odd_blocks()

@@ -408,6 +408,14 @@ class TestSystems:
         with pytest.raises(ValueError, match="bonding at stage 0 does not land in the group at stage 1"):
             truncate(sys, 2)
 
+    def test_truncate_rejects_a_bonding_on_groups_of_the_same_rank(self):
+        """Z/2 and Z both have one generator: the groups are compared, not
+        their generator counts."""
+        Z, Z2 = FgGroup.free(1), FgGroup(1, IntMatrix.from_rows([[2]]))
+        sys = IndSystem(lambda n: Z2, lambda n: GroupHom(Z, Z, IntMatrix.from_rows([[1]])))
+        with pytest.raises(ValueError, match="bonding at stage 0 does not match its group"):
+            truncate(sys, 2)
+
     def test_truncate_orbits(self):
         sys0 = odd_tower_family().k0_system()
 

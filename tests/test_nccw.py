@@ -1,8 +1,11 @@
+import hashlib
 import random
+import re
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nccwk.fgab.intmat import IntMatrix
 from nccwk.fgab.groups import GroupHom, _splits, is_exact, is_pure
@@ -27,8 +30,11 @@ from nccwk.harness.scenarios import (
     odd_tower_complex,
     torsion_tower_complex,
 )
+from nccwk.harness.search import SearchBounds, _enumerate_unital
 
-from oracles import nonnegative_kernel_witness, quotient_k1_torsion
+from oracles import full_path_odd_witnesses, nonnegative_kernel_witness, quotient_k1_torsion
+
+DATA = Path(__file__).resolve().parent / "data"
 
 CASES = ("unital", "non-unital", "isolated point")
 
@@ -309,7 +315,77 @@ class TestExtensions:
                 assert r_i + r_q == kd.k0.free_rank
 
 
+def census_keys():
+    """(delta rows, nonzero pattern) of the odd blocks pinned in the default
+    census, and of the stage-0 blocks of the paper's two towers."""
+    keys = []
+    for line in (DATA / "search_default.txt").read_text().splitlines():
+        alpha, beta = ([[int(x) for x in row.split()] for row in M.split(";")]
+                       for M in re.search(r"alpha=\[([^]]*)\] beta=\[([^]]*)\]", line).groups())
+        keys.append((tuple(tuple(x - y for x, y in zip(a, b)) for a, b in zip(alpha, beta)),
+                     tuple(tuple(bool(x or y) for x, y in zip(a, b)) for a, b in zip(alpha, beta))))
+    for A in (odd_tower_complex(0), torsion_tower_complex(0)):
+        keys.append((A.delta.entries, A.pattern))
+    return keys
+
+
+@st.composite
+def verdict_keys(draw):
+    """A random sparse (delta rows, pattern) with p <= 6 points and l <= 3
+    blocks; the pattern is any superset of delta's support, the key of some
+    complex, unital or not."""
+    p, l = draw(st.integers(1, 6), label="p"), draw(st.integers(1, 3), label="l")
+    entries = st.one_of(st.just(0), st.integers(-2, 2))
+    delta = tuple(tuple(draw(entries) for _ in range(p)) for _ in range(l))
+    pattern = tuple(tuple(bool(x) or draw(st.booleans()) for x in row) for row in delta)
+    return delta, pattern
+
+
+def with_census_examples(test):
+    for key in census_keys():
+        test = example(key=key)(test)
+    return test
+
+
 class TestClassification:
+    @settings(max_examples=300, deadline=None)
+    @given(key=verdict_keys())
+    @with_census_examples
+    # points 1 and 2 touch no block, yet lie in witnesses over block 3 (1-based)
+    @example(key=(((0, 0, 0, 0, 2), (0, 0, 1, 0, 1), (0, 0, 0, 0, 1)),
+                  ((False, False, False, False, True), (False, False, True, False, True),
+                   (False, False, False, True, True))))
+    def test_odd_witnesses_match_the_full_path(self, key):
+        """Listing supports only among the points whose blocks lie inside a
+        union T with torsion in coker delta[T^c, :] gives the witnesses, in
+        order and with their vectors, that filtering every valid support
+        gives."""
+        delta = IntMatrix(len(key[0]), len(key[0][0]), key[0])
+        assert list(odd_witnesses(delta, key[1])) == full_path_odd_witnesses(delta, key[1])
+
+    def test_census_examples_are_odd(self):
+        for delta, pattern in census_keys():
+            assert full_path_odd_witnesses(IntMatrix(len(delta), len(delta[0]), delta), pattern)
+
+    def test_classify_block_pinned_on_every_default_candidate(self):
+        """str(classify_block(A)) + newline over the 1,853 default candidates
+        in the order they are emitted (1,457 nice, 380 nice with
+        nontrivial-boundary diagnostics, 16 odd), by sha256, as recorded
+        before odd_witnesses listed supports only among the torsion points."""
+        digest = hashlib.sha256()
+        for k, h, a, b in _enumerate_unital(SearchBounds()):
+            A = NccwComplex(k, h, IntMatrix.from_rows(a, cols=len(k)), IntMatrix.from_rows(b, cols=len(k)))
+            digest.update((str(classify_block(A)) + "\n").encode())
+        assert digest.hexdigest() == "e9696636a50434bbedb38f8b11e69ab0ca6bb9d4ba3bea323f640be3504dae9c"
+
+    def test_classify_block_strings(self):
+        ones = IntMatrix.from_rows([[1] * 10])
+        assert str(classify_block(NccwComplex((1,) * 10, (10,), ones, ones))) == \
+            "nice (1024 ideal supports checked)"
+        A = NccwComplex((1, 1, 1), (2,), IntMatrix.from_rows([[0, 1, 1]]), IntMatrix.from_rows([[1, 0, 1]]))
+        assert str(classify_block(A)) == \
+            "nice (4 ideal supports checked; supports with nontrivial boundary maps: [[3]])"
+
     def test_odd_tower_is_odd(self):
         cls = classify_block(odd_tower_complex(0))
         assert cls.verdict is BlockClass.ODD
