@@ -1,10 +1,12 @@
 """Finitely generated abelian groups as presentations, and their homs.
 
-A group is Z^g modulo the column span of a relation matrix.  Elements are
-integer vectors on the generators; equality, divisibility and exactness
-reduce to integer linear solvability, which the Smith form decides
-exactly, and splitting of an exact row reduces to isomorphism type:
-FgGroup.is_sum_of is the one such test (Miyata's theorem, see is_pure).
+A group is Z^g modulo the column span of a relation matrix; it reads its
+invariants off the Smith form once, when it is built, and smith_normal_form's
+cache is the only copy of that form.  Elements are integer vectors on the
+generators; equality, divisibility and exactness reduce to integer linear
+solvability, which the Smith form decides exactly, and splitting of an exact
+row reduces to isomorphism type: FgGroup.is_sum_of is the one such test
+(Miyata's theorem, see is_pure).
 
 >>> G = FgGroup.from_cyclic([2, 0])
 >>> str(G)
@@ -20,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from operator import index
 from typing import Optional, Sequence
 
 from .intmat import (
@@ -33,7 +36,8 @@ from .intmat import (
 
 @dataclass(frozen=True)
 class FgGroup:
-    """Z^generators / columnspan(relations)."""
+    """Z^generators / columnspan(relations); equality, hashing and repr
+    read these two fields alone, not the invariants __post_init__ sets."""
 
     generators: int
     relations: IntMatrix
@@ -41,6 +45,13 @@ class FgGroup:
     def __post_init__(self):
         if self.relations.rows != self.generators:
             raise ValueError("relation matrix must have one row per generator")
+        # one order per generator (0 = Z): the invariant-factor chain,
+        # padded with 0 for generators no relation hits
+        d = smith_normal_form(self.relations).invariant_factors
+        orders = d + (0,) * (self.generators - len(d))
+        object.__setattr__(self, "diagonal_orders", orders)
+        object.__setattr__(self, "free_rank", orders.count(0))
+        object.__setattr__(self, "torsion_orders", tuple(x for x in orders if x > 1))
 
     @staticmethod
     def free(rank: int) -> "FgGroup":
@@ -62,30 +73,6 @@ class FgGroup:
         return FgGroup(sum(p.generators for p in parts),
                        IntMatrix.block_diag(*(p.relations for p in parts)))
 
-    @cached_property
-    def presentation_smith(self):
-        """Smith data of the relation matrix (U diagonalizes the generators)."""
-        return smith_normal_form(self.relations)
-
-    @cached_property
-    def diagonal_orders(self) -> tuple:
-        """One order per generator of the diagonalized presentation (0 = Z).
-
-        Entries follow the invariant-factor chain, padded with 0 for
-        generators not hit by any relation.
-        """
-        d = self.presentation_smith.invariant_factors
-        out = [d[i] if i < len(d) else 0 for i in range(self.generators)]
-        return tuple(out)
-
-    @cached_property
-    def free_rank(self) -> int:
-        return sum(1 for d in self.diagonal_orders if d == 0)
-
-    @cached_property
-    def torsion_orders(self) -> tuple:
-        return tuple(d for d in self.diagonal_orders if d > 1)
-
     def iso_class(self) -> tuple:
         return (self.free_rank, self.torsion_orders)
 
@@ -99,7 +86,7 @@ class FgGroup:
     # -- elements ---------------------------------------------------------
 
     def check_element(self, v: Sequence[int]) -> tuple:
-        v = tuple(int(x) for x in v)
+        v = tuple(map(index, v))
         if len(v) != self.generators:
             raise ValueError(f"element length {len(v)} != {self.generators} generators")
         return v
@@ -108,7 +95,7 @@ class FgGroup:
         """Coordinates in the diagonalized presentation; a complete equality
         invariant for classes of elements."""
         v = self.check_element(v)
-        y = self.presentation_smith.apply_U(v)
+        y = smith_normal_form(self.relations).apply_U(v)
         out = []
         for yi, d in zip(y, self.diagonal_orders):
             out.append(yi % d if d > 0 else yi)
@@ -120,7 +107,7 @@ class FgGroup:
     def cyclic_generators(self) -> list:
         """(order, generator vector) per nontrivial cyclic summand,
         free summands last with order 0."""
-        cols = self.presentation_smith.Uinv
+        cols = smith_normal_form(self.relations).Uinv
         out = []
         for i, d in enumerate(self.diagonal_orders):
             if d != 1:
@@ -270,8 +257,8 @@ def is_pure(s: ShortExactSeq) -> bool:
     theorem (T. Miyata, "Note on direct summands of modules", J. Math.
     Kyoto Univ. 7 (1967) 65-69) an exact row of f.g. abelian groups splits
     iff G is isomorphic to H (+) Q, so purity is FgGroup.is_sum_of, the
-    one isomorphism-type comparison behind every purity verdict, read off
-    cached Smith forms.
+    one isomorphism-type comparison behind every purity verdict, on the
+    invariants each group computed when it was built.
     """
     if not is_exact(s):
         raise ValueError("purity is only defined for exact sequences")

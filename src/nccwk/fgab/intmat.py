@@ -37,12 +37,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable rectangular integer matrix; degenerate shapes allowed."""
+    """Immutable rectangular integer matrix; degenerate shapes allowed.  The
+    from_* and column builders raise TypeError on a float or a Fraction."""
 
     rows: int
     cols: int
@@ -59,7 +61,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]], cols: Optional[int] = None) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(tuple(map(index, row)) for row in rows)
         ncols = len(data[0]) if data else (cols if cols is not None else 0)
         return IntMatrix(len(data), ncols, data)
 
@@ -87,14 +89,14 @@ class IntMatrix:
 
     @staticmethod
     def column(vec: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(len(vec), 1, tuple((int(x),) for x in vec))
+        return IntMatrix(len(vec), 1, tuple(zip(map(index, vec))))
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
         if not cols:
             return IntMatrix.zero(rows if rows is not None else 0, 0)
         nrows = len(cols[0])
-        return IntMatrix(nrows, len(cols), tuple(tuple(int(c[i]) for c in cols) for i in range(nrows)))
+        return IntMatrix(nrows, len(cols), tuple(zip(*(map(index, c) for c in cols))))
 
     def __getitem__(self, ij):
         i, j = ij

@@ -21,11 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 from typing import Callable, Optional, Sequence
 
 from .fgab.intmat import (
     IntMatrix,
     kernel,
+    smith_normal_form,
     solve_matrix,
     unimodular_completion,
 )
@@ -355,7 +357,7 @@ class LimitElement:
     vector: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "vector", tuple(int(x) for x in self.vector))
+        object.__setattr__(self, "vector", tuple(map(index, self.vector)))
 
 
 @dataclass(frozen=True)
@@ -677,7 +679,7 @@ def identify_localized_limit(sys: IndSystem) -> Optional[LocalizedLimit]:
         return None
     # pass to diagonal coordinates and keep the honestly free block; the
     # presentation may carry redundant generators killed by unit factors
-    snf = G.presentation_smith
+    snf = smith_normal_form(G.relations)
     free_idx = [i for i, d in enumerate(G.diagonal_orders) if d == 0]
     Md = snf.U @ hom.matrix @ snf.Uinv
     M = Md.submatrix(free_idx, free_idx)
@@ -733,7 +735,8 @@ def limit_ses_purity(ladder: "IdealLadder", N: int) -> LadderPurity:
     All ladder squares must commute.  A purity failure at a stage where all
     three systems have become stationary (identity bondings onward) is a
     verdict about the limit sequence itself, since the sequence no longer
-    changes.
+    changes; that takes at least one checked bonding, so a first failure
+    at stage N itself leaves the limit verdict open.
     """
     sys_i, sys_e, sys_q = ladder.sys_ideal, ladder.sys_total, ladder.sys_quotient
     for n in range(N):
@@ -756,7 +759,7 @@ def limit_ses_purity(ladder: "IdealLadder", N: int) -> LadderPurity:
     def stationary(sys):
         return all(sys.bonding(s).is_isomorphism() for s in range(first_bad, N))
 
-    if stationary(sys_i) and stationary(sys_e) and stationary(sys_q):
+    if first_bad < N and stationary(sys_i) and stationary(sys_e) and stationary(sys_q):
         return LadderPurity("stationary_verdict", first_bad, limit_pure=False)
     return LadderPurity("nonpure_witness", first_bad)
 

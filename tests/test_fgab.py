@@ -1,6 +1,9 @@
+import dataclasses
 import math
+from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from nccwk.fgab.intmat import IntMatrix
@@ -19,9 +22,11 @@ from nccwk.fgab.groups import (
     tor_zn,
     tor_zn_embedding,
 )
+from nccwk.homind import LimitElement
 
 from oracles import (
     cyclic_normal_form,
+    minor_gcd_invariant_factors,
     purity_bruteforce,
     tensor_with_zn_oracle,
     tor_with_zn_oracle,
@@ -228,10 +233,14 @@ def test_purity_matches_bruteforce_for_diagonal_inclusions(rank, mults):
     assert _splits(s) == brute
 
 
-presented_groups = st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
-    lambda gr: st.lists(st.lists(st.integers(-6, 6), min_size=gr[1], max_size=gr[1]),
-                        min_size=gr[0], max_size=gr[0]).map(
-        lambda rows: cokernel(IntMatrix.from_rows(rows, cols=gr[1]))))
+def presentations(max_generators, max_relations):
+    return st.tuples(st.integers(0, max_generators), st.integers(0, max_relations)).flatmap(
+        lambda gr: st.lists(st.lists(st.integers(-6, 6), min_size=gr[1], max_size=gr[1]),
+                            min_size=gr[0], max_size=gr[0]).map(
+            lambda rows: cokernel(IntMatrix.from_rows(rows, cols=gr[1]))))
+
+
+presented_groups = presentations(3, 3)
 
 
 @settings(max_examples=100, deadline=None)
@@ -268,3 +277,38 @@ def test_cokernel_iso_invariance_under_unimodular_change(G, seed):
     V = random_unimodular(R.cols)
     moved = FgGroup(G.generators, U @ R @ V)
     assert moved.iso_class() == G.iso_class()
+
+
+@settings(max_examples=150, deadline=None)
+@given(presentations(4, 5))
+def test_invariants_set_at_construction_match_minor_gcds(G):
+    """The invariants a group sets when it is built, against the minor-gcd
+    oracle; fewer columns than rows leave generators no relation hits."""
+    rows = [list(r) for r in G.relations.entries]
+    d = minor_gcd_invariant_factors(rows)
+    orders = d + (0,) * (G.generators - len(d))
+    assert G.diagonal_orders == orders
+    assert G.free_rank == orders.count(0)
+    assert G.torsion_orders == tuple(x for x in orders if x > 1)
+    assert [f.name for f in dataclasses.fields(FgGroup)] == ["generators", "relations"]
+    twin = FgGroup(G.generators, IntMatrix.from_rows(rows, cols=G.relations.cols))
+    assert twin is not G
+    assert twin == G and hash(twin) == hash(G) and repr(twin) == repr(G)
+
+
+INTEGER_INPUTS = (
+    lambda x: IntMatrix.from_rows([[1, x]]),
+    lambda x: IntMatrix.column([1, x]),
+    lambda x: IntMatrix.from_columns([(1, x)]),
+    lambda x: FgGroup.free(2).check_element((1, x)),
+    lambda x: LimitElement(0, (1, x)),
+)
+
+
+@pytest.mark.parametrize("x", [1.5, Fraction(1, 2)], ids=["float", "Fraction"])
+def test_non_integers_are_refused_not_truncated(x):
+    for make in INTEGER_INPUTS:
+        with pytest.raises(TypeError):
+            make(x)
+        make(True)
+        make(sympy.Integer(3))

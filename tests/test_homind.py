@@ -647,6 +647,23 @@ class TestLadderPurity:
         v = limit_ses_purity(lad, 3)
         assert v.kind == "pure_through"
 
+    def test_failure_at_stage_n_leaves_the_limit_open(self):
+        # every row is 0 -> Z/2 -x2-> Z/4 -> Z/2 -> 0 and all three bondings
+        # are zero, so the limit is 0; a first failure at stage N checks no
+        # bonding and says nothing about the limit
+        Z2, Z4 = FgGroup.from_cyclic([2]), FgGroup.from_cyclic([4])
+        row = ShortExactSeq(GroupHom(Z2, Z4, IntMatrix.from_rows([[2]])),
+                            GroupHom(Z4, Z2, IntMatrix.from_rows([[1]])))
+
+        def zero_system(G):
+            return IndSystem(lambda n: G, lambda n: GroupHom(G, G, IntMatrix.zero(1, 1)))
+
+        lad = homind.IdealLadder(zero_system(Z2), zero_system(Z4), zero_system(Z2), lambda n: row)
+        for N in (0, 1, 2):
+            v = limit_ses_purity(lad, N)
+            assert (v.kind, v.stage) == ("nonpure_witness", 0)
+        assert str(limit_ses_purity(lad, 0)) == "purity fails at stage 0 (limit verdict open)"
+
     def test_noncommuting_ladder_rejected(self):
         fam = odd_tower_family()
         lad = fam.ladder((2,), 1)
