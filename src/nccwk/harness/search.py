@@ -7,9 +7,10 @@ permuting point and interval blocks, by an orderly test pruned by prefix
 (McKay 1998) that keeps no set of the orbits seen.
 Whether a candidate is odd depends only on alpha - beta and on which
 entries of alpha or beta are nonzero, the arguments of nccw.odd_witnesses;
-a verdict memo on their rows lives for one call of search_odd_blocks.  An
-NccwComplex is built only for an odd candidate, once, in canonical form,
-where its printed witness is taken.
+a verdict memo on their rows lives for one call of search_odd_blocks.
+Each (alpha row, beta row) gets its two rows computed once per call, and
+the memo key is assembled from them.  An NccwComplex is built only for an
+odd candidate, once, in canonical form, where its printed witness is taken.
 odd_witnesses reads the torsion of K_1(A/I) first (K_0(A/I) is free, and
 an exact row onto a free K_1(A/I) splits): a candidate without it for any
 proper point subset gets no ideal support built, supports are listed only
@@ -36,6 +37,11 @@ class SearchBounds:
     max_l: int = 2
     max_mult: int = 2
     max_size: int = 1
+
+    def __post_init__(self):
+        for name in ("max_p", "max_l", "max_mult", "max_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"search bound {name} must be at least 1")
 
     def __str__(self):
         return (f"p <= {self.max_p}, l <= {self.max_l}, "
@@ -143,6 +149,17 @@ def _enumerate_unital(bounds: SearchBounds):
                             yield k, h, alpha, beta
 
 
+class _KeyRows(dict):
+    """(alpha row, beta row) -> (its row of alpha - beta, its row of the
+    nonzero pattern of alpha or beta), each computed on its first lookup."""
+
+    def __missing__(self, pair):
+        ra, rb = pair
+        rows = self[pair] = (tuple(x - y for x, y in zip(ra, rb)),
+                             tuple(bool(x or y) for x, y in zip(ra, rb)))
+        return rows
+
+
 def reverify_odd_witness(A: NccwComplex, spec: CompactIdealSpec) -> bool:
     """Second-opinion check of an odd witness: both built K rows are exact
     and not both split, with splitting decided by solving the splitting
@@ -159,13 +176,15 @@ def search_odd_blocks(max_p: int = SearchBounds.max_p, max_l: int = SearchBounds
 
     verdicts, a memo that lives for this call, holds whether a candidate is
     odd per rows of (alpha - beta, nonzero pattern of alpha or beta), the
-    arguments of odd_witnesses, made a matrix only on a miss.  The witness
-    is taken on the canonical form, since the order of all_ideal_specs, and
-    so the first witness, depends on the order of the points."""
-    verdicts, out = {}, []
+    arguments of odd_witnesses, made a matrix only on a miss.  Its key is
+    assembled from rows, a second memo for this call that maps each
+    (alpha row, beta row) to its rows of the two, so a row pair seen before
+    costs one lookup.  The witness is taken on the canonical form, since the
+    order of all_ideal_specs, and so the first witness, depends on the order
+    of the points."""
+    rows, verdicts, out = _KeyRows(), {}, []
     for k, h, a, b in _enumerate_unital(SearchBounds(max_p, max_l, max_mult, max_size)):
-        key = (tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)),
-               tuple(tuple(bool(x or y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)))
+        key = tuple(zip(*map(rows.__getitem__, zip(a, b))))
         odd = verdicts.get(key)
         if odd is None:
             delta = IntMatrix(len(h), len(k), key[0])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -290,6 +290,14 @@ def _boundary_vanishes(delta: IntMatrix, spec: CompactIdealSpec) -> bool:
     return spans(delta_i, link @ kernel(delta.submatrix(Tc, Sc)))
 
 
+@lru_cache(maxsize=None)
+def _torsion_cokernel(rows: tuple) -> Optional[FgGroup]:
+    """The cokernel of the matrix with these rows if it has torsion, else
+    None: the guard of odd_witnesses, cached on the rows it reads."""
+    G = cokernel(IntMatrix.from_rows(rows))
+    return G if G.torsion_orders else None
+
+
 def odd_witnesses(delta: IntMatrix, pattern: tuple):
     """The supports whose K rows are exact but not pure, in all_ideal_specs
     order, of every complex with this delta = alpha - beta and this nonzero
@@ -299,7 +307,10 @@ def odd_witnesses(delta: IntMatrix, pattern: tuple):
     splits, so only a support with torsion in coker delta_Q can be a
     witness.  The blocks T^c touch no point of S, so coker delta_Q =
     coker delta[T^c, :] depends on T = adj(S) alone; it is read first, for
-    every union T of the points' adjacent blocks.  A witness lies inside
+    every union T of the points' adjacent blocks, from _torsion_cokernel,
+    which builds each group once per tuple of delta's rows outside T: its
+    cache, like smith_normal_form's, lives for the process, and the many
+    deltas of a search share few such tuples.  A witness lies inside
     P, the points j with adj(j) inside some T with torsion, and a minimal
     support inside P is one of ker(delta): supports are listed inside P
     alone, in the same order and with the same vectors.  For an exact row,
@@ -312,8 +323,8 @@ def odd_witnesses(delta: IntMatrix, pattern: tuple):
     for blocks in adjacent:
         unions |= {u | blocks for u in unions} | {blocks}
     k1_q = {T: G for T in (tuple(sorted(u)) for u in unions)
-            if (G := cokernel(delta.submatrix([i for i in range(delta.rows) if i not in T],
-                                              range(delta.cols)))).torsion_orders}
+            if (G := _torsion_cokernel(tuple(row for i, row in enumerate(delta.entries)
+                                             if i not in T))) is not None}
     if not k1_q:
         return
     k1 = cokernel(delta)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from nccwk import nccw
-from nccwk.fgab.groups import _splits, is_exact
+from nccwk.fgab.groups import _splits, cokernel, is_exact
 from nccwk.fgab.intmat import IntMatrix
 from nccwk.harness.cli import build_parser
 from nccwk.harness.report import render_report
@@ -160,6 +160,11 @@ class TestSearch:
         search was rebuilt on cone faces and the snake lemma)."""
         expected = (DATA / "search_default.txt").read_text()
         assert "\n".join(census_lines(default_search)) + "\n" == expected
+
+    @pytest.mark.parametrize("bound", ["max_p", "max_l", "max_mult", "max_size"])
+    def test_bounds_below_one_are_refused(self, bound):
+        with pytest.raises(ValueError, match=f"search bound {bound} must be at least 1"):
+            search_odd_blocks(**{bound: 0})
 
     def test_bounds_description(self):
         assert "p <= 3" in str(SearchBounds())
@@ -346,18 +351,70 @@ class TestSearch:
     def test_odd_witnesses_once_per_key_and_odd_block(self, monkeypatch):
         """odd_witnesses runs once per distinct (delta, pattern) key, 394 of
         them among 1,853 default candidates, and once more per odd block, on
-        its canonical form: 410 runs."""
+        its canonical form: 410 runs.  The memo-miss runs are given exactly
+        the keys verdict_key builds, which shares no code with the search's
+        per-row key memo: a memo that merged or split keys would differ."""
         keys = {verdict_key(*c) for c in _enumerate_unital(SearchBounds())}
         runs = []
 
         def counted(delta, pattern):
-            runs.append(delta)
+            runs.append((delta, pattern))
             return odd_witnesses(delta, pattern)
 
         monkeypatch.setattr(search_module, "odd_witnesses", counted)
         blocks = search_odd_blocks()
         assert (len(keys), len(blocks)) == (394, 16)
         assert len(runs) == len(keys) + len(blocks) == 410
+        printed = {id(b.complex.delta) for b in blocks}
+        misses = [(delta.entries, pattern) for delta, pattern in runs if id(delta) not in printed]
+        assert len(misses) == len(set(misses)) == 394
+        assert set(misses) == keys
+
+    def test_guard_memo_builds_one_group_per_row_tuple(self, monkeypatch, default_search):
+        """The torsion guard of odd_witnesses builds coker delta[T^c, :] once
+        per distinct tuple of delta's rows outside T, over every union T of
+        the points' adjacent blocks, for the default candidates' keys and
+        their odd blocks' canonical forms; it returns that group when it has
+        torsion and None otherwise, and a search on the warm cache prints
+        the same census."""
+        def unions(pattern):
+            p = len(pattern[0]) if pattern else 0
+            adjacent = [frozenset(i for i, row in enumerate(pattern) if row[j]) for j in range(p)]
+            return {frozenset().union(*(adjacent[j] for j in J))
+                    for r in range(1, p + 1) for J in combinations(range(p), r)}
+
+        keys = ({verdict_key(*c) for c in _enumerate_unital(SearchBounds())}
+                | {verdict_key(*as_candidate(b.complex)) for b in default_search})
+        outside = {(rows, T): tuple(row for i, row in enumerate(rows) if i not in T)
+                   for rows, pattern in keys for T in unions(pattern)}
+        built, guarding = [], []
+
+        def guard(rows):
+            guarding.append(True)
+            try:
+                return torsion_cokernel(rows)
+            finally:
+                guarding.pop()
+
+        def counted_cokernel(M):
+            if guarding:
+                built.append(M.entries)
+            return nccw_cokernel(M)
+
+        torsion_cokernel, nccw_cokernel = nccw._torsion_cokernel, nccw.cokernel
+        torsion_cokernel.cache_clear()
+        monkeypatch.setattr(nccw, "_torsion_cokernel", guard)
+        monkeypatch.setattr(nccw, "cokernel", counted_cokernel)
+        assert census_lines(search_odd_blocks()) == census_lines(default_search)
+        assert len(built) == len(set(built)) == len(set(outside.values())) == 33
+        assert set(built) == set(outside.values())
+        monkeypatch.undo()
+        for (rows, T), kept in outside.items():
+            delta = IntMatrix.from_rows(rows)
+            G = cokernel(delta.submatrix([i for i in range(delta.rows) if i not in T],
+                                         range(delta.cols)))
+            assert nccw._torsion_cokernel(kept) == (G if G.torsion_orders else None)
+        assert census_lines(search_odd_blocks()) == census_lines(default_search)
 
     def test_one_key_one_witness_list(self, default_search):
         """Complexes sharing delta and the nonzero pattern of alpha, beta get
@@ -494,6 +551,14 @@ class TestCli:
         code, out, _ = run_cli("search", "--max-p", "2", "--max-l", "2",
                                "--max-mult", "2", "--max-size", "1")
         assert code == 0 and "odd blocks" in out
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--max-p", "0", "max_p"), ("--max-mult", "-1", "max_mult"),
+    ])
+    def test_search_refuses_bounds_below_one(self, flag, value, name):
+        code, out, err = run_cli("search", flag, value)
+        assert code == 1 and out == ""
+        assert err == f"error: search bound {name} must be at least 1\n"
 
     def test_search_has_no_jobs_option(self):
         code, out, err = run_cli("search", "--jobs", "2")
