@@ -6,7 +6,9 @@ cache is the only copy of that form.  Elements are integer vectors on the
 generators; equality, divisibility and exactness reduce to integer linear
 solvability, which the Smith form decides exactly, and splitting of an exact
 row reduces to isomorphism type: FgGroup.is_sum_of is the one such test
-(Miyata's theorem, see is_pure).
+(Miyata's theorem, see is_pure).  Homs meet only at equal groups (FgGroup
+==: same generators, same relations), never at equal generator counts;
+compose, equals, exact_at, ShortExactSeq and check_ladder share this rule.
 
 >>> G = FgGroup.from_cyclic([2, 0])
 >>> str(G)
@@ -139,7 +141,7 @@ def cokernel(A: IntMatrix) -> FgGroup:
 @dataclass(frozen=True)
 class GroupHom:
     """Hom given by a matrix on generator lifts; must map relations into
-    relations to be well defined."""
+    relations to be well defined.  It meets other homs at equal groups."""
 
     source: FgGroup
     target: FgGroup
@@ -166,14 +168,13 @@ class GroupHom:
 
     def compose(self, first: "GroupHom") -> "GroupHom":
         """self after first."""
-        if first.target.generators != self.source.generators:
+        if first.target != self.source:
             raise ValueError("composition shape mismatch")
         return GroupHom(first.source, self.target, self.matrix @ first.matrix)
 
     def equals(self, other: "GroupHom") -> bool:
-        if self.source.generators != other.source.generators:
-            return False
-        if self.target.relations != other.target.relations or self.target.generators != other.target.generators:
+        """Equal groups at both ends, matrices equal modulo target relations."""
+        if self.source != other.source or self.target != other.target:
             return False
         return spans(self.target.relations, self.matrix - other.matrix)
 
@@ -203,8 +204,8 @@ def hom_is_well_defined(source: FgGroup, target: FgGroup, matrix: IntMatrix) -> 
 
 
 def exact_at(first: GroupHom, second: GroupHom) -> bool:
-    """Exactness of A -> B -> C at B: image(first) = kernel(second)."""
-    if first.target.generators != second.source.generators:
+    """Exactness of A -> B -> C at one group B: image(first) = kernel(second)."""
+    if first.target != second.source:
         raise ValueError("homs not composable")
     if not second.compose(first).is_zero_hom():
         return False
@@ -213,14 +214,14 @@ def exact_at(first: GroupHom, second: GroupHom) -> bool:
 
 @dataclass(frozen=True)
 class ShortExactSeq:
-    """0 -> left -> mid -> right -> 0 candidate; exactness is a check, not
-    an invariant of construction."""
+    """0 -> left -> mid -> right -> 0 candidate, inj and surj meeting at one
+    group mid; exactness is a check, not an invariant of construction."""
 
     inj: GroupHom
     surj: GroupHom
 
     def __post_init__(self):
-        if self.inj.target.generators != self.surj.source.generators:
+        if self.inj.target != self.surj.source:
             raise ValueError("inj target and surj source do not match")
 
     @property
@@ -305,16 +306,10 @@ def _splits(s: ShortExactSeq) -> bool:
 
 def check_ladder(top: ShortExactSeq, bottom: ShortExactSeq,
                  v_left: GroupHom, v_mid: GroupHom, v_right: GroupHom) -> bool:
-    """Commutativity of the two squares between two short sequences."""
-    shapes_ok = (
-        v_left.source.generators == top.left.generators
-        and v_left.target.generators == bottom.left.generators
-        and v_mid.source.generators == top.mid.generators
-        and v_mid.target.generators == bottom.mid.generators
-        and v_right.source.generators == top.right.generators
-        and v_right.target.generators == bottom.right.generators
-    )
-    if not shapes_ok:
+    """Commutativity of the two squares between two short sequences; each
+    vertical hom must run between the two rows' groups of its column."""
+    if ((v_left.source, v_left.target, v_mid.source, v_mid.target, v_right.source, v_right.target)
+            != (top.left, bottom.left, top.mid, bottom.mid, top.right, bottom.right)):
         raise ValueError("ladder shape mismatch")
     left_square = v_mid.compose(top.inj).equals(bottom.inj.compose(v_left))
     right_square = v_right.compose(top.surj).equals(bottom.surj.compose(v_mid))

@@ -292,9 +292,10 @@ class IndSystem:
     """Sequence of f.g. groups with bonding homs, generated lazily.
 
     group_at(n) and bonding_at(n) produce the stage-n group and the hom
-    from stage n to n + 1; results are memoized.  eventually_constant_from
-    is caller-supplied metadata asserting the bonding hom is literally the
-    same from that stage on.
+    from stage n to n + 1; results are memoized, and each bonding is checked
+    to run from group(n) to group(n + 1) once, where it is built.
+    eventually_constant_from is caller-supplied metadata asserting the
+    bonding hom is literally the same from that stage on.
     """
 
     def __init__(self, group_at: Callable[[int], FgGroup],
@@ -303,12 +304,19 @@ class IndSystem:
                  cone_at: Optional[Callable[[int], Callable]] = None):
         self.eventually_constant_from = eventually_constant_from
         self._groups = _Memo(group_at)
-        self._bondings = _Memo(bonding_at)
+        self._bondings = _Memo(lambda n: self._checked(n, bonding_at(n)))
         self._cones = _Memo(cone_at) if cone_at is not None else None
+
+    def _checked(self, n: int, hom: GroupHom) -> GroupHom:
+        if hom.source != self.group(n):
+            raise ValueError(f"bonding at stage {n} does not match its group")
+        if hom.target != self.group(n + 1):
+            raise ValueError(f"bonding at stage {n} does not land in the group at stage {n + 1}")
+        return hom
 
     @staticmethod
     def constant(hom: GroupHom) -> "IndSystem":
-        if hom.source.generators != hom.target.generators or hom.source.relations != hom.target.relations:
+        if hom.source != hom.target:
             raise ValueError("constant system needs an endomorphism")
         return IndSystem(lambda n: hom.source, lambda n: hom, eventually_constant_from=0)
 
@@ -367,17 +375,11 @@ class TruncatedSystem:
 
 
 def truncate(sys: IndSystem, N: int) -> TruncatedSystem:
-    """Materialize stages 0..N (N >= 1): N + 1 groups and N bondings."""
+    """Materialize stages 0..N (N >= 1): N + 1 groups and N bondings, checked where sys built them."""
     if N < 1:
         raise ValueError("need at least one bonding")
-    groups = tuple(sys.group(n) for n in range(N + 1))
-    bondings = tuple(sys.bonding(n) for n in range(N))
-    for n in range(N):
-        if bondings[n].source != groups[n]:
-            raise ValueError(f"bonding at stage {n} does not match its group")
-        if bondings[n].target != groups[n + 1]:
-            raise ValueError(f"bonding at stage {n} does not land in the group at stage {n + 1}")
-    return TruncatedSystem(groups, bondings)
+    return TruncatedSystem(tuple(sys.group(n) for n in range(N + 1)),
+                           tuple(sys.bonding(n) for n in range(N)))
 
 
 @dataclass(frozen=True)
@@ -419,6 +421,8 @@ def divisible_in_limit(sys: IndSystem, x: LimitElement, n: int, stage_bound: int
         raise ValueError("divisor must be positive")
     if stage_bound < 0:
         raise ValueError("bound must be nonnegative")
+    if stage_bound < x.stage:
+        raise ValueError("bound precedes the element's stage")
     for s, v in sys.walk(x, x.stage, stage_bound):
         if sys.group(s).divide_element(v, n) is not None:
             return s
@@ -665,17 +669,13 @@ def identify_localized_limit(sys: IndSystem) -> Optional[LocalizedLimit]:
         return None
     hom = sys.bonding(n0)
     G = sys.group(n0)
-    for extra in (1, 2):
-        later = sys.bonding(n0 + extra)
-        if later.matrix != hom.matrix or later.source.relations != hom.source.relations:
-            return None
+    if sys.bonding(n0 + 1) != hom or sys.bonding(n0 + 2) != hom:
+        return None
     if G.torsion_orders:
         ident = GroupHom.identity(G)
         if hom.equals(ident):
             return LocalizedLimit(n0, (1,) * G.free_rank,
                                   IntMatrix.identity(G.generators), G.torsion_orders)
-        return None
-    if hom.matrix.rows != hom.matrix.cols:
         return None
     # pass to diagonal coordinates and keep the honestly free block; the
     # presentation may carry redundant generators killed by unit factors

@@ -9,8 +9,9 @@ tensor/Tor via the classification of finitely generated abelian groups,
 characteristic polynomials by cofactor expansion, integer roots by
 scanning divisors, nonnegative kernel vectors by Fourier-Motzkin
 elimination, search candidates by brute-force first appearance and by
-the orderly test against every point permutation, their number by
-Burnside's lemma, and the torsion of a quotient's K_1 by gcds of minors.
+the orderly test against every point permutation, their number and the
+number of their verdict keys up to relabelling by Burnside's lemma, and
+the torsion of a quotient's K_1 by gcds of minors.
 
 One reference does call the library: full_path_odd_witnesses, the odd
 witnesses filtered from every valid support, against which the listing of
@@ -435,37 +436,62 @@ def all_images_orderly_candidates(max_p, max_l, max_mult, max_size):
                         yield k, h, alpha, beta
 
 
+def _multiset_orbits(items, group, max_l):
+    """The number of multisets of l items up to the point permutations of
+    group, for l = 0..max_l, by Burnside's lemma (Cauchy-Frobenius): the
+    mean over sigma in group of the multisets that sigma fixes.  An item is
+    a tuple of rows, and sigma permutes the entries of each row; sigma fixes
+    as many multisets of l items as the coefficient of x^l in the product
+    over the cycles c of sigma on the items of 1 / (1 - x^|c|) (Polya 1937)."""
+    index = {item: i for i, item in enumerate(items)}
+    fixed = [0] * (max_l + 1)
+    for perm in group:
+        image = [index[tuple(tuple(row[j] for j in perm) for row in item)] for item in items]
+        series = [1] + [0] * max_l
+        seen = [False] * len(items)
+        for start in range(len(items)):
+            if seen[start]:
+                continue
+            length, i = 0, start
+            while not seen[i]:
+                seen[i], i, length = True, image[i], length + 1
+            for d in range(length, max_l + 1):  # times 1 / (1 - x^length)
+                series[d] += series[d - length]
+        fixed = [f + x for f, x in zip(fixed, series)]
+    assert all(f % len(group) == 0 for f in fixed), fixed
+    return [f // len(group) for f in fixed]
+
+
 def burnside_orbit_counts(max_p, max_l, max_mult, max_size):
     """The number of unital complexes within bounds up to permuting point
-    and interval blocks, per (point sizes k, l), by Burnside's lemma
-    (Cauchy-Frobenius): the mean over the size-keeping point permutations
-    sigma of the multisets of l row pairs that sigma fixes.  Those number
-    the coefficient of x^l in the product over the cycles c of sigma on the
-    row pairs of 1 / (1 - x^|c|) (Polya 1937)."""
+    and interval blocks, per (point sizes k, l): the multisets of l row
+    pairs up to the size-keeping point permutations (_multiset_orbits)."""
     counts = {}
     for p in range(1, max_p + 1):
         for k in combinations_with_replacement(range(1, max_size + 1), p):
             pairs = [(ra, rb) for ra, rb, _ in _unital_row_pairs(k, max_mult)]
-            index = {pair: i for i, pair in enumerate(pairs)}
             group = [perm for perm in permutations(range(p)) if all(k[j] == k[perm[j]] for j in range(p))]
-            fixed = [0] * (max_l + 1)
-            for perm in group:
-                image = [index[tuple(ra[j] for j in perm), tuple(rb[j] for j in perm)] for ra, rb in pairs]
-                series = [1] + [0] * max_l
-                seen = [False] * len(pairs)
-                for start in range(len(pairs)):
-                    if seen[start]:
-                        continue
-                    length, i = 0, start
-                    while not seen[i]:
-                        seen[i], i, length = True, image[i], length + 1
-                    for d in range(length, max_l + 1):  # times 1 / (1 - x^length)
-                        series[d] += series[d - length]
-                fixed = [f + x for f, x in zip(fixed, series)]
+            orbits = _multiset_orbits(pairs, group, max_l)
             for l in range(1, max_l + 1):
-                orbits, rest = divmod(fixed[l], len(group))
-                assert rest == 0, (k, l)
-                counts[k, l] = orbits
+                counts[k, l] = orbits[l]
+    return counts
+
+
+def burnside_key_orbit_counts(max_p, max_l, max_mult):
+    """The number of verdict keys (delta rows, nonzero-pattern rows) of the
+    unital complexes within bounds with point sizes 1, up to permuting
+    points and rows, per (p, l): the multisets of l row types up to every
+    point permutation (_multiset_orbits).  A row type is the (row of
+    alpha - beta, row of where alpha or beta is nonzero) of some row pair
+    with entries <= max_mult and equal positive sums."""
+    counts = {}
+    for p in range(1, max_p + 1):
+        types = list(dict.fromkeys(
+            (tuple(x - y for x, y in zip(ra, rb)), tuple(bool(x or y) for x, y in zip(ra, rb)))
+            for ra, rb, _ in _unital_row_pairs((1,) * p, max_mult)))
+        orbits = _multiset_orbits(types, list(permutations(range(p))), max_l)
+        for l in range(1, max_l + 1):
+            counts[p, l] = orbits[l]
     return counts
 
 

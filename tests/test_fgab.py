@@ -174,10 +174,32 @@ class TestLadder:
                             GroupHom.identity(Z2))
 
     def test_shape_mismatch(self):
+        """The left vertical starts at Z/2 and the top row's left group is Z:
+        one generator each, but not one group."""
         s = seq_z_times2_z2()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ladder shape mismatch"):
             check_ladder(s, s, GroupHom.identity(Z2), GroupHom.identity(Z),
                          GroupHom.identity(Z2))
+
+
+class TestEndpointRule:
+    """Homs meet where their groups are equal; Z, Z/2 and Z/4 all have one
+    generator, and an equal count does not make them one endpoint."""
+
+    def test_a_row_meets_at_one_group(self):
+        with pytest.raises(ValueError, match="inj target and surj source do not match"):
+            ShortExactSeq(GroupHom(Z, Z, M([[2]])), GroupHom(Z4, Z2, M([[1]])))
+
+    def test_composition_and_exactness_meet_at_one_group(self):
+        f, g = GroupHom(Z, Z2, M([[1]])), GroupHom(Z, Z, M([[1]]))
+        with pytest.raises(ValueError, match="composition shape mismatch"):
+            g.compose(f)
+        with pytest.raises(ValueError, match="homs not composable"):
+            exact_at(f, g)
+
+    def test_homs_on_different_sources_are_not_equal(self):
+        assert not GroupHom(Z, Z2, M([[1]])).equals(GroupHom(Z4, Z2, M([[1]])))
+        assert GroupHom(Z4, Z2, M([[3]])).equals(GroupHom(Z4, Z2, M([[1]])))
 
 
 class TestCoefficientFunctors:

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import astuple
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -39,6 +39,7 @@ from nccwk.nccw import (
 
 from oracles import (
     all_images_orderly_candidates,
+    burnside_key_orbit_counts,
     burnside_orbit_counts,
     first_appearance_candidates,
     nonnegative_kernel_witness,
@@ -207,6 +208,28 @@ class TestSearch:
         emitted = Counter((k, len(h)) for k, h, _, _ in _enumerate_unital(SearchBounds(*bounds)))
         orbits = burnside_orbit_counts(*bounds)
         assert emitted == orbits and sum(orbits.values()) == total
+
+    @pytest.mark.parametrize("bounds, keys, orbits", [((3, 2, 2), 394, 164), ((4, 2, 2), 5_058, 1_111)])
+    def test_key_orbit_counts(self, bounds, keys, orbits, monkeypatch):
+        """The verdict keys the search decides fall into as many orbits under
+        permuting points and rows as Burnside's lemma counts over row types,
+        per (p, l).  Each key is put in canonical form by brute force over
+        the orders of its rows: for each order, its columns sorted, and the
+        least of those.  The verdicts are stubbed, so no block is odd."""
+        decided = []
+
+        def deciding(delta, pattern):
+            decided.append((delta.entries, pattern))
+            return iter(())
+
+        monkeypatch.setattr(search_module, "odd_witnesses", deciding)
+        assert search_odd_blocks(*bounds) == []
+        canonical = {min(tuple(sorted(zip(*(delta[i] for i in order), *(pattern[i] for i in order))))
+                         for order in permutations(range(len(delta))))
+                     for delta, pattern in decided}
+        assert len(decided) == len(set(decided)) == keys
+        assert Counter((len(c), len(c[0]) // 2) for c in canonical) == burnside_key_orbit_counts(*bounds)
+        assert len(canonical) == orbits
 
     @pytest.mark.parametrize("bounds", [(3, 2, 2, 1), (3, 2, 1, 1), (2, 3, 2, 2)])
     def test_candidates_are_valid_unital_complexes(self, bounds):

@@ -416,6 +416,15 @@ class TestSystems:
         with pytest.raises(ValueError, match="bonding at stage 0 does not match its group"):
             truncate(sys, 2)
 
+    def test_every_reader_gets_a_checked_bonding(self):
+        """The system checks a bonding where it builds it, so limit_equal
+        refuses bondings on Z over stages Z/2 instead of answering about
+        the wrong groups."""
+        Z, Z2 = FgGroup.free(1), FgGroup(1, IntMatrix.from_rows([[2]]))
+        sys = IndSystem(lambda n: Z2, lambda n: GroupHom(Z, Z, IntMatrix.from_rows([[1]])))
+        with pytest.raises(ValueError, match="bonding at stage 0 does not match its group"):
+            limit_equal(sys, LimitElement(0, (0,)), LimitElement(0, (1,)), 2)
+
     def test_truncate_orbits(self):
         sys0 = odd_tower_family().k0_system()
 
@@ -452,16 +461,36 @@ class TestSystems:
         sys2 = IndSystem.from_matrix(IntMatrix.from_rows([[2]]))
         assert divisible_in_limit(sys2, LimitElement(0, (1,)), 8, 6) == 3
         assert divisible_in_limit(sys2, LimitElement(0, (1,)), 3, 10) is None
-        # a bound before the element's stage probes nothing
-        assert divisible_in_limit(sys2, LimitElement(4, (2,)), 2, 3) is None
         sys0 = odd_tower_family().k0_system()
         assert divisible_in_limit(sys0, LimitElement(0, (0, 1)), 2, 5) == 1
+
+    def test_divisibility_bound_before_the_element_is_refused(self):
+        """A bound before x's stage inspects no stage, so it is refused, as
+        limit_equal refuses one, instead of reading "not divisible"."""
+        sys2 = IndSystem.from_matrix(IntMatrix.from_rows([[2]]))
+        assert divisible_in_limit(sys2, LimitElement(3, (1,)), 2, 4) == 4
+        for x, bound in ((LimitElement(3, (1,)), 1), (LimitElement(4, (2,)), 3)):
+            with pytest.raises(ValueError, match="bound precedes the element's stage"):
+                divisible_in_limit(sys2, x, 2, bound)
 
 
 class TestIdentification:
     def test_odd_tower_k0(self):
         ident = identify_localized_limit(odd_tower_family().k0_system())
         assert ident.localization_multiset() == (2, 3)
+
+    def test_a_group_change_past_the_declared_stage_is_not_constant(self):
+        """Stages Z up to 2 and Z/2 from 3 on, each bonding the matrix [1]:
+        the bonding at stage 2 lands in Z/2, so it is not the bonding at
+        stage 0, and the declared constancy from 0 identifies nothing."""
+        Z, Z2 = FgGroup.free(1), FgGroup.from_cyclic([2])
+
+        def group_at(n):
+            return Z if n < 3 else Z2
+
+        sys = IndSystem(group_at, lambda n: GroupHom(group_at(n), group_at(n + 1), IntMatrix.identity(1)),
+                        eventually_constant_from=0)
+        assert identify_localized_limit(sys) is None
 
     def test_constant_doubling(self):
         ident = identify_localized_limit(IndSystem.from_matrix(IntMatrix.from_rows([[2]])))
