@@ -44,7 +44,9 @@ from typing import Iterable, Optional, Sequence
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable rectangular integer matrix; degenerate shapes allowed.  The
-    from_* and column builders raise TypeError on a float or a Fraction."""
+    from_* and column builders raise TypeError on a float or a Fraction, and
+    the from_* builders ValueError on ragged data or on a stated row or
+    column count that the data contradicts."""
 
     rows: int
     cols: int
@@ -62,7 +64,7 @@ class IntMatrix:
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]], cols: Optional[int] = None) -> "IntMatrix":
         data = tuple(tuple(map(index, row)) for row in rows)
-        ncols = len(data[0]) if data else (cols if cols is not None else 0)
+        ncols = cols if cols is not None else len(data[0]) if data else 0
         return IntMatrix(len(data), ncols, data)
 
     @staticmethod
@@ -95,8 +97,8 @@ class IntMatrix:
     def from_columns(cols: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
         if not cols:
             return IntMatrix.zero(rows if rows is not None else 0, 0)
-        nrows = len(cols[0])
-        return IntMatrix(nrows, len(cols), tuple(zip(*(map(index, c) for c in cols))))
+        nrows = rows if rows is not None else len(cols[0])
+        return IntMatrix(nrows, len(cols), tuple(zip(*(map(index, c) for c in cols), strict=True)))
 
     def __getitem__(self, ij):
         i, j = ij

@@ -7,10 +7,10 @@ permuting point and interval blocks, by an orderly test pruned by prefix
 (McKay 1998) that keeps no set of the orbits seen.
 Whether a candidate is odd depends only on alpha - beta and on which
 entries of alpha or beta are nonzero, the arguments of nccw.odd_witnesses;
-a verdict memo on their rows lives for one call of search_odd_blocks.
-Each (alpha row, beta row) gets its two rows computed once per call, and
-the memo key is assembled from them.  An NccwComplex is built only for an
-odd candidate, once, in canonical form, where its printed witness is taken.
+a verdict memo on their rows, the search's one memo, lives for one call
+of search_odd_blocks, keyed by rows of the two that the row pairs carry.
+An NccwComplex is built only for an odd candidate, once, in canonical
+form, where its printed witness is taken.
 odd_witnesses reads the torsion of K_1(A/I) first (K_0(A/I) is free, and
 an exact row onto a free K_1(A/I) splits): a candidate without it for any
 proper point subset gets no ideal support built, supports are listed only
@@ -23,6 +23,7 @@ boundary test and isomorphism type that found it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations, product
 
@@ -79,23 +80,25 @@ def _canonical_key(k, h, alpha_rows, beta_rows):
 
 
 def _row_pairs(k, max_mult):
-    """The (alpha row, beta row, interval size) triples of a unital complex
-    with point sizes k: both rows have the same positive weighted sum."""
+    """The row pairs of a unital complex with point sizes k, as (alpha row,
+    beta row, interval size, row of alpha - beta, row of where alpha or beta
+    is nonzero), alpha row and beta row of the same positive weighted sum."""
     by_sum = {}
     for row in product(range(max_mult + 1), repeat=len(k)):
         s = sum(m * kk for m, kk in zip(row, k))
         if s > 0:
             by_sum.setdefault(s, []).append(row)
-    return [(ra, rb, s) for s, rows in sorted(by_sum.items())
-            for ra in rows for rb in rows]
+    return [(ra, rb, s, tuple(map(operator.sub, ra, rb)),
+             tuple(map(bool, map(operator.or_, ra, rb))))
+            for s, rows in sorted(by_sum.items()) for ra in rows for rb in rows]
 
 
 def _pair_images(k, pairs):
     """For every permutation of the points other than the identity that keeps
     the sizes k, the index of the image of each pair.  Such a permutation
     keeps weighted row sums, so it maps pairs to pairs."""
-    rows = {ra: r for r, ra in enumerate(dict.fromkeys(ra for ra, _, _ in pairs))}
-    index = {(rows[ra], rows[rb]): i for i, (ra, rb, _) in enumerate(pairs)}
+    rows = {ra: r for r, ra in enumerate(dict.fromkeys(ra for ra, *_ in pairs))}
+    index = {(rows[ra], rows[rb]): i for i, (ra, rb, *_) in enumerate(pairs)}
     points = tuple(range(len(k)))
     images = []
     for perm in permutations(points):
@@ -109,7 +112,9 @@ def _pair_images(k, pairs):
 def _enumerate_unital(bounds: SearchBounds):
     """All unital complexes within bounds, one per orbit under permuting
     point blocks and interval blocks, each as rows (k, h, alpha, beta) in the
-    form it is generated in (point sizes non-decreasing, rows in pair order).
+    form it is generated in (point sizes non-decreasing, rows in pair order),
+    with its verdict key (rows of alpha - beta, rows of the nonzero pattern
+    of alpha or beta) read off the same pairs.
 
     For point sizes k (non-decreasing) a candidate is a multiset of l row
     pairs, listed as a non-decreasing tuple of pair indices; permuting the
@@ -145,19 +150,8 @@ def _enumerate_unital(bounds: SearchBounds):
                         least = list(combo)
                         if not any(sorted(map(image.__getitem__, combo)) < least
                                    for j in set(combo) for image in onto[j]):
-                            alpha, beta, h = zip(*map(pairs.__getitem__, combo))
-                            yield k, h, alpha, beta
-
-
-class _KeyRows(dict):
-    """(alpha row, beta row) -> (its row of alpha - beta, its row of the
-    nonzero pattern of alpha or beta), each computed on its first lookup."""
-
-    def __missing__(self, pair):
-        ra, rb = pair
-        rows = self[pair] = (tuple(x - y for x, y in zip(ra, rb)),
-                             tuple(bool(x or y) for x, y in zip(ra, rb)))
-        return rows
+                            alpha, beta, h, delta, pattern = zip(*map(pairs.__getitem__, combo))
+                            yield k, h, alpha, beta, (delta, pattern)
 
 
 def reverify_odd_witness(A: NccwComplex, spec: CompactIdealSpec) -> bool:
@@ -174,17 +168,15 @@ def search_odd_blocks(max_p: int = SearchBounds.max_p, max_l: int = SearchBounds
     """All odd blocks within bounds, each in canonical form with its first
     odd witness, re-verified.
 
-    verdicts, a memo that lives for this call, holds whether a candidate is
-    odd per rows of (alpha - beta, nonzero pattern of alpha or beta), the
-    arguments of odd_witnesses, made a matrix only on a miss.  Its key is
-    assembled from rows, a second memo for this call that maps each
-    (alpha row, beta row) to its rows of the two, so a row pair seen before
-    costs one lookup.  The witness is taken on the canonical form, since the
+    verdicts, the one memo, lives for this call and holds whether a
+    candidate is odd per rows of (alpha - beta, nonzero pattern of alpha or
+    beta), the arguments of odd_witnesses, made a matrix only on a miss.
+    Its key is the one _enumerate_unital hands out, whose rows the row
+    pairs carry.  The witness is taken on the canonical form, since the
     order of all_ideal_specs, and so the first witness, depends on the order
     of the points."""
-    rows, verdicts, out = _KeyRows(), {}, []
-    for k, h, a, b in _enumerate_unital(SearchBounds(max_p, max_l, max_mult, max_size)):
-        key = tuple(zip(*map(rows.__getitem__, zip(a, b))))
+    verdicts, out = {}, []
+    for k, h, a, b, key in _enumerate_unital(SearchBounds(max_p, max_l, max_mult, max_size)):
         odd = verdicts.get(key)
         if odd is None:
             delta = IntMatrix(len(h), len(k), key[0])

@@ -10,12 +10,16 @@ characteristic polynomials by cofactor expansion, integer roots by
 scanning divisors, nonnegative kernel vectors by Fourier-Motzkin
 elimination, search candidates by brute-force first appearance and by
 the orderly test against every point permutation, their number and the
-number of their verdict keys up to relabelling by Burnside's lemma, and
+number of their verdict keys up to relabelling by Burnside's lemma, a
+verdict key's canonical form by brute force over its row orders, and
 the torsion of a quotient's K_1 by gcds of minors.
 
-One reference does call the library: full_path_odd_witnesses, the odd
+Three references do call the library: full_path_odd_witnesses, the odd
 witnesses filtered from every valid support, against which the listing of
-supports among the torsion points alone is checked.
+supports among the torsion points alone is checked; and built_rows_odd
+and fourier_motzkin_odd_witness, which decide a support on K rows built
+by k_sequences with is_exact and the splitting-system solve, not by the
+search's boundary test and isomorphism type.
 """
 
 from fractions import Fraction
@@ -493,6 +497,47 @@ def burnside_key_orbit_counts(max_p, max_l, max_mult):
         for l in range(1, max_l + 1):
             counts[p, l] = orbits[l]
     return counts
+
+
+def canonical_verdict_key(delta, pattern):
+    """The canonical form of a verdict key (delta rows, nonzero-pattern rows)
+    under permuting points and rows, by brute force over the orders of its
+    rows: for each order, its columns (the delta entries, then the pattern
+    entries of one point) sorted, and the least of those."""
+    return min(tuple(sorted(zip(*(delta[i] for i in order), *(pattern[i] for i in order))))
+               for order in permutations(range(len(delta))))
+
+
+def built_rows_odd(A, spec):
+    """Whether the K rows of spec on the complex A, built by k_sequences,
+    are exact and not both split, decided by is_exact and the
+    splitting-system solve."""
+    from nccwk.fgab.groups import _splits, is_exact
+    from nccwk.nccw import k_sequences
+
+    rows = k_sequences(A, spec)
+    return all(map(is_exact, rows)) and not all(map(_splits, rows))
+
+
+def fourier_motzkin_odd_witness(A):
+    """The first odd witness of the complex A, found without the search's
+    reasoning (torsion guard, minimal supports, boundary test): the point
+    subsets S with 0 < |S| < p by size then lexicographically, S a support
+    iff delta[:, S] has a kernel vector >= 1 on all of S
+    (nonnegative_kernel_witness), T the interval blocks where alpha or beta
+    is nonzero on S, and the first support that passes built_rows_odd;
+    None if there is none."""
+    from nccwk.nccw import CompactIdealSpec
+
+    for S in (S for r in range(1, A.p) for S in combinations(range(A.p), r)):
+        v = nonnegative_kernel_witness(A.delta.submatrix(range(A.l), S), range(len(S)))
+        if v is None:
+            continue
+        T = tuple(i for i in range(A.l) if any(A.alpha[i, j] or A.beta[i, j] for j in S))
+        spec = CompactIdealSpec(S, T, v)
+        if built_rows_odd(A, spec):
+            return spec
+    return None
 
 
 def full_path_odd_witnesses(delta, pattern):

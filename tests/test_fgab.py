@@ -334,3 +334,23 @@ def test_non_integers_are_refused_not_truncated(x):
             make(x)
         make(True)
         make(sympy.Integer(3))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: IntMatrix.from_columns([(1,), (2, 3)]),
+    lambda: IntMatrix.from_columns([(1, 2), (3,)]),
+    lambda: IntMatrix.from_columns([(1,), (2, 3)], rows=2),
+    lambda: IntMatrix.from_columns([(1, 2), (3, 4)], rows=3),
+    lambda: IntMatrix.from_columns([()], rows=1),
+    lambda: IntMatrix.from_rows([[1, 2], [3]]),
+    lambda: IntMatrix.from_rows([[1, 2]], cols=3),
+    lambda: IntMatrix.from_rows([[]], cols=1),
+], ids=["ragged-columns", "short-last-column", "ragged-columns-rows-stated",
+        "rows-contradicted", "empty-column-rows-contradicted", "ragged-rows",
+        "cols-contradicted", "empty-row-cols-contradicted"])
+def test_builders_refuse_data_that_disagrees_with_its_size(make):
+    """Ragged data and a stated size the data contradicts are refused, not
+    truncated to the shortest row or column."""
+    with pytest.raises(ValueError):
+        make()
+

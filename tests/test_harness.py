@@ -4,13 +4,13 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import astuple
-from itertools import combinations, permutations
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from nccwk import nccw
-from nccwk.fgab.groups import _splits, cokernel, is_exact
+from nccwk.fgab.groups import cokernel
 from nccwk.fgab.intmat import IntMatrix
 from nccwk.harness.cli import build_parser
 from nccwk.harness.report import render_report
@@ -26,13 +26,11 @@ from nccwk.harness.search import (
     search_odd_blocks,
 )
 from nccwk.nccw import (
-    CompactIdealSpec,
     NccwComplex,
     _boundary_vanishes,
     _minimal_supports,
     all_ideal_specs,
     classify_block,
-    k_sequences,
     make_ideal_spec,
     odd_witnesses,
 )
@@ -41,7 +39,10 @@ from oracles import (
     all_images_orderly_candidates,
     burnside_key_orbit_counts,
     burnside_orbit_counts,
+    built_rows_odd,
+    canonical_verdict_key,
     first_appearance_candidates,
+    fourier_motzkin_odd_witness,
     nonnegative_kernel_witness,
     quotient_k1_torsion,
 )
@@ -97,6 +98,12 @@ def verdict_key(k, h, alpha, beta):
     that odd_witnesses reads of a complex, here given as rows."""
     return (tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(alpha, beta)),
             tuple(tuple(bool(x or y) for x, y in zip(ra, rb)) for ra, rb in zip(alpha, beta)))
+
+
+def as_complex(k, h, alpha, beta):
+    """The complex of candidate rows, built and validated."""
+    return NccwComplex(k, h, IntMatrix.from_rows(alpha, cols=len(k)),
+                       IntMatrix.from_rows(beta, cols=len(k)))
 
 
 def past_guard(k, h, alpha, beta):
@@ -182,7 +189,7 @@ class TestSearch:
         candidate finds them; candidates are emitted as generated, so each is
         compared by its canonical form.  (2,3,2,2) has point sizes up to 2,
         so only size-keeping point permutations act."""
-        orderly = [_canonical_key(*c) for c in _enumerate_unital(SearchBounds(*bounds))]
+        orderly = [_canonical_key(*c[:4]) for c in _enumerate_unital(SearchBounds(*bounds))]
         assert orderly == list(first_appearance_candidates(*bounds, _canonical_key))
 
     @pytest.mark.parametrize("bounds", [
@@ -193,7 +200,7 @@ class TestSearch:
     def test_pruned_generation_matches_all_images_test(self, bounds):
         """The prefix-pruned orderly test emits the same rows in the same
         order as the test against every size-keeping point permutation."""
-        pruned = list(_enumerate_unital(SearchBounds(*bounds)))
+        pruned = [c[:4] for c in _enumerate_unital(SearchBounds(*bounds))]
         assert pruned == list(all_images_orderly_candidates(*bounds))
 
     @pytest.mark.parametrize("bounds, total", [
@@ -205,7 +212,7 @@ class TestSearch:
         """The candidates emitted for each (point sizes k, l) are as many as
         Burnside's lemma counts orbits, on a path that shares no code with
         the search; the totals are those of the pinned censuses."""
-        emitted = Counter((k, len(h)) for k, h, _, _ in _enumerate_unital(SearchBounds(*bounds)))
+        emitted = Counter((k, len(h)) for k, h, *_ in _enumerate_unital(SearchBounds(*bounds)))
         orbits = burnside_orbit_counts(*bounds)
         assert emitted == orbits and sum(orbits.values()) == total
 
@@ -224,9 +231,7 @@ class TestSearch:
 
         monkeypatch.setattr(search_module, "odd_witnesses", deciding)
         assert search_odd_blocks(*bounds) == []
-        canonical = {min(tuple(sorted(zip(*(delta[i] for i in order), *(pattern[i] for i in order))))
-                         for order in permutations(range(len(delta))))
-                     for delta, pattern in decided}
+        canonical = {canonical_verdict_key(*key) for key in decided}
         assert len(decided) == len(set(decided)) == keys
         assert Counter((len(c), len(c[0]) // 2) for c in canonical) == burnside_key_orbit_counts(*bounds)
         assert len(canonical) == orbits
@@ -236,15 +241,14 @@ class TestSearch:
         """The search builds a complex only for an odd block, so candidates
         are never validated at run time: here every one builds a valid
         unital complex within its bounds, whose delta and pattern are the
-        memo key the search reads off its rows."""
+        memo key handed out with its rows, and the key verdict_key builds."""
         max_p, max_l, max_mult, max_size = bounds
-        for k, h, a, b in _enumerate_unital(SearchBounds(*bounds)):
-            A = NccwComplex(k, h, IntMatrix.from_rows(a, cols=len(k)),
-                            IntMatrix.from_rows(b, cols=len(k)))
+        for k, h, a, b, key in _enumerate_unital(SearchBounds(*bounds)):
+            A = as_complex(k, h, a, b)
             assert A.unital and 1 <= A.p <= max_p and 1 <= A.l <= max_l
             assert max(A.k) <= max_size
             assert max(max(row) for M in (A.alpha, A.beta) for row in M.entries) <= max_mult
-            assert verdict_key(k, h, a, b) == (A.delta.entries, A.pattern)
+            assert key == (A.delta.entries, A.pattern) == verdict_key(k, h, a, b)
 
     def test_complex_built_once_per_odd_block(self, monkeypatch):
         """Candidates stay rows: a verdict-memo miss passes odd_witnesses
@@ -269,30 +273,52 @@ class TestSearch:
     def test_census_matches_independent_oracle(self, bounds, default_search):
         """The census, rebuilt without the search's reasoning (orderly
         generation, verdict memo, torsion guard, minimal supports, boundary
-        test): every orbit from the brute-force first-appearance oracle, and
-        for each one the point subsets S with 0 < |S| < p by size then
-        lexicographically, S a support iff delta[:, S] has a kernel vector
-        >= 1 on all of S (Fourier-Motzkin), T the interval blocks meeting S.
-        The first S whose K rows are exact and not both split is the
-        witness; a candidate with none is not odd.  At --max-mult 3 (318
-        blocks, about 30 s) it is marked slow and left out of the default
-        run."""
+        test): every orbit from the brute-force first-appearance oracle,
+        each decided by fourier_motzkin_odd_witness, whose first support
+        with K rows exact and not both split is the witness; a candidate
+        with none is not odd.  At --max-mult 3 (318 blocks, about 30 s) it
+        is marked slow and left out of the default run."""
         blocks = []
-        for k, h, a, b in first_appearance_candidates(*bounds, _canonical_key):
-            A = NccwComplex(k, h, IntMatrix.from_rows(a, cols=len(k)),
-                            IntMatrix.from_rows(b, cols=len(k)))
-            for S in (S for r in range(1, A.p) for S in combinations(range(A.p), r)):
-                v = nonnegative_kernel_witness(A.delta.submatrix(range(A.l), S), range(len(S)))
-                if v is None:
-                    continue
-                T = tuple(i for i in range(A.l) if any(a[i][j] or b[i][j] for j in S))
-                spec = CompactIdealSpec(S, T, v)
-                rows = k_sequences(A, spec)
-                if all(map(is_exact, rows)) and not all(map(_splits, rows)):
-                    blocks.append(OddBlock(A, spec))
-                    break
+        for c in first_appearance_candidates(*bounds, _canonical_key):
+            A = as_complex(*c)
+            spec = fourier_motzkin_odd_witness(A)
+            if spec is not None:
+                blocks.append(OddBlock(A, spec))
         search = default_search if bounds == astuple(SearchBounds()) else search_odd_blocks(*bounds)
         assert census_lines(blocks) == census_lines(search)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("bounds, keys, orbits", [
+        pytest.param((4, 2, 2, 1), 5_058, 1_111, id="max_p4"),
+        pytest.param((3, 3, 2, 1), 8_604, 1_794, id="max_l3"),
+        pytest.param((3, 2, 2, 2), 1_128, 421, id="max_size2"),
+    ])
+    def test_census_verdicts_per_key_orbit(self, bounds, keys, orbits):
+        """The census decided once per key orbit, on a path independent of
+        the search: the verdict keys of the emitted candidates are put in
+        canonical form by brute force (canonical_verdict_key), the first
+        candidate emitted in each orbit is decided by
+        fourier_motzkin_odd_witness, and the census's blocks are exactly
+        the canonical forms of the candidates whose key orbit is odd, in
+        the order they are emitted.  Each printed witness is a
+        Fourier-Motzkin support whose K rows pass built_rows_odd on its
+        printed block."""
+        candidates = [c[:4] for c in _enumerate_unital(SearchBounds(*bounds))]
+        orbit, first = {}, {}
+        for c in candidates:
+            key = verdict_key(*c)
+            if key not in orbit:
+                orbit[key] = canonical_verdict_key(*key)
+            first.setdefault(orbit[key], c)
+        assert (len(orbit), len(first)) == (keys, orbits)
+        odd = {o for o, c in first.items() if fourier_motzkin_odd_witness(as_complex(*c)) is not None}
+        expected = [_canonical_key(*c) for c in candidates if orbit[verdict_key(*c)] in odd]
+        blocks = search_odd_blocks(*bounds)
+        assert [as_candidate(b.complex) for b in blocks] == expected
+        for b in blocks:
+            A, S = b.complex, b.witness.S
+            assert nonnegative_kernel_witness(A.delta.submatrix(range(A.l), S), range(len(S)))
+            assert built_rows_odd(A, b.witness)
 
     def test_canonical_key_once_per_odd_block(self, monkeypatch):
         """Only the printed blocks are put in canonical form: 16 calls for
@@ -349,8 +375,9 @@ class TestSearch:
             return _boundary_vanishes(delta, spec)
 
         nccw_kernel, nccw_spec = nccw.kernel, nccw._spec
-        by_key = {verdict_key(*c): c for c in _enumerate_unital(SearchBounds())}
-        guarded = [c for c in _enumerate_unital(SearchBounds()) if past_guard(*c)]
+        candidates = [c[:4] for c in _enumerate_unital(SearchBounds())]
+        by_key = {verdict_key(*c): c for c in candidates}
+        guarded = [c for c in candidates if past_guard(*c)]
         assert len(guarded) == 132 and len({verdict_key(*c) for c in guarded}) == 39
         monkeypatch.setattr(nccw, "all_ideal_specs", counted_specs)
         monkeypatch.setattr(nccw, "_minimal_supports", counted_minimal)
@@ -375,9 +402,10 @@ class TestSearch:
         """odd_witnesses runs once per distinct (delta, pattern) key, 394 of
         them among 1,853 default candidates, and once more per odd block, on
         its canonical form: 410 runs.  The memo-miss runs are given exactly
-        the keys verdict_key builds, which shares no code with the search's
-        per-row key memo: a memo that merged or split keys would differ."""
-        keys = {verdict_key(*c) for c in _enumerate_unital(SearchBounds())}
+        the keys verdict_key builds, which shares no code with the row pairs
+        the search reads its keys from: a key that merged or split would
+        differ."""
+        keys = {verdict_key(*c[:4]) for c in _enumerate_unital(SearchBounds())}
         runs = []
 
         def counted(delta, pattern):
@@ -406,7 +434,7 @@ class TestSearch:
             return {frozenset().union(*(adjacent[j] for j in J))
                     for r in range(1, p + 1) for J in combinations(range(p), r)}
 
-        keys = ({verdict_key(*c) for c in _enumerate_unital(SearchBounds())}
+        keys = ({verdict_key(*c[:4]) for c in _enumerate_unital(SearchBounds())}
                 | {verdict_key(*as_candidate(b.complex)) for b in default_search})
         outside = {(rows, T): tuple(row for i, row in enumerate(rows) if i not in T)
                    for rows, pattern in keys for T in unions(pattern)}
@@ -482,11 +510,11 @@ def run_cli(*argv):
 class TestCli:
     @pytest.mark.parametrize("argv", [("scenario", "all"), ("search",)])
     def test_closed_stdout_ends_quietly(self, argv):
-        proc = subprocess.Popen([sys.executable, "-m", "nccwk", *argv], env=cli_env(),
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        proc.stdout.close()  # before the child writes its first line
-        err = proc.stderr.read()
-        assert proc.wait(timeout=600) == 1 and err == b""
+        with subprocess.Popen([sys.executable, "-m", "nccwk", *argv], env=cli_env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            proc.stdout.close()  # before the child writes its first line
+            err = proc.stderr.read()
+            assert proc.wait(timeout=600) == 1 and err == b""
 
     def test_scenario_subcommand(self):
         code, out, _ = run_cli("scenario", "ex6.1")

@@ -373,7 +373,7 @@ class TestClassification:
         nontrivial-boundary diagnostics, 16 odd), by sha256, as recorded
         before odd_witnesses listed supports only among the torsion points."""
         digest = hashlib.sha256()
-        for k, h, a, b in _enumerate_unital(SearchBounds()):
+        for k, h, a, b, _ in _enumerate_unital(SearchBounds()):
             A = NccwComplex(k, h, IntMatrix.from_rows(a, cols=len(k)), IntMatrix.from_rows(b, cols=len(k)))
             digest.update((str(classify_block(A)) + "\n").encode())
         assert digest.hexdigest() == "e9696636a50434bbedb38f8b11e69ab0ca6bb9d4ba3bea323f640be3504dae9c"
