@@ -23,8 +23,8 @@ search's boundary test and isomorphism type.
 """
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations, product
-from math import gcd
+from itertools import combinations, combinations_with_replacement, groupby, permutations, product
+from math import factorial, gcd
 
 
 def minor_gcd_invariant_factors(rows):
@@ -440,16 +440,56 @@ def all_images_orderly_candidates(max_p, max_l, max_mult, max_size):
                         yield k, h, alpha, beta
 
 
-def _multiset_orbits(items, group, max_l):
-    """The number of multisets of l items up to the point permutations of
-    group, for l = 0..max_l, by Burnside's lemma (Cauchy-Frobenius): the
-    mean over sigma in group of the multisets that sigma fixes.  An item is
-    a tuple of rows, and sigma permutes the entries of each row; sigma fixes
-    as many multisets of l items as the coefficient of x^l in the product
-    over the cycles c of sigma on the items of 1 / (1 - x^|c|) (Polya 1937)."""
+def size_keeping_permutations(k):
+    """Every permutation of the points that keeps the sizes k, each as a class
+    of its own: the reference group for the class-summed Burnside counts."""
+    p = len(k)
+    return [(perm, 1) for perm in permutations(range(p)) if all(k[j] == k[perm[j]] for j in range(p))]
+
+
+def size_keeping_classes(k):
+    """One permutation per conjugacy class of the permutations of the points
+    that keep the non-decreasing sizes k, with the size of its class.  The
+    group is a product of symmetric groups, one per run of equal sizes, so a
+    class is a tuple of cycle types, one partition lambda of each run's
+    length n; it has prod n! / z_lambda elements, z_lambda = prod over part
+    sizes i of i^m_i m_i! (m_i parts of size i)."""
+    runs = [len(list(run)) for _, run in groupby(k)]
+    for types in product(*map(_partitions, runs)):
+        perm, weight = [], 1
+        for n, parts in zip(runs, types):
+            for c in parts:  # one c-cycle on the next c points
+                start = len(perm)
+                perm += [start + (i + 1) % c for i in range(c)]
+            weight *= factorial(n)
+            for i in set(parts):
+                weight //= i ** parts.count(i) * factorial(parts.count(i))
+        yield tuple(perm), weight
+
+
+def _partitions(n, most=None):
+    """The partitions of n into parts of at most most, parts non-increasing."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, most or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first, *rest)
+
+
+def _multiset_orbits(items, classes, max_l):
+    """The number of multisets of l items up to a group of point
+    permutations, for l = 0..max_l, by Burnside's lemma (Cauchy-Frobenius):
+    the mean over sigma in the group of the multisets that sigma fixes.  The
+    group is given as (sigma, weight) pairs, weight the number of elements
+    that fix as many multisets as sigma, such as sigma's conjugacy class.  An
+    item is a tuple of rows, and sigma permutes the entries of each row;
+    sigma fixes as many multisets of l items as the coefficient of x^l in the
+    product over the cycles c of sigma on the items of 1 / (1 - x^|c|)
+    (Polya 1937)."""
     index = {item: i for i, item in enumerate(items)}
-    fixed = [0] * (max_l + 1)
-    for perm in group:
+    fixed, order = [0] * (max_l + 1), 0
+    for perm, weight in classes:
         image = [index[tuple(tuple(row[j] for j in perm) for row in item)] for item in items]
         series = [1] + [0] * max_l
         seen = [False] * len(items)
@@ -461,50 +501,56 @@ def _multiset_orbits(items, group, max_l):
                 seen[i], i, length = True, image[i], length + 1
             for d in range(length, max_l + 1):  # times 1 / (1 - x^length)
                 series[d] += series[d - length]
-        fixed = [f + x for f, x in zip(fixed, series)]
-    assert all(f % len(group) == 0 for f in fixed), fixed
-    return [f // len(group) for f in fixed]
+        fixed = [f + weight * x for f, x in zip(fixed, series)]
+        order += weight
+    assert all(f % order == 0 for f in fixed), fixed
+    return [f // order for f in fixed]
 
 
-def burnside_orbit_counts(max_p, max_l, max_mult, max_size):
+def burnside_orbit_counts(max_p, max_l, max_mult, max_size, group=size_keeping_classes):
     """The number of unital complexes within bounds up to permuting point
     and interval blocks, per (point sizes k, l): the multisets of l row
-    pairs up to the size-keeping point permutations (_multiset_orbits)."""
+    pairs up to the size-keeping point permutations (_multiset_orbits),
+    summed over group(k), by default one permutation per class."""
     counts = {}
     for p in range(1, max_p + 1):
         for k in combinations_with_replacement(range(1, max_size + 1), p):
             pairs = [(ra, rb) for ra, rb, _ in _unital_row_pairs(k, max_mult)]
-            group = [perm for perm in permutations(range(p)) if all(k[j] == k[perm[j]] for j in range(p))]
-            orbits = _multiset_orbits(pairs, group, max_l)
+            orbits = _multiset_orbits(pairs, group(k), max_l)
             for l in range(1, max_l + 1):
                 counts[k, l] = orbits[l]
     return counts
 
 
-def burnside_key_orbit_counts(max_p, max_l, max_mult):
+def burnside_key_orbit_counts(max_p, max_l, max_mult, max_size=1, group=size_keeping_classes):
     """The number of verdict keys (delta rows, nonzero-pattern rows) of the
-    unital complexes within bounds with point sizes 1, up to permuting
-    points and rows, per (p, l): the multisets of l row types up to every
-    point permutation (_multiset_orbits).  A row type is the (row of
-    alpha - beta, row of where alpha or beta is nonzero) of some row pair
-    with entries <= max_mult and equal positive sums."""
+    unital complexes within bounds, up to permuting points and rows, per
+    (point sizes k, l): the multisets of l row types up to the size-keeping
+    point permutations (_multiset_orbits), summed over group(k), by default
+    one permutation per class.  A row type is the (row of alpha - beta, row
+    of where alpha or beta is nonzero) of some row pair with entries <=
+    max_mult and equal positive weighted sums."""
     counts = {}
     for p in range(1, max_p + 1):
-        types = list(dict.fromkeys(
-            (tuple(x - y for x, y in zip(ra, rb)), tuple(bool(x or y) for x, y in zip(ra, rb)))
-            for ra, rb, _ in _unital_row_pairs((1,) * p, max_mult)))
-        orbits = _multiset_orbits(types, list(permutations(range(p))), max_l)
-        for l in range(1, max_l + 1):
-            counts[p, l] = orbits[l]
+        for k in combinations_with_replacement(range(1, max_size + 1), p):
+            types = list(dict.fromkeys(
+                (tuple(x - y for x, y in zip(ra, rb)), tuple(bool(x or y) for x, y in zip(ra, rb)))
+                for ra, rb, _ in _unital_row_pairs(k, max_mult)))
+            orbits = _multiset_orbits(types, group(k), max_l)
+            for l in range(1, max_l + 1):
+                counts[k, l] = orbits[l]
     return counts
 
 
-def canonical_verdict_key(delta, pattern):
+def canonical_verdict_key(delta, pattern, k=None):
     """The canonical form of a verdict key (delta rows, nonzero-pattern rows)
     under permuting points and rows, by brute force over the orders of its
-    rows: for each order, its columns (the delta entries, then the pattern
-    entries of one point) sorted, and the least of those."""
-    return min(tuple(sorted(zip(*(delta[i] for i in order), *(pattern[i] for i in order))))
+    rows: for each order, its columns (the point's size when the sizes k are
+    given, then the delta entries, then the pattern entries of one point)
+    sorted, and the least of those.  With k, only points of equal size are
+    exchanged."""
+    sizes = () if k is None else (k,)
+    return min(tuple(sorted(zip(*sizes, *(delta[i] for i in order), *(pattern[i] for i in order))))
                for order in permutations(range(len(delta))))
 
 

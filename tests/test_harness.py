@@ -45,6 +45,7 @@ from oracles import (
     fourier_motzkin_odd_witness,
     nonnegative_kernel_witness,
     quotient_k1_torsion,
+    size_keeping_permutations,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -233,8 +234,27 @@ class TestSearch:
         assert search_odd_blocks(*bounds) == []
         canonical = {canonical_verdict_key(*key) for key in decided}
         assert len(decided) == len(set(decided)) == keys
-        assert Counter((len(c), len(c[0]) // 2) for c in canonical) == burnside_key_orbit_counts(*bounds)
+        assert (Counter(((1,) * len(c), len(c[0]) // 2) for c in canonical)
+                == burnside_key_orbit_counts(*bounds))
         assert len(canonical) == orbits
+
+    @pytest.mark.parametrize("bounds", [(4, 2, 2, 1), (4, 2, 2, 2), (3, 3, 2, 2), (4, 3, 2, 1)])
+    def test_class_summed_burnside_matches_per_permutation(self, bounds):
+        """Burnside's lemma summed over one point permutation per conjugacy
+        class, weighted by the class size, counts as many orbits per (k, l),
+        of candidates and of verdict keys, as the sum over every size-keeping
+        permutation, at point sizes 1 and 2."""
+        assert (burnside_orbit_counts(*bounds)
+                == burnside_orbit_counts(*bounds, group=size_keeping_permutations))
+        assert (burnside_key_orbit_counts(*bounds)
+                == burnside_key_orbit_counts(*bounds, group=size_keeping_permutations))
+
+    def test_class_summed_key_orbit_totals(self):
+        """Verdict keys up to relabelling with point sizes 1, l <= 2 and
+        multiplicities <= 2, by the class-summed count: 164, 1,111, 6,841
+        and 38,331 orbits at p <= 3, 4, 5 and 6."""
+        totals = [sum(burnside_key_orbit_counts(p, 2, 2).values()) for p in (3, 4, 5, 6)]
+        assert totals == [164, 1_111, 6_841, 38_331]
 
     @pytest.mark.parametrize("bounds", [(3, 2, 2, 1), (3, 2, 1, 1), (2, 3, 2, 2)])
     def test_candidates_are_valid_unital_complexes(self, bounds):
@@ -292,6 +312,7 @@ class TestSearch:
         pytest.param((4, 2, 2, 1), 5_058, 1_111, id="max_p4"),
         pytest.param((3, 3, 2, 1), 8_604, 1_794, id="max_l3"),
         pytest.param((3, 2, 2, 2), 1_128, 421, id="max_size2"),
+        pytest.param((5, 2, 2, 1), 58_471, 6_841, id="max_p5"),
     ])
     def test_census_verdicts_per_key_orbit(self, bounds, keys, orbits):
         """The census decided once per key orbit, on a path independent of
