@@ -1,18 +1,17 @@
 """Exhaustive census of small odd blocks.
 
-Generates unital complexes within the given bounds (point count, interval
-count, multiplicity, point block size; interval sizes are forced by
-unitality) as rows (k, h, alpha rows, beta rows), one per orbit under
-permuting point and interval blocks, by an orderly test pruned by prefix
-(McKay 1998) that keeps no set of the orbits seen.
-Whether a candidate is odd depends only on alpha - beta and on which
-entries of alpha or beta are nonzero, the arguments of nccw.odd_witnesses;
-a verdict memo on their rows, the search's one memo, lives for one call
-of search_odd_blocks, keyed by rows of the two that the row pairs carry.
-An NccwComplex is built only for an odd candidate, once, in canonical
-form, where its printed witness is taken.
+A candidate is a unital complex within the given bounds (point count,
+interval count, multiplicity, point block size; interval sizes are forced
+by unitality) as rows (k, h, alpha rows, beta rows).  Whether it is odd
+depends only on its verdict key, alpha - beta and where alpha or beta is
+nonzero (the arguments of nccw.odd_witnesses), and not on how its points
+and interval blocks are labelled.  So the search lists the keys, one per
+orbit under relabelling, decides each once, and expands only the odd ones
+to candidates, kept one per orbit by their order key, which is also the
+print order.  An NccwComplex is built only for a printed block, once, in
+canonical form, where its printed witness is taken.
 odd_witnesses reads the torsion of K_1(A/I) first (K_0(A/I) is free, and
-an exact row onto a free K_1(A/I) splits): a candidate without it for any
+an exact row onto a free K_1(A/I) splits): a key without it for any
 proper point subset gets no ideal support built, supports are listed only
 among the points whose blocks lie in some T with it, and a support without
 it gets no boundary test.  Every reported witness is re-verified on a path
@@ -24,8 +23,10 @@ boundary test and isomorphism type that found it.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations, product
+from functools import reduce
+from itertools import chain, combinations_with_replacement, permutations, product, repeat
 
 from ..fgab.intmat import IntMatrix
 from ..fgab.groups import _splits, is_exact
@@ -59,9 +60,9 @@ def _canonical_key(k, h, alpha_rows, beta_rows):
     """Canonical form under simultaneous permutation of point blocks and of
     interval blocks (rows permuted brute force, columns sorted per row order).
 
-    The search calls it once per odd block, to print that block in
-    canonical form; the tests use it as the orbit oracle that the orderly
-    generation is checked against."""
+    The search calls it once per printed block, to print that block in
+    canonical form; the tests use it as the orbit oracle that the fibres
+    are checked against."""
     l = len(h)
     best = None
     for perm in permutations(range(l)):
@@ -79,79 +80,82 @@ def _canonical_key(k, h, alpha_rows, beta_rows):
     return best
 
 
-def _row_pairs(k, max_mult):
-    """The row pairs of a unital complex with point sizes k, as (alpha row,
-    beta row, interval size, row of alpha - beta, row of where alpha or beta
-    is nonzero), alpha row and beta row of the same positive weighted sum."""
-    by_sum = {}
-    for row in product(range(max_mult + 1), repeat=len(k)):
-        s = sum(m * kk for m, kk in zip(row, k))
-        if s > 0:
-            by_sum.setdefault(s, []).append(row)
-    return [(ra, rb, s, tuple(map(operator.sub, ra, rb)),
-             tuple(map(bool, map(operator.or_, ra, rb))))
-            for s, rows in sorted(by_sum.items()) for ra in rows for rb in rows]
+def _key_orbits(bounds: SearchBounds):
+    """One verdict key per orbit under relabelling points and rows, as
+    (point sizes k, rows of alpha - beta, rows of where alpha or beta is
+    nonzero), k non-decreasing.
+
+    A point is a column: its size and per row an entry (delta, set), one of
+    (0, unset), (0, set) and (d, set) for 0 < |d| <= max_mult.  Up to
+    relabelling the points a key is a multiset of p columns (Kerber,
+    Applied Finite Group Actions, 1999), here a non-decreasing tuple of
+    column indices, so no point permutation is tried.  The last column is
+    solved for, so that every row has sum_j delta_ij k_j = 0, among the
+    columns from the previous one on.  A tuple is kept if every row has a
+    set entry and no row order maps it to a smaller sorted tuple."""
+    m, sizes = bounds.max_mult, range(1, bounds.max_size + 1)
+    entries = [(0, False), (0, True), *((d, True) for d in range(-m, m + 1) if d)]
+    for l in range(1, bounds.max_l + 1):
+        columns = [(s, *e) for s in sizes for e in product(entries, repeat=l)]
+        index = {c: j for j, c in enumerate(columns)}
+        reordered = [[index[(c[0], *map(c[1:].__getitem__, order))] for c in columns].__getitem__
+                     for order in permutations(range(l))][1:]
+        size = [c[0] for c in columns]
+        deltas = [tuple(d for d, _ in c[1:]) for c in columns]
+        patterns = [tuple(u for _, u in c[1:]) for c in columns]
+        masks = [sum(u << i for i, u in enumerate(c)) for c in patterns]
+        weighted = [tuple(d * s for d in c) for s, c in zip(size, deltas)]
+        solving = {}  # row sums -> the columns that cancel them, in index order
+        for j, w in enumerate(weighted):
+            solving.setdefault(tuple(map(operator.neg, w)), []).append(j)
+        zero, full = (0,) * l, (1 << l) - 1
+        # map and reduce keep each tuple's work in C calls, no Python frame per column
+        for p in range(1, bounds.max_p + 1):
+            for head in combinations_with_replacement(range(len(columns)), p - 1):
+                lasts = solving.get(tuple(map(sum, zip(zero, *map(weighted.__getitem__, head)))), ())
+                for last in lasts[bisect_left(lasts, head[-1]) if head else 0:]:
+                    key = [*head, last]
+                    if (reduce(operator.or_, map(masks.__getitem__, key)) == full and
+                            not any(map(key.__gt__, map(sorted, map(map, reordered, repeat(key)))))):
+                        yield (tuple(map(size.__getitem__, key)), tuple(zip(*map(deltas.__getitem__, key))),
+                               tuple(zip(*map(patterns.__getitem__, key))))
 
 
-def _pair_images(k, pairs):
-    """For every permutation of the points other than the identity that keeps
-    the sizes k, the index of the image of each pair.  Such a permutation
-    keeps weighted row sums, so it maps pairs to pairs."""
-    rows = {ra: r for r, ra in enumerate(dict.fromkeys(ra for ra, *_ in pairs))}
-    index = {(rows[ra], rows[rb]): i for i, (ra, rb, *_) in enumerate(pairs)}
-    points = tuple(range(len(k)))
-    images = []
-    for perm in permutations(points):
-        if perm == points or any(k[j] != k[perm[j]] for j in points):
-            continue
-        moved = [rows[tuple(map(row.__getitem__, perm))] for row in rows]
-        images.append(tuple(index[moved[a], moved[b]] for a, b in index))
-    return images
+def _fibre(k, delta, pattern, max_mult):
+    """Every candidate with the key (k, delta, pattern), as rows (h_i,
+    alpha_i, beta_i), some relabellings of others.  Each entry is realised
+    on its own: delta > 0, beta in [0, m - delta], alpha = beta + delta;
+    delta < 0, alpha in [0, m + delta], beta = alpha - delta; delta = 0 and
+    set, alpha = beta in [1, m]; otherwise both 0.  Each is unital, since
+    every row of delta has weighted sum 0 and a set entry."""
+    m = max_mult
+    realised = {(0, False): [(0, 0)], (0, True): [(v, v) for v in range(1, m + 1)]}
+    for d in range(1, m + 1):
+        realised[d, True] = [(b + d, b) for b in range(m - d + 1)]
+        realised[-d, True] = [(a, a + d) for a in range(m - d + 1)]
+
+    def rows(delta_row, pattern_row):
+        for pairs in product(*map(realised.__getitem__, zip(delta_row, pattern_row))):
+            a, b = zip(*pairs)
+            yield sum(map(operator.mul, a, k)), a, b
+
+    return product(*map(rows, delta, pattern))
 
 
-def _enumerate_unital(bounds: SearchBounds):
-    """All unital complexes within bounds, one per orbit under permuting
-    point blocks and interval blocks, each as rows (k, h, alpha, beta) in the
-    form it is generated in (point sizes non-decreasing, rows in pair order),
-    with its verdict key (rows of alpha - beta, rows of the nonzero pattern
-    of alpha or beta) read off the same pairs.
+def _order_key(k, rows):
+    """(p, k, l, the least tuple of rows (h_i, alpha_i, beta_i) over the row
+    orders and the size-keeping point orders): the block's place in the
+    census, equal for two blocks iff one relabels the other.  For one row
+    order, sorting the points by (size, alpha and beta entries of the first
+    row, of the second, ...) makes its rows least, so l! sorts stand in
+    for the p! point orders."""
+    first, ends = operator.itemgetter(0), operator.itemgetter(1, 2)
 
-    For point sizes k (non-decreasing) a candidate is a multiset of l row
-    pairs, listed as a non-decreasing tuple of pair indices; permuting the
-    interval blocks leaves that tuple as it is, and a permutation of the
-    points that keeps k maps it to the re-sorted tuple of the images of its
-    pairs.  The generation is orderly (Read, "Every one a winner", 1978): a
-    tuple is emitted iff none of its images is lexicographically smaller, so
-    each orbit is emitted once, where combinations_with_replacement first
-    reaches it, and no record of the orbits already emitted is kept.
-    The test is pruned by prefix (McKay, "Isomorph-free exhaustive
-    generation", J. Algorithms 26, 1998): an image sending an entry below the
-    first entry f sorts below the tuple, so every entry j needs low[j] >= f,
-    low[j] the least image of pair j; an image sending no entry onto f sorts
-    above it, so only images onto f are tested.  Same tuples, same order.
-    """
-    for p in range(1, bounds.max_p + 1):
-        for k in combinations_with_replacement(range(1, bounds.max_size + 1), p):
-            pairs = _row_pairs(k, bounds.max_mult)
-            images = _pair_images(k, pairs)
-            n = len(pairs)
-            low = [min((image[j] for image in images), default=j) for j in range(n)]
-            inverses = [sorted(range(n), key=image.__getitem__) for image in images]
-            firsts = []
-            for f in (f for f in range(n) if low[f] >= f):
-                onto = {j: [] for j in range(f, n) if low[j] >= f}
-                for image, inverse in zip(images, inverses):
-                    onto.get(inverse[f], []).append(image)
-                firsts.append((f, onto))
-            for l in range(1, bounds.max_l + 1):
-                for f, onto in firsts:
-                    for rest in combinations_with_replacement(onto, l - 1):
-                        combo = (f, *rest)
-                        least = list(combo)
-                        if not any(sorted(map(image.__getitem__, combo)) < least
-                                   for j in set(combo) for image in onto[j]):
-                            alpha, beta, h, delta, pattern = zip(*map(pairs.__getitem__, combo))
-                            yield k, h, alpha, beta, (delta, pattern)
+    def arranged(order):
+        t = tuple(zip(*sorted(zip(k, *chain.from_iterable(map(ends, order))))))
+        return tuple(zip(map(first, order), t[1::2], t[2::2]))
+
+    return len(k), k, len(rows), min(map(arranged, permutations(rows)))
 
 
 def reverify_odd_witness(A: NccwComplex, spec: CompactIdealSpec) -> bool:
@@ -166,24 +170,19 @@ def search_odd_blocks(max_p: int = SearchBounds.max_p, max_l: int = SearchBounds
                       max_mult: int = SearchBounds.max_mult,
                       max_size: int = SearchBounds.max_size):
     """All odd blocks within bounds, each in canonical form with its first
-    odd witness, re-verified.
+    odd witness, re-verified, in the order of their order keys.
 
-    verdicts, the one memo, lives for this call and holds whether a
-    candidate is odd per rows of (alpha - beta, nonzero pattern of alpha or
-    beta), the arguments of odd_witnesses, made a matrix only on a miss.
-    Its key is the one _enumerate_unital hands out, whose rows the row
-    pairs carry.  The witness is taken on the canonical form, since the
-    order of all_ideal_specs, and so the first witness, depends on the order
-    of the points."""
-    verdicts, out = {}, []
-    for k, h, a, b, key in _enumerate_unital(SearchBounds(max_p, max_l, max_mult, max_size)):
-        odd = verdicts.get(key)
-        if odd is None:
-            delta = IntMatrix(len(h), len(k), key[0])
-            odd = verdicts[key] = next(odd_witnesses(delta, key[1]), None) is not None
-        if not odd:
-            continue
-        k, h, a, b = _canonical_key(k, h, a, b)
+    Each key orbit is decided once, and only an odd one's fibre is
+    expanded; its realisations are deduplicated by their order keys.  The
+    witness is taken on the canonical form, since the order of
+    all_ideal_specs, and so the first witness, depends on the order of the
+    points."""
+    found, out = set(), []
+    for k, delta, pattern in _key_orbits(SearchBounds(max_p, max_l, max_mult, max_size)):
+        if next(odd_witnesses(IntMatrix(len(delta), len(k), delta), pattern), None) is not None:
+            found.update(map(_order_key, repeat(k), _fibre(k, delta, pattern, max_mult)))
+    for _, k, _, rows in sorted(found):
+        k, h, a, b = _canonical_key(k, *zip(*rows))
         B = NccwComplex(k, h, IntMatrix.from_rows(a), IntMatrix.from_rows(b))
         spec = next(odd_witnesses(B.delta, B.pattern))
         if not reverify_odd_witness(B, spec):

@@ -8,9 +8,12 @@ of those determinants, purity via the raw divisibility definition,
 tensor/Tor via the classification of finitely generated abelian groups,
 characteristic polynomials by cofactor expansion, integer roots by
 scanning divisors, nonnegative kernel vectors by Fourier-Motzkin
-elimination, search candidates by brute-force first appearance and by
-the orderly test against every point permutation, their number and the
-number of their verdict keys up to relabelling by Burnside's lemma, a
+elimination, search candidates by brute-force first appearance, by
+the orderly test against every point permutation and by key orbit
+(every multiset of row types, expanded to every choice of row pairs),
+their place in the census by every point permutation, their number and
+the number of their verdict keys up to relabelling by Burnside's lemma
+(over every size-keeping permutation, or one per conjugacy class), a
 verdict key's canonical form by brute force over its row orders, and
 the torsion of a quotient's K_1 by gcds of minors.
 
@@ -402,6 +405,52 @@ def first_appearance_candidates(max_p, max_l, max_mult, max_size, canonical_key)
                         yield key
 
 
+def key_orbit_candidates(max_p, max_l, max_mult, max_size, canonical_key):
+    """The unital complexes within bounds, one per orbit under permuting
+    point and interval blocks, grouped by the orbit of their verdict key: a
+    dict from each key orbit, as (k, canonical_verdict_key with the sizes
+    k), to the canonical forms (canonical_key) of its complexes.
+
+    Brute force per point sizes k and l: the row pairs of _unital_row_pairs
+    are grouped by row type (row of alpha - beta, row of where alpha or beta
+    is nonzero), and each multiset of l row types whose key orbit is new is
+    expanded to every choice of one row pair per type, each put in
+    canonical form and kept once.  A complex whose key lies in that orbit
+    is a relabelling of one whose key has exactly these rows, so every
+    complex of the orbit is found there."""
+    out = {}
+    for p in range(1, max_p + 1):
+        for k in combinations_with_replacement(range(1, max_size + 1), p):
+            by_type = {}
+            for ra, rb, s in _unital_row_pairs(k, max_mult):
+                by_type.setdefault(_row_type(ra, rb), []).append((ra, rb, s))
+            for l in range(1, max_l + 1):
+                for types in combinations_with_replacement(by_type, l):
+                    orbit = (k, canonical_verdict_key(*zip(*types), k))
+                    if orbit not in out:
+                        out[orbit] = list(dict.fromkeys(
+                            canonical_key(k, tuple(s for _, _, s in choice),
+                                          [ra for ra, _, _ in choice], [rb for _, rb, _ in choice])
+                            for choice in product(*(by_type[t] for t in types))))
+    return out
+
+
+def orderly_rank(k, h, alpha, beta):
+    """The place of a complex in the census: (p, k, l, the least over the
+    size-keeping point permutations of its rows (h_i, alpha_i, beta_i),
+    sorted), the least row-pair tuple of its orbit, which
+    all_images_orderly_candidates keeps.  Every permutation is tried."""
+    rows = range(len(h))
+    return len(k), tuple(k), len(h), min(
+        tuple(sorted((h[i], tuple(alpha[i][j] for j in perm), tuple(beta[i][j] for j in perm)) for i in rows))
+        for perm, _ in size_keeping_permutations(k))
+
+
+def _row_type(ra, rb):
+    """(row of alpha - beta, row of where alpha or beta is nonzero)."""
+    return tuple(x - y for x, y in zip(ra, rb)), tuple(bool(x or y) for x, y in zip(ra, rb))
+
+
 def _unital_row_pairs(k, max_mult):
     """(alpha row, beta row, interval size) triples with the same positive
     weighted sum, by sum, then alpha row, then beta row."""
@@ -533,9 +582,7 @@ def burnside_key_orbit_counts(max_p, max_l, max_mult, max_size=1, group=size_kee
     counts = {}
     for p in range(1, max_p + 1):
         for k in combinations_with_replacement(range(1, max_size + 1), p):
-            types = list(dict.fromkeys(
-                (tuple(x - y for x, y in zip(ra, rb)), tuple(bool(x or y) for x, y in zip(ra, rb)))
-                for ra, rb, _ in _unital_row_pairs(k, max_mult)))
+            types = list(dict.fromkeys(_row_type(ra, rb) for ra, rb, _ in _unital_row_pairs(k, max_mult)))
             orbits = _multiset_orbits(types, group(k), max_l)
             for l in range(1, max_l + 1):
                 counts[k, l] = orbits[l]

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import os
 import subprocess
@@ -20,7 +21,9 @@ from nccwk.harness.search import (
     OddBlock,
     SearchBounds,
     _canonical_key,
-    _enumerate_unital,
+    _fibre,
+    _key_orbits,
+    _order_key,
     census_lines,
     reverify_odd_witness,
     search_odd_blocks,
@@ -43,7 +46,9 @@ from oracles import (
     canonical_verdict_key,
     first_appearance_candidates,
     fourier_motzkin_odd_witness,
+    key_orbit_candidates,
     nonnegative_kernel_witness,
+    orderly_rank,
     quotient_k1_torsion,
     size_keeping_permutations,
 )
@@ -86,8 +91,28 @@ class TestScenarios:
 
 
 def as_candidate(c):
-    """A complex in the shape the search generates candidates in."""
+    """A complex as rows (k, h, alpha rows, beta rows)."""
     return c.k, c.h, c.alpha.entries, c.beta.entries
+
+
+def census_candidates(bounds):
+    """Every candidate within bounds, one per orbit, in census order: the
+    fibres of every key orbit, odd or not, deduplicated by their order keys
+    and sorted by them, each as rows (k, h, alpha rows, beta rows)."""
+    bounds = SearchBounds(*bounds)
+    found = {_order_key(k, rows) for k, delta, pattern in _key_orbits(bounds)
+             for rows in _fibre(k, delta, pattern, bounds.max_mult)}
+    return [(k, *zip(*rows)) for _, k, _, rows in sorted(found)]
+
+
+def realised(k, delta, pattern):
+    """A candidate with the verdict key (delta, pattern), as rows: alpha is
+    delta's positive part, or 1 where delta is 0 and the pattern set, and
+    beta = alpha - delta."""
+    alpha = tuple(tuple(max(d, 0) + int(d == 0 and u) for d, u in zip(dr, pr))
+                  for dr, pr in zip(delta, pattern))
+    beta = tuple(tuple(a - d for a, d in zip(ar, dr)) for ar, dr in zip(alpha, delta))
+    return k, tuple(sum(a * s for a, s in zip(ar, k)) for ar in alpha), alpha, beta
 
 
 def canonical(c):
@@ -186,12 +211,13 @@ class TestSearch:
 
     @pytest.mark.parametrize("bounds", [(3, 2, 2, 1), (3, 2, 1, 1), (2, 3, 2, 2)])
     def test_orderly_generation_matches_first_appearance(self, bounds):
-        """One candidate per orbit, in the order a seen set over every raw
-        candidate finds them; candidates are emitted as generated, so each is
-        compared by its canonical form.  (2,3,2,2) has point sizes up to 2,
-        so only size-keeping point permutations act."""
-        orderly = [_canonical_key(*c[:4]) for c in _enumerate_unital(SearchBounds(*bounds))]
-        assert orderly == list(first_appearance_candidates(*bounds, _canonical_key))
+        """The fibres of every key orbit, odd or not, deduplicated and
+        sorted by the order key, give one candidate per orbit, in the order
+        a seen set over every raw candidate finds them, so per (k, l) the
+        same set; each is compared by its canonical form.  (2,3,2,2) has
+        point sizes up to 2, so only size-keeping point permutations act."""
+        ordered = [_canonical_key(*c) for c in census_candidates(bounds)]
+        assert ordered == list(first_appearance_candidates(*bounds, _canonical_key))
 
     @pytest.mark.parametrize("bounds", [
         (3, 2, 2, 1), (3, 2, 1, 1), (2, 3, 2, 2), (3, 2, 3, 1),
@@ -199,10 +225,11 @@ class TestSearch:
         pytest.param((3, 3, 2, 1), marks=pytest.mark.slow),
     ])
     def test_pruned_generation_matches_all_images_test(self, bounds):
-        """The prefix-pruned orderly test emits the same rows in the same
-        order as the test against every size-keeping point permutation."""
-        pruned = [c[:4] for c in _enumerate_unital(SearchBounds(*bounds))]
-        assert pruned == list(all_images_orderly_candidates(*bounds))
+        """Sorted by the order key, the deduplicated fibres give the same
+        rows in the same order as the orderly test against every
+        size-keeping point permutation: a block's order key is the least
+        row-pair tuple of its orbit, read as rows."""
+        assert census_candidates(bounds) == list(all_images_orderly_candidates(*bounds))
 
     @pytest.mark.parametrize("bounds, total", [
         ((3, 2, 2, 1), 1_853), ((3, 2, 3, 1), 28_943), ((4, 2, 2, 1), 28_879),
@@ -210,33 +237,51 @@ class TestSearch:
         pytest.param((5, 2, 2, 1), 393_172, marks=pytest.mark.slow),
     ])
     def test_emission_counts(self, bounds, total):
-        """The candidates emitted for each (point sizes k, l) are as many as
-        Burnside's lemma counts orbits, on a path that shares no code with
-        the search; the totals are those of the pinned censuses."""
-        emitted = Counter((k, len(h)) for k, h, *_ in _enumerate_unital(SearchBounds(*bounds)))
+        """The blocks the fibres of all key orbits give, one per orbit, are
+        for each (point sizes k, l) as many as Burnside's lemma counts
+        orbits, on a path that shares no code with the search; the totals
+        are those of the pinned censuses."""
+        found = Counter((k, len(h)) for k, h, *_ in census_candidates(bounds))
         orbits = burnside_orbit_counts(*bounds)
-        assert emitted == orbits and sum(orbits.values()) == total
+        assert found == orbits and sum(orbits.values()) == total
+
+    @pytest.mark.parametrize("bounds, total", [
+        ((3, 2, 2, 1), 164), ((4, 2, 2, 1), 1_111), ((3, 3, 2, 1), 1_794), ((3, 2, 2, 2), 786),
+        pytest.param((6, 2, 2, 1), 38_331, marks=pytest.mark.slow),
+    ])
+    def test_key_orbits_listed_once_each(self, bounds, total):
+        """The key orbits listed number, per (point sizes k, l), what
+        Burnside's lemma summed over conjugacy classes counts over row
+        types, and their canonical forms (brute force over row orders,
+        canonical_verdict_key) are pairwise distinct: every orbit is listed,
+        and once."""
+        listed = list(_key_orbits(SearchBounds(*bounds)))
+        assert Counter((k, len(delta)) for k, delta, _ in listed) == burnside_key_orbit_counts(*bounds)
+        assert len({canonical_verdict_key(delta, pattern, k) for k, delta, pattern in listed}) == total
+        assert len(listed) == total
 
     @pytest.mark.parametrize("bounds, keys, orbits", [((3, 2, 2), 394, 164), ((4, 2, 2), 5_058, 1_111)])
     def test_key_orbit_counts(self, bounds, keys, orbits, monkeypatch):
-        """The verdict keys the search decides fall into as many orbits under
-        permuting points and rows as Burnside's lemma counts over row types,
-        per (p, l).  Each key is put in canonical form by brute force over
-        the orders of its rows: for each order, its columns sorted, and the
-        least of those.  The verdicts are stubbed, so no block is odd."""
+        """The search decides one key per listed orbit, and the verdict keys
+        of the candidates (394 distinct keys at the defaults) fall into
+        exactly those orbits, as Burnside's lemma counts them per (p, l).
+        Each key is put in canonical form by brute force over the orders of
+        its rows: for each order, its columns sorted, and the least of
+        those.  The verdicts are stubbed, so no block is odd."""
         decided = []
 
         def deciding(delta, pattern):
-            decided.append((delta.entries, pattern))
+            decided.append(canonical_verdict_key(delta.entries, pattern))
             return iter(())
 
         monkeypatch.setattr(search_module, "odd_witnesses", deciding)
         assert search_odd_blocks(*bounds) == []
-        canonical = {canonical_verdict_key(*key) for key in decided}
-        assert len(decided) == len(set(decided)) == keys
-        assert (Counter(((1,) * len(c), len(c[0]) // 2) for c in canonical)
+        candidate_keys = {verdict_key(*c) for c in census_candidates(bounds + (1,))}
+        assert len(candidate_keys) == keys
+        assert len(decided) == len(set(decided)) == orbits
+        assert set(decided) == {canonical_verdict_key(*key) for key in candidate_keys}
+        assert (Counter(((1,) * len(c), len(c[0]) // 2) for c in decided)
                 == burnside_key_orbit_counts(*bounds))
-        assert len(canonical) == orbits
 
     @pytest.mark.parametrize("bounds", [(4, 2, 2, 1), (4, 2, 2, 2), (3, 3, 2, 2), (4, 3, 2, 1)])
     def test_class_summed_burnside_matches_per_permutation(self, bounds):
@@ -258,23 +303,25 @@ class TestSearch:
 
     @pytest.mark.parametrize("bounds", [(3, 2, 2, 1), (3, 2, 1, 1), (2, 3, 2, 2)])
     def test_candidates_are_valid_unital_complexes(self, bounds):
-        """The search builds a complex only for an odd block, so candidates
-        are never validated at run time: here every one builds a valid
-        unital complex within its bounds, whose delta and pattern are the
-        memo key handed out with its rows, and the key verdict_key builds."""
-        max_p, max_l, max_mult, max_size = bounds
-        for k, h, a, b, key in _enumerate_unital(SearchBounds(*bounds)):
-            A = as_complex(k, h, a, b)
-            assert A.unital and 1 <= A.p <= max_p and 1 <= A.l <= max_l
-            assert max(A.k) <= max_size
-            assert max(max(row) for M in (A.alpha, A.beta) for row in M.entries) <= max_mult
-            assert key == (A.delta.entries, A.pattern) == verdict_key(k, h, a, b)
+        """The search builds a complex only for a printed block, so fibres
+        are never validated at run time: here every realisation of every key
+        orbit builds a valid unital complex within its bounds, whose delta
+        and pattern are the key it realises, and the key verdict_key
+        builds."""
+        bounds = SearchBounds(*bounds)
+        for k, delta, pattern in _key_orbits(bounds):
+            for rows in _fibre(k, delta, pattern, bounds.max_mult):
+                A = as_complex(k, *zip(*rows))
+                assert A.unital and 1 <= A.p <= bounds.max_p and 1 <= A.l <= bounds.max_l
+                assert max(A.k) <= bounds.max_size
+                assert max(max(row) for M in (A.alpha, A.beta) for row in M.entries) <= bounds.max_mult
+                assert (delta, pattern) == (A.delta.entries, A.pattern) == verdict_key(*as_candidate(A))
 
     def test_complex_built_once_per_odd_block(self, monkeypatch):
-        """Candidates stay rows: a verdict-memo miss passes odd_witnesses
-        alpha - beta and the nonzero pattern, not a complex, so among the
-        1,853 default candidates (394 keys) a complex is built only for each
-        odd block, once, in canonical form: 16 builds."""
+        """Key orbits stay rows: a verdict passes odd_witnesses alpha - beta
+        and the nonzero pattern, not a complex, so among the 164 default key
+        orbits (1,853 candidates) a complex is built only for each odd
+        block, once, in canonical form: 16 builds."""
         built = []
 
         def counted(*args, **kwargs):
@@ -291,13 +338,13 @@ class TestSearch:
         pytest.param((3, 2, 3, 1), marks=pytest.mark.slow, id="max_mult3"),
     ])
     def test_census_matches_independent_oracle(self, bounds, default_search):
-        """The census, rebuilt without the search's reasoning (orderly
-        generation, verdict memo, torsion guard, minimal supports, boundary
-        test): every orbit from the brute-force first-appearance oracle,
-        each decided by fourier_motzkin_odd_witness, whose first support
-        with K rows exact and not both split is the witness; a candidate
-        with none is not odd.  At --max-mult 3 (318 blocks, about 30 s) it
-        is marked slow and left out of the default run."""
+        """The census, rebuilt without the search's reasoning (key orbits,
+        fibres, order keys, torsion guard, minimal supports, boundary test):
+        every orbit from the brute-force first-appearance oracle, each
+        decided by fourier_motzkin_odd_witness, whose first support with K
+        rows exact and not both split is the witness; a candidate with none
+        is not odd.  At --max-mult 3 (318 blocks, about 30 s) it is marked
+        slow and left out of the default run."""
         blocks = []
         for c in first_appearance_candidates(*bounds, _canonical_key):
             A = as_complex(*c)
@@ -308,32 +355,26 @@ class TestSearch:
         assert census_lines(blocks) == census_lines(search)
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("bounds, keys, orbits", [
-        pytest.param((4, 2, 2, 1), 5_058, 1_111, id="max_p4"),
-        pytest.param((3, 3, 2, 1), 8_604, 1_794, id="max_l3"),
-        pytest.param((3, 2, 2, 2), 1_128, 421, id="max_size2"),
-        pytest.param((5, 2, 2, 1), 58_471, 6_841, id="max_p5"),
+    @pytest.mark.parametrize("bounds, candidates, orbits", [
+        pytest.param((4, 2, 2, 1), 28_879, 1_111, id="max_p4"),
+        pytest.param((3, 3, 2, 1), 80_883, 1_794, id="max_l3"),
+        pytest.param((3, 2, 2, 2), 8_429, 786, id="max_size2"),
+        pytest.param((5, 2, 2, 1), 393_172, 6_841, id="max_p5"),
     ])
-    def test_census_verdicts_per_key_orbit(self, bounds, keys, orbits):
+    def test_census_verdicts_per_key_orbit(self, bounds, candidates, orbits):
         """The census decided once per key orbit, on a path independent of
-        the search: the verdict keys of the emitted candidates are put in
-        canonical form by brute force (canonical_verdict_key), the first
-        candidate emitted in each orbit is decided by
-        fourier_motzkin_odd_witness, and the census's blocks are exactly
-        the canonical forms of the candidates whose key orbit is odd, in
-        the order they are emitted.  Each printed witness is a
-        Fourier-Motzkin support whose K rows pass built_rows_odd on its
+        the search: the oracle lists every candidate grouped by its key
+        orbit (key_orbit_candidates, brute force over multisets of row
+        types), one candidate of each orbit is decided by
+        fourier_motzkin_odd_witness, and the census's blocks are exactly the
+        candidates of the odd orbits, in canonical form, in the order of
+        orderly_rank (every point permutation tried).  Each printed witness
+        is a Fourier-Motzkin support whose K rows pass built_rows_odd on its
         printed block."""
-        candidates = [c[:4] for c in _enumerate_unital(SearchBounds(*bounds))]
-        orbit, first = {}, {}
-        for c in candidates:
-            key = verdict_key(*c)
-            if key not in orbit:
-                orbit[key] = canonical_verdict_key(*key)
-            first.setdefault(orbit[key], c)
-        assert (len(orbit), len(first)) == (keys, orbits)
-        odd = {o for o, c in first.items() if fourier_motzkin_odd_witness(as_complex(*c)) is not None}
-        expected = [_canonical_key(*c) for c in candidates if orbit[verdict_key(*c)] in odd]
+        by_orbit = key_orbit_candidates(*bounds, _canonical_key)
+        assert (sum(map(len, by_orbit.values())), len(by_orbit)) == (candidates, orbits)
+        odd = [o for o, found in by_orbit.items() if fourier_motzkin_odd_witness(as_complex(*found[0]))]
+        expected = sorted((c for o in odd for c in by_orbit[o]), key=lambda c: orderly_rank(*c))
         blocks = search_odd_blocks(*bounds)
         assert [as_candidate(b.complex) for b in blocks] == expected
         for b in blocks:
@@ -343,7 +384,8 @@ class TestSearch:
 
     def test_canonical_key_once_per_odd_block(self, monkeypatch):
         """Only the printed blocks are put in canonical form: 16 calls for
-        the 16 odd blocks among the 1,853 default candidates."""
+        the 16 odd blocks; the realisations of the odd key orbits are told
+        apart by their order keys."""
         calls = []
 
         def counted(*args):
@@ -354,19 +396,19 @@ class TestSearch:
         assert len(search_odd_blocks()) == len(calls) == 16
 
     def test_supports_built_only_past_the_torsion_guard(self, monkeypatch):
-        """At the default bounds 132 candidates have torsion in K_1(A/I) for
-        some proper point subset; they fall into 39 (delta, pattern) keys,
-        and only the first candidate of each key reaches odd_witnesses.  So
-        minimal supports are scanned 39 times for the memo misses and 16
-        more times, once for each odd block put in canonical form: 55.  Each
-        scan covers only the points whose blocks lie inside a union T with
-        torsion in coker delta[T^c, :]: it makes 116 kernel calls, its
-        nullity call included, and its closure lists 85 supports, each empty
-        union included.  The boundary test runs only on supports with that
-        torsion: 14 times over the 39 misses, and once for each odd block,
+        """At the default bounds 35 of the 164 key orbits have torsion in
+        K_1(A/I) for some proper point subset (decided by minor gcds on a
+        realisation), and only those reach all_ideal_specs.  So minimal
+        supports are scanned 35 times for the key orbits and 16 more times,
+        once for each odd block put in canonical form: 51.  Each scan covers
+        only the points whose blocks lie inside a union T with torsion in
+        coker delta[T^c, :]: it makes 108 kernel calls, its nullity call
+        included, and its closure lists 81 supports, each empty union
+        included.  The boundary test runs only on supports with that
+        torsion: 14 times over the key orbits, and once for each odd block,
         whose first support with torsion is its witness: 30.  Each call's
-        arguments lead back to a candidate: a printed block's by the
-        identity of its delta, a memo miss's through verdict_key."""
+        arguments lead back to a key: a printed block's by the identity of
+        its delta, a key orbit's by its rows."""
         built, minimal, kernels, listed, tested = [], [], [], [], []
         scanning = []
 
@@ -396,10 +438,10 @@ class TestSearch:
             return _boundary_vanishes(delta, spec)
 
         nccw_kernel, nccw_spec = nccw.kernel, nccw._spec
-        candidates = [c[:4] for c in _enumerate_unital(SearchBounds())]
-        by_key = {verdict_key(*c): c for c in candidates}
-        guarded = [c for c in candidates if past_guard(*c)]
-        assert len(guarded) == 132 and len({verdict_key(*c) for c in guarded}) == 39
+        by_key = {(delta, pattern): realised(k, delta, pattern)
+                  for k, delta, pattern in _key_orbits(SearchBounds())}
+        guarded = [key for key, c in by_key.items() if past_guard(*c)]
+        assert (len(by_key), len(guarded)) == (164, 35)
         monkeypatch.setattr(nccw, "all_ideal_specs", counted_specs)
         monkeypatch.setattr(nccw, "_minimal_supports", counted_minimal)
         monkeypatch.setattr(nccw, "kernel", counted_kernel)
@@ -407,26 +449,28 @@ class TestSearch:
         monkeypatch.setattr(nccw, "_boundary_vanishes", counted_boundary)
         blocks = search_odd_blocks()
         assert len(blocks) == 16
-        assert len(built) == len(minimal) == 55
-        assert (len(kernels), len(listed)) == (116, 85)
+        assert len(built) == len(minimal) == 51
+        assert (len(kernels), len(listed)) == (108, 81)
         printed = {id(b.complex.delta): as_candidate(b.complex) for b in blocks}
         candidate = {id(delta): printed.get(id(delta)) or by_key[delta.entries, pattern]
                      for delta, pattern in built}
-        misses = [candidate[id(delta)] for delta, _ in built if id(delta) not in printed]
-        assert len(misses) == len({verdict_key(*c) for c in misses}) == 39
+        decided = [(delta.entries, pattern) for delta, pattern in built if id(delta) not in printed]
+        assert decided == guarded
         assert all(past_guard(*c) for c in candidate.values())
         assert len(tested) == 30
         assert sum(id(delta) in printed for delta, _ in tested) == 16
         assert all(quotient_k1_torsion(*candidate[id(delta)][2:], spec.S) for delta, spec in tested)
 
     def test_odd_witnesses_once_per_key_and_odd_block(self, monkeypatch):
-        """odd_witnesses runs once per distinct (delta, pattern) key, 394 of
-        them among 1,853 default candidates, and once more per odd block, on
-        its canonical form: 410 runs.  The memo-miss runs are given exactly
-        the keys verdict_key builds, which shares no code with the row pairs
-        the search reads its keys from: a key that merged or split would
-        differ."""
-        keys = {verdict_key(*c[:4]) for c in _enumerate_unital(SearchBounds())}
+        """odd_witnesses runs once per key orbit, 164 of them at the
+        defaults, and once more per odd block, on its canonical form: 180
+        runs (410 when every distinct key of the 1,853 candidates was
+        decided).  The key-orbit runs are given pairwise inequivalent keys,
+        whose canonical forms are exactly those of the keys verdict_key
+        builds from the orderly oracle's candidates, which share no code
+        with the search: a key orbit missed or decided twice would differ."""
+        keys = {canonical_verdict_key(*verdict_key(*c))
+                for c in all_images_orderly_candidates(*astuple(SearchBounds()))}
         runs = []
 
         def counted(delta, pattern):
@@ -435,18 +479,19 @@ class TestSearch:
 
         monkeypatch.setattr(search_module, "odd_witnesses", counted)
         blocks = search_odd_blocks()
-        assert (len(keys), len(blocks)) == (394, 16)
-        assert len(runs) == len(keys) + len(blocks) == 410
+        assert (len(keys), len(blocks)) == (164, 16)
+        assert len(runs) == len(keys) + len(blocks) == 180
         printed = {id(b.complex.delta) for b in blocks}
-        misses = [(delta.entries, pattern) for delta, pattern in runs if id(delta) not in printed]
-        assert len(misses) == len(set(misses)) == 394
-        assert set(misses) == keys
+        decided = [canonical_verdict_key(delta.entries, pattern) for delta, pattern in runs
+                   if id(delta) not in printed]
+        assert len(decided) == len(set(decided)) == 164
+        assert set(decided) == keys
 
     def test_guard_memo_builds_one_group_per_row_tuple(self, monkeypatch, default_search):
         """The torsion guard of odd_witnesses builds coker delta[T^c, :] once
         per distinct tuple of delta's rows outside T, over every union T of
-        the points' adjacent blocks, for the default candidates' keys and
-        their odd blocks' canonical forms; it returns that group when it has
+        the points' adjacent blocks, for the default key orbits and their
+        odd blocks' canonical forms; it returns that group when it has
         torsion and None otherwise, and a search on the warm cache prints
         the same census."""
         def unions(pattern):
@@ -455,7 +500,7 @@ class TestSearch:
             return {frozenset().union(*(adjacent[j] for j in J))
                     for r in range(1, p + 1) for J in combinations(range(p), r)}
 
-        keys = ({verdict_key(*c[:4]) for c in _enumerate_unital(SearchBounds())}
+        keys = ({(delta, pattern) for _, delta, pattern in _key_orbits(SearchBounds())}
                 | {verdict_key(*as_candidate(b.complex)) for b in default_search})
         outside = {(rows, T): tuple(row for i, row in enumerate(rows) if i not in T)
                    for rows, pattern in keys for T in unions(pattern)}
@@ -478,7 +523,7 @@ class TestSearch:
         monkeypatch.setattr(nccw, "_torsion_cokernel", guard)
         monkeypatch.setattr(nccw, "cokernel", counted_cokernel)
         assert census_lines(search_odd_blocks()) == census_lines(default_search)
-        assert len(built) == len(set(built)) == len(set(outside.values())) == 33
+        assert len(built) == len(set(built)) == len(set(outside.values())) == 23
         assert set(built) == set(outside.values())
         monkeypatch.undo()
         for (rows, T), kept in outside.items():
@@ -623,6 +668,17 @@ class TestCli:
         code, out, _ = run_cli("search", "--max-p", "2", "--max-l", "2",
                                "--max-mult", "2", "--max-size", "1")
         assert code == 0 and "odd blocks" in out
+
+    @pytest.mark.slow
+    def test_search_max_p6_bytes(self):
+        """The --max-p 6 census, 4,208 blocks, pinned by the sha256 of its
+        whole stdout (search_max_p6.sha256, whose prefix was recorded when
+        the census was generated by the orderly test on row pairs)."""
+        code, out, _ = run_cli("search", "--max-p", "6")
+        assert code == 0
+        assert out.startswith("odd blocks with p <= 6, l <= 2, multiplicities <= 2, point sizes <= 1: 4208\n")
+        pinned = (DATA / "search_max_p6.sha256").read_text().split()[0]
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned
 
     @pytest.mark.parametrize("flag, value, name", [
         ("--max-p", "0", "max_p"), ("--max-mult", "-1", "max_mult"),

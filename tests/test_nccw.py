@@ -30,9 +30,12 @@ from nccwk.harness.scenarios import (
     odd_tower_complex,
     torsion_tower_complex,
 )
-from nccwk.harness.search import SearchBounds, _enumerate_unital
-
-from oracles import full_path_odd_witnesses, nonnegative_kernel_witness, quotient_k1_torsion
+from oracles import (
+    all_images_orderly_candidates,
+    full_path_odd_witnesses,
+    nonnegative_kernel_witness,
+    quotient_k1_torsion,
+)
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -369,11 +372,12 @@ class TestClassification:
 
     def test_classify_block_pinned_on_every_default_candidate(self):
         """str(classify_block(A)) + newline over the 1,853 default candidates
-        in the order they are emitted (1,457 nice, 380 nice with
-        nontrivial-boundary diagnostics, 16 odd), by sha256, as recorded
-        before odd_witnesses listed supports only among the torsion points."""
+        in census order, as the orderly oracle lists them (1,457 nice, 380
+        nice with nontrivial-boundary diagnostics, 16 odd), by sha256, as
+        recorded before odd_witnesses listed supports only among the torsion
+        points."""
         digest = hashlib.sha256()
-        for k, h, a, b, _ in _enumerate_unital(SearchBounds()):
+        for k, h, a, b in all_images_orderly_candidates(3, 2, 2, 1):
             A = NccwComplex(k, h, IntMatrix.from_rows(a, cols=len(k)), IntMatrix.from_rows(b, cols=len(k)))
             digest.update((str(classify_block(A)) + "\n").encode())
         assert digest.hexdigest() == "e9696636a50434bbedb38f8b11e69ab0ca6bb9d4ba3bea323f640be3504dae9c"
