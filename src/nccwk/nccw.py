@@ -135,12 +135,11 @@ def k_theory(A: NccwComplex, basis: Optional[IntMatrix] = None) -> KData:
 
 @dataclass(frozen=True)
 class CompactIdealSpec:
-    """Support of a projection-generated ideal: the points S it contains
-    plus the forced adjacent interval blocks T."""
+    """Support of a projection-generated ideal, as plain index sets: the
+    points S it contains plus the forced adjacent interval blocks T."""
 
     S: tuple  # sorted 0-based point indices
     T: tuple  # sorted 0-based interval indices, always adj(S)
-    witness: tuple  # nonnegative kernel vector positive on all of S
 
 
 def adjacent_blocks(pattern: tuple, S: Sequence[int]) -> tuple:
@@ -149,7 +148,7 @@ def adjacent_blocks(pattern: tuple, S: Sequence[int]) -> tuple:
 
 def _minimal_supports(delta: IntMatrix, points: Sequence[int]) -> list:
     """The minimal supports inside `points` of the nonnegative vectors in
-    ker(delta), each as a dict from point to its positive primitive generator.
+    ker(delta), each as a frozenset of points.
 
     S is minimal iff delta[:, S] has nullity 1 and its kernel generator has
     one strict sign: an elementary vector of ker(delta) (Rockafellar, "The
@@ -162,19 +161,12 @@ def _minimal_supports(delta: IntMatrix, points: Sequence[int]) -> list:
     found = []
     for size in range(1, largest + 1):
         for S in combinations(points, size):
-            if any(m.keys() <= set(S) for m in found):
+            if any(m.issubset(S) for m in found):
                 continue
             K = kernel(delta.submatrix(range(delta.rows), S))
             if K.cols == 1 and (all(x > 0 for x in K.col(0)) or all(x < 0 for x in K.col(0))):
-                found.append({j: abs(x) for j, x in zip(S, K.col(0))})
+                found.append(frozenset(S))
     return found
-
-
-def _spec(pattern: tuple, S: tuple, minimal: list) -> CompactIdealSpec:
-    """S with the sum of the generators of the minimal supports inside it."""
-    inside = [m for m in minimal if m.keys() <= set(S)]
-    return CompactIdealSpec(S, adjacent_blocks(pattern, S),
-                            tuple(sum(m.get(j, 0) for m in inside) for j in S))
 
 
 def make_ideal_spec(A: NccwComplex, S: Sequence[int]) -> CompactIdealSpec:
@@ -185,22 +177,22 @@ def make_ideal_spec(A: NccwComplex, S: Sequence[int]) -> CompactIdealSpec:
     S = tuple(sorted(set(S)))
     if any(j < 0 or j >= A.p for j in S):
         raise ValueError("S must be a subset of the point indices")
-    minimal = _minimal_supports(A.delta, S)
-    if set().union(*minimal) != set(S):
+    if set().union(*_minimal_supports(A.delta, S)) != set(S):
         raise ValueError(
             f"no projection-generated ideal has point support {[j + 1 for j in S]}")
-    return _spec(A.pattern, S, minimal)
+    return CompactIdealSpec(S, adjacent_blocks(A.pattern, S))
 
 
-def all_ideal_specs(delta: IntMatrix, pattern: tuple, points: Optional[Sequence[int]] = None) -> list:
-    """Every valid compact-ideal support inside points (default: all), by
-    size then lexicographically: the unions of the minimal supports there."""
-    minimal = _minimal_supports(delta, range(delta.cols) if points is None else points)
+def all_ideal_specs(delta: IntMatrix, pattern: tuple, minimal: Optional[list] = None) -> list:
+    """Every valid compact-ideal support, by size then lexicographically:
+    the unions of the minimal supports, point sets as _minimal_supports
+    lists them (default: one scan over all points, made here)."""
+    minimal = _minimal_supports(delta, range(delta.cols)) if minimal is None else minimal
     closure = {frozenset()}
     for m in minimal:
         closure |= {c.union(m) for c in closure}
     supports = sorted((tuple(sorted(c)) for c in closure), key=lambda S: (len(S), S))
-    return [_spec(pattern, S, minimal) for S in supports]
+    return [CompactIdealSpec(S, adjacent_blocks(pattern, S)) for S in supports]
 
 
 def _complement(delta: IntMatrix, spec: CompactIdealSpec):
@@ -298,7 +290,7 @@ def _torsion_cokernel(rows: tuple) -> Optional[FgGroup]:
     return G if G.torsion_orders else None
 
 
-def odd_witnesses(delta: IntMatrix, pattern: tuple):
+def odd_witnesses(delta: IntMatrix, pattern: tuple, minimal: Optional[list] = None):
     """The supports whose K rows are exact but not pure, in all_ideal_specs
     order, of every complex with this delta = alpha - beta and this nonzero
     pattern of alpha or beta.
@@ -312,8 +304,9 @@ def odd_witnesses(delta: IntMatrix, pattern: tuple):
     cache, like smith_normal_form's, lives for the process, and the many
     deltas of a search share few such tuples.  A witness lies inside
     P, the points j with adj(j) inside some T with torsion, and a minimal
-    support inside P is one of ker(delta): supports are listed inside P
-    alone, in the same order and with the same vectors.  For an exact row,
+    support inside P is one of ker(delta): minimal supports are scanned
+    inside P alone, or, given the scan over all points (minimal, from
+    classify_block), its members inside P are kept.  For an exact row,
     Miyata's theorem makes the K_1 row split iff K_1(A) is isomorphic to
     K_1(I) (+) K_1(A/I), which is FgGroup.is_sum_of, as in is_pure.  No K
     row is built: harness.search re-verifies both properties on built rows.
@@ -329,7 +322,9 @@ def odd_witnesses(delta: IntMatrix, pattern: tuple):
         return
     k1 = cokernel(delta)
     points = [j for j, blocks in enumerate(adjacent) if any(blocks.issubset(T) for T in k1_q)]
-    for spec in all_ideal_specs(delta, pattern, points):
+    minimal = (_minimal_supports(delta, points) if minimal is None
+               else [m for m in minimal if m.issubset(points)])
+    for spec in all_ideal_specs(delta, pattern, minimal):
         if 0 < len(spec.S) < delta.cols and spec.T in k1_q and _boundary_vanishes(delta, spec):
             if not k1.is_sum_of(cokernel(delta.submatrix(spec.T, spec.S)), k1_q[spec.T]):
                 yield spec
@@ -372,14 +367,17 @@ def classify_block(A: NccwComplex) -> Classification:
     is only meaningful for exact rows, so supports with nontrivial
     boundary maps do not disqualify a complex: they are diagnostics, one
     boundary test per support of all_ideal_specs (the supports checked).
-    The witnesses come from odd_witnesses, which lists supports only among
-    the points a witness can contain; A is read through delta and pattern.
+    One scan over all points lists the minimal supports; the verdict is
+    decided first from it, by odd_witnesses, then the diagnostics list
+    its unions.  A is read through delta and pattern.
 
     Cost: the minimal supports take up to 2^p rank tests, and the supports,
     the faces of a cone, can be exponential in number; every one is
     visited.  The double description method (Fukuda & Prodon, "Double
     description method revisited", 1996) gives the extreme rays directly.
     """
-    specs = all_ideal_specs(A.delta, A.pattern)
+    minimal = _minimal_supports(A.delta, range(A.p))
+    witnesses = tuple(odd_witnesses(A.delta, A.pattern, minimal))
+    specs = all_ideal_specs(A.delta, A.pattern, minimal)
     nonexact = tuple(spec for spec in specs if not _boundary_vanishes(A.delta, spec))
-    return Classification(nonexact, tuple(odd_witnesses(A.delta, A.pattern)), len(specs))
+    return Classification(nonexact, witnesses, len(specs))

@@ -623,11 +623,10 @@ def fourier_motzkin_odd_witness(A):
     from nccwk.nccw import CompactIdealSpec
 
     for S in (S for r in range(1, A.p) for S in combinations(range(A.p), r)):
-        v = nonnegative_kernel_witness(A.delta.submatrix(range(A.l), S), range(len(S)))
-        if v is None:
+        if nonnegative_kernel_witness(A.delta.submatrix(range(A.l), S), range(len(S))) is None:
             continue
         T = tuple(i for i in range(A.l) if any(A.alpha[i, j] or A.beta[i, j] for j in S))
-        spec = CompactIdealSpec(S, T, v)
+        spec = CompactIdealSpec(S, T)
         if built_rows_odd(A, spec):
             return spec
     return None

@@ -425,19 +425,17 @@ class TestSearch:
                 kernels.append(M)
             return nccw_kernel(M)
 
-        def counted_spec(pattern, S, minimal_supports):
-            listed.append(S)
-            return nccw_spec(pattern, S, minimal_supports)
-
-        def counted_specs(delta, pattern, points=None):
+        def counted_specs(delta, pattern, minimal_supports=None):
             built.append((delta, pattern))
-            return all_ideal_specs(delta, pattern, points)
+            specs = all_ideal_specs(delta, pattern, minimal_supports)
+            listed.extend(spec.S for spec in specs)
+            return specs
 
         def counted_boundary(delta, spec):
             tested.append((delta, spec))
             return _boundary_vanishes(delta, spec)
 
-        nccw_kernel, nccw_spec = nccw.kernel, nccw._spec
+        nccw_kernel = nccw.kernel
         by_key = {(delta, pattern): realised(k, delta, pattern)
                   for k, delta, pattern in _key_orbits(SearchBounds())}
         guarded = [key for key, c in by_key.items() if past_guard(*c)]
@@ -445,7 +443,6 @@ class TestSearch:
         monkeypatch.setattr(nccw, "all_ideal_specs", counted_specs)
         monkeypatch.setattr(nccw, "_minimal_supports", counted_minimal)
         monkeypatch.setattr(nccw, "kernel", counted_kernel)
-        monkeypatch.setattr(nccw, "_spec", counted_spec)
         monkeypatch.setattr(nccw, "_boundary_vanishes", counted_boundary)
         blocks = search_odd_blocks()
         assert len(blocks) == 16

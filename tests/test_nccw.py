@@ -7,12 +7,15 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from nccwk import nccw
 from nccwk.fgab.intmat import IntMatrix
 from nccwk.fgab.groups import GroupHom, _splits, is_exact, is_pure
 from nccwk.nccw import (
     BlockClass,
+    CompactIdealSpec,
     NccwComplex,
     _boundary_vanishes,
+    _minimal_supports,
     adjacent_blocks,
     all_ideal_specs,
     classify_block,
@@ -145,8 +148,6 @@ class TestIdealSpecs:
         assert [spec.S for spec in specs] == accepted
         for spec in specs:
             assert make_ideal_spec(A, spec.S) == spec
-            assert all(x >= 1 for x in spec.witness)
-            assert A.delta.submatrix(spec.T, spec.S).apply(spec.witness) == (0,) * len(spec.T)
         for size in range(A.p + 1):
             for S in combinations(range(A.p), size):
                 if S not in accepted:
@@ -155,8 +156,7 @@ class TestIdealSpecs:
 
     def test_torsion_tower_projection_class_support(self):
         spec = make_ideal_spec(torsion_tower_complex(0), [2, 3])
-        assert spec.T == (1,)
-        assert spec.witness == (1, 1)
+        assert spec == CompactIdealSpec((2, 3), (1,))
 
 
 class TestIdealCalculus:
@@ -318,18 +318,26 @@ class TestExtensions:
                 assert r_i + r_q == kd.k0.free_rank
 
 
-def census_keys():
-    """(delta rows, nonzero pattern) of the odd blocks pinned in the default
-    census, and of the stage-0 blocks of the paper's two towers."""
-    keys = []
+def census_complexes():
+    """The odd blocks pinned in the default census, and the stage-0 blocks
+    of the paper's two towers."""
+    blocks = []
     for line in (DATA / "search_default.txt").read_text().splitlines():
-        alpha, beta = ([[int(x) for x in row.split()] for row in M.split(";")]
-                       for M in re.search(r"alpha=\[([^]]*)\] beta=\[([^]]*)\]", line).groups())
-        keys.append((tuple(tuple(x - y for x, y in zip(a, b)) for a, b in zip(alpha, beta)),
-                     tuple(tuple(bool(x or y) for x, y in zip(a, b)) for a, b in zip(alpha, beta))))
-    for A in (odd_tower_complex(0), torsion_tower_complex(0)):
-        keys.append((A.delta.entries, A.pattern))
-    return keys
+        k, h, alpha, beta = re.search(r"k=\[([^]]*)\] h=\[([^]]*)\] alpha=\[([^]]*)\] beta=\[([^]]*)\]",
+                                      line).groups()
+        sizes = [tuple(int(x) for x in v.split(",")) for v in (k, h)]
+        rows = [IntMatrix.from_rows([[int(x) for x in row.split()] for row in M.split(";")])
+                for M in (alpha, beta)]
+        blocks.append(NccwComplex(*sizes, *rows))
+    return blocks + [odd_tower_complex(0), torsion_tower_complex(0)]
+
+
+CENSUS = census_complexes()
+
+
+def census_keys():
+    """(delta rows, nonzero pattern) of the census complexes."""
+    return [(A.delta.entries, A.pattern) for A in CENSUS]
 
 
 @st.composite
@@ -361,10 +369,12 @@ class TestClassification:
     def test_odd_witnesses_match_the_full_path(self, key):
         """Listing supports only among the points whose blocks lie inside a
         union T with torsion in coker delta[T^c, :] gives the witnesses, in
-        order and with their vectors, that filtering every valid support
-        gives."""
+        order, that filtering every valid support gives; so does keeping
+        the members inside those points of the scan over all points."""
         delta = IntMatrix(len(key[0]), len(key[0][0]), key[0])
-        assert list(odd_witnesses(delta, key[1])) == full_path_odd_witnesses(delta, key[1])
+        full = full_path_odd_witnesses(delta, key[1])
+        assert list(odd_witnesses(delta, key[1])) == full
+        assert list(odd_witnesses(delta, key[1], _minimal_supports(delta, range(delta.cols)))) == full
 
     def test_census_examples_are_odd(self):
         for delta, pattern in census_keys():
@@ -389,6 +399,22 @@ class TestClassification:
         A = NccwComplex((1, 1, 1), (2,), IntMatrix.from_rows([[0, 1, 1]]), IntMatrix.from_rows([[1, 0, 1]]))
         assert str(classify_block(A)) == \
             "nice (4 ideal supports checked; supports with nontrivial boundary maps: [[3]])"
+
+    @pytest.mark.parametrize("tower, verdict", [(odd_tower_complex, "odd (witness S = [3])"),
+                                                (torsion_tower_complex, "odd (witness S = [3, 4])")])
+    def test_one_minimal_support_scan_per_complex(self, monkeypatch, tower, verdict):
+        """classify_block scans minimal supports once, over every point: the
+        witnesses and the diagnostics both read that scan."""
+        scans = []
+
+        def counted(delta, points):
+            scans.append(tuple(points))
+            return _minimal_supports(delta, points)
+
+        monkeypatch.setattr(nccw, "_minimal_supports", counted)
+        A = tower(0)
+        assert str(classify_block(A)) == verdict
+        assert scans == [tuple(range(A.p))]
 
     def test_odd_tower_is_odd(self):
         cls = classify_block(odd_tower_complex(0))
@@ -450,3 +476,61 @@ class TestClassification:
         for spec in all_ideal_specs(A.delta, A.pattern):
             s0, s1 = k_sequences(A, spec)
             assert is_pure(s0) and is_pure(s1)
+
+
+def draw_block(data):
+    """A census complex for about half the draws, so that odd blocks occur;
+    otherwise a complex of draw_complex, in one of its cases."""
+    if data.draw(st.booleans(), label="from census"):
+        return data.draw(st.sampled_from(CENSUS), label="census complex")
+    return draw_complex(data, data.draw(st.sampled_from(CASES), label="case"))
+
+
+def exact_count(cls):
+    return cls.specs_checked - len(cls.nonexact_witnesses)
+
+
+class TestMetamorphicRelations:
+    """How classify_block must change when its input is transformed; no
+    reference answer is needed, so the relations hold past every oracle's
+    bounds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_direct_sum(self, data):
+        """An ideal of A (+) B is I_A (+) I_B, since the minimal supports of
+        a block-diagonal delta are those of its blocks, and its K rows are
+        the sums of the parts' rows: exact iff both are, split iff both
+        are.  With n a part's supports and e its exact ones, A (+) B has
+        n_A n_B supports, all but e_A e_B of them non-exact; its witnesses
+        are the exact ones except those whose parts are both pure, so it is
+        odd iff A or B is."""
+        A, B = draw_block(data), draw_block(data)
+        a, b, s = (classify_block(C) for C in (A, B, NccwComplex.direct_sum(A, B)))
+        assert (s.verdict is BlockClass.ODD) == (BlockClass.ODD in (a.verdict, b.verdict))
+        assert s.specs_checked == a.specs_checked * b.specs_checked
+        assert len(s.nonexact_witnesses) == s.specs_checked - exact_count(a) * exact_count(b)
+        pure_a, pure_b = (exact_count(c) - len(c.nonpure_witnesses) for c in (a, b))
+        assert len(s.nonpure_witnesses) == exact_count(a) * exact_count(b) - pure_a * pure_b
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_relabelling(self, data):
+        """Renaming points and interval blocks keeps the K-groups and the
+        supports checked, and moves the witnesses and the non-exact supports
+        with the points."""
+        A = draw_block(data)
+        points = data.draw(st.permutations(range(A.p)), label="points")
+        blocks = data.draw(st.permutations(range(A.l)), label="blocks")
+        # point j of B is point points[j] of A, and likewise for blocks
+        B = NccwComplex(tuple(A.k[j] for j in points), tuple(A.h[i] for i in blocks),
+                        A.alpha.submatrix(blocks, points), A.beta.submatrix(blocks, points),
+                        unital=A.unital)
+        kd_a, kd_b = k_theory(A), k_theory(B)
+        assert (kd_b.rank, kd_b.k1.iso_class()) == (kd_a.rank, kd_a.k1.iso_class())
+        a, b = classify_block(A), classify_block(B)
+        assert b.specs_checked == a.specs_checked
+        for before, after in ((a.nonpure_witnesses, b.nonpure_witnesses),
+                              (a.nonexact_witnesses, b.nonexact_witnesses)):
+            assert ({frozenset(points[j] for j in spec.S) for spec in after}
+                    == {frozenset(spec.S) for spec in before})

@@ -30,6 +30,7 @@ README_SAMPLES = (
     ("ktheory complex docs/samples/odd_tower.nccw", 0),
     ("ktheory ideal docs/samples/torsion_tower.nccw --name F0 --summands 3,4", 0),
     ("classify docs/samples/odd_tower.nccw", 0),
+    ("classify docs/samples/torsion_tower.nccw --name F0", 0),
     ("limit docs/samples/odd_tower.nccw --system k0sys --stages 4", 0),
     ("limit docs/samples/odd_tower.nccw --system k0sys --identify", 0),
     ("limit docs/samples/odd_tower.nccw --system k0sys --divisible 0,1 8 --bound 6", 0),
