@@ -8,10 +8,13 @@ The Smith normal form here reduces A to D = U*A*V, U and V unimodular,
 and records the row and column operations it applies instead of carrying
 U and V.  One function, _replay, applies a record to a list of vectors:
 the reduction applies each operation to the columns of D as it records
-it, U, V and their inverses (the cyclic decomposition of a cokernel reads
-Uinv) are the records replayed onto the unit vectors when first read, and
-a solve replays the row record onto its right-hand side alone.  The
-reduction takes two passes (Kannan & Bachem, SIAM J. Comput. 8, 1979):
+it, and U, V and their inverses (the cyclic decomposition of a cokernel
+reads Uinv) are the records replayed onto the unit vectors when first
+read.  A solve builds neither U nor V: it replays the row record onto its
+right-hand side and the column record, transposed and reversed, onto the
+quotient vector; a kernel replays that transposed record onto the unit
+vectors of its free columns alone.  The reduction takes two passes
+(Kannan & Bachem, SIAM J. Comput. 8, 1979):
 
 1. Hermite passes.  The rows are put in Hermite normal form one row at a
    time, each new row eliminated against the pivots found so far, with
@@ -37,7 +40,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
-from operator import index
+from operator import index, mul
 from typing import Iterable, Optional, Sequence
 
 
@@ -105,22 +108,20 @@ class IntMatrix:
         return self.entries[i][j]
 
     def col(self, j: int) -> tuple:
-        return tuple(self.entries[i][j] for i in range(self.rows))
+        return tuple([row[j] for row in self.entries])
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ocols = other.cols
-        data = tuple(
-            tuple(sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols)) for j in range(ocols))
-            for i in range(self.rows)
-        )
-        return IntMatrix(self.rows, ocols, data)
+        # an other with no rows has empty columns, each giving a zero column
+        cols = tuple(zip(*other.entries)) if other.rows else ((),) * other.cols
+        data = tuple([tuple([sum(map(mul, row, c)) for c in cols]) for row in self.entries])
+        return IntMatrix(self.rows, other.cols, data)
 
     def apply(self, vec: Sequence[int]) -> tuple:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(self.entries[i][k] * vec[k] for k in range(self.cols)) for i in range(self.rows))
+        return tuple([sum(map(mul, row, vec)) for row in self.entries])
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -183,9 +184,11 @@ class SmithDecomposition:
 
     row_ops and col_ops are the engine's records (see _replay); col_ops
     acts on V^T.  U, V and their exact inverses Uinv and Vinv are the
-    records replayed onto the unit vectors on first read, and apply_U
-    replays the row record onto one vector.  Columns of Uinv realize the
-    cyclic decomposition of coker(A) on the original generators.
+    records replayed onto the unit vectors on first read; apply_U replays
+    the row record onto one vector and apply_V the column record,
+    transposed and reversed, onto a list of vectors, so neither builds its
+    matrix.  Columns of Uinv realize the cyclic decomposition of coker(A)
+    on the original generators.
     """
 
     D: IntMatrix
@@ -206,12 +209,17 @@ class SmithDecomposition:
     def Uinv(self) -> IntMatrix:
         # U = E_N ... E_1, so Uinv^T = E_N^-T ... E_1^-T: the inverse-transposed
         # operations replayed in recorded order
-        return _replayed_identity(_inverse_transposed(self.row_ops), self.D.rows, by_columns=False)
+        return _replayed_identity(_transposed(self.row_ops, inverse=True), self.D.rows, by_columns=False)
 
     @cached_property
     def Vinv(self) -> IntMatrix:
         # V = F_1^T ... F_M^T, so Vinv = F_M^-T ... F_1^-T
-        return _replayed_identity(_inverse_transposed(self.col_ops), self.D.cols, by_columns=True)
+        return _replayed_identity(_transposed(self.col_ops, inverse=True), self.D.cols, by_columns=True)
+
+    @cached_property
+    def _col_ops_transposed(self) -> tuple:
+        # V = F_1^T ... F_M^T, so V v replays F_M^T first
+        return tuple(_transposed(reversed(self.col_ops), inverse=False))
 
     def apply_U(self, vec: Sequence[int]) -> tuple:
         """U vec, replayed from the row record without building U."""
@@ -220,6 +228,17 @@ class SmithDecomposition:
         v = list(vec)
         _replay(self.row_ops, [v])
         return tuple(v)
+
+    def apply_V(self, vecs: Iterable[Sequence[int]]) -> list:
+        """[V v for v in vecs], replayed from the column record without
+        building V."""
+        vs = []
+        for v in vecs:
+            if len(v) != self.D.cols:
+                raise ValueError("vector length mismatch")
+            vs.append(list(v))
+        _replay(self._col_ops_transposed, vs)
+        return list(map(tuple, vs))
 
     def verify(self, A: IntMatrix) -> bool:
         ok = (self.U @ A @ self.V) == self.D
@@ -278,19 +297,28 @@ def _replayed_identity(ops, n: int, by_columns: bool) -> IntMatrix:
     return IntMatrix(n, n, tuple(zip(*vecs)) if by_columns else tuple(map(tuple, vecs)))
 
 
-def _inverse_transposed(ops):
-    """Each recorded operation E as the operation E^-T.  A negation and a
-    permutation are their own inverse transposes; a combine has
-    determinant e = ad - bc = +-1, so its inverse is e * [[d, -b], [-c, a]]."""
+def _transposed(ops, inverse: bool):
+    """Each recorded operation E as the operation E^T, or E^-T if inverse.
+    A negation is its own transpose and inverse; a permutation's transpose
+    is its inverse; a combine has determinant e = ad - bc = +-1, so its
+    inverse is e * [[d, -b], [-c, a]]."""
     for op in ops:
         kind = op[0]
         if kind == 0:
             _, i, k, q = op
-            yield (0, k, i, -q)
+            yield (0, k, i, -q if inverse else q)
         elif kind == 1:
             _, i, j, a, b, c, d = op
-            e = a * d - b * c
-            yield (1, i, j, e * d, -e * c, -e * b, e * a)
+            if inverse:
+                e = a * d - b * c
+                a, b, c, d = e * d, -e * b, -e * c, e * a
+            yield (1, i, j, a, c, b, d)
+        elif kind == 3 and not inverse:
+            order = op[1]
+            back = [0] * len(order)
+            for new_pos, old_pos in enumerate(order):
+                back[old_pos] = new_pos
+            yield (3, tuple(back))
         else:
             yield op
 
@@ -470,8 +498,15 @@ def kernel(A: IntMatrix) -> IntMatrix:
     """Columns form a Z-basis of {v : A v = 0}  (an A.cols x nullity matrix)."""
     snf = smith_normal_form(A)
     d = snf.invariant_factors
-    free = [j for j in range(A.cols) if j >= len(d) or d[j] == 0]
-    return snf.V.submatrix(range(A.cols), free)
+    n = A.cols
+    units = []
+    for j in range(n):
+        if j >= len(d) or d[j] == 0:
+            e = [0] * n
+            e[j] = 1
+            units.append(e)
+    cols = snf.apply_V(units)
+    return IntMatrix(n, len(cols), tuple(zip(*cols)) if cols else ((),) * n)
 
 
 def solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
@@ -491,7 +526,7 @@ def solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
             if c[i] % di != 0:
                 return None
             y[i] = c[i] // di
-    return snf.V.apply(y)
+    return snf.apply_V([y])[0]
 
 
 def solve_matrix(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
@@ -539,6 +574,7 @@ def unimodular_completion(v: Sequence[int]) -> tuple:
     if P.col(0) != tuple(v):
         P = IntMatrix.from_columns([tuple(-x for x in P.col(0))] + [P.col(j) for j in range(1, P.cols)])
         Pinv = IntMatrix(Pinv.rows, Pinv.cols, (tuple(-x for x in Pinv.entries[0]),) + Pinv.entries[1:])
-    assert P.col(0) == tuple(v)
+    if P.col(0) != tuple(v):
+        raise AssertionError(f"completion of {tuple(v)} has first column {P.col(0)}")
     return P, Pinv
 

@@ -166,7 +166,8 @@ def induced_k0(m: MapDescription, kd_src: KData, kd_tgt: KData) -> GroupHom:
         image_cols.append(tuple(w))
     image = IntMatrix.from_columns(image_cols, rows=m.target.p)
     coords = solve_matrix(kd_tgt.k0_basis, image)
-    assert coords is not None  # basis columns span the kernel lattice
+    if coords is None:  # basis columns span the kernel lattice
+        raise AssertionError("image of a K_0 class is not in the span of the target's K_0 basis")
     return GroupHom(kd_src.k0, kd_tgt.k0, coords)
 
 

@@ -161,14 +161,14 @@ def halfplane_cone(first_prime: int, second_prime: int) -> ConeOracle:
         if not ((type(x) is Fraction or type(x) is int or isinstance(x, _EXACT))
                 and (type(y) is Fraction or type(y) is int or isinstance(y, _EXACT))):
             raise ValueError(f"coordinates must be int or Fraction, not {x!r}, {y!r}")
-        dx, dy = x.denominator, y.denominator
+        xn, dx = x.as_integer_ratio()
+        yn, dy = y.as_integer_ratio()
         if dx not in x_ok or dy not in y_ok:
             if not (_check_localized(dx, first_prime) and _check_localized(dy, second_prime)):
                 raise ValueError("element outside the localized ambient group")
             x_ok.add(dx)
             y_ok.add(dy)
-        xn = x.numerator
-        return xn > 0 or (xn == 0 and y.numerator >= 0)
+        return xn > 0 or (xn == 0 and yn >= 0)
 
     return ConeOracle(member)
 

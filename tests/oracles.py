@@ -1,6 +1,7 @@
 """Independent reference computations used to pin expected test values.
 
-These deliberately avoid the library's own code paths: invariant factors
+These deliberately avoid the library's own code paths: matrix products,
+matrix-vector products and columns by plain index loops, invariant factors
 via gcds of minors and via plain elementary reduction without transform
 tracking (modulo the determinant when it is nonzero), determinants by
 fraction-free elimination, inverses of unimodular matrices as adjugates
@@ -88,6 +89,40 @@ def _det(sq):
             a[i] = [(x * a[k][k] - a[i][k] * y) // prev for x, y in zip(a[i], a[k])]
         prev = a[k][k]
     return sign * prev
+
+
+def loop_matmul(a, b, ncols):
+    """The product of row lists a (m x k) and b (k x ncols) by index loops;
+    ncols is given so that a b with no rows still has its columns."""
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(ncols):
+            total = 0
+            for k in range(len(b)):
+                total += a[i][k] * b[k][j]
+            row.append(total)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def loop_apply(a, vec):
+    """The rows of a times the vector vec, by index loops."""
+    out = []
+    for i in range(len(a)):
+        total = 0
+        for k in range(len(vec)):
+            total += a[i][k] * vec[k]
+        out.append(total)
+    return tuple(out)
+
+
+def loop_col(a, j):
+    """Column j of the row list a, by an index loop."""
+    out = []
+    for i in range(len(a)):
+        out.append(a[i][j])
+    return tuple(out)
 
 
 def invert_unimodular(P):

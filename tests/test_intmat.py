@@ -20,6 +20,9 @@ from nccwk.fgab.intmat import (
 
 from oracles import (
     invert_unimodular,
+    loop_apply,
+    loop_col,
+    loop_matmul,
     minor_gcd_invariant_factors,
     nonnegative_kernel_witness,
     rational_rank,
@@ -260,7 +263,8 @@ def test_inverses_are_computed_when_read(monkeypatch):
     assert solve(A, A.apply((1, 2, 3))) is not None
     s = smith_normal_form(A)
     assert smith_normal_form.cache_info().misses == misses + 1
-    assert not {"U", "Uinv", "Vinv"} & set(vars(s))
+    # kernel and solve replay the records without building a transform
+    assert not {"U", "V", "Uinv", "Vinv"} & set(vars(s))
     raw = intmat._smith_raw
     calls = []
     monkeypatch.setattr(intmat, "_smith_raw", lambda B: calls.append(B) or raw(B))
@@ -268,6 +272,51 @@ def test_inverses_are_computed_when_read(monkeypatch):
     assert s.U @ s.Uinv == IntMatrix.identity(A.rows)
     assert s.V @ s.Vinv == IntMatrix.identity(A.cols)
     assert calls == [] and smith_normal_form.cache_info() == before
+
+
+records_cases = st.integers(0, 7).flatmap(
+    lambda m: st.integers(0, 7).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                     min_size=m, max_size=m).map(lambda rows: M(rows, cols=n)),
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+            st.lists(st.lists(st.integers(-4, 4), min_size=2, max_size=2), min_size=n, max_size=n))))
+
+# [[0, 1]]: the column pass finds its pivot in the second column, so the
+# column record ends in a permutation
+PERMUTING = M([[0, 1]])
+
+
+def test_permuting_example_records_a_permutation():
+    assert [op[0] for op in smith_normal_form(PERMUTING).col_ops] == [3]
+
+
+@settings(max_examples=150, deadline=None)
+@given(records_cases)
+@example((PERMUTING, [3, -2], [[1, 0], [2, 5]]))
+@example((M([[0, 0, 2], [0, 3, 0], [0, 0, 0]]), [1, 2, 3], [[1, 1], [0, 4], [-1, 2]]))
+@example((IntMatrix.zero(0, 3), [1, -2, 4], [[1, 0], [0, 1], [2, 2]]))
+@example((IntMatrix.zero(3, 0), [], []))
+@example((IntMatrix.zero(0, 0), [], []))
+def test_replayed_records_match_the_built_transform(case):
+    """kernel, solve and apply_V replay V's record; each equals the same
+    product with V built, and the products equal plain loops."""
+    A, x, B = case
+    m, n = A.rows, A.cols
+    s = smith_normal_form(A)
+    d = s.invariant_factors
+    free = [j for j in range(n) if j >= len(d) or d[j] == 0]
+    assert kernel(A) == s.V.submatrix(range(n), free)
+    b = A.apply(x)
+    c = s.U.apply(b)
+    y = [c[i] // d[i] if i < len(d) and d[i] else 0 for i in range(n)]
+    assert solve(A, b) == s.V.apply(y)
+    assert s.apply_V([x, y]) == [s.V.apply(x), s.V.apply(y)]
+    AB = A @ M(B, cols=2)
+    assert (AB.rows, AB.cols) == (m, 2) and AB.entries == loop_matmul(A.entries, B, 2)
+    assert A.apply(x) == loop_apply(A.entries, x)
+    assert (s.D @ s.V).entries == loop_matmul(s.D.entries, s.V.entries, n)
+    assert all(A.col(j) == loop_col(A.entries, j) for j in range(n))
 
 
 @settings(max_examples=40, deadline=None)

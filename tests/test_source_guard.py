@@ -1,8 +1,9 @@
-"""Floats and runtime dependencies stay at zero in src/.
+"""Floats, runtime dependencies and assert statements stay at zero in src/.
 
 Every module is parsed and walked; a float literal, true division, the
-name `float` or an import from outside nccwk and the standard library
-fails the test with its file and line.
+name `float`, an import from outside nccwk and the standard library or an
+`assert` statement (which `python -O` drops) fails the test with its file
+and line.
 """
 
 import ast
@@ -23,6 +24,8 @@ def offences(tree):
             yield node, "true division"
         elif isinstance(node, ast.Name) and node.id == "float":
             yield node, "the name float"
+        elif isinstance(node, ast.Assert):
+            yield node, "assert statement"
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             if isinstance(node, ast.ImportFrom):
                 names = [] if node.level else [node.module]
@@ -46,7 +49,8 @@ def test_no_floats_or_dependencies(path):
 
 
 @pytest.mark.parametrize("snippet", ["x = 0.5", "x = a / b", "x /= 2", "y = float(x)",
-                                     "import numpy", "from sympy import Matrix", "x = 1j"])
+                                     "import numpy", "from sympy import Matrix", "x = 1j",
+                                     "assert x"])
 def test_guard_catches(snippet):
     assert list(offences(ast.parse(snippet)))
 
