@@ -139,8 +139,9 @@ class IntMatrix:
                          tuple(r1 + r2 for r1, r2 in zip(self.entries, other.entries)))
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
+        rows = self.entries
         return IntMatrix(len(row_idx), len(col_idx),
-                         tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx))
+                         tuple([tuple([rows[i][j] for j in col_idx]) for i in row_idx]))
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)

@@ -102,10 +102,11 @@ def check_unperforated(cone: ConeOracle, samples: Iterable, nmax: int) -> Option
 
     def row(x):
         exact = type(x) is Fraction
-        key = (x.numerator, x.denominator) if exact else (type(x), x)
+        # a Fraction's value is its two slots (Fraction.__slots__), read without a call
+        key = (x._numerator, x._denominator) if exact else (type(x), x)
         r = rows.get(key)
         if r is None:
-            r = rows[key] = ([Fraction(x.numerator * n, x.denominator) for n in factors]
+            r = rows[key] = ([Fraction(key[0] * n, key[1]) for n in factors]
                              if exact else [x * n for n in factors])
         return r
 
@@ -148,6 +149,12 @@ def halfplane_cone(first_prime: int, second_prime: int) -> ConeOracle:
     Dilation invariant: n x > 0 iff x > 0 and n y >= 0 iff y >= 0 for
     n >= 1, so n*g in cone iff g in cone and sampled search cannot find a
     violation.
+
+    Elements are pairs of int or Fraction (bool and subclasses included);
+    anything else, floats too, raises ValueError, as does a coordinate
+    outside the localized group.  An exact Fraction is read from its two
+    slots and any other coordinate through as_integer_ratio(), so the
+    unperforation sweep's questions cost no Python call beyond this one.
     """
 
     # denominators already found to be powers of each prime, for this cone
@@ -161,8 +168,9 @@ def halfplane_cone(first_prime: int, second_prime: int) -> ConeOracle:
         if not ((type(x) is Fraction or type(x) is int or isinstance(x, _EXACT))
                 and (type(y) is Fraction or type(y) is int or isinstance(y, _EXACT))):
             raise ValueError(f"coordinates must be int or Fraction, not {x!r}, {y!r}")
-        xn, dx = x.as_integer_ratio()
-        yn, dy = y.as_integer_ratio()
+        # a Fraction's value is its two slots (Fraction.__slots__), read without a call
+        xn, dx = (x._numerator, x._denominator) if type(x) is Fraction else x.as_integer_ratio()
+        yn, dy = (y._numerator, y._denominator) if type(y) is Fraction else y.as_integer_ratio()
         if dx not in x_ok or dy not in y_ok:
             if not (_check_localized(dx, first_prime) and _check_localized(dy, second_prime)):
                 raise ValueError("element outside the localized ambient group")
@@ -197,13 +205,33 @@ _SAMPLE_SEED = 20250809
 
 
 def deterministic_localized_samples(first_prime: int, second_prime: int, count: int):
-    """Deterministic sample stream of Z[1/p] (+) Z[1/q] pairs.  Each side's 405
-    coordinates Fraction(a, p**i), keyed by (a, i), are built once and shared."""
+    """Deterministic sample stream of Z[1/p] (+) Z[1/q] pairs
+    (Fraction(a, p**i), Fraction(b, q**j)), a and b in [-40, 40], i and j in
+    [0, 4].  Each side's 405 coordinates are built once and shared.
+
+    The stream is that of random.Random(_SAMPLE_SEED).randint, drawn a, i, b,
+    j per sample, but read from getrandbits directly: randint(lo, hi) is
+    lo + r for the first r = getrandbits(k) below n = hi - lo + 1, k the bit
+    length of n - 1 (and of n, for n = 81 and 5), which is how Random draws
+    below n.  One builtin call per draw replaces randint's three Python
+    frames, and the values, so the pinned samples, stay the same.
+    """
     import random
 
-    randint = random.Random(_SAMPLE_SEED).randint
-    xs = {(a, i): Fraction(a, first_prime ** i) for a in range(-40, 41) for i in range(5)}
-    ys = {(b, j): Fraction(b, second_prime ** j) for b in range(-40, 41) for j in range(5)}
+    bits = random.Random(_SAMPLE_SEED).getrandbits
+    xs = [[Fraction(a, first_prime ** i) for i in range(5)] for a in range(-40, 41)]
+    ys = [[Fraction(b, second_prime ** j) for j in range(5)] for b in range(-40, 41)]
     for _ in range(count):
-        a, i, b, j = randint(-40, 40), randint(0, 4), randint(-40, 40), randint(0, 4)
-        yield (xs[a, i], ys[b, j])
+        a = bits(7)
+        while a > 80:
+            a = bits(7)
+        i = bits(3)
+        while i > 4:
+            i = bits(3)
+        b = bits(7)
+        while b > 80:
+            b = bits(7)
+        j = bits(3)
+        while j > 4:
+            j = bits(3)
+        yield (xs[a][i], ys[b][j])

@@ -1,9 +1,11 @@
 """Independent reference computations used to pin expected test values.
 
 These deliberately avoid the library's own code paths: matrix products,
-matrix-vector products and columns by plain index loops, invariant factors
-via gcds of minors and via plain elementary reduction without transform
-tracking (modulo the determinant when it is nonzero), determinants by
+matrix-vector products, columns and submatrices by plain index loops,
+thm3.3's sample stream by Random.randint, half-plane cone membership by
+public Fraction attributes, invariant factors via gcds of minors and via
+plain elementary reduction without transform tracking (modulo the
+determinant when it is nonzero), determinants by
 fraction-free elimination, inverses of unimodular matrices as adjugates
 of those determinants, purity via the raw divisibility definition,
 tensor/Tor via the classification of finitely generated abelian groups,
@@ -122,6 +124,18 @@ def loop_col(a, j):
     out = []
     for i in range(len(a)):
         out.append(a[i][j])
+    return tuple(out)
+
+
+def loop_submatrix(a, rows, cols):
+    """The entries of the row list a in the given rows and columns, by index
+    loops."""
+    out = []
+    for i in rows:
+        row = []
+        for j in cols:
+            row.append(a[i][j])
+        out.append(tuple(row))
     return tuple(out)
 
 
@@ -683,3 +697,36 @@ def full_path_odd_witnesses(delta, pattern):
                 and not k1.is_sum_of(cokernel(delta.submatrix(spec.T, spec.S)), k1_q)):
             out.append(spec)
     return out
+
+
+def localized_samples_reference(first_prime, second_prime, count):
+    """thm3.3's sample stream drawn with Random.randint, as the library drew
+    it before it read getrandbits directly; the seed is nccwk.order's."""
+    import random
+
+    randint = random.Random(20250809).randint
+    xs = {(a, i): Fraction(a, first_prime ** i) for a in range(-40, 41) for i in range(5)}
+    ys = {(b, j): Fraction(b, second_prime ** j) for b in range(-40, 41) for j in range(5)}
+    for _ in range(count):
+        a, i, b, j = randint(-40, 40), randint(0, 4), randint(-40, 40), randint(0, 4)
+        yield (xs[a, i], ys[b, j])
+
+
+def halfplane_reference(g, first_prime, second_prime):
+    """Is g in {(x, y) : x > 0, or x = 0 and y >= 0} on Z[1/p] (+) Z[1/q]?
+    Read through len, isinstance, denominator and comparisons only; raises
+    the ValueError that halfplane_cone's oracle documents for a g that is
+    not a pair, a coordinate that is not an int or Fraction, or one outside
+    the localized group."""
+    if len(g) != 2:
+        raise ValueError(f"cone elements are pairs, not {len(g)}-tuples")
+    x, y = g
+    if not (isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction))):
+        raise ValueError(f"coordinates must be int or Fraction, not {x!r}, {y!r}")
+    for c, prime in ((x, first_prime), (y, second_prime)):
+        d = c.denominator
+        while d % prime == 0:
+            d //= prime
+        if d != 1:
+            raise ValueError("element outside the localized ambient group")
+    return x > 0 or (x == 0 and y >= 0)

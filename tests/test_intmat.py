@@ -23,6 +23,7 @@ from oracles import (
     loop_apply,
     loop_col,
     loop_matmul,
+    loop_submatrix,
     minor_gcd_invariant_factors,
     nonnegative_kernel_witness,
     rational_rank,
@@ -300,7 +301,8 @@ def test_permuting_example_records_a_permutation():
 @example((IntMatrix.zero(0, 0), [], []))
 def test_replayed_records_match_the_built_transform(case):
     """kernel, solve and apply_V replay V's record; each equals the same
-    product with V built, and the products equal plain loops."""
+    product with V built, and the products and submatrices equal plain
+    loops."""
     A, x, B = case
     m, n = A.rows, A.cols
     s = smith_normal_form(A)
@@ -317,6 +319,10 @@ def test_replayed_records_match_the_built_transform(case):
     assert A.apply(x) == loop_apply(A.entries, x)
     assert (s.D @ s.V).entries == loop_matmul(s.D.entries, s.V.entries, n)
     assert all(A.col(j) == loop_col(A.entries, j) for j in range(n))
+    rows = range(m - 1, -1, -1)
+    sub = A.submatrix(rows, free)
+    assert (sub.rows, sub.cols) == (m, len(free))
+    assert sub.entries == loop_submatrix(A.entries, rows, free)
 
 
 @settings(max_examples=40, deadline=None)

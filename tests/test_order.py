@@ -2,6 +2,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nccwk.fgab.groups import FgGroup, GroupHom
 from nccwk.fgab.intmat import IntMatrix
@@ -19,6 +20,8 @@ from nccwk.order import (
 )
 from nccwk.harness import scenarios
 from nccwk.harness.scenarios import _sweeps, odd_tower_family, run_scenario
+
+from oracles import halfplane_reference, localized_samples_reference
 
 
 def k0_system():
@@ -264,11 +267,84 @@ def test_thm33_cone_questions(monkeypatch):
     assert len(calls) == 10000 + 4942 * 23 + 2 == 123668
 
 
+@pytest.mark.parametrize("p, q, count", [(3, 2, 10000), (5, 7, 3000), (2, 3, 0)])
+def test_sample_stream_is_randints(p, q, count):
+    """The getrandbits draw gives randint's stream, value for value."""
+    got = list(deterministic_localized_samples(p, q, count))
+    want = list(localized_samples_reference(p, q, count))
+    assert len(got) == len(want) == count
+    for g, w in zip(got, want):
+        assert [type(x) for x in g] == [Fraction, Fraction]
+        assert ([(x.numerator, x.denominator) for x in g]
+                == [(x.numerator, x.denominator) for x in w])
+
+
 def test_sample_stream_is_pinned():
     # sha256 of the repr of the 10^4 samples that thm3.3's sweeps check
     samples = list(deterministic_localized_samples(3, 2, 10000))
     assert hashlib.sha256(repr(samples).encode()).hexdigest() == (
         "754f13a4d4144216c8d97a26ae89ff0fb4123d5cb5f467e0596f88d946d21789")
+
+
+class SubFraction(Fraction):
+    """A Fraction subclass: read through as_integer_ratio, not the slots."""
+
+
+coordinates = st.one_of(
+    st.integers(-10, 10),
+    st.booleans(),
+    st.builds(Fraction, st.integers(-20, 20), st.sampled_from([1, 2, 3, 4, 5, 6, 9, 10, 27])),
+    st.builds(SubFraction, st.integers(-20, 20), st.sampled_from([1, 3, 5, 9])),
+    st.floats(-4, 4, allow_nan=False),
+)
+
+
+class TestHalfplaneCone:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(st.tuples(coordinates, coordinates),
+                              st.tuples(coordinates),
+                              st.tuples(coordinates, coordinates, coordinates)),
+                    max_size=12))
+    def test_membership_matches_reference(self, gs):
+        """One cone asked in turn, its accepted-denominator memo filling, gives
+        the reference's verdicts and ValueErrors."""
+        cone = halfplane_cone(3, 2)
+        for g in gs:
+            try:
+                want = halfplane_reference(g, 3, 2)
+            except ValueError as e:
+                with pytest.raises(ValueError) as got:
+                    cone.membership(g)
+                assert str(got.value) == str(e)
+            else:
+                assert cone.membership(g) is want
+
+    def test_fraction_keeps_its_value_in_slots(self):
+        assert {"_numerator", "_denominator"} <= set(Fraction.__slots__)
+        x = Fraction(-6, 4)
+        assert (x._numerator, x._denominator) == (x.numerator, x.denominator) == (-3, 2)
+
+    def test_sweep_reads_no_fraction_accessor(self, monkeypatch):
+        """thm3.3's sweep over the pinned samples reads each Fraction's slots,
+        never as_integer_ratio, numerator or denominator."""
+        samples = list(deterministic_localized_samples(3, 2, 10000))
+        cone = halfplane_cone(3, 2)
+        reads = []
+
+        def counted(name):
+            attr = getattr(Fraction, name)
+            if isinstance(attr, property):
+                return property(lambda x: reads.append(name) or attr.fget(x))
+            return lambda x: reads.append(name) or attr(x)
+
+        for name in ("as_integer_ratio", "numerator", "denominator"):
+            monkeypatch.setattr(Fraction, name, counted(name))
+        x = Fraction(3, 4)
+        assert (x.as_integer_ratio(), x.numerator, x.denominator) == ((3, 4), 3, 4)
+        assert reads == ["as_integer_ratio", "numerator", "denominator"]
+        reads.clear()
+        assert _sweeps(cone, samples, 12, 24) == (None, None)
+        assert reads == []
 
 
 class TestGradedWitness:
