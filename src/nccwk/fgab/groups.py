@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 
 from .intmat import (
     IntMatrix,
+    _solve_columns,
     lattice_preimage,
     smith_normal_form,
     solve,
@@ -301,7 +302,7 @@ def _splits(s: ShortExactSeq) -> bool:
             rows.append(tuple(row))
             rhs.append(0)
     A = IntMatrix.from_rows(rows, cols=ncols)
-    return solve(A, rhs) is not None
+    return _solve_columns(A, [rhs], False) is not None
 
 
 def check_ladder(top: ShortExactSeq, bottom: ShortExactSeq,

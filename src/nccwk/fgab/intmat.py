@@ -10,11 +10,12 @@ U and V.  One function, _replay, applies a record to a list of vectors:
 the reduction applies each operation to the columns of D as it records
 it, and U, V and their inverses (the cyclic decomposition of a cokernel
 reads Uinv) are the records replayed onto the unit vectors when first
-read.  A solve builds neither U nor V: it replays the row record onto its
-right-hand side and the column record, transposed and reversed, onto the
-quotient vector; a kernel replays that transposed record onto the unit
-vectors of its free columns alone.  The reduction takes two passes
-(Kannan & Bachem, SIAM J. Comput. 8, 1979):
+read.  A solve builds neither U nor V: it replays the row record once onto
+all its right-hand sides and the column record, transposed and reversed,
+onto their quotient vectors; spans, which asks only whether solutions
+exist, replays no column record; a kernel replays the transposed record
+onto the unit vectors of its free columns alone.  The reduction takes
+two passes (Kannan & Bachem, SIAM J. Comput. 8, 1979):
 
 1. Hermite passes.  The rows are put in Hermite normal form one row at a
    time, each new row eliminated against the pivots found so far, with
@@ -40,7 +41,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
-from operator import index, mul
+from operator import floordiv, index, mod, mul
 from typing import Iterable, Optional, Sequence
 
 
@@ -339,6 +340,11 @@ def _xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
+def _columns(B: IntMatrix) -> list:
+    """The columns of B as lists."""
+    return [list(c) for c in zip(*B.entries)] if B.rows else [[] for _ in range(B.cols)]
+
+
 class _Worker:
     """Mutable state for the reduction: D, held by its columns C, and a
     record of each side's operations on it (see _replay).  A row operation
@@ -350,7 +356,7 @@ class _Worker:
     def __init__(self, A: IntMatrix):
         self.m = A.rows
         self.n = A.cols
-        self.C = [list(c) for c in zip(*A.entries)] if A.rows else [[] for _ in range(A.cols)]
+        self.C = _columns(A)
         self.row_ops = []
         self.col_ops = []
 
@@ -510,44 +516,46 @@ def kernel(A: IntMatrix) -> IntMatrix:
     return IntMatrix(n, len(cols), tuple(zip(*cols)) if cols else ((),) * n)
 
 
+def _solve_columns(A: IntMatrix, cols: list, solutions: bool) -> Optional[list]:
+    """Integer solutions of A x = c for the lists c in cols, onto which the
+    row record is replayed in place.  None if some c has none; else the
+    solutions (free coordinates 0) if `solutions`, which alone replays the
+    column record, and the replayed cols if not."""
+    snf = smith_normal_form(A)
+    _replay(snf.row_ops, cols)
+    d = snf.invariant_factors
+    k = len(d) - d.count(0)  # the zero factors come last
+    nonzero = d[:k]
+    for c in cols:
+        if any(c[k:]) or any(map(mod, c, nonzero)):
+            return None
+    if not solutions:
+        return cols
+    free = [0] * (A.cols - k)
+    return snf.apply_V([list(map(floordiv, c, nonzero)) + free for c in cols])
+
+
 def solve(A: IntMatrix, b: Sequence[int]) -> Optional[tuple]:
     """One integer solution x of A x = b, or None. Free coordinates are set to 0."""
     if len(b) != A.rows:
         raise ValueError("rhs length mismatch")
-    snf = smith_normal_form(A)
-    c = snf.apply_U(b)
-    d = snf.invariant_factors
-    y = [0] * A.cols
-    for i in range(A.rows):
-        di = d[i] if i < len(d) else 0
-        if di == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % di != 0:
-                return None
-            y[i] = c[i] // di
-    return snf.apply_V([y])[0]
+    xs = _solve_columns(A, [list(b)], True)
+    return None if xs is None else xs[0]
 
 
 def solve_matrix(A: IntMatrix, B: IntMatrix) -> Optional[IntMatrix]:
     """X with A X = B over the integers, or None."""
     if B.rows != A.rows:
         raise ValueError("shape mismatch")
-    cols = []
-    for j in range(B.cols):
-        x = solve(A, B.col(j))
-        if x is None:
-            return None
-        cols.append(x)
-    return IntMatrix.from_columns(cols, rows=A.cols)
+    xs = _solve_columns(A, _columns(B), True)
+    return None if xs is None else IntMatrix.from_columns(xs, rows=A.cols)
 
 
 def spans(A: IntMatrix, B: IntMatrix) -> bool:
     """Whether every column of B lies in the column lattice of A."""
     if B.rows != A.rows:
         raise ValueError("shape mismatch")
-    return all(solve(A, B.col(j)) is not None for j in range(B.cols))
+    return _solve_columns(A, _columns(B), False) is not None
 
 
 def lattice_preimage(M: IntMatrix, R: IntMatrix) -> IntMatrix:

@@ -4,6 +4,10 @@ Subcommands: scenario, search, ktheory (complex | ideal), classify, limit,
 coeff, order.  Exit code 0 means every check performed by the invocation
 passed; validation problems and failed checks exit nonzero; a stdout closed
 by its reader (`nccwk search | head -1`) ends the command quietly with 1.
+
+A call builds one parser, for its own subcommand (COMMANDS), and hands
+any other argv to the full parser.  A command prints nothing until it has
+every result, so a call that fails leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -67,6 +71,13 @@ def _vector(text: str):
         raise SystemExit(f"error: expected a comma-separated integer vector, got {text!r}")
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SystemExit(f"error: expected an integer, got {text!r}")
+
+
 def cmd_scenario(args) -> int:
     names = sorted(SCENARIOS) if args.name == "all" else [args.name]
     ok = True
@@ -126,34 +137,34 @@ def cmd_limit(args) -> int:
     name = _pick(names, args.system, "system", _query_hint(doc, "identify", "system"),
                  flag="--system")
     sys_obj = doc.system_object(name)
-    did_anything = False
+    if args.stages is None and not args.identify and args.divisible is None:
+        raise SystemExit("error: choose --stages N, --identify, or --divisible G N")
+    if args.divisible is not None:
+        vec, n = _vector(args.divisible[0]), _integer(args.divisible[1])
+    # every result before the first line, so a failing call prints none
     if args.stages is not None:
         tr = truncate(sys_obj, args.stages)
-        print(f"{name}: stages 0..{args.stages}")
-        for n, g in enumerate(tr.groups):
-            print(f"  stage {n}: {g}")
-        for n, hom in enumerate(tr.bondings):
-            print(f"  bonding {n} -> {n + 1}: {hom.matrix}")
-        did_anything = True
     if args.identify:
         ident = identify_localized_limit(sys_obj)
+    if args.divisible is not None:
+        stage = divisible_in_limit(sys_obj, LimitElement(0, vec), n, args.bound)
+    if args.stages is not None:
+        print(f"{name}: stages 0..{args.stages}")
+        for k, g in enumerate(tr.groups):
+            print(f"  stage {k}: {g}")
+        for k, hom in enumerate(tr.bondings):
+            print(f"  bonding {k} -> {k + 1}: {hom.matrix}")
+    if args.identify:
         if ident is None:
             print(f"{name}: unidentified (pattern not detected)")
             return 1
         print(f"{name}: limit = {ident.describe()}  "
               f"(diagonal {list(ident.diagonal)}, from stage {ident.stage})")
-        did_anything = True
     if args.divisible is not None:
-        vec = _vector(args.divisible[0])
-        n = int(args.divisible[1])
-        stage = divisible_in_limit(sys_obj, LimitElement(0, vec), n, args.bound)
         if stage is None:
             print(f"{name}: {vec} is not divisible by {n} within {args.bound} stages")
         else:
             print(f"{name}: {vec} becomes divisible by {n} at stage {stage}")
-        did_anything = True
-    if not did_anything:
-        raise SystemExit("error: choose --stages N, --identify, or --divisible G N")
     return 0
 
 
@@ -161,10 +172,10 @@ def cmd_coeff(args) -> int:
     doc = _load(args.file)
     name = _pick(doc.complex_names(), args.name, "complex", _query_hint(doc, "coeff"))
     kd = k_theory(doc.get_complex(name))
-    moduli = [int(x) for x in args.n.split(",")]
+    moduli = [_integer(x) for x in args.n.split(",")]
+    tables = [(n, mod_n(kd.k0, kd.k1, n)) for n in moduli]
     print(f"{name}: K_0 = {kd.k0}, K_1 = {kd.k1}")
-    for n in moduli:
-        md = mod_n(kd.k0, kd.k1, n)
+    for n, md in tables:
         print(f"  mod {n}: K_0(;Z_{n}) = {md.k0n}   K_1(;Z_{n}) = {md.k1n}")
     return 0
 
@@ -185,7 +196,7 @@ def cmd_order(args) -> int:
         return 0
     if args.perforation_witness is not None:
         g = _vector(args.perforation_witness[0])
-        n = int(args.perforation_witness[1])
+        n = _integer(args.perforation_witness[1])
         cone = ConeOracle(sys_obj.cone_membership(args.stage))
         ok = verify_perforation_witness(cone, g, n)
         print(f"{name}: stage {args.stage} witness {g} with n = {n}: "
@@ -194,63 +205,88 @@ def cmd_order(args) -> int:
     raise SystemExit("error: choose --dominates U V or --perforation-witness G N")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _scenario_arguments(p):
+    p.add_argument("name", help=f"one of {', '.join(sorted(SCENARIOS))}, or 'all'")
+    p.add_argument("--format", choices=("text", "json-like"), default="text")
+
+
+def _search_arguments(p):
+    for bound in fields(SearchBounds):
+        p.add_argument("--" + bound.name.replace("_", "-"), type=int, default=bound.default)
+
+
+def _ktheory_arguments(p):
+    p.add_argument("what", choices=("complex", "ideal"))
+    p.add_argument("file")
+    p.add_argument("--name", help="complex name if the document has several")
+    p.add_argument("--summands", help="1-based point indices of the ideal, like 3 or 3,4")
+
+
+def _classify_arguments(p):
+    p.add_argument("file")
+    p.add_argument("--name")
+
+
+def _limit_arguments(p):
+    p.add_argument("file")
+    p.add_argument("--system")
+    p.add_argument("--stages", type=int)
+    p.add_argument("--identify", action="store_true")
+    p.add_argument("--divisible", nargs=2, metavar=("G", "N"))
+    p.add_argument("--bound", type=int, default=8)
+
+
+def _coeff_arguments(p):
+    p.add_argument("file")
+    p.add_argument("--n", required=True, help="comma separated moduli, like 2,3,4")
+    p.add_argument("--name")
+
+
+def _order_arguments(p):
+    p.add_argument("file")
+    p.add_argument("--system")
+    p.add_argument("--dominates", nargs=2, metavar=("U", "V"))
+    p.add_argument("--bound", type=int, default=8)
+    p.add_argument("--perforation-witness", nargs=2, metavar=("G", "N"))
+    p.add_argument("--stage", type=int, default=0)
+
+
+# name -> (help, argument adder, handler), in the order `nccwk --help` lists them
+COMMANDS = {
+    "scenario": ("run a built-in verification scenario", _scenario_arguments, cmd_scenario),
+    "search": ("census of small odd blocks", _search_arguments, cmd_search),
+    "ktheory": ("K-groups of a complex or of one of its ideals", _ktheory_arguments, cmd_ktheory),
+    "classify": ("nice / odd / other classification", _classify_arguments, cmd_classify),
+    "limit": ("truncate, identify, or probe an inductive system", _limit_arguments, cmd_limit),
+    "coeff": ("mod-n coefficient table of a complex", _coeff_arguments, cmd_coeff),
+    "order": ("order comparisons along a degree-0 system", _order_arguments, cmd_order),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The nccwk parser with every subcommand, or with `command`'s alone."""
     ap = argparse.ArgumentParser(
         prog="nccwk",
         description="exact K-theory calculator for 1-dimensional NCCW complexes")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sc = sub.add_parser("scenario", help="run a built-in verification scenario")
-    sc.add_argument("name", help=f"one of {', '.join(sorted(SCENARIOS))}, or 'all'")
-    sc.add_argument("--format", choices=("text", "json-like"), default="text")
-    sc.set_defaults(fn=cmd_scenario)
-
-    se = sub.add_parser("search", help="census of small odd blocks")
-    for bound in fields(SearchBounds):
-        se.add_argument("--" + bound.name.replace("_", "-"), type=int, default=bound.default)
-    se.set_defaults(fn=cmd_search)
-
-    kt = sub.add_parser("ktheory", help="K-groups of a complex or of one of its ideals")
-    kt.add_argument("what", choices=("complex", "ideal"))
-    kt.add_argument("file")
-    kt.add_argument("--name", help="complex name if the document has several")
-    kt.add_argument("--summands", help="1-based point indices of the ideal, like 3 or 3,4")
-    kt.set_defaults(fn=cmd_ktheory)
-
-    cl = sub.add_parser("classify", help="nice / odd / other classification")
-    cl.add_argument("file")
-    cl.add_argument("--name")
-    cl.set_defaults(fn=cmd_classify)
-
-    li = sub.add_parser("limit", help="truncate, identify, or probe an inductive system")
-    li.add_argument("file")
-    li.add_argument("--system")
-    li.add_argument("--stages", type=int)
-    li.add_argument("--identify", action="store_true")
-    li.add_argument("--divisible", nargs=2, metavar=("G", "N"))
-    li.add_argument("--bound", type=int, default=8)
-    li.set_defaults(fn=cmd_limit)
-
-    co = sub.add_parser("coeff", help="mod-n coefficient table of a complex")
-    co.add_argument("file")
-    co.add_argument("--n", required=True, help="comma separated moduli, like 2,3,4")
-    co.add_argument("--name")
-    co.set_defaults(fn=cmd_coeff)
-
-    od = sub.add_parser("order", help="order comparisons along a degree-0 system")
-    od.add_argument("file")
-    od.add_argument("--system")
-    od.add_argument("--dominates", nargs=2, metavar=("U", "V"))
-    od.add_argument("--bound", type=int, default=8)
-    od.add_argument("--perforation-witness", nargs=2, metavar=("G", "N"))
-    od.add_argument("--stage", type=int, default=0)
-    od.set_defaults(fn=cmd_order)
-
+    for name, (help_text, add_arguments, handler) in COMMANDS.items():
+        if command is None or name == command:
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(fn=handler)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    rest = True
+    if argv and argv[0] in COMMANDS:
+        # a subcommand's own help and errors read the same from either
+        # parser; leftovers go to the full one, whose usage lists every command
+        args, rest = build_parser(argv[0]).parse_known_args(argv)
+    if rest:
+        args = build_parser().parse_args(argv)
     if getattr(args, "what", None) == "ideal" and not getattr(args, "summands", None):
         raise SystemExit("error: ktheory ideal needs --summands")
     try:

@@ -5,7 +5,8 @@ matrix-vector products, columns and submatrices by plain index loops,
 thm3.3's sample stream by Random.randint, half-plane cone membership by
 public Fraction attributes, invariant factors via gcds of minors and via
 plain elementary reduction without transform tracking (modulo the
-determinant when it is nonzero), determinants by
+determinant when it is nonzero), lattice membership by comparing those
+invariant factors with and without the new columns, determinants by
 fraction-free elimination, inverses of unimodular matrices as adjugates
 of those determinants, purity via the raw divisibility definition,
 tensor/Tor via the classification of finitely generated abelian groups,
@@ -224,6 +225,21 @@ def reduction_invariant_factors(rows):
             l = 0 if g == 0 else a * b // g
             diag[i], diag[j] = g, l
     return tuple(diag)
+
+
+def lattice_contains_reference(a, b):
+    """Do the columns of the row list b lie in the column lattice of the
+    row list a (same number of rows)?  L(A) lies in L([A | B]); the two are
+    equal when they have the same rank, so the same saturation, and the
+    same index in it, the product of the nonzero invariant factors."""
+    def rank_and_index(rows):
+        nonzero = [d for d in reduction_invariant_factors(rows) if d]
+        index = 1
+        for d in nonzero:
+            index *= d
+        return len(nonzero), index
+
+    return rank_and_index(a) == rank_and_index([ra + rb for ra, rb in zip(a, b)])
 
 
 def cyclic_normal_form(factors):

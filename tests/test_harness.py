@@ -1,5 +1,8 @@
+import argparse
+import contextlib
 import hashlib
 import inspect
+import io
 import os
 import subprocess
 import sys
@@ -13,7 +16,7 @@ import pytest
 from nccwk import nccw
 from nccwk.fgab.groups import cokernel
 from nccwk.fgab.intmat import IntMatrix
-from nccwk.harness.cli import build_parser
+from nccwk.harness import cli
 from nccwk.harness.report import render_report
 from nccwk.harness.scenarios import SCENARIOS, odd_tower_complex, run_scenario
 from nccwk.harness import search as search_module
@@ -204,7 +207,7 @@ class TestSearch:
         assert "p <= 3" in str(SearchBounds())
 
     def test_default_bounds_stated_once(self):
-        args = build_parser().parse_args(["search"])
+        args = cli.build_parser().parse_args(["search"])
         assert SearchBounds(args.max_p, args.max_l, args.max_mult, args.max_size) == SearchBounds()
         defaults = [p.default for p in inspect.signature(search_odd_blocks).parameters.values()]
         assert tuple(defaults[:4]) == astuple(SearchBounds())
@@ -568,6 +571,82 @@ def run_cli(*argv):
     proc = subprocess.run([sys.executable, "-m", "nccwk", *argv],
                           capture_output=True, text=True, timeout=600, env=cli_env())
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def call_main(argv):
+    """(exit status, stdout, stderr) of cli.main(argv) in this process, as
+    a fresh `nccwk` process would report them."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = cli.main(list(argv))
+        except SystemExit as exc:
+            if exc.code is None or isinstance(exc.code, int):
+                status = exc.code or 0
+            else:
+                print(exc.code, file=sys.stderr)
+                status = 1
+    return status, out.getvalue(), err.getvalue()
+
+
+ODD = str(SAMPLES / "odd_tower.nccw")
+TORSION = str(SAMPLES / "torsion_tower.nccw")
+
+# (argv, exit status): help, usage errors, leftovers, subcommand errors and
+# one successful run per subcommand
+CLI_CALLS = [
+    *(((cmd, "-h"), 0) for cmd in ("scenario", "search", "ktheory", "classify", "limit",
+                                   "coeff", "order")),
+    (("--help",), 0), ((), 2), (("bogus",), 2), (("-h", "classify"), 0),
+    (("classify", ODD, "extra"), 2), (("classify", ODD, "--bogus"), 2),
+    (("coeff", ODD), 2), (("scenario", "all", "--format", "yaml"), 2),
+    (("search", "--max-p", "x"), 2),
+    (("scenario", "ex4.3"), 0), (("search", "--max-p", "2"), 0),
+    (("ktheory", "ideal", TORSION, "--name", "F0", "--summands", "3,4"), 0),
+    (("classify", ODD), 0), (("limit", ODD, "--system", "k0sys", "--stages", "2"), 0),
+    (("coeff", TORSION, "--n", "2,3", "--name", "F0"), 0),
+    (("order", ODD, "--dominates", "1,0", "0,1", "--bound", "6"), 0),
+]
+
+
+class TestCliParsers:
+    @pytest.mark.parametrize("argv, status", CLI_CALLS, ids=[
+        " ".join(map(os.path.basename, argv)) or "no-args" for argv, _ in CLI_CALLS])
+    def test_same_bytes_as_the_full_parser(self, argv, status, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = call_main(argv)
+        assert got[0] == status
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert call_main(argv) == got
+
+    @pytest.mark.parametrize("argv, made", [
+        (("classify", ODD), ["classify"]),
+        (("classify", ODD, "extra"), ["classify", *cli.COMMANDS]),
+    ])
+    def test_subparsers_built_per_call(self, argv, made, monkeypatch):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        call_main(argv)
+        assert names == made
+
+    @pytest.mark.parametrize("argv, message", [
+        (("coeff", ODD, "--n", "2,-2"), "modulus must be nonnegative"),
+        (("coeff", ODD, "--n", "2,x"), "expected an integer, got 'x'"),
+        (("limit", ODD, "--system", "k0sys", "--stages", "1", "--divisible", "1,0", "x"),
+         "expected an integer, got 'x'"),
+        (("limit", ODD, "--system", "k0sys", "--stages", "1", "--identify",
+          "--divisible", "0,1", "2", "--bound", "-3"), "bound must be nonnegative"),
+        (("order", ODD, "--perforation-witness", "1,0", "x"), "expected an integer, got 'x'"),
+    ])
+    def test_failing_call_prints_no_result(self, argv, message):
+        assert call_main(argv) == (1, "", f"error: {message}\n")
 
 
 class TestCli:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,6 +21,7 @@ from nccwk.fgab.intmat import (
 
 from oracles import (
     invert_unimodular,
+    lattice_contains_reference,
     loop_apply,
     loop_col,
     loop_matmul,
@@ -382,10 +384,58 @@ span_cases = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3)).
 @example((IntMatrix.zero(2, 0), M([[1], [0]]), False))
 @example((M([[2, 4], [0, 6]]), IntMatrix.zero(2, 0), True))
 def test_spans_is_columnwise_solvability(case):
+    # spans and solve share one solver, so this is a regression check; the
+    # reference below decides membership without it
     A, B, built = case
     assert spans(A, B) == all(solve(A, B.col(j)) is not None for j in range(B.cols))
     if built:
         assert spans(A, B)
+
+
+@settings(max_examples=150, deadline=None)
+@given(span_cases)
+@example((IntMatrix.zero(3, 0), IntMatrix.zero(3, 0), True))
+@example((IntMatrix.zero(2, 0), M([[0], [0]]), True))
+@example((IntMatrix.zero(2, 0), M([[1], [0]]), False))
+@example((M([[2, 4], [0, 6]]), IntMatrix.zero(2, 0), True))
+@example((IntMatrix.zero(0, 3), IntMatrix.zero(0, 2), True))
+@example((IntMatrix.zero(2, 3), M([[0, 0], [0, 0]]), True))
+@example((M([[2, 0], [0, 3]]), M([[4, 1], [3, 3]]), False))
+def test_lattice_membership_matches_the_reference(case):
+    A, B, built = case
+    inside = lattice_contains_reference([list(r) for r in A.entries], [list(r) for r in B.entries])
+    assert inside or not built
+    assert spans(A, B) == inside
+    X = solve_matrix(A, B)
+    assert (X is None) == (not inside)
+    if X is not None:
+        assert (X.rows, X.cols) == (A.cols, B.cols)
+        assert loop_matmul(A.entries, X.entries, B.cols) == B.entries
+
+
+def test_row_record_replayed_once_column_record_only_for_solutions(monkeypatch):
+    A = M([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    B = A @ M([[1, 0, 2], [0, 1, -1], [3, 1, 0]])
+    snf = smith_normal_form(A)
+    calls = Counter()
+    replay, apply_V = intmat._replay, SmithDecomposition.apply_V
+
+    def counting_replay(ops, vecs):
+        calls["row replays"] += ops is snf.row_ops
+        return replay(ops, vecs)
+
+    def counting_apply_V(self, vecs):
+        calls["apply_V"] += 1
+        return apply_V(self, vecs)
+
+    monkeypatch.setattr(intmat, "_replay", counting_replay)
+    monkeypatch.setattr(SmithDecomposition, "apply_V", counting_apply_V)
+    assert spans(A, B)
+    assert calls == {"row replays": 1}
+    calls.clear()
+    X = solve_matrix(A, B)
+    assert A @ X == B
+    assert calls == {"row replays": 1, "apply_V": 1}
 
 
 def test_invert_unimodular_refuses():
