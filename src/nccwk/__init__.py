@@ -23,7 +23,6 @@ from .nccw import (
     KData,
     NccwComplex,
     classify_block,
-    dimension_drop,
     ideal_complex,
     inclusion_k_maps,
     k_theory,

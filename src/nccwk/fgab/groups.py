@@ -68,10 +68,6 @@ class FgGroup:
         return FgGroup(g, IntMatrix.from_columns(cols, rows=g))
 
     @staticmethod
-    def trivial() -> "FgGroup":
-        return FgGroup(0, IntMatrix.zero(0, 0))
-
-    @staticmethod
     def direct_sum(*parts: "FgGroup") -> "FgGroup":
         return FgGroup(sum(p.generators for p in parts),
                        IntMatrix.block_diag(*(p.relations for p in parts)))
@@ -334,7 +330,7 @@ def tor_zn(G: FgGroup, n: int) -> FgGroup:
     if n < 0:
         raise ValueError("modulus must be nonnegative")
     if n == 0:
-        return FgGroup.trivial()
+        return FgGroup.free(0)
     return FgGroup.from_cyclic([gcd(d, n) for d in G.torsion_orders])
 
 

@@ -106,7 +106,7 @@ def cmd_ktheory(args) -> int:
     name = _pick(doc.complex_names(), args.name, "complex", _query_hint(doc, "ktheory"))
     cx = doc.get_complex(name)
     if args.what == "complex":
-        kd = k_theory(cx)
+        kd = k_theory(cx.delta)
         print(f"{name}: {cx}")
         print(f"  K_0 = {kd.k0}   (kernel basis columns: {kd.k0_basis})")
         print(f"  K_1 = {kd.k1}")
@@ -115,7 +115,7 @@ def cmd_ktheory(args) -> int:
     spec = make_ideal_spec(cx, [j - 1 for j in summands])
     ideal = ideal_complex(cx, spec)
     quot = quotient_complex(cx, spec)
-    kd_i, kd_q = k_theory(ideal), k_theory(quot)
+    kd_i, kd_q = k_theory(ideal.delta), k_theory(quot.delta)
     print(f"{name}: ideal over points {[j + 1 for j in spec.S]}, "
           f"interval blocks {[i + 1 for i in spec.T]}")
     print(f"  ideal    {ideal}: K_0 = {kd_i.k0}, K_1 = {kd_i.k1}")
@@ -171,7 +171,7 @@ def cmd_limit(args) -> int:
 def cmd_coeff(args) -> int:
     doc = _load(args.file)
     name = _pick(doc.complex_names(), args.name, "complex", _query_hint(doc, "coeff"))
-    kd = k_theory(doc.get_complex(name))
+    kd = k_theory(doc.get_complex(name).delta)
     moduli = [_integer(x) for x in args.n.split(",")]
     tables = [(n, mod_n(kd.k0, kd.k1, n)) for n in moduli]
     print(f"{name}: K_0 = {kd.k0}, K_1 = {kd.k1}")

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from ..fgab.intmat import IntMatrix
@@ -57,16 +56,12 @@ class InputError(ValueError):
 
 # -- size expressions ---------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def l5_value(m: int) -> int:
+    """l5(1) = 9, l5(m+1) = 2 l5(m) + 3^(m+1) + 2*4^(m-1) + (3 + ... + 3^m) 4^m,
+    in closed form: the division by 20 is exact."""
     if m < 1:
         raise ValueError("l5 is defined for stages >= 1")
-    if m == 1:
-        return 9
-    prev = l5_value(m - 1)
-    n = m - 1
-    geom = sum(3 ** i for i in range(1, n + 1))
-    return 2 * prev + 3 ** (n + 1) + 2 * 4 ** (n - 1) + geom * 4 ** n
+    return (2 ** (m + 1) + 60 * 3 ** m - 10 * 4 ** m + 3 * 12 ** m) // 20
 
 
 @dataclass(frozen=True)

@@ -189,10 +189,6 @@ def recursion_family(twisted: bool) -> ComplexFamily:
 
 # -- scenario implementations --------------------------------------------------
 
-def _iso(sink, claim_id, anchor, source, group, expected: str):
-    sink.check(claim_id, anchor, source, expected, str(group))
-
-
 def _limit(sink, claim_id, anchor, source, system, expected: str):
     ident = identify_localized_limit(system)
     sink.check(claim_id, anchor, source, expected,
@@ -214,8 +210,8 @@ def build_thm33() -> ScenarioReport:
     fam = odd_tower_family()
     for n in range(3):
         kd = fam.kdata(n)
-        _iso(sink, f"k0.C{n}", "K_0(C_n) = Z (+) Z", "paper", kd.k0, "Z (+) Z")
-        _iso(sink, f"k1.C{n}", "K_1(C_n) = Z^2 / Im[2 -2 0; 1 -1 0] = Z", "paper", kd.k1, "Z")
+        sink.check(f"k0.C{n}", "K_0(C_n) = Z (+) Z", "paper", "Z (+) Z", kd.k0)
+        sink.check(f"k1.C{n}", "K_1(C_n) = Z^2 / Im[2 -2 0; 1 -1 0] = Z", "paper", "Z", kd.k1)
     kd0 = fam.kdata(0)
     gen_coord = kd0.k1.canonical_form((1, 1))
     sink.check("k1.generator", "the class of (1,1) generates K_1(C_n)", "paper",
@@ -227,13 +223,13 @@ def build_thm33() -> ScenarioReport:
                (tuple(j + 1 for j in spec.S), tuple(i + 1 for i in spec.T)))
     fam_i = fam.ideal_family((2,))
     fam_q = fam.quotient_family((2,))
-    _iso(sink, "ideal.k0", "K_0(I_n) = Z", "paper", fam_i.kdata(0).k0, "Z")
-    _iso(sink, "ideal.k1", "K_1(I_n) = Z", "paper", fam_i.kdata(0).k1, "Z")
+    sink.check("ideal.k0", "K_0(I_n) = Z", "paper", "Z", fam_i.kdata(0).k0)
+    sink.check("ideal.k1", "K_1(I_n) = Z", "paper", "Z", fam_i.kdata(0).k1)
     quot = fam_q.complex_at(0)
     sink.check("quotient.data", "C_n / I_n is the size-two dimension drop block", "paper",
                ("[2 0]", "[0 2]"), (str(quot.alpha), str(quot.beta)))
-    _iso(sink, "quotient.k0", "K_0 of the quotient = Z", "paper", fam_q.kdata(0).k0, "Z")
-    _iso(sink, "quotient.k1", "K_1 of the quotient = Z_2", "paper", fam_q.kdata(0).k1, "Z/2")
+    sink.check("quotient.k0", "K_0 of the quotient = Z", "paper", "Z", fam_q.kdata(0).k0)
+    sink.check("quotient.k1", "K_1 of the quotient = Z_2", "paper", "Z/2", fam_q.kdata(0).k1)
 
     s0, s1 = fam.ideal_rows(0, (2,))
     sink.check("iota.k1.doubling",
@@ -342,9 +338,9 @@ def _equal_maps_scenario(name: str, title: str, tail_sizes, tail_multiplicity) -
     for n in range(4):
         kd = plain.kdata(n)
         width = len(tail_sizes(n))
-        _iso(sink, f"k0.stage{n}", "K_0 of the stage algebra is free of rank 2 + (2n+1)",
-             "derived", kd.k0, " (+) ".join(["Z"] * (2 + width)))
-        _iso(sink, f"k1.stage{n}", "K_1 of the stage algebra = Z", "derived", kd.k1, "Z")
+        sink.check(f"k0.stage{n}", "K_0 of the stage algebra is free of rank 2 + (2n+1)",
+                   "derived", " (+) ".join(["Z"] * (2 + width)), kd.k0)
+        sink.check(f"k1.stage{n}", "K_1 of the stage algebra = Z", "derived", "Z", kd.k1)
     for n in range(6):
         sink.check(f"equal.stage{n}",
                    "the two connecting maps differ by endpoint evaluations that agree on K-classes",
@@ -399,17 +395,17 @@ def build_sec5() -> ScenarioReport:
         c = recursion_tower_complex(n)
         sink.check(f"block.valid.{n}", "the recursion block sizes satisfy unital size accounting",
                    "derived", True, c.unital)
-        kd = k_theory(c)
-        _iso(sink, f"block.k0.{n}", "K_0 of the recursion block = Z (+) Z", "paper", kd.k0, "Z (+) Z")
-        _iso(sink, f"block.k1.{n}", "K_1 of the recursion block = Z", "paper", kd.k1, "Z")
+        kd = k_theory(c.delta)
+        sink.check(f"block.k0.{n}", "K_0 of the recursion block = Z (+) Z", "paper", "Z (+) Z", kd.k0)
+        sink.check(f"block.k1.{n}", "K_1 of the recursion block = Z", "paper", "Z", kd.k1)
     block = recursion_tower_complex(1)
     cls = classify_block(block)
     sink.check("block.odd", "the recursion block is odd with the same witness ideal", "derived",
                ("odd", (3,)),
                (cls.verdict.value, tuple(j + 1 for j in cls.odd_witness.S) if cls.odd_witness else "none"))
     spec = make_ideal_spec(block, (2,))
-    ideal_kd = k_theory(ideal_complex(block, spec))
-    quot_kd = k_theory(quotient_complex(block, spec))
+    ideal_kd = k_theory(ideal_complex(block, spec).delta)
+    quot_kd = k_theory(quotient_complex(block, spec).delta)
     sink.check("ideal.k", "the witness ideal has K_0 = K_1 = Z", "derived",
                ("Z", "Z"), (str(ideal_kd.k0), str(ideal_kd.k1)))
     sink.check("quotient.k", "the quotient is the dimension drop with (Z, Z/2)", "derived",
@@ -431,9 +427,9 @@ def build_ex61() -> ScenarioReport:
     fam = torsion_tower_family()
     for n in range(2):
         kd = fam.kdata(n)
-        _iso(sink, f"k0.stage{n}", "K_0(E_n) = Ker[4 -2 0 0; 0 1 2 -2] = Z (+) Z", "paper",
-             kd.k0, "Z (+) Z")
-        _iso(sink, f"k1.stage{n}", "K_1(E_n) = Z_4", "paper", kd.k1, "Z/4")
+        sink.check(f"k0.stage{n}", "K_0(E_n) = Ker[4 -2 0 0; 0 1 2 -2] = Z (+) Z", "paper",
+                   "Z (+) Z", kd.k0)
+        sink.check(f"k1.stage{n}", "K_1(E_n) = Z_4", "paper", "Z/4", kd.k1)
     kd0 = fam.kdata(0)
     sink.check("k0.basis", "(0,0,1,1) and (1,2,0,1) generate the kernel", "paper",
                True, kd0.k0_basis == TORSION_BASIS)
@@ -444,10 +440,10 @@ def build_ex61() -> ScenarioReport:
                (tuple(j + 1 for j in spec.S), tuple(i + 1 for i in spec.T)))
     fam_b = fam.ideal_family((2, 3))
     fam_q = fam.quotient_family((2, 3))
-    _iso(sink, "ideal.k0", "K_0 of the stage ideal = Z", "derived", fam_b.kdata(0).k0, "Z")
-    _iso(sink, "ideal.k1", "K_1(B) = Z_2", "paper", fam_b.kdata(0).k1, "Z/2")
-    _iso(sink, "quotient.k0", "K_0 of the stage quotient = Z", "derived", fam_q.kdata(0).k0, "Z")
-    _iso(sink, "quotient.k1", "K_1(A) = Z_2", "paper", fam_q.kdata(0).k1, "Z/2")
+    sink.check("ideal.k0", "K_0 of the stage ideal = Z", "derived", "Z", fam_b.kdata(0).k0)
+    sink.check("ideal.k1", "K_1(B) = Z_2", "paper", "Z/2", fam_b.kdata(0).k1)
+    sink.check("quotient.k0", "K_0 of the stage quotient = Z", "derived", "Z", fam_q.kdata(0).k0)
+    sink.check("quotient.k1", "K_1(A) = Z_2", "paper", "Z/2", fam_q.kdata(0).k1)
 
     k0m = induced_k0(fam.bonding(0), kd0, fam.kdata(1))
     sink.check("bonding.k0", "the connecting map multiplies the two kernel generators by 5 and 3",

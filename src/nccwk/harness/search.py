@@ -162,7 +162,7 @@ def reverify_odd_witness(A: NccwComplex, spec: CompactIdealSpec) -> bool:
     """Second-opinion check of an odd witness: both built K rows are exact
     and not both split, with splitting decided by solving the splitting
     system; the search decided neither property this way."""
-    s0, s1 = k_sequences(A, spec)
+    s0, s1 = k_sequences(A.delta, spec)
     return is_exact(s0) and is_exact(s1) and not (_splits(s0) and _splits(s1))
 
 

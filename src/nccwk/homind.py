@@ -793,12 +793,12 @@ class ComplexFamily:
                  basis: Optional[IntMatrix] = None):
         self.constant_from = constant_from
         self._cx = _Memo(complex_at)
-        self._kd = _Memo(lambda n: k_theory(self._cx[n], basis))
+        self._kd = _Memo(lambda n: k_theory(self._cx[n].delta, basis))
         self._bond = _Memo(lambda n: MapDescription(self._cx[n], self._cx[n + 1],
                                                     *assignment_at(n)))
         self._spec = _Memo(lambda S: _Memo(lambda n: make_ideal_spec(self._cx[n], S)), by_stage=False)
         self._rows = _Memo(lambda S: _Memo(lambda n: k_sequences(
-            self._cx[n], self.ideal_spec(n, S), self._kd[n],
+            self._cx[n].delta, self.ideal_spec(n, S), self._kd[n],
             self.ideal_family(S).kdata(n), self.quotient_family(S).kdata(n))), by_stage=False)
         self._derived = _Memo(lambda key: self._restricted(*key), by_stage=False)
         self._systems = {}

@@ -8,6 +8,13 @@ is the set of kernel vectors with nonnegative point coordinates.
 
 Compact ideals (those generated by projections) are parameterized by the
 set S of points they contain; the adjacent interval blocks are forced.
+The K data of a complex and of its compact ideals and quotients depend on
+delta = alpha - beta alone, so the K layer takes delta; for the odd tower:
+
+>>> kd = k_theory(IntMatrix.from_rows([[2, -2, 0], [1, -1, 0]]))
+>>> str(kd.k0), str(kd.k1), str(kd.k0_basis)
+('Z (+) Z', 'Z', '[1 0; 1 0; 0 1]')
+
 Everything here is exact integer arithmetic.
 """
 
@@ -80,17 +87,9 @@ class NccwComplex:
         return f"NCCW(p={self.p}, l={self.l}, k={list(self.k)}, h={list(self.h)})"
 
 
-def dimension_drop(p: int) -> NccwComplex:
-    """The prototype interval algebra with scalar fibers of multiplicity p
-    at both endpoints; p = 2 is the building block of the torsion examples."""
-    return NccwComplex((1, 1), (p,),
-                       IntMatrix.from_rows([[p, 0]]),
-                       IntMatrix.from_rows([[0, p]]))
-
-
 @dataclass(frozen=True)
 class KData:
-    """K-groups of a complex with the kernel basis made explicit."""
+    """K-groups of alpha - beta with the kernel basis made explicit."""
 
     k0: FgGroup       # free group on the kernel basis columns
     k0_basis: IntMatrix  # p x rank, columns a Z-basis of ker(alpha - beta)
@@ -117,20 +116,20 @@ class KData:
         return all(x >= 0 for x in self.ambient(v))
 
 
-def k_theory(A: NccwComplex, basis: Optional[IntMatrix] = None) -> KData:
-    """K-data of a complex; an explicit kernel basis may be supplied and is
-    verified to span the kernel lattice."""
-    computed = kernel(A.delta)
+def k_theory(delta: IntMatrix, basis: Optional[IntMatrix] = None) -> KData:
+    """K data of every complex with this delta = alpha - beta; an explicit
+    kernel basis may be supplied and is verified to span the kernel lattice."""
+    computed = kernel(delta)
     if basis is None:
         basis = computed
     else:
-        if basis.rows != A.p:
+        if basis.rows != delta.cols:
             raise ValueError("basis has wrong ambient dimension")
-        if not (A.delta @ basis).is_zero():
+        if not (delta @ basis).is_zero():
             raise ValueError("supplied basis does not lie in the kernel")
         if not (spans(basis, computed) and spans(computed, basis)):
             raise ValueError("supplied columns do not span the kernel lattice")
-    return KData(FgGroup.free(basis.cols), basis, cokernel(A.delta), A.delta)
+    return KData(FgGroup.free(basis.cols), basis, cokernel(delta), delta)
 
 
 @dataclass(frozen=True)
@@ -219,47 +218,50 @@ def quotient_complex(A: NccwComplex, spec: CompactIdealSpec) -> NccwComplex:
     return _subcomplex(A, *_complement(A.delta, spec))
 
 
-def inclusion_k_maps(A: NccwComplex, spec: CompactIdealSpec, kd: KData, kd_ideal: KData):
-    """(K_0, K_1) of the embedding of the compact ideal into A, in the K_0
-    bases of kd (A's K data) and kd_ideal (that of ideal_complex(A, spec)).
+def inclusion_k_maps(delta: IntMatrix, spec: CompactIdealSpec, kd: KData, kd_ideal: KData):
+    """(K_0, K_1) of the embedding of the compact ideal, in the K_0 bases of
+    kd (the K data of delta) and kd_ideal (that of delta[T, S]).
 
     K_0 zero-pads ideal kernel coordinates into Z^p and re-expresses them in
-    A's kernel basis; K_1 zero-pads Z^T into Z^l and descends to cokernels.
+    kd's kernel basis; K_1 zero-pads Z^T into Z^l and descends to cokernels.
     """
-    kd.check_delta(A.delta, "kd")
-    kd_ideal.check_delta(A.delta.submatrix(spec.T, spec.S), "kd_ideal")
-    padded = IntMatrix.identity(A.p).submatrix(range(A.p), spec.S) @ kd_ideal.k0_basis
+    p, l = delta.cols, delta.rows
+    kd.check_delta(delta, "kd")
+    kd_ideal.check_delta(delta.submatrix(spec.T, spec.S), "kd_ideal")
+    padded = IntMatrix.identity(p).submatrix(range(p), spec.S) @ kd_ideal.k0_basis
     coords = solve_matrix(kd.k0_basis, padded)
     if coords is None:
         raise ValueError("padded ideal kernel escapes the kernel of the complex")
     k0 = GroupHom(kd_ideal.k0, kd.k0, coords)
-    k1 = GroupHom(kd_ideal.k1, kd.k1, IntMatrix.identity(A.l).submatrix(range(A.l), spec.T))
+    k1 = GroupHom(kd_ideal.k1, kd.k1, IntMatrix.identity(l).submatrix(range(l), spec.T))
     return k0, k1
 
 
-def quotient_k_maps(A: NccwComplex, spec: CompactIdealSpec, kd: KData, kd_quot: KData):
+def quotient_k_maps(delta: IntMatrix, spec: CompactIdealSpec, kd: KData, kd_quot: KData):
     """(K_0, K_1) of the quotient map onto the complement blocks, in the K_0
-    bases of kd (A's K data) and kd_quot (that of quotient_complex(A, spec))."""
-    Sc, Tc = _complement(A.delta, spec)
-    kd.check_delta(A.delta, "kd")
-    kd_quot.check_delta(A.delta.submatrix(Tc, Sc), "kd_quot")
+    bases of kd (the K data of delta) and kd_quot (that of delta[T^c, S^c])."""
+    Sc, Tc = _complement(delta, spec)
+    kd.check_delta(delta, "kd")
+    kd_quot.check_delta(delta.submatrix(Tc, Sc), "kd_quot")
     restricted = kd.k0_basis.submatrix(Sc, range(kd.rank))
     coords = solve_matrix(kd_quot.k0_basis, restricted)
     if coords is None:
         raise ValueError("restricted kernel escapes the quotient kernel")
     k0 = GroupHom(kd.k0, kd_quot.k0, coords)
-    k1 = GroupHom(kd.k1, kd_quot.k1, IntMatrix.identity(A.l).submatrix(Tc, range(A.l)))
+    k1 = GroupHom(kd.k1, kd_quot.k1, IntMatrix.identity(delta.rows).submatrix(Tc, range(delta.rows)))
     return k0, k1
 
 
-def k_sequences(A: NccwComplex, spec: CompactIdealSpec, kd: Optional[KData] = None,
+def k_sequences(delta: IntMatrix, spec: CompactIdealSpec, kd: Optional[KData] = None,
                 kd_ideal: Optional[KData] = None, kd_quot: Optional[KData] = None):
-    """The candidate rows 0 -> K_j(I) -> K_j(A) -> K_j(A/I) -> 0, j = 0, 1, from
-    the K data of A, I and A/I where supplied, computed here otherwise: the
-    one K-level builder that fills in K data it was not given."""
-    kd = kd or k_theory(A)
-    i0, i1 = inclusion_k_maps(A, spec, kd, kd_ideal or k_theory(ideal_complex(A, spec)))
-    q0, q1 = quotient_k_maps(A, spec, kd, kd_quot or k_theory(quotient_complex(A, spec)))
+    """The candidate rows 0 -> K_j(I) -> K_j(A) -> K_j(A/I) -> 0, j = 0, 1, of
+    a complex A with this delta, from the K data of delta, delta[T, S] and
+    delta[T^c, S^c] where supplied, computed here otherwise: the one
+    K-level builder that fills in K data it was not given."""
+    Sc, Tc = _complement(delta, spec)
+    kd = kd or k_theory(delta)
+    i0, i1 = inclusion_k_maps(delta, spec, kd, kd_ideal or k_theory(delta.submatrix(spec.T, spec.S)))
+    q0, q1 = quotient_k_maps(delta, spec, kd, kd_quot or k_theory(delta.submatrix(Tc, Sc)))
     return ShortExactSeq(i0, q0), ShortExactSeq(i1, q1)
 
 

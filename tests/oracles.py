@@ -673,7 +673,7 @@ def built_rows_odd(A, spec):
     from nccwk.fgab.groups import _splits, is_exact
     from nccwk.nccw import k_sequences
 
-    rows = k_sequences(A, spec)
+    rows = k_sequences(A.delta, spec)
     return all(map(is_exact, rows)) and not all(map(_splits, rows))
 
 

@@ -13,7 +13,6 @@ from nccwk.nccw import (
     BlockClass,
     NccwComplex,
     classify_block,
-    dimension_drop,
     ideal_complex,
     inclusion_k_maps,
     k_sequences,
@@ -54,6 +53,7 @@ from nccwk.harness.scenarios import (
 )
 from nccwk.harness.search import _canonical_key
 
+from complexes import dimension_drop
 from oracles import purity_bruteforce
 
 
@@ -63,9 +63,9 @@ def conclude(number: int, description: str, ok: bool):
 
 
 def test_criterion_01_k_theory_engine():
-    kd_c = k_theory(odd_tower_complex(0))
-    kd_dd = k_theory(dimension_drop(2))
-    kd_t = k_theory(torsion_tower_complex(0))
+    kd_c = k_theory(odd_tower_complex(0).delta)
+    kd_dd = k_theory(dimension_drop(2).delta)
+    kd_t = k_theory(torsion_tower_complex(0).delta)
     ok = (kd_c.k0.diagonal_orders == (0, 0) and kd_c.k1.iso_class() == (1, ())
           and kd_dd.k0.iso_class() == (1, ()) and kd_dd.k1.iso_class() == (0, (2,))
           and kd_t.k1.iso_class() == (0, (4,)))
@@ -75,10 +75,10 @@ def test_criterion_01_k_theory_engine():
 def test_criterion_02_ideal_calculus():
     A = odd_tower_complex(0)
     spec = make_ideal_spec(A, [2])
-    kd_i = k_theory(ideal_complex(A, spec))
-    kd_q = k_theory(quotient_complex(A, spec))
-    kd = k_theory(A)
-    _, i1 = inclusion_k_maps(A, spec, kd, kd_i)
+    kd_i = k_theory(ideal_complex(A, spec).delta)
+    kd_q = k_theory(quotient_complex(A, spec).delta)
+    kd = k_theory(A.delta)
+    _, i1 = inclusion_k_maps(A.delta, spec, kd, kd_i)
     target = kd.k1
     doubling = target.elements_equal(i1.apply((1,)), (2, 2))
     ok = (kd_i.k0.iso_class() == (1, ()) and kd_i.k1.iso_class() == (1, ())
@@ -147,7 +147,7 @@ def test_criterion_07_non_k_pure_verdicts():
     v1 = limit_ses_purity(lad, 4)
     fam_t = torsion_tower_family()
     spec = fam_t.ideal_spec(0, (2, 3))
-    _, s1 = k_sequences(fam_t.complex_at(0), spec)
+    _, s1 = k_sequences(fam_t.complex_at(0).delta, spec)
     lad_t = fam_t.ladder((2, 3), 1)
     v2 = limit_ses_purity(lad_t, 4)
     ok = (v1.kind == "stationary_verdict" and v1.limit_pure is False

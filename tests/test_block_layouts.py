@@ -54,8 +54,8 @@ COEFF_INPUTS = (
 
 DIRECT_SUMS = (
     (FgGroup.free(1), FgGroup.from_cyclic([2, 0, 3])),
-    (FgGroup.trivial(), cokernel(M([[2, 1], [0, 4]])), FgGroup.free(2)),
-    (FgGroup.from_cyclic([5]), FgGroup.trivial(), cokernel(M([[6], [4]])), FgGroup.from_cyclic([0, 4])),
+    (FgGroup.free(0), cokernel(M([[2, 1], [0, 4]])), FgGroup.free(2)),
+    (FgGroup.from_cyclic([5]), FgGroup.free(0), cokernel(M([[6], [4]])), FgGroup.from_cyclic([0, 4])),
     (),
 )
 

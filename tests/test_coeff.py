@@ -78,12 +78,12 @@ class TestRhoBeta:
 
 class TestKappa:
     def test_cyclic_raise(self):
-        km = kappa_maps(Z, FgGroup.trivial(), 2, 2)
+        km = kappa_maps(Z, FgGroup.free(0), 2, 2)
         # K_0(;Z_2) = Z_2 -> K_0(;Z_4) = Z_4 is multiplication by two
         assert km.to_mn[0].matrix == IntMatrix.from_rows([[2]])
 
     def test_round_trip_annihilates(self):
-        km = kappa_maps(Z, FgGroup.trivial(), 2, 2)
+        km = kappa_maps(Z, FgGroup.free(0), 2, 2)
         assert km.from_mn[0].compose(km.to_mn[0]).is_zero_hom()
 
     def test_cross_composites_on_free_data(self):

@@ -4,6 +4,7 @@ import doctest
 
 import nccwk.fgab.groups
 import nccwk.fgab.intmat
+import nccwk.nccw
 
 
 def test_intmat_doctests():
@@ -13,4 +14,9 @@ def test_intmat_doctests():
 
 def test_groups_doctests():
     failures, _ = doctest.testmod(nccwk.fgab.groups)
+    assert failures == 0
+
+
+def test_nccw_doctests():
+    failures, _ = doctest.testmod(nccwk.nccw)
     assert failures == 0

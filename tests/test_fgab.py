@@ -163,7 +163,7 @@ class TestLadder:
                             GroupHom.identity(Z2))
 
     def test_scaling_breaks_commutativity(self):
-        zero = FgGroup.trivial()
+        zero = FgGroup.free(0)
         s = ShortExactSeq(GroupHom.identity(Z), GroupHom(Z, zero, IntMatrix.zero(0, 1)))
         assert not check_ladder(s, s, GroupHom.multiplication(Z, 2),
                                 GroupHom.identity(Z), GroupHom.identity(zero))

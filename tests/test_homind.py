@@ -115,7 +115,7 @@ class TestInducedMaps:
         m = MapDescription(src, src,
                            f1=((), (), ()), f2=(((AtInterior(0),)), (AtInterior(1),)),
                            unital=False)
-        kd = k_theory(src)
+        kd = k_theory(src.delta)
         hom = induced_k1(m, kd, kd)
         assert hom.is_zero_hom()
 
@@ -135,7 +135,7 @@ class TestInducedMaps:
                           IntMatrix.from_rows([[0, 2]]))
         m = MapDescription(src, src, f1=((AtPoint(0),), ()),
                            f2=((FullPath(0),),), unital=False)
-        kd = k_theory(src)
+        kd = k_theory(src.delta)
         with pytest.raises(ValueError):
             induced_k0(m, kd, kd)
 
@@ -169,7 +169,7 @@ class TestMapsEqual:
                              f2=((FullPath(0),),), unital=False)
         two = MapDescription(base, big, f1=((AtPoint(0),), (AtPoint(1),)),
                              f2=((FullPath(0), FullPath(0)),), unital=False)
-        assert not maps_equal_on_k(one, two, k_theory(base), k_theory(big))
+        assert not maps_equal_on_k(one, two, k_theory(base.delta), k_theory(big.delta))
 
     def test_shape_mismatch(self):
         fam = odd_tower_family()
@@ -229,9 +229,9 @@ class TestComposition:
             m1 = fams[0].bonding(0)
             m2 = fams[1].bonding(1)
             comp = compose_descriptions(m2, m1)
-            kd0 = k_theory(m1.source)
-            kd2 = k_theory(m2.target)
-            kdm = k_theory(m1.target)
+            kd0 = k_theory(m1.source.delta)
+            kd2 = k_theory(m2.target.delta)
+            kdm = k_theory(m1.target.delta)
             assert induced_k0(comp, kd0, kd2).equals(
                 induced_k0(m2, kdm, kd2).compose(induced_k0(m1, kd0, kdm)))
 
@@ -315,7 +315,7 @@ class TestFamilyStages:
             for spec in all_ideal_specs(A.delta, A.pattern):
                 rows = fam.ideal_rows(n, spec.S)
                 assert rows is fam.ideal_rows(n, spec.S)
-                for row, ref in zip(rows, k_sequences(A, spec)):
+                for row, ref in zip(rows, k_sequences(A.delta, spec)):
                     assert ([str(row.left), str(row.mid), str(row.right), is_exact(row), is_pure(row)]
                             == [str(ref.left), str(ref.mid), str(ref.right), is_exact(ref), is_pure(ref)])
 
@@ -338,36 +338,40 @@ class TestFamilyStages:
         """Every K computation in homind and nccw is one family stage's: no
         complex has its K data computed twice, through repeated
         ideal_family(S) calls, both ladder degrees, the stage rows or the
-        paired towers' comparisons."""
-        complexes = []
+        paired towers' comparisons.  A complex hands k_theory its one
+        memoized delta, so a repeat is a repeated delta object (the stages
+        of a tower may have equal deltas)."""
+        deltas = []
 
-        def counting(A, basis=None):
-            complexes.append(A)
-            return k_theory(A, basis)
+        def counting(delta, basis=None):
+            deltas.append(delta)
+            return k_theory(delta, basis)
 
         monkeypatch.setattr(homind, "k_theory", counting)
         monkeypatch.setattr(nccw, "k_theory", counting)
         run_scenario(name)
-        assert len(complexes) == len(set(complexes))
-        totals = {"thm3.3": 21, "ex6.1": 15}  # before, 24 and 18
-        assert name not in totals or len(complexes) == totals[name]
+        assert len(deltas) == len(set(map(id, deltas)))
+        totals = {"thm3.3": 21, "ex4.3": 17, "ex4.7": 17, "sec5": 4, "ex6.1": 15}
+        assert len(deltas) == totals[name]
 
     @pytest.mark.parametrize("name, rows", [("thm3.3", 6), ("ex4.3", 5), ("ex4.7", 5),
                                             ("sec5", 0), ("ex6.1", 5)])
     def test_scenarios_build_each_row_once(self, name, rows, monkeypatch):
         """The inclusion and the quotient K maps run once per (support,
         stage): every ladder square, stage row and scenario claim reads the
-        family's memoized rows (before, 57, 34, 34, 0 and 20 calls of the two)."""
+        family's memoized rows (before, 57, 34, 34, 0 and 20 calls of the two).
+        A stage is told by its complex's delta object, as equal stages of a
+        tower have equal deltas."""
         calls = {"inclusion_k_maps": [], "quotient_k_maps": []}
         for fname, seen in calls.items():
-            def counting(A, spec, *kds, fn=getattr(nccw, fname), seen=seen):
-                seen.append((A, spec))
-                return fn(A, spec, *kds)
+            def counting(delta, spec, *kds, fn=getattr(nccw, fname), seen=seen):
+                seen.append((delta, spec))
+                return fn(delta, spec, *kds)
 
             monkeypatch.setattr(nccw, fname, counting)
         run_scenario(name)
         for seen in calls.values():
-            assert len(seen) == len(set(seen)) == rows
+            assert len(seen) == len({(id(delta), spec) for delta, spec in seen}) == rows
 
     @pytest.mark.parametrize("name, most", [("thm3.3", 21), ("ex4.3", 58), ("sec5", 44),
                                             ("ex6.1", 16)])

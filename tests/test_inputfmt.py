@@ -192,6 +192,12 @@ class TestErrors:
 
 
 class TestSizeExpressions:
+    def test_deep_stage_parses(self):
+        """A family first valid at stage 3000 is read, its l5 sizes exact."""
+        doc = parse("family F { n0 = 3000; k = 1 1 l5(n); h = 2 l5(n)+1; "
+                    "alpha = [2 0 0; 1 0 1]; beta = [0 2 0; 0 1 1]; unital = false }")
+        assert doc.get_family("F").complex_at(3000).k == (1, 1, l5_value(3000))
+
     def test_recursion_values(self):
         assert [l5_value(m) for m in (1, 2, 3, 4)] == [9, 41, 309, 3227]
         # literal recursion cross-check
@@ -199,6 +205,14 @@ class TestSizeExpressions:
             n = m
             geom = sum(3 ** i for i in range(1, n + 1))
             assert l5_value(n + 1) == 2 * l5_value(n) + 3 ** (n + 1) + 2 * 4 ** (n - 1) + geom * 4 ** n
+        # the documented recurrence iterated to stage 3000, against every stage
+        value, geom = 9, 0
+        for m in range(1, 3001):
+            assert l5_value(m) == value
+            geom += 3 ** m
+            value = 2 * value + 3 ** (m + 1) + 2 * 4 ** (m - 1) + geom * 4 ** m
+        with pytest.raises(ValueError, match="stages >= 1"):
+            l5_value(0)
 
     def test_arithmetic(self):
         assert parse_size_expr("2*3^n").eval(2) == 18

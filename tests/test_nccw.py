@@ -19,7 +19,6 @@ from nccwk.nccw import (
     adjacent_blocks,
     all_ideal_specs,
     classify_block,
-    dimension_drop,
     ideal_complex,
     inclusion_k_maps,
     k_sequences,
@@ -31,8 +30,11 @@ from nccwk.nccw import (
 )
 from nccwk.harness.scenarios import (
     odd_tower_complex,
+    odd_tower_family,
     torsion_tower_complex,
+    torsion_tower_family,
 )
+from complexes import dimension_drop
 from oracles import (
     all_images_orderly_candidates,
     full_path_odd_witnesses,
@@ -82,27 +84,27 @@ def draw_complex(data, case):
 
 class TestKTheory:
     def test_odd_tower_block(self):
-        kd = k_theory(odd_tower_complex(0))
+        kd = k_theory(odd_tower_complex(0).delta)
         assert kd.k0.iso_class() == (2, ())
         assert kd.k1.iso_class() == (1, ())
 
     def test_dimension_drop(self):
-        kd = k_theory(dimension_drop(2))
+        kd = k_theory(dimension_drop(2).delta)
         assert kd.k0.iso_class() == (1, ())
         assert kd.k1.iso_class() == (0, (2,))
 
     def test_torsion_tower_block(self):
-        kd = k_theory(torsion_tower_complex(0))
+        kd = k_theory(torsion_tower_complex(0).delta)
         assert kd.k0.iso_class() == (2, ())
         assert kd.k1.iso_class() == (0, (4,))
 
     def test_supplied_basis_is_checked(self):
         bad = IntMatrix.from_columns([(1, 0, 0)], rows=3)
         with pytest.raises(ValueError):
-            k_theory(odd_tower_complex(0), basis=bad)
+            k_theory(odd_tower_complex(0).delta, basis=bad)
 
     def test_cone_membership(self):
-        kd = k_theory(odd_tower_complex(0))
+        kd = k_theory(odd_tower_complex(0).delta)
         assert kd.cone_contains((1, 1))
         assert not kd.cone_contains((1, -1)) or kd.ambient((1, -1)) >= (0, 0, 0)
 
@@ -163,11 +165,11 @@ class TestIdealCalculus:
     def test_ideal_and_quotient_k(self):
         A = odd_tower_complex(0)
         spec = make_ideal_spec(A, [2])
-        kd_i = k_theory(ideal_complex(A, spec))
+        kd_i = k_theory(ideal_complex(A, spec).delta)
         assert kd_i.k0.iso_class() == (1, ()) and kd_i.k1.iso_class() == (1, ())
         Q = quotient_complex(A, spec)
         assert str(Q.alpha) == "[2 0]" and str(Q.beta) == "[0 2]"
-        kd_q = k_theory(Q)
+        kd_q = k_theory(Q.delta)
         assert kd_q.k0.iso_class() == (1, ()) and kd_q.k1.iso_class() == (0, (2,))
 
     def test_block_sizes_partition(self):
@@ -181,43 +183,45 @@ class TestIdealCalculus:
     def test_k_data_of_another_complex_is_named(self):
         A = odd_tower_complex(0)
         spec = make_ideal_spec(A, [2])
-        kd = k_theory(A)
-        kd_i, kd_q = k_theory(ideal_complex(A, spec)), k_theory(quotient_complex(A, spec))
-        for call, name in ((lambda: inclusion_k_maps(A, spec, kd_i, kd_i), "kd"),
-                           (lambda: inclusion_k_maps(A, spec, kd, kd_q), "kd_ideal"),
-                           (lambda: quotient_k_maps(A, spec, kd_q, kd_q), "kd"),
-                           (lambda: quotient_k_maps(A, spec, kd, kd_i), "kd_quot")):
+        kd = k_theory(A.delta)
+        kd_i = k_theory(ideal_complex(A, spec).delta)
+        kd_q = k_theory(quotient_complex(A, spec).delta)
+        for call, name in ((lambda: inclusion_k_maps(A.delta, spec, kd_i, kd_i), "kd"),
+                           (lambda: inclusion_k_maps(A.delta, spec, kd, kd_q), "kd_ideal"),
+                           (lambda: quotient_k_maps(A.delta, spec, kd_q, kd_q), "kd"),
+                           (lambda: quotient_k_maps(A.delta, spec, kd, kd_i), "kd_quot")):
             with pytest.raises(ValueError, match=f"^{name} is the K data of another complex"):
                 call()
-        assert k_theory(A).delta == A.delta and kd_q.delta == A.delta.submatrix((0,), (0, 1))
+        assert k_theory(A.delta).delta == A.delta and kd_q.delta == A.delta.submatrix((0,), (0, 1))
 
     def test_k1_inclusion_is_doubling(self):
         A = odd_tower_complex(0)
         spec = make_ideal_spec(A, [2])
-        kd = k_theory(A)
-        _, i1 = inclusion_k_maps(A, spec, kd, k_theory(ideal_complex(A, spec)))
+        kd = k_theory(A.delta)
+        _, i1 = inclusion_k_maps(A.delta, spec, kd, k_theory(ideal_complex(A, spec).delta))
         target = kd.k1
         assert target.elements_equal(i1.apply((1,)), (2, 2))
 
     def test_k0_inclusion_pads_into_kernel_basis(self):
         A = odd_tower_complex(0)
         spec = make_ideal_spec(A, [2])
-        kd = k_theory(A)
-        i0, _ = inclusion_k_maps(A, spec, kd, k_theory(ideal_complex(A, spec)))
+        kd = k_theory(A.delta)
+        i0, _ = inclusion_k_maps(A.delta, spec, kd, k_theory(ideal_complex(A, spec).delta))
         assert kd.ambient(i0.apply((1,))) == (0, 0, 1)
 
     def test_empty_support_maps_are_zero(self):
         A = odd_tower_complex(0)
         spec = make_ideal_spec(A, [])
-        i0, i1 = inclusion_k_maps(A, spec, k_theory(A), k_theory(ideal_complex(A, spec)))
+        i0, i1 = inclusion_k_maps(A.delta, spec, k_theory(A.delta),
+                                  k_theory(ideal_complex(A, spec).delta))
         assert i0.source.generators == 0 and i1.source.generators == 0
 
     def test_inclusion_then_quotient_is_zero(self):
         A = torsion_tower_complex(0)
-        kd = k_theory(A)
+        kd = k_theory(A.delta)
         for spec in all_ideal_specs(A.delta, A.pattern):
-            i0, i1 = inclusion_k_maps(A, spec, kd, k_theory(ideal_complex(A, spec)))
-            q0, q1 = quotient_k_maps(A, spec, kd, k_theory(quotient_complex(A, spec)))
+            i0, i1 = inclusion_k_maps(A.delta, spec, kd, k_theory(ideal_complex(A, spec).delta))
+            q0, q1 = quotient_k_maps(A.delta, spec, kd, k_theory(quotient_complex(A, spec).delta))
             assert q0.compose(i0).is_zero_hom()
             assert q1.compose(i1).is_zero_hom()
 
@@ -225,13 +229,13 @@ class TestIdealCalculus:
 class TestExtensions:
     def test_odd_tower_rows(self):
         A = odd_tower_complex(0)
-        s0, s1 = k_sequences(A, make_ideal_spec(A, [2]))
+        s0, s1 = k_sequences(A.delta, make_ideal_spec(A, [2]))
         assert is_exact(s0) and is_exact(s1)
         assert not (is_pure(s0) and is_pure(s1))
 
     def test_empty_support_pure(self):
         A = odd_tower_complex(0)
-        s0, s1 = k_sequences(A, make_ideal_spec(A, []))
+        s0, s1 = k_sequences(A.delta, make_ideal_spec(A, []))
         assert is_exact(s0) and is_exact(s1)
         assert is_pure(s0) and is_pure(s1)
 
@@ -242,7 +246,7 @@ class TestExtensions:
                                IntMatrix.from_rows([[0, 2], [0, 0]]), unital=False)
         for A in (odd_tower_complex(0), torsion_tower_complex(0), dimension_drop(3), isolated):
             for S in ([], range(A.p)):
-                for s in k_sequences(A, make_ideal_spec(A, S)):
+                for s in k_sequences(A.delta, make_ideal_spec(A, S)):
                     assert is_exact(s) and is_pure(s) and _splits(s)
 
     @pytest.mark.parametrize("case", CASES)
@@ -256,7 +260,7 @@ class TestExtensions:
         A = draw_complex(data, case)
         exact_nonpure = []
         for spec in all_ideal_specs(A.delta, A.pattern):
-            s0, s1 = k_sequences(A, spec)
+            s0, s1 = k_sequences(A.delta, spec)
             # the snake lemma: one row is exact iff the other is
             assert is_exact(s0) == is_exact(s1)
             assert _boundary_vanishes(A.delta, spec) == is_exact(s0)
@@ -276,7 +280,7 @@ class TestExtensions:
             verdicts = [(_boundary_vanishes(A.delta, spec), spec not in witnesses) for spec in specs]
             built = []
             for spec in specs:
-                s0, s1 = k_sequences(A, spec)
+                s0, s1 = k_sequences(A.delta, spec)
                 exact = is_exact(s0) and is_exact(s1)
                 built.append((exact, not exact or (_splits(s0) and _splits(s1))))
             assert verdicts == built
@@ -300,7 +304,7 @@ class TestExtensions:
     def test_torsion_tower_rows(self):
         A = torsion_tower_complex(0)
         spec = make_ideal_spec(A, [2, 3])
-        s0, s1 = k_sequences(A, spec)
+        s0, s1 = k_sequences(A.delta, spec)
         assert is_exact(s0) and is_pure(s0)
         assert is_exact(s1) and not is_pure(s1)
         assert (s1.left.iso_class(), s1.mid.iso_class(), s1.right.iso_class()) == \
@@ -308,14 +312,33 @@ class TestExtensions:
 
     def test_rank_additivity_when_boundary_trivial(self):
         for A in (odd_tower_complex(0), torsion_tower_complex(0), dimension_drop(3)):
-            kd = k_theory(A)
+            kd = k_theory(A.delta)
             for spec in all_ideal_specs(A.delta, A.pattern):
-                s0, s1 = k_sequences(A, spec)
+                s0, s1 = k_sequences(A.delta, spec)
                 if not (is_exact(s0) and is_exact(s1)):
                     continue
-                r_i = k_theory(ideal_complex(A, spec)).k0.free_rank
-                r_q = k_theory(quotient_complex(A, spec)).k0.free_rank
+                r_i = k_theory(ideal_complex(A, spec).delta).k0.free_rank
+                r_q = k_theory(quotient_complex(A, spec).delta).k0.free_rank
                 assert r_i + r_q == kd.k0.free_rank
+
+
+class TestKDataOfDelta:
+    """K data is a function of delta = alpha - beta: two stages of a tower,
+    of different sizes and one delta, have equal K data and K rows."""
+
+    TOWERS = [(odd_tower_complex, odd_tower_family, (2,)),
+              (torsion_tower_complex, torsion_tower_family, (2, 3))]
+
+    @pytest.mark.parametrize("complex_at, family, S", TOWERS)
+    def test_same_delta_same_k_data(self, complex_at, family, S):
+        A, B = complex_at(0), complex_at(1)
+        assert A.delta == B.delta and A.k != B.k and A.h != B.h
+        assert k_theory(A.delta) == k_theory(B.delta)
+        assert make_ideal_spec(A, S) == make_ideal_spec(B, S)
+        assert k_sequences(A.delta, make_ideal_spec(A, S)) == k_sequences(B.delta, make_ideal_spec(B, S))
+        fam = family()
+        assert fam.complex_at(0) != fam.complex_at(1)
+        assert fam.ideal_rows(0, S) == fam.ideal_rows(1, S)
 
 
 def census_complexes():
@@ -459,7 +482,7 @@ class TestClassification:
                     break
             A = NccwComplex(k, (sa,), IntMatrix.from_rows([a]), IntMatrix.from_rows([b]))
             for spec in all_ideal_specs(A.delta, A.pattern):
-                s0, s1 = k_sequences(A, spec)
+                s0, s1 = k_sequences(A.delta, spec)
                 if is_exact(s0) and is_exact(s1):
                     assert is_pure(s0) and is_pure(s1)
 
@@ -474,7 +497,7 @@ class TestClassification:
     def test_nice_verdict_rechecks(self):
         A = dimension_drop(2)
         for spec in all_ideal_specs(A.delta, A.pattern):
-            s0, s1 = k_sequences(A, spec)
+            s0, s1 = k_sequences(A.delta, spec)
             assert is_pure(s0) and is_pure(s1)
 
 
@@ -526,7 +549,7 @@ class TestMetamorphicRelations:
         B = NccwComplex(tuple(A.k[j] for j in points), tuple(A.h[i] for i in blocks),
                         A.alpha.submatrix(blocks, points), A.beta.submatrix(blocks, points),
                         unital=A.unital)
-        kd_a, kd_b = k_theory(A), k_theory(B)
+        kd_a, kd_b = k_theory(A.delta), k_theory(B.delta)
         assert (kd_b.rank, kd_b.k1.iso_class()) == (kd_a.rank, kd_a.k1.iso_class())
         a, b = classify_block(A), classify_block(B)
         assert b.specs_checked == a.specs_checked
