@@ -14,10 +14,9 @@ groups are only ever computed from summand-respecting data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
-from .fgab.intmat import IntMatrix
+from .fgab.intmat import Frozen, IntMatrix
 from .fgab.groups import (
     FgGroup,
     GroupHom,
@@ -28,17 +27,20 @@ from .fgab.groups import (
 )
 
 
-@dataclass(frozen=True)
-class ModNKData:
+class ModNKData(Frozen):
     """K_*(;Z_n) with the chosen summand decomposition retained."""
 
-    n: int
-    k0: FgGroup
-    k1: FgGroup
-    k0_tensor: FgGroup  # K_0 (x) Z_n, presented on K_0's generators
-    k0_tor: FgGroup     # Tor(K_1, Z_n)
-    k1_tensor: FgGroup
-    k1_tor: FgGroup
+    __slots__ = ("n", "k0", "k1", "k0_tensor", "k0_tor", "k1_tensor", "k1_tor")
+
+    def __init__(self, n: int, k0: FgGroup, k1: FgGroup, k0_tensor: FgGroup, k0_tor: FgGroup,
+                 k1_tensor: FgGroup, k1_tor: FgGroup):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k0", k0)
+        object.__setattr__(self, "k1", k1)
+        object.__setattr__(self, "k0_tensor", k0_tensor)  # K_0 (x) Z_n, presented on K_0's generators
+        object.__setattr__(self, "k0_tor", k0_tor)        # Tor(K_1, Z_n)
+        object.__setattr__(self, "k1_tensor", k1_tensor)
+        object.__setattr__(self, "k1_tor", k1_tor)
 
     @property
     def k0n(self) -> FgGroup:
@@ -103,13 +105,15 @@ def bockstein_segment_exact(k0: FgGroup, k1: FgGroup, n: int, degree: int) -> bo
             and exact_at(beta, mul_next))
 
 
-@dataclass(frozen=True)
-class KappaMaps:
+class KappaMaps(Frozen):
     """kappa_{mn,m}: K_i(;Z_m) -> K_i(;Z_mn) and kappa_{n,mn}: K_i(;Z_mn) -> K_i(;Z_n),
     one pair per degree."""
 
-    to_mn: tuple    # (degree 0 hom, degree 1 hom)
-    from_mn: tuple
+    __slots__ = ("to_mn", "from_mn")
+
+    def __init__(self, to_mn: tuple, from_mn: tuple):
+        object.__setattr__(self, "to_mn", to_mn)  # (degree 0 hom, degree 1 hom)
+        object.__setattr__(self, "from_mn", from_mn)
 
 
 def _tor_diagonal(entries) -> IntMatrix:

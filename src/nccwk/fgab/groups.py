@@ -21,13 +21,13 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from operator import index
 from typing import Optional, Sequence
 
 from .intmat import (
+    Frozen,
     IntMatrix,
     _solve_columns,
     lattice_preimage,
@@ -37,24 +37,37 @@ from .intmat import (
 )
 
 
-@dataclass(frozen=True)
-class FgGroup:
+class FgGroup(Frozen):
     """Z^generators / columnspan(relations); equality, hashing and repr
-    read these two fields alone, not the invariants __post_init__ sets."""
+    read these two fields alone, not the invariants __init__ sets.  The
+    homs compare groups (compose, equals, exact_at), and the repr is a
+    value: an equal group built apart has the same repr."""
 
-    generators: int
-    relations: IntMatrix
+    __slots__ = ("generators", "relations", "diagonal_orders", "free_rank", "torsion_orders")
 
-    def __post_init__(self):
-        if self.relations.rows != self.generators:
+    def __init__(self, generators: int, relations: IntMatrix):
+        if relations.rows != generators:
             raise ValueError("relation matrix must have one row per generator")
         # one order per generator (0 = Z): the invariant-factor chain,
         # padded with 0 for generators no relation hits
-        d = smith_normal_form(self.relations).invariant_factors
-        orders = d + (0,) * (self.generators - len(d))
+        d = smith_normal_form(relations).invariant_factors
+        orders = d + (0,) * (generators - len(d))
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "diagonal_orders", orders)
         object.__setattr__(self, "free_rank", orders.count(0))
-        object.__setattr__(self, "torsion_orders", tuple(x for x in orders if x > 1))
+        object.__setattr__(self, "torsion_orders", tuple([x for x in orders if x > 1]))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.generators, self.relations) == (other.generators, other.relations)
+
+    def __hash__(self):
+        return hash((self.generators, self.relations))
+
+    def __repr__(self):
+        return f"FgGroup({self.generators}, {self.relations!r})"
 
     @staticmethod
     def free(rank: int) -> "FgGroup":
@@ -135,22 +148,29 @@ def cokernel(A: IntMatrix) -> FgGroup:
     return FgGroup(A.rows, A)
 
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(Frozen):
     """Hom given by a matrix on generator lifts; must map relations into
-    relations to be well defined.  It meets other homs at equal groups."""
+    relations to be well defined.  It meets other homs at equal groups.
+    Equality reads the three fields: an inductive system compares its
+    bondings (identify_localized_limit)."""
 
-    source: FgGroup
-    target: FgGroup
-    matrix: IntMatrix
+    __slots__ = ("source", "target", "matrix")
 
-    def __post_init__(self):
-        if self.matrix.rows != self.target.generators or self.matrix.cols != self.source.generators:
+    def __init__(self, source: FgGroup, target: FgGroup, matrix: IntMatrix):
+        if matrix.rows != target.generators or matrix.cols != source.generators:
             raise ValueError(
-                f"hom matrix must be {self.target.generators}x{self.source.generators}, "
-                f"got {self.matrix.rows}x{self.matrix.cols}")
-        if not hom_is_well_defined(self.source, self.target, self.matrix):
+                f"hom matrix must be {target.generators}x{source.generators}, "
+                f"got {matrix.rows}x{matrix.cols}")
+        if not hom_is_well_defined(source, target, matrix):
             raise ValueError("hom does not map relations into relations")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "matrix", matrix)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.target, self.matrix) == (other.source, other.target, other.matrix)
 
     @staticmethod
     def identity(G: FgGroup) -> "GroupHom":
@@ -209,17 +229,22 @@ def exact_at(first: GroupHom, second: GroupHom) -> bool:
     return spans(first.matrix.hstack(first.target.relations), second.kernel_generators())
 
 
-@dataclass(frozen=True)
-class ShortExactSeq:
+class ShortExactSeq(Frozen):
     """0 -> left -> mid -> right -> 0 candidate, inj and surj meeting at one
-    group mid; exactness is a check, not an invariant of construction."""
+    group mid; exactness is a check, not an invariant of construction, and
+    is remembered in the instance __dict__.  Equality reads inj and surj:
+    the tests compare the K rows of two complexes with one delta."""
 
-    inj: GroupHom
-    surj: GroupHom
-
-    def __post_init__(self):
-        if self.inj.target != self.surj.source:
+    def __init__(self, inj: GroupHom, surj: GroupHom):
+        if inj.target != surj.source:
             raise ValueError("inj target and surj source do not match")
+        object.__setattr__(self, "inj", inj)
+        object.__setattr__(self, "surj", surj)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.inj, self.surj) == (other.inj, other.surj)
 
     @property
     def left(self) -> FgGroup:

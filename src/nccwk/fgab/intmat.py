@@ -38,32 +38,58 @@ bound; the test suite checks this bound on random and seeded matrices.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
 from operator import floordiv, index, mod, mul
 from typing import Iterable, Optional, Sequence
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class Frozen:
+    """Base of the package's value classes, which are plain classes (no
+    generated code): each sets its attributes once, in __init__, through
+    object.__setattr__, and setting or deleting one afterwards raises
+    AttributeError, so values are immutable after construction."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot set {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class IntMatrix(Frozen):
     """Immutable rectangular integer matrix; degenerate shapes allowed.  The
     from_* and column builders raise TypeError on a float or a Fraction, and
     the from_* builders ValueError on ragged data or on a stated row or
-    column count that the data contradicts."""
+    column count that the data contradicts.  Equality and the hash read the
+    three fields: the Smith cache is keyed by the matrix."""
 
-    rows: int
-    cols: int
-    entries: tuple  # tuple of row tuples
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple):  # entries: tuple of row tuples
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows:
+        if len(entries) != rows:
             raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise ValueError("column count mismatch")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows and self.cols == other.cols and self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
+
+    def __repr__(self):
+        return f"IntMatrix({self.rows}, {self.cols}, {self.entries!r})"
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]], cols: Optional[int] = None) -> "IntMatrix":
@@ -180,8 +206,7 @@ def det(A: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Frozen):
     """D = U*A*V with U, V unimodular and D diagonal, d_i | d_{i+1}, d_i >= 0.
 
     row_ops and col_ops are the engine's records (see _replay); col_ops
@@ -190,13 +215,15 @@ class SmithDecomposition:
     the row record onto one vector and apply_V the column record,
     transposed and reversed, onto a list of vectors, so neither builds its
     matrix.  Columns of Uinv realize the cyclic decomposition of coker(A)
-    on the original generators.
+    on the original generators.  Nothing compares decompositions; the
+    cached matrices live in the instance __dict__.
     """
 
-    D: IntMatrix
-    invariant_factors: tuple
-    row_ops: tuple
-    col_ops: tuple
+    def __init__(self, D: IntMatrix, invariant_factors: tuple, row_ops: tuple, col_ops: tuple):
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+        object.__setattr__(self, "row_ops", row_ops)
+        object.__setattr__(self, "col_ops", col_ops)
 
     @cached_property
     def U(self) -> IntMatrix:

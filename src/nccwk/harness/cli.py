@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import astuple, fields
 
 from ..nccw import (
     classify_block,
@@ -30,7 +29,7 @@ from ..coeff import mod_n
 from .inputfmt import InputError, parse
 from .report import render_report
 from .scenarios import SCENARIOS, run_scenario
-from .search import SearchBounds, census_lines, search_odd_blocks
+from .search import DEFAULT_BOUNDS, SearchBounds, census_lines, search_odd_blocks
 
 
 def _load(path: str):
@@ -94,7 +93,7 @@ def cmd_scenario(args) -> int:
 
 def cmd_search(args) -> int:
     bounds = SearchBounds(args.max_p, args.max_l, args.max_mult, args.max_size)
-    blocks = search_odd_blocks(*astuple(bounds))
+    blocks = search_odd_blocks(*(getattr(bounds, name) for name in SearchBounds.BOUNDS))
     print(f"odd blocks with {bounds}: {len(blocks)}")
     for line in census_lines(blocks):
         print(line)
@@ -211,8 +210,8 @@ def _scenario_arguments(p):
 
 
 def _search_arguments(p):
-    for bound in fields(SearchBounds):
-        p.add_argument("--" + bound.name.replace("_", "-"), type=int, default=bound.default)
+    for name in SearchBounds.BOUNDS:
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=getattr(DEFAULT_BOUNDS, name))
 
 
 def _ktheory_arguments(p):

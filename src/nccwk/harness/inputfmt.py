@@ -39,10 +39,9 @@ Errors carry the 1-based line number of the offending text.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional
 
-from ..fgab.intmat import IntMatrix
+from ..fgab.intmat import Frozen, IntMatrix
 from ..homind import AtInterior, AtPoint, ComplexFamily, FullPath, IndSystem, MapDescription
 from ..nccw import NccwComplex
 
@@ -64,11 +63,26 @@ def l5_value(m: int) -> int:
     return (2 ** (m + 1) + 60 * 3 ** m - 10 * 4 ** m + 3 * 12 ** m) // 20
 
 
-@dataclass(frozen=True)
-class ExpLin:
+class _Node(Frozen):
+    """A document value: equal when of one class with equal slots, which
+    the round trip parse(render(doc)) == doc reads."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+
+class ExpLin(_Node):
     """Exponent of the form n + offset, or a plain integer."""
-    has_n: bool
-    offset: int
+
+    __slots__ = ("has_n", "offset")
+
+    def __init__(self, has_n: bool, offset: int):
+        object.__setattr__(self, "has_n", has_n)
+        object.__setattr__(self, "offset", offset)
 
     def value(self, n: Optional[int]) -> int:
         if not self.has_n:
@@ -85,9 +99,11 @@ class ExpLin:
         return f"(n{'+' if self.offset > 0 else '-'}{abs(self.offset)})"
 
 
-@dataclass(frozen=True)
-class Const:
-    value: int
+class Const(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        object.__setattr__(self, "value", value)
 
     def eval(self, n):
         return self.value
@@ -96,10 +112,12 @@ class Const:
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class Power:
-    base: int
-    exp: ExpLin
+class Power(_Node):
+    __slots__ = ("base", "exp")
+
+    def __init__(self, base: int, exp: ExpLin):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exp", exp)
 
     def eval(self, n):
         e = self.exp.value(n)
@@ -111,9 +129,11 @@ class Power:
         return f"{self.base}^{self.exp.render()}"
 
 
-@dataclass(frozen=True)
-class L5:
-    arg: ExpLin
+class L5(_Node):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: ExpLin):
+        object.__setattr__(self, "arg", arg)
 
     def eval(self, n):
         return l5_value(self.arg.value(n))
@@ -123,10 +143,13 @@ class L5:
         return f"l5({inner.strip('()')})"
 
 
-@dataclass(frozen=True)
-class SizeExpr:
+class SizeExpr(_Node):
     """Sum of signed products of factors."""
-    terms: tuple  # ((sign, (factor, ...)), ...)
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple):
+        object.__setattr__(self, "terms", terms)  # ((sign, (factor, ...)), ...)
 
     def eval(self, n: Optional[int] = None) -> int:
         total = 0
@@ -266,15 +289,18 @@ def parse_size_expr(text: str, line: int = 0) -> SizeExpr:
 
 # -- document model -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilySpec:
-    name: str
-    n0: int
-    k: tuple  # SizeExpr per point block
-    h: tuple
-    alpha: IntMatrix
-    beta: IntMatrix
-    unital: bool
+class FamilySpec(_Node):
+    __slots__ = ("name", "n0", "k", "h", "alpha", "beta", "unital")
+
+    def __init__(self, name: str, n0: int, k: tuple, h: tuple, alpha: IntMatrix, beta: IntMatrix,
+                 unital: bool):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "n0", n0)
+        object.__setattr__(self, "k", k)  # SizeExpr per point block
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "unital", unital)
 
     def complex_at(self, n: int) -> NccwComplex:
         return NccwComplex(tuple(e.eval(n) for e in self.k),
@@ -282,29 +308,38 @@ class FamilySpec:
                            self.alpha, self.beta, unital=self.unital)
 
 
-@dataclass(frozen=True)
-class MapSpec:
-    name: str
-    source: str
-    target: str
-    f1: tuple  # per target point: AtPoint / AtInterior atoms, keyword then index order
-    f2: tuple  # per target block: AtPoint / AtInterior / FullPath atoms
-    unital: bool
+class MapSpec(_Node):
+    __slots__ = ("name", "source", "target", "f1", "f2", "unital")
+
+    def __init__(self, name: str, source: str, target: str, f1: tuple, f2: tuple, unital: bool):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        # per target point: AtPoint / AtInterior atoms, keyword then index order;
+        # per target block: AtPoint / AtInterior / FullPath atoms
+        object.__setattr__(self, "f1", f1)
+        object.__setattr__(self, "f2", f2)
+        object.__setattr__(self, "unital", unital)
 
 
-@dataclass(frozen=True)
-class SystemSpec:
-    name: str
-    family: str
-    bonding: str
-    degree: int
-    constant_from: Optional[int]
+class SystemSpec(_Node):
+    __slots__ = ("name", "family", "bonding", "degree", "constant_from")
+
+    def __init__(self, name: str, family: str, bonding: str, degree: int,
+                 constant_from: Optional[int]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "bonding", bonding)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "constant_from", constant_from)
 
 
-@dataclass(frozen=True)
-class Query:
-    kind: str
-    params: tuple  # sorted (key, value) pairs
+class Query(_Node):
+    __slots__ = ("kind", "params")
+
+    def __init__(self, kind: str, params: tuple):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)  # sorted (key, value) pairs
 
     def get(self, key: str, default=None):
         for k, v in self.params:
@@ -320,13 +355,16 @@ def _lookup(pairs, name: str, what: str):
     raise KeyError(f"no {what} named {name!r}")
 
 
-@dataclass(frozen=True)
-class InputDocument:
-    complexes: tuple  # (name, NccwComplex) pairs in declaration order
-    families: tuple   # (name, FamilySpec)
-    maps: tuple       # (name, MapSpec)
-    systems: tuple    # (name, SystemSpec)
-    queries: tuple    # Query
+class InputDocument(_Node):
+    __slots__ = ("complexes", "families", "maps", "systems", "queries")
+
+    def __init__(self, complexes: tuple, families: tuple, maps: tuple, systems: tuple,
+                 queries: tuple):
+        object.__setattr__(self, "complexes", complexes)  # (name, NccwComplex) pairs in declaration order
+        object.__setattr__(self, "families", families)    # (name, FamilySpec)
+        object.__setattr__(self, "maps", maps)            # (name, MapSpec)
+        object.__setattr__(self, "systems", systems)      # (name, SystemSpec)
+        object.__setattr__(self, "queries", queries)      # Query
 
     def complex_names(self):
         return [n for n, _ in self.complexes]

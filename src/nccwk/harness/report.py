@@ -3,25 +3,31 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+
+from ..fgab.intmat import Frozen
 
 
-@dataclass(frozen=True)
-class ClaimResult:
-    claim_id: str
-    anchor: str     # the claim being checked, quoted from the construction
-    source: str     # "paper" | "derived" | "trivial"
-    expected: str
-    computed: str
-    passed: bool
+class ClaimResult(Frozen):
+    __slots__ = ("claim_id", "anchor", "source", "expected", "computed", "passed")
+
+    def __init__(self, claim_id: str, anchor: str, source: str, expected: str, computed: str,
+                 passed: bool):
+        object.__setattr__(self, "claim_id", claim_id)
+        object.__setattr__(self, "anchor", anchor)  # the claim being checked, quoted from the construction
+        object.__setattr__(self, "source", source)  # "paper" | "derived" | "trivial"
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "computed", computed)
+        object.__setattr__(self, "passed", passed)
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
-    scenario: str
-    title: str
-    claims: tuple
-    notes: tuple = ()
+class ScenarioReport(Frozen):
+    __slots__ = ("scenario", "title", "claims", "notes")
+
+    def __init__(self, scenario: str, title: str, claims: tuple, notes: tuple = ()):
+        object.__setattr__(self, "scenario", scenario)
+        object.__setattr__(self, "title", title)
+        object.__setattr__(self, "claims", claims)
+        object.__setattr__(self, "notes", notes)
 
     @property
     def passed(self) -> bool:

@@ -24,36 +24,47 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations_with_replacement, permutations, product, repeat
 
-from ..fgab.intmat import IntMatrix
+from ..fgab.intmat import Frozen, IntMatrix
 from ..fgab.groups import _splits, is_exact
 from ..nccw import CompactIdealSpec, NccwComplex, k_sequences, odd_witnesses
 
 
-@dataclass(frozen=True)
-class SearchBounds:
-    max_p: int = 3
-    max_l: int = 2
-    max_mult: int = 2
-    max_size: int = 1
+class SearchBounds(Frozen):
+    """The census bounds, named in BOUNDS in search_odd_blocks' argument
+    order; the CLI reads its options and defaults from BOUNDS.  Equality
+    reads the four bounds: the tests compare the CLI's with the defaults."""
 
-    def __post_init__(self):
-        for name in ("max_p", "max_l", "max_mult", "max_size"):
-            if getattr(self, name) < 1:
+    BOUNDS = __slots__ = ("max_p", "max_l", "max_mult", "max_size")
+
+    def __init__(self, max_p: int = 3, max_l: int = 2, max_mult: int = 2, max_size: int = 1):
+        for name, value in zip(self.BOUNDS, (max_p, max_l, max_mult, max_size)):
+            if value < 1:
                 raise ValueError(f"search bound {name} must be at least 1")
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.max_p, self.max_l, self.max_mult, self.max_size) == (
+            other.max_p, other.max_l, other.max_mult, other.max_size)
 
     def __str__(self):
         return (f"p <= {self.max_p}, l <= {self.max_l}, "
                 f"multiplicities <= {self.max_mult}, point sizes <= {self.max_size}")
 
 
-@dataclass(frozen=True)
-class OddBlock:
-    complex: NccwComplex
-    witness: CompactIdealSpec
+DEFAULT_BOUNDS = SearchBounds()
+
+
+class OddBlock(Frozen):
+    __slots__ = ("complex", "witness")
+
+    def __init__(self, complex: NccwComplex, witness: CompactIdealSpec):
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "witness", witness)
 
 
 def _canonical_key(k, h, alpha_rows, beta_rows):
@@ -166,9 +177,9 @@ def reverify_odd_witness(A: NccwComplex, spec: CompactIdealSpec) -> bool:
     return is_exact(s0) and is_exact(s1) and not (_splits(s0) and _splits(s1))
 
 
-def search_odd_blocks(max_p: int = SearchBounds.max_p, max_l: int = SearchBounds.max_l,
-                      max_mult: int = SearchBounds.max_mult,
-                      max_size: int = SearchBounds.max_size):
+def search_odd_blocks(max_p: int = DEFAULT_BOUNDS.max_p, max_l: int = DEFAULT_BOUNDS.max_l,
+                      max_mult: int = DEFAULT_BOUNDS.max_mult,
+                      max_size: int = DEFAULT_BOUNDS.max_size):
     """All odd blocks within bounds, each in canonical form with its first
     odd witness, re-verified, in the order of their order keys.
 

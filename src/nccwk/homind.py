@@ -19,12 +19,12 @@ Stages count from 0; a negative stage is rejected where it would be built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import index
 from typing import Callable, Optional, Sequence
 
 from .fgab.intmat import (
+    Frozen,
     IntMatrix,
     kernel,
     smith_normal_form,
@@ -53,22 +53,54 @@ from .nccw import (
 
 # -- symbolic evaluations ----------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class AtPoint:
+# An evaluation compares and hashes by class and index: inputfmt renders a
+# multiset of them as runs counted by collections.Counter.  _atom_key
+# orders them.
+
+class AtPoint(Frozen):
     """Evaluation at the j-th source point (0-based)."""
-    j: int
+
+    __slots__ = ("j",)
+
+    def __init__(self, j: int):
+        object.__setattr__(self, "j", j)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.j == other.j
+
+    def __hash__(self):
+        return hash((self.j,))
 
 
-@dataclass(frozen=True, order=True)
-class AtInterior:
+class _OnBlock(Frozen):
+    """An evaluation on the i-th source interval block."""
+
+    __slots__ = ("i",)
+
+    def __init__(self, i: int):
+        object.__setattr__(self, "i", i)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.i == other.i
+
+    def __hash__(self):
+        return hash((self.i,))
+
+
+class AtInterior(_OnBlock):
     """Evaluation at an interior parameter of the i-th source interval block."""
-    i: int
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, order=True)
-class FullPath:
+class FullPath(_OnBlock):
     """Identity on the i-th source interval block (a full path in the target)."""
-    i: int
+
+    __slots__ = ()
 
 
 def _atom_key(a):
@@ -81,26 +113,28 @@ def _atom_size(a, src: NccwComplex) -> int:
     return src.h[a.i]
 
 
-@dataclass(frozen=True)
-class MapDescription:
+class MapDescription(Frozen):
     """Multiplicity-level description of a homomorphism between complexes.
 
     f1[j'] is the multiset of evaluations filling the j'-th target point,
-    f2[i'] the multiset filling the i'-th target interval block.  Size
-    accounting is enforced: consumed dimension per block is at most the
-    block size, with equality when the description is flagged unital.
+    f2[i'] the multiset filling the i'-th target interval block, each kept
+    in _atom_key order.  Size accounting is enforced: consumed dimension per
+    block is at most the block size, with equality when the description is
+    flagged unital.  Equality reads the five fields: the tests compare
+    descriptions built in different orders.
     """
 
-    source: NccwComplex
-    target: NccwComplex
-    f1: tuple  # length target.p, entries tuples of atoms
-    f2: tuple  # length target.l
-    unital: bool = True
+    __slots__ = ("source", "target", "f1", "f2", "unital")
 
-    def __post_init__(self):
-        object.__setattr__(self, "f1", tuple(tuple(sorted(ms, key=_atom_key)) for ms in self.f1))
-        object.__setattr__(self, "f2", tuple(tuple(sorted(ms, key=_atom_key)) for ms in self.f2))
-        if len(self.f1) != self.target.p or len(self.f2) != self.target.l:
+    def __init__(self, source: NccwComplex, target: NccwComplex, f1: tuple, f2: tuple,
+                 unital: bool = True):
+        # f1: length target.p, entries tuples of atoms; f2: length target.l
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "f1", tuple(tuple(sorted(ms, key=_atom_key)) for ms in f1))
+        object.__setattr__(self, "f2", tuple(tuple(sorted(ms, key=_atom_key)) for ms in f2))
+        object.__setattr__(self, "unital", unital)
+        if len(self.f1) != target.p or len(self.f2) != target.l:
             raise ValueError("one assignment needed per target block")
         for ms in self.f1:
             for a in ms:
@@ -110,13 +144,19 @@ class MapDescription:
         for ms in self.f2:
             for a in ms:
                 self._check_atom(a)
-        for kind, assigned, sizes in (("point", self.f1, self.target.k), ("block", self.f2, self.target.h)):
+        for kind, assigned, sizes in (("point", self.f1, target.k), ("block", self.f2, target.h)):
             for j, (ms, size) in enumerate(zip(assigned, sizes)):
-                used = sum(_atom_size(a, self.source) for a in ms)
+                used = sum(_atom_size(a, source) for a in ms)
                 if used > size:
                     raise ValueError(f"target {kind} {j + 1} overfilled: {used} > {size}")
-                if self.unital and used != size:
+                if unital and used != size:
                     raise ValueError(f"unital description must fill target {kind} {j + 1}: {used} != {size}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.source, self.target, self.f1, self.f2, self.unital)
+                == (other.source, other.target, other.f1, other.f2, other.unital))
 
     def _check_atom(self, a):
         if isinstance(a, AtPoint):
@@ -360,19 +400,20 @@ class IndSystem:
             yield s + 1, v
 
 
-@dataclass(frozen=True)
-class LimitElement:
-    stage: int
-    vector: tuple
+class LimitElement(Frozen):
+    __slots__ = ("stage", "vector")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vector", tuple(map(index, self.vector)))
+    def __init__(self, stage: int, vector: tuple):
+        object.__setattr__(self, "stage", stage)
+        object.__setattr__(self, "vector", tuple(map(index, vector)))
 
 
-@dataclass(frozen=True)
-class TruncatedSystem:
-    groups: tuple    # stages 0..N
-    bondings: tuple  # homs n -> n+1 for n < N
+class TruncatedSystem(Frozen):
+    __slots__ = ("groups", "bondings")
+
+    def __init__(self, groups: tuple, bondings: tuple):
+        object.__setattr__(self, "groups", groups)      # stages 0..N
+        object.__setattr__(self, "bondings", bondings)  # homs n -> n+1 for n < N
 
 
 def truncate(sys: IndSystem, N: int) -> TruncatedSystem:
@@ -383,10 +424,12 @@ def truncate(sys: IndSystem, N: int) -> TruncatedSystem:
                            tuple(sys.bonding(n) for n in range(N)))
 
 
-@dataclass(frozen=True)
-class EqualityVerdict:
-    kind: str  # "equal" | "distinct" | "unknown"
-    stage: int
+class EqualityVerdict(Frozen):
+    __slots__ = ("kind", "stage")
+
+    def __init__(self, kind: str, stage: int):
+        object.__setattr__(self, "kind", kind)  # "equal" | "distinct" | "unknown"
+        object.__setattr__(self, "stage", stage)
 
     def __str__(self):
         return f"{self.kind} (stage {self.stage})"
@@ -633,18 +676,20 @@ def _radical(n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class LocalizedLimit:
+class LocalizedLimit(Frozen):
     """Limit identified as (+) Z[1/s_i] (+) fixed torsion.
 
     basis columns are stage coordinates (at the constancy stage) of the
     free generators; the i-th one becomes divisible by every power of s_i.
     """
 
-    stage: int
-    diagonal: tuple    # one positive integer per free summand
-    basis: IntMatrix
-    torsion: tuple     # invariant factors of the fixed torsion part
+    __slots__ = ("stage", "diagonal", "basis", "torsion")
+
+    def __init__(self, stage: int, diagonal: tuple, basis: IntMatrix, torsion: tuple):
+        object.__setattr__(self, "stage", stage)
+        object.__setattr__(self, "diagonal", diagonal)  # one positive integer per free summand
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "torsion", torsion)    # invariant factors of the fixed torsion part
 
     def localization_multiset(self) -> tuple:
         return tuple(sorted(_radical(s) for s in self.diagonal))
@@ -715,11 +760,13 @@ def identify_localized_limit(sys: IndSystem) -> Optional[LocalizedLimit]:
 
 # -- purity along a compatible ladder of systems ------------------------------
 
-@dataclass(frozen=True)
-class LadderPurity:
-    kind: str  # "pure_through" | "nonpure_witness" | "stationary_verdict"
-    stage: int
-    limit_pure: Optional[bool] = None
+class LadderPurity(Frozen):
+    __slots__ = ("kind", "stage", "limit_pure")
+
+    def __init__(self, kind: str, stage: int, limit_pure: Optional[bool] = None):
+        object.__setattr__(self, "kind", kind)  # "pure_through" | "nonpure_witness" | "stationary_verdict"
+        object.__setattr__(self, "stage", stage)
+        object.__setattr__(self, "limit_pure", limit_pure)
 
     def __str__(self):
         if self.kind == "pure_through":
@@ -782,9 +829,9 @@ class ComplexFamily:
     (None when they keep changing); the K systems and the ideal and
     quotient families carry it.  basis, when given, is the K_0 basis of
     every stage (k_theory checks it), and the induced K_0 maps are matrices
-    in it.  Stage complexes, K data, bondings, ideal specs, derived
-    families, K systems and ideal rows are built once and memoized;
-    ladder(S, degree) assembles a ladder from them.
+    in it.  Stage complexes, bondings, ideal specs, derived families, K
+    systems and ideal rows are built once and memoized, and K data once per
+    distinct delta; ladder(S, degree) assembles a ladder from them.
     """
 
     def __init__(self, complex_at: Callable[[int], NccwComplex],
@@ -793,7 +840,9 @@ class ComplexFamily:
                  basis: Optional[IntMatrix] = None):
         self.constant_from = constant_from
         self._cx = _Memo(complex_at)
-        self._kd = _Memo(lambda n: k_theory(self._cx[n].delta, basis))
+        # K data is a function of delta alone: stages with equal deltas share it
+        by_delta = _Memo(lambda delta: k_theory(delta, basis), by_stage=False)
+        self._kd = _Memo(lambda n: by_delta[self._cx[n].delta])
         self._bond = _Memo(lambda n: MapDescription(self._cx[n], self._cx[n + 1],
                                                     *assignment_at(n)))
         self._spec = _Memo(lambda S: _Memo(lambda n: make_ideal_spec(self._cx[n], S)), by_stage=False)
@@ -871,13 +920,16 @@ class ComplexFamily:
             lambda n: _subcomplex(self._cx[n], *blocks[n]), assignment_at, self.constant_from)
 
 
-@dataclass(frozen=True)
-class IdealLadder:
+class IdealLadder(Frozen):
     """The three K_j systems of a compact-ideal extension along a family,
     with the stage-n row 0 -> K_j(I_n) -> K_j(E_n) -> K_j(E_n/I_n) -> 0;
     ComplexFamily.ladder hands it out, reading the family's memoized rows."""
 
-    sys_ideal: IndSystem
-    sys_total: IndSystem
-    sys_quotient: IndSystem
-    row_at: Callable[[int], ShortExactSeq]
+    __slots__ = ("sys_ideal", "sys_total", "sys_quotient", "row_at")
+
+    def __init__(self, sys_ideal: IndSystem, sys_total: IndSystem, sys_quotient: IndSystem,
+                 row_at: Callable[[int], ShortExactSeq]):
+        object.__setattr__(self, "sys_ideal", sys_ideal)
+        object.__setattr__(self, "sys_total", sys_total)
+        object.__setattr__(self, "sys_quotient", sys_quotient)
+        object.__setattr__(self, "row_at", row_at)

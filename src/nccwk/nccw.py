@@ -20,43 +20,54 @@ Everything here is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .fgab.intmat import IntMatrix, kernel, solve_matrix, spans
+from .fgab.intmat import Frozen, IntMatrix, kernel, solve_matrix, spans
 from .fgab.groups import FgGroup, GroupHom, ShortExactSeq, cokernel
 
 
-@dataclass(frozen=True)
-class NccwComplex:
-    """Multiplicity data of a 1-NCCW complex; indices are 0-based internally."""
+class NccwComplex(Frozen):
+    """Multiplicity data of a 1-NCCW complex; indices are 0-based internally.
+    Equality and the hash read the five fields (maps_equal_on_k and
+    compose_descriptions compare complexes); delta and pattern are
+    remembered in the instance __dict__."""
 
-    k: tuple  # point block sizes, length p
-    h: tuple  # interval block sizes, length l
-    alpha: IntMatrix  # l x p
-    beta: IntMatrix  # l x p
-    unital: bool = True
-
-    def __post_init__(self):
-        p, l = len(self.k), len(self.h)
-        if self.alpha.rows != l or self.alpha.cols != p or self.beta.rows != l or self.beta.cols != p:
+    def __init__(self, k: tuple, h: tuple, alpha: IntMatrix, beta: IntMatrix, unital: bool = True):
+        # k: point block sizes, length p; h: interval block sizes, length l;
+        # alpha and beta: l x p
+        p, l = len(k), len(h)
+        if alpha.rows != l or alpha.cols != p or beta.rows != l or beta.cols != p:
             raise ValueError(f"alpha and beta must be {l}x{p}")
-        if any(s <= 0 for s in self.k) or any(s <= 0 for s in self.h):
+        if any(s <= 0 for s in k) or any(s <= 0 for s in h):
             raise ValueError("block sizes must be positive")
-        rows = (self.alpha.entries, self.beta.entries)
+        rows = (alpha.entries, beta.entries)
         for M in rows:
             if any(x < 0 for row in M for x in row):
                 raise ValueError("multiplicities must be nonnegative")
         for i in range(l):
             for M in rows:
-                s = sum(m * kk for m, kk in zip(M[i], self.k))
-                if s > self.h[i]:
-                    raise ValueError(f"size accounting fails in interval block {i + 1}: {s} > {self.h[i]}")
-                if self.unital and s != self.h[i]:
-                    raise ValueError(f"unital complex needs equality in block {i + 1}: {s} != {self.h[i]}")
+                s = sum(m * kk for m, kk in zip(M[i], k))
+                if s > h[i]:
+                    raise ValueError(f"size accounting fails in interval block {i + 1}: {s} > {h[i]}")
+                if unital and s != h[i]:
+                    raise ValueError(f"unital complex needs equality in block {i + 1}: {s} != {h[i]}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "unital", unital)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.k, self.h, self.alpha, self.beta, self.unital)
+                == (other.k, other.h, other.alpha, other.beta, other.unital))
+
+    def __hash__(self):
+        return hash((self.k, self.h, self.alpha, self.beta, self.unital))
 
     @property
     def p(self) -> int:
@@ -87,14 +98,24 @@ class NccwComplex:
         return f"NCCW(p={self.p}, l={self.l}, k={list(self.k)}, h={list(self.h)})"
 
 
-@dataclass(frozen=True)
-class KData:
-    """K-groups of alpha - beta with the kernel basis made explicit."""
+class KData(Frozen):
+    """K-groups of alpha - beta with the kernel basis made explicit.
+    Equality reads the four fields: the tests compare the K data of two
+    complexes with one delta."""
 
-    k0: FgGroup       # free group on the kernel basis columns
-    k0_basis: IntMatrix  # p x rank, columns a Z-basis of ker(alpha - beta)
-    k1: FgGroup       # presented on Z^l by the columns of alpha - beta
-    delta: IntMatrix  # the alpha - beta these groups were computed for
+    __slots__ = ("k0", "k0_basis", "k1", "delta")
+
+    def __init__(self, k0: FgGroup, k0_basis: IntMatrix, k1: FgGroup, delta: IntMatrix):
+        object.__setattr__(self, "k0", k0)              # free group on the kernel basis columns
+        object.__setattr__(self, "k0_basis", k0_basis)  # p x rank, a Z-basis of ker(alpha - beta)
+        object.__setattr__(self, "k1", k1)              # presented on Z^l by the columns of delta
+        object.__setattr__(self, "delta", delta)        # the alpha - beta these groups are for
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.k0, self.k0_basis, self.k1, self.delta)
+                == (other.k0, other.k0_basis, other.k1, other.delta))
 
     @property
     def rank(self) -> int:
@@ -132,13 +153,25 @@ def k_theory(delta: IntMatrix, basis: Optional[IntMatrix] = None) -> KData:
     return KData(FgGroup.free(basis.cols), basis, cokernel(delta), delta)
 
 
-@dataclass(frozen=True)
-class CompactIdealSpec:
+class CompactIdealSpec(Frozen):
     """Support of a projection-generated ideal, as plain index sets: the
-    points S it contains plus the forced adjacent interval blocks T."""
+    points S it contains plus the forced adjacent interval blocks T.
+    Equality and the hash read S and T: the tests compare and collect the
+    witnesses."""
 
-    S: tuple  # sorted 0-based point indices
-    T: tuple  # sorted 0-based interval indices, always adj(S)
+    __slots__ = ("S", "T")
+
+    def __init__(self, S: tuple, T: tuple):
+        object.__setattr__(self, "S", S)  # sorted 0-based point indices
+        object.__setattr__(self, "T", T)  # sorted 0-based interval indices, always adj(S)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.S == other.S and self.T == other.T
+
+    def __hash__(self):
+        return hash((self.S, self.T))
 
 
 def adjacent_blocks(pattern: tuple, S: Sequence[int]) -> tuple:
@@ -337,11 +370,17 @@ class BlockClass(Enum):
     ODD = "odd"
 
 
-@dataclass(frozen=True)
-class Classification:
-    nonexact_witnesses: tuple  # specs whose rows fail exactness (boundary maps nonzero)
-    nonpure_witnesses: tuple   # exact but non-pure specs
-    specs_checked: int
+class Classification(Frozen):
+    """classify_block's verdict; nothing compares verdicts."""
+
+    __slots__ = ("nonexact_witnesses", "nonpure_witnesses", "specs_checked")
+
+    def __init__(self, nonexact_witnesses: tuple, nonpure_witnesses: tuple, specs_checked: int):
+        # specs whose rows fail exactness (boundary maps nonzero), then the
+        # exact but non-pure specs
+        object.__setattr__(self, "nonexact_witnesses", nonexact_witnesses)
+        object.__setattr__(self, "nonpure_witnesses", nonpure_witnesses)
+        object.__setattr__(self, "specs_checked", specs_checked)
 
     @property
     def odd_witness(self) -> Optional[CompactIdealSpec]:

@@ -8,31 +8,45 @@ prover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
+from .fgab.intmat import Frozen
 from .homind import IndSystem, LimitElement
 
 
-@dataclass(frozen=True)
-class ConeOracle:
+class ConeOracle(Frozen):
     """Exact membership predicate."""
 
-    membership: Callable
+    __slots__ = ("membership",)
+
+    def __init__(self, membership: Callable):
+        object.__setattr__(self, "membership", membership)
 
     def contains(self, g) -> bool:
         return bool(self.membership(g))
 
 
-@dataclass(frozen=True)
-class GradedElement:
+class GradedElement(Frozen):
     """An element of K_0 (+) K_1, components in whatever exact coordinates
-    the ambient cone oracle expects."""
+    the ambient cone oracle expects.  Equality reads both components (the
+    tests compare the elements an oracle was asked about), and the repr
+    names them in graded_witness_cone's error."""
 
-    g0: tuple
-    g1: tuple
+    __slots__ = ("g0", "g1")
+
+    def __init__(self, g0: tuple, g1: tuple):
+        object.__setattr__(self, "g0", g0)
+        object.__setattr__(self, "g1", g1)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.g0 == other.g0 and self.g1 == other.g1
+
+    def __repr__(self):
+        return f"GradedElement(g0={self.g0!r}, g1={self.g1!r})"
 
     @staticmethod
     def of(g0: Sequence, g1: Sequence) -> "GradedElement":

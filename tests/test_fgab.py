@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import math
 from fractions import Fraction
 
@@ -312,10 +312,16 @@ def test_invariants_set_at_construction_match_minor_gcds(G):
     assert G.diagonal_orders == orders
     assert G.free_rank == orders.count(0)
     assert G.torsion_orders == tuple(x for x in orders if x > 1)
-    assert [f.name for f in dataclasses.fields(FgGroup)] == ["generators", "relations"]
+    assert list(inspect.signature(FgGroup).parameters) == ["generators", "relations"]
     twin = FgGroup(G.generators, IntMatrix.from_rows(rows, cols=G.relations.cols))
     assert twin is not G
     assert twin == G and hash(twin) == hash(G) and repr(twin) == repr(G)
+    # equality, hash and repr read generators and relations alone: a group
+    # whose invariants were never set still equals G
+    bare = object.__new__(FgGroup)
+    object.__setattr__(bare, "generators", G.generators)
+    object.__setattr__(bare, "relations", G.relations)
+    assert bare == G and hash(bare) == hash(G) and repr(bare) == repr(G)
 
 
 INTEGER_INPUTS = (

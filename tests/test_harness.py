@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import astuple
 from itertools import combinations
 from pathlib import Path
 
@@ -91,6 +90,10 @@ class TestScenarios:
         assert '"passed": true' in render_report(r, "json-like")
         with pytest.raises(ValueError):
             render_report(r, "yaml")
+
+
+# the default census bounds, in search_odd_blocks' argument order
+DEFAULTS = tuple(getattr(SearchBounds(), name) for name in SearchBounds.BOUNDS)
 
 
 def as_candidate(c):
@@ -210,7 +213,7 @@ class TestSearch:
         args = cli.build_parser().parse_args(["search"])
         assert SearchBounds(args.max_p, args.max_l, args.max_mult, args.max_size) == SearchBounds()
         defaults = [p.default for p in inspect.signature(search_odd_blocks).parameters.values()]
-        assert tuple(defaults[:4]) == astuple(SearchBounds())
+        assert tuple(defaults[:4]) == DEFAULTS
 
     @pytest.mark.parametrize("bounds", [(3, 2, 2, 1), (3, 2, 1, 1), (2, 3, 2, 2)])
     def test_orderly_generation_matches_first_appearance(self, bounds):
@@ -354,7 +357,7 @@ class TestSearch:
             spec = fourier_motzkin_odd_witness(A)
             if spec is not None:
                 blocks.append(OddBlock(A, spec))
-        search = default_search if bounds == astuple(SearchBounds()) else search_odd_blocks(*bounds)
+        search = default_search if bounds == DEFAULTS else search_odd_blocks(*bounds)
         assert census_lines(blocks) == census_lines(search)
 
     @pytest.mark.slow
@@ -470,7 +473,7 @@ class TestSearch:
         builds from the orderly oracle's candidates, which share no code
         with the search: a key orbit missed or decided twice would differ."""
         keys = {canonical_verdict_key(*verdict_key(*c))
-                for c in all_images_orderly_candidates(*astuple(SearchBounds()))}
+                for c in all_images_orderly_candidates(*DEFAULTS)}
         runs = []
 
         def counted(delta, pattern):

@@ -1,12 +1,18 @@
 """Floats, runtime dependencies and assert statements stay at zero in src/.
 
 Every module is parsed and walked; a float literal, true division, the
-name `float`, an import from outside nccwk and the standard library or an
-`assert` statement (which `python -O` drops) fails the test with its file
-and line.
+name `float`, an import from outside nccwk and the standard library, an
+import of `dataclasses` or an `assert` statement (which `python -O` drops)
+fails the test with its file and line.  `dataclasses` writes and `exec`s
+the methods of every class it decorates each time the module is imported,
+which `.pyc` files do not cache; the value classes are plain classes
+(`fgab.intmat.Frozen`), and a fresh `import nccwk.harness.cli` loads
+neither `dataclasses` nor `inspect`.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,6 +20,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SOURCES = sorted(SRC.rglob("*.py"))
+REFUSED_STDLIB = {"dataclasses"}
 
 
 def offences(tree):
@@ -33,7 +40,7 @@ def offences(tree):
                 names = [alias.name for alias in node.names]
             for name in names:
                 top = name.split(".")[0]
-                if top != "nccwk" and top not in sys.stdlib_module_names:
+                if top in REFUSED_STDLIB or (top != "nccwk" and top not in sys.stdlib_module_names):
                     yield node, f"import of {name}"
 
 
@@ -50,7 +57,8 @@ def test_no_floats_or_dependencies(path):
 
 @pytest.mark.parametrize("snippet", ["x = 0.5", "x = a / b", "x /= 2", "y = float(x)",
                                      "import numpy", "from sympy import Matrix", "x = 1j",
-                                     "assert x"])
+                                     "assert x", "import dataclasses",
+                                     "from dataclasses import dataclass"])
 def test_guard_catches(snippet):
     assert list(offences(ast.parse(snippet)))
 
@@ -58,3 +66,15 @@ def test_guard_catches(snippet):
 def test_guard_passes_exact_code():
     code = "from __future__ import annotations\nfrom .groups import FgGroup\nimport math\nx = 7 // 2\n"
     assert not list(offences(ast.parse(code)))
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    """A fresh process importing the CLI, as every nccwk call does."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + path if path else str(SRC)}
+    code = ("import sys, nccwk.harness.cli; "
+            "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
