@@ -49,7 +49,6 @@ from .homind import (
 )
 from .coeff import ModNKData, beta_map, kappa_maps, mod_n, rho_map
 from .order import (
-    ConeOracle,
     GradedElement,
     check_unperforated,
     eventual_dominates,

@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 from .intmat import (
     Frozen,
     IntMatrix,
+    Value,
     _solve_columns,
     lattice_preimage,
     smith_normal_form,
@@ -148,11 +149,11 @@ def cokernel(A: IntMatrix) -> FgGroup:
     return FgGroup(A.rows, A)
 
 
-class GroupHom(Frozen):
+class GroupHom(Value):
     """Hom given by a matrix on generator lifts; must map relations into
     relations to be well defined.  It meets other homs at equal groups.
-    Equality reads the three fields: an inductive system compares its
-    bondings (identify_localized_limit)."""
+    It is a Value: an inductive system compares its bondings
+    (identify_localized_limit)."""
 
     __slots__ = ("source", "target", "matrix")
 
@@ -166,11 +167,6 @@ class GroupHom(Frozen):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", matrix)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.source, self.target, self.matrix) == (other.source, other.target, other.matrix)
 
     @staticmethod
     def identity(G: FgGroup) -> "GroupHom":
@@ -229,22 +225,19 @@ def exact_at(first: GroupHom, second: GroupHom) -> bool:
     return spans(first.matrix.hstack(first.target.relations), second.kernel_generators())
 
 
-class ShortExactSeq(Frozen):
+class ShortExactSeq(Value):
     """0 -> left -> mid -> right -> 0 candidate, inj and surj meeting at one
     group mid; exactness is a check, not an invariant of construction, and
-    is remembered in the instance __dict__.  Equality reads inj and surj:
-    the tests compare the K rows of two complexes with one delta."""
+    is remembered in the instance __dict__.  It is a Value: the tests
+    compare the K rows of two complexes with one delta."""
+
+    __slots__ = ("inj", "surj", "__dict__")
 
     def __init__(self, inj: GroupHom, surj: GroupHom):
         if inj.target != surj.source:
             raise ValueError("inj target and surj source do not match")
         object.__setattr__(self, "inj", inj)
         object.__setattr__(self, "surj", surj)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.inj, self.surj) == (other.inj, other.surj)
 
     @property
     def left(self) -> FgGroup:

@@ -39,16 +39,19 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property, lru_cache
+from itertools import repeat
 from math import gcd
 from operator import floordiv, index, mod, mul
 from typing import Iterable, Optional, Sequence
 
 
 class Frozen:
-    """Base of the package's value classes, which are plain classes (no
+    """Base of the package's immutable classes, which are plain classes (no
     generated code): each sets its attributes once, in __init__, through
     object.__setattr__, and setting or deleting one afterwards raises
-    AttributeError, so values are immutable after construction."""
+    AttributeError.  A Frozen class compares by identity; the ones that
+    compare by value derive from Value, except IntMatrix and FgGroup,
+    which write their own equality and hash."""
 
     __slots__ = ()
 
@@ -57,6 +60,31 @@ class Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class Value(Frozen):
+    """The one equality rule for values: two are equal when they are of one
+    class and their fields are equal.  The fields, cls._fields, are the slot
+    names along the MRO except "__dict__", which a class with a
+    cached_property keeps.  Hashing is opt-in: a class that some reader
+    hashes sets __hash__ = Value.field_hash, the hash of its field tuple,
+    and every other Value is unhashable.  IntMatrix (the Smith cache key)
+    and FgGroup (equal on 2 of its 5 slots) are the two exceptions."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for c in reversed(cls.__mro__)
+                            for name in c.__dict__.get("__slots__", ()) if name != "__dict__")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self._fields
+        return list(map(getattr, repeat(self), fields)) == list(map(getattr, repeat(other), fields))
+
+    def field_hash(self):
+        return hash(tuple(map(getattr, repeat(self), self._fields)))
 
 
 class IntMatrix(Frozen):

@@ -1,6 +1,1 @@
 """Input format, built-in scenarios, odd-block search, reports, CLI."""
-
-from .inputfmt import InputDocument, InputError, l5_value, parse, render
-from .report import ClaimResult, ScenarioReport, render_report
-from .scenarios import SCENARIOS, run_scenario
-from .search import OddBlock, search_odd_blocks

@@ -24,7 +24,7 @@ from ..nccw import (
     quotient_complex,
 )
 from ..homind import LimitElement, divisible_in_limit, identify_localized_limit, truncate
-from ..order import ConeOracle, eventual_dominates, verify_perforation_witness
+from ..order import eventual_dominates, verify_perforation_witness
 from ..coeff import mod_n
 from .inputfmt import InputError, parse
 from .report import render_report
@@ -196,8 +196,7 @@ def cmd_order(args) -> int:
     if args.perforation_witness is not None:
         g = _vector(args.perforation_witness[0])
         n = _integer(args.perforation_witness[1])
-        cone = ConeOracle(sys_obj.cone_membership(args.stage))
-        ok = verify_perforation_witness(cone, g, n)
+        ok = verify_perforation_witness(sys_obj.cone_membership(args.stage), g, n)
         print(f"{name}: stage {args.stage} witness {g} with n = {n}: "
               f"{'confirmed' if ok else 'not a witness'}")
         return 0 if ok else 1

@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
-from ..fgab.intmat import Frozen, IntMatrix
+from ..fgab.intmat import IntMatrix, Value
 from ..homind import AtInterior, AtPoint, ComplexFamily, FullPath, IndSystem, MapDescription
 from ..nccw import NccwComplex
 
@@ -63,19 +63,10 @@ def l5_value(m: int) -> int:
     return (2 ** (m + 1) + 60 * 3 ** m - 10 * 4 ** m + 3 * 12 ** m) // 20
 
 
-class _Node(Frozen):
-    """A document value: equal when of one class with equal slots, which
-    the round trip parse(render(doc)) == doc reads."""
+# Expressions and document nodes are Values: the round trip
+# parse(render(doc)) == doc compares them.
 
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-
-class ExpLin(_Node):
+class ExpLin(Value):
     """Exponent of the form n + offset, or a plain integer."""
 
     __slots__ = ("has_n", "offset")
@@ -99,7 +90,7 @@ class ExpLin(_Node):
         return f"(n{'+' if self.offset > 0 else '-'}{abs(self.offset)})"
 
 
-class Const(_Node):
+class Const(Value):
     __slots__ = ("value",)
 
     def __init__(self, value: int):
@@ -112,7 +103,7 @@ class Const(_Node):
         return str(self.value)
 
 
-class Power(_Node):
+class Power(Value):
     __slots__ = ("base", "exp")
 
     def __init__(self, base: int, exp: ExpLin):
@@ -129,7 +120,7 @@ class Power(_Node):
         return f"{self.base}^{self.exp.render()}"
 
 
-class L5(_Node):
+class L5(Value):
     __slots__ = ("arg",)
 
     def __init__(self, arg: ExpLin):
@@ -143,7 +134,7 @@ class L5(_Node):
         return f"l5({inner.strip('()')})"
 
 
-class SizeExpr(_Node):
+class SizeExpr(Value):
     """Sum of signed products of factors."""
 
     __slots__ = ("terms",)
@@ -289,7 +280,7 @@ def parse_size_expr(text: str, line: int = 0) -> SizeExpr:
 
 # -- document model -----------------------------------------------------------
 
-class FamilySpec(_Node):
+class FamilySpec(Value):
     __slots__ = ("name", "n0", "k", "h", "alpha", "beta", "unital")
 
     def __init__(self, name: str, n0: int, k: tuple, h: tuple, alpha: IntMatrix, beta: IntMatrix,
@@ -308,7 +299,7 @@ class FamilySpec(_Node):
                            self.alpha, self.beta, unital=self.unital)
 
 
-class MapSpec(_Node):
+class MapSpec(Value):
     __slots__ = ("name", "source", "target", "f1", "f2", "unital")
 
     def __init__(self, name: str, source: str, target: str, f1: tuple, f2: tuple, unital: bool):
@@ -322,7 +313,7 @@ class MapSpec(_Node):
         object.__setattr__(self, "unital", unital)
 
 
-class SystemSpec(_Node):
+class SystemSpec(Value):
     __slots__ = ("name", "family", "bonding", "degree", "constant_from")
 
     def __init__(self, name: str, family: str, bonding: str, degree: int,
@@ -334,7 +325,7 @@ class SystemSpec(_Node):
         object.__setattr__(self, "constant_from", constant_from)
 
 
-class Query(_Node):
+class Query(Value):
     __slots__ = ("kind", "params")
 
     def __init__(self, kind: str, params: tuple):
@@ -355,7 +346,7 @@ def _lookup(pairs, name: str, what: str):
     raise KeyError(f"no {what} named {name!r}")
 
 
-class InputDocument(_Node):
+class InputDocument(Value):
     __slots__ = ("complexes", "families", "maps", "systems", "queries")
 
     def __init__(self, complexes: tuple, families: tuple, maps: tuple, systems: tuple,

@@ -27,15 +27,15 @@ from bisect import bisect_left
 from functools import reduce
 from itertools import chain, combinations_with_replacement, permutations, product, repeat
 
-from ..fgab.intmat import Frozen, IntMatrix
+from ..fgab.intmat import Frozen, IntMatrix, Value
 from ..fgab.groups import _splits, is_exact
 from ..nccw import CompactIdealSpec, NccwComplex, k_sequences, odd_witnesses
 
 
-class SearchBounds(Frozen):
+class SearchBounds(Value):
     """The census bounds, named in BOUNDS in search_odd_blocks' argument
-    order; the CLI reads its options and defaults from BOUNDS.  Equality
-    reads the four bounds: the tests compare the CLI's with the defaults."""
+    order; the CLI reads its options and defaults from BOUNDS.  It is a
+    Value: the tests compare the CLI's bounds with the defaults."""
 
     BOUNDS = __slots__ = ("max_p", "max_l", "max_mult", "max_size")
 
@@ -44,12 +44,6 @@ class SearchBounds(Frozen):
             if value < 1:
                 raise ValueError(f"search bound {name} must be at least 1")
             object.__setattr__(self, name, value)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.max_p, self.max_l, self.max_mult, self.max_size) == (
-            other.max_p, other.max_l, other.max_mult, other.max_size)
 
     def __str__(self):
         return (f"p <= {self.max_p}, l <= {self.max_l}, "

@@ -26,6 +26,7 @@ from typing import Callable, Optional, Sequence
 from .fgab.intmat import (
     Frozen,
     IntMatrix,
+    Value,
     kernel,
     smith_normal_form,
     solve_matrix,
@@ -53,42 +54,27 @@ from .nccw import (
 
 # -- symbolic evaluations ----------------------------------------------------
 
-# An evaluation compares and hashes by class and index: inputfmt renders a
-# multiset of them as runs counted by collections.Counter.  _atom_key
-# orders them.
+# An evaluation is a hashable Value: inputfmt renders a multiset of them
+# as runs counted by collections.Counter.  _atom_key orders them.
 
-class AtPoint(Frozen):
+class AtPoint(Value):
     """Evaluation at the j-th source point (0-based)."""
 
     __slots__ = ("j",)
+    __hash__ = Value.field_hash
 
     def __init__(self, j: int):
         object.__setattr__(self, "j", j)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.j == other.j
 
-    def __hash__(self):
-        return hash((self.j,))
-
-
-class _OnBlock(Frozen):
+class _OnBlock(Value):
     """An evaluation on the i-th source interval block."""
 
     __slots__ = ("i",)
+    __hash__ = Value.field_hash
 
     def __init__(self, i: int):
         object.__setattr__(self, "i", i)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.i == other.i
-
-    def __hash__(self):
-        return hash((self.i,))
 
 
 class AtInterior(_OnBlock):
@@ -113,15 +99,15 @@ def _atom_size(a, src: NccwComplex) -> int:
     return src.h[a.i]
 
 
-class MapDescription(Frozen):
+class MapDescription(Value):
     """Multiplicity-level description of a homomorphism between complexes.
 
     f1[j'] is the multiset of evaluations filling the j'-th target point,
     f2[i'] the multiset filling the i'-th target interval block, each kept
     in _atom_key order.  Size accounting is enforced: consumed dimension per
     block is at most the block size, with equality when the description is
-    flagged unital.  Equality reads the five fields: the tests compare
-    descriptions built in different orders.
+    flagged unital.  It is a Value: the tests compare descriptions built in
+    different orders.
     """
 
     __slots__ = ("source", "target", "f1", "f2", "unital")
@@ -151,12 +137,6 @@ class MapDescription(Frozen):
                     raise ValueError(f"target {kind} {j + 1} overfilled: {used} > {size}")
                 if unital and used != size:
                     raise ValueError(f"unital description must fill target {kind} {j + 1}: {used} != {size}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.source, self.target, self.f1, self.f2, self.unital)
-                == (other.source, other.target, other.f1, other.f2, other.unital))
 
     def _check_atom(self, a):
         if isinstance(a, AtPoint):
@@ -315,15 +295,15 @@ def _restrict(m: MapDescription, src: tuple, tgt: tuple) -> tuple:
 # -- inductive systems -------------------------------------------------------
 
 class _Memo(dict):
-    """Values by key, each built by build(key) on its first lookup; stage keys
-    (by_stage) count from 0, and a negative one raises before any build."""
+    """Values by key, each built by build(key) on its first lookup; int keys
+    are stages, which count from 0, and a negative one raises before any build."""
 
-    def __init__(self, build: Callable[[object], object], by_stage: bool = True):
+    def __init__(self, build: Callable[[object], object]):
         super().__init__()
-        self.build, self.by_stage = build, by_stage
+        self.build = build
 
     def __missing__(self, key):
-        if self.by_stage and key < 0:
+        if type(key) is int and key < 0:
             raise ValueError("stage index must be nonnegative")
         value = self[key] = self.build(key)
         return value
@@ -841,15 +821,15 @@ class ComplexFamily:
         self.constant_from = constant_from
         self._cx = _Memo(complex_at)
         # K data is a function of delta alone: stages with equal deltas share it
-        by_delta = _Memo(lambda delta: k_theory(delta, basis), by_stage=False)
+        by_delta = _Memo(lambda delta: k_theory(delta, basis))
         self._kd = _Memo(lambda n: by_delta[self._cx[n].delta])
         self._bond = _Memo(lambda n: MapDescription(self._cx[n], self._cx[n + 1],
                                                     *assignment_at(n)))
-        self._spec = _Memo(lambda S: _Memo(lambda n: make_ideal_spec(self._cx[n], S)), by_stage=False)
+        self._spec = _Memo(lambda S: _Memo(lambda n: make_ideal_spec(self._cx[n], S)))
         self._rows = _Memo(lambda S: _Memo(lambda n: k_sequences(
             self._cx[n].delta, self.ideal_spec(n, S), self._kd[n],
-            self.ideal_family(S).kdata(n), self.quotient_family(S).kdata(n))), by_stage=False)
-        self._derived = _Memo(lambda key: self._restricted(*key), by_stage=False)
+            self.ideal_family(S).kdata(n), self.quotient_family(S).kdata(n))))
+        self._derived = _Memo(lambda key: self._restricted(*key))
         self._systems = {}
 
     def complex_at(self, n: int) -> NccwComplex:

@@ -25,15 +25,17 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .fgab.intmat import Frozen, IntMatrix, kernel, solve_matrix, spans
+from .fgab.intmat import Frozen, IntMatrix, Value, kernel, solve_matrix, spans
 from .fgab.groups import FgGroup, GroupHom, ShortExactSeq, cokernel
 
 
-class NccwComplex(Frozen):
+class NccwComplex(Value):
     """Multiplicity data of a 1-NCCW complex; indices are 0-based internally.
-    Equality and the hash read the five fields (maps_equal_on_k and
-    compose_descriptions compare complexes); delta and pattern are
-    remembered in the instance __dict__."""
+    A hashable Value (maps_equal_on_k and compose_descriptions compare
+    complexes); delta and pattern are remembered in the instance __dict__."""
+
+    __slots__ = ("k", "h", "alpha", "beta", "unital", "__dict__")
+    __hash__ = Value.field_hash
 
     def __init__(self, k: tuple, h: tuple, alpha: IntMatrix, beta: IntMatrix, unital: bool = True):
         # k: point block sizes, length p; h: interval block sizes, length l;
@@ -59,15 +61,6 @@ class NccwComplex(Frozen):
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "unital", unital)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.k, self.h, self.alpha, self.beta, self.unital)
-                == (other.k, other.h, other.alpha, other.beta, other.unital))
-
-    def __hash__(self):
-        return hash((self.k, self.h, self.alpha, self.beta, self.unital))
 
     @property
     def p(self) -> int:
@@ -98,10 +91,9 @@ class NccwComplex(Frozen):
         return f"NCCW(p={self.p}, l={self.l}, k={list(self.k)}, h={list(self.h)})"
 
 
-class KData(Frozen):
-    """K-groups of alpha - beta with the kernel basis made explicit.
-    Equality reads the four fields: the tests compare the K data of two
-    complexes with one delta."""
+class KData(Value):
+    """K-groups of alpha - beta with the kernel basis made explicit.  It is a
+    Value: the tests compare the K data of two complexes with one delta."""
 
     __slots__ = ("k0", "k0_basis", "k1", "delta")
 
@@ -110,12 +102,6 @@ class KData(Frozen):
         object.__setattr__(self, "k0_basis", k0_basis)  # p x rank, a Z-basis of ker(alpha - beta)
         object.__setattr__(self, "k1", k1)              # presented on Z^l by the columns of delta
         object.__setattr__(self, "delta", delta)        # the alpha - beta these groups are for
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.k0, self.k0_basis, self.k1, self.delta)
-                == (other.k0, other.k0_basis, other.k1, other.delta))
 
     @property
     def rank(self) -> int:
@@ -153,25 +139,17 @@ def k_theory(delta: IntMatrix, basis: Optional[IntMatrix] = None) -> KData:
     return KData(FgGroup.free(basis.cols), basis, cokernel(delta), delta)
 
 
-class CompactIdealSpec(Frozen):
+class CompactIdealSpec(Value):
     """Support of a projection-generated ideal, as plain index sets: the
-    points S it contains plus the forced adjacent interval blocks T.
-    Equality and the hash read S and T: the tests compare and collect the
-    witnesses."""
+    points S it contains plus the forced adjacent interval blocks T.  A
+    hashable Value: the tests compare and collect the witnesses."""
 
     __slots__ = ("S", "T")
+    __hash__ = Value.field_hash
 
     def __init__(self, S: tuple, T: tuple):
         object.__setattr__(self, "S", S)  # sorted 0-based point indices
         object.__setattr__(self, "T", T)  # sorted 0-based interval indices, always adj(S)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.S == other.S and self.T == other.T
-
-    def __hash__(self):
-        return hash((self.S, self.T))
 
 
 def adjacent_blocks(pattern: tuple, S: Sequence[int]) -> tuple:

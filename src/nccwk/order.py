@@ -2,7 +2,7 @@
 
 Stage cones come from the complexes themselves (kernel coordinates with
 nonnegative point ranks); limit cones are supplied as exact membership
-oracles.  Unperforation checking is a bounded, sampled verifier, never a
+predicates.  Unperforation checking is a bounded, sampled verifier, never a
 prover.
 """
 
@@ -12,38 +12,21 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
-from .fgab.intmat import Frozen
+from .fgab.intmat import Value
 from .homind import IndSystem, LimitElement
 
 
-class ConeOracle(Frozen):
-    """Exact membership predicate."""
-
-    __slots__ = ("membership",)
-
-    def __init__(self, membership: Callable):
-        object.__setattr__(self, "membership", membership)
-
-    def contains(self, g) -> bool:
-        return bool(self.membership(g))
-
-
-class GradedElement(Frozen):
+class GradedElement(Value):
     """An element of K_0 (+) K_1, components in whatever exact coordinates
-    the ambient cone oracle expects.  Equality reads both components (the
-    tests compare the elements an oracle was asked about), and the repr
-    names them in graded_witness_cone's error."""
+    the ambient cone expects.  It is a Value (the tests compare the elements
+    a cone was asked about), and the repr names them in graded_witness_cone's
+    error."""
 
     __slots__ = ("g0", "g1")
 
     def __init__(self, g0: tuple, g1: tuple):
         object.__setattr__(self, "g0", g0)
         object.__setattr__(self, "g1", g1)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.g0 == other.g0 and self.g1 == other.g1
 
     def __repr__(self):
         return f"GradedElement(g0={self.g0!r}, g1={self.g1!r})"
@@ -93,13 +76,13 @@ def eventual_dominates(sys: IndSystem, u: Sequence[int], v: Sequence[int],
     return first
 
 
-def check_unperforated(cone: ConeOracle, samples: Iterable, nmax: int) -> Optional[Tuple]:
+def check_unperforated(cone: Callable, samples: Iterable, nmax: int) -> Optional[Tuple]:
     """Search for a perforation violation: g outside the cone with n*g
     inside, 2 <= n <= nmax.  None means no violation among the samples;
     a bounded verifier, not a proof (unless the cone is dilation invariant).
 
-    The bare predicate cone.membership is asked once per sample and once per
-    (outside sample, n) pair, n ascending, so a run without violation makes
+    The predicate cone is asked once per sample and once per (outside
+    sample, n) pair, n ascending, so a run without violation makes
     len(samples) + outside * (nmax - 1) calls.  A tuple sample outside the
     cone dilates coordinatewise: each coordinate's row of dilations
     n*x, n = 2..nmax, is built once per call, as Fraction(a * n, d) for a
@@ -110,7 +93,6 @@ def check_unperforated(cone: ConeOracle, samples: Iterable, nmax: int) -> Option
     """
     if nmax < 2:
         raise ValueError("nmax must be at least 2")
-    contains = cone.membership
     factors = range(2, nmax + 1)
     rows = {}
 
@@ -125,24 +107,24 @@ def check_unperforated(cone: ConeOracle, samples: Iterable, nmax: int) -> Option
         return r
 
     for g in samples:
-        if contains(g):
+        if cone(g):
             continue
         if hasattr(g, "scale"):
             dilations = map(g.scale, factors)
         else:
             dilations = zip(*map(row, g)) if g else repeat(())
         for n, h in zip(factors, dilations):
-            if contains(h):
+            if cone(h):
                 return (g, n)
     return None
 
 
-def verify_perforation_witness(cone: ConeOracle, g, n: int) -> bool:
+def verify_perforation_witness(cone: Callable, g, n: int) -> bool:
     """Confirm a perforation witness: n*g positive but g not."""
     if n < 2:
         raise ValueError("a witness needs n >= 2")
     ng = g.scale(n) if hasattr(g, "scale") else tuple([x * n for x in g])
-    return cone.contains(ng) and not cone.contains(g)
+    return cone(ng) and not cone(g)
 
 
 # -- the concrete cones of the inductive-limit constructions -----------------
@@ -157,7 +139,7 @@ def _check_localized(d: int, prime: int) -> bool:
 _EXACT = (int, Fraction)
 
 
-def halfplane_cone(first_prime: int, second_prime: int) -> ConeOracle:
+def halfplane_cone(first_prime: int, second_prime: int) -> Callable:
     """{(x, y) : x > 0, or x = 0 and y >= 0} on Z[1/p] (+) Z[1/q].
 
     Dilation invariant: n x > 0 iff x > 0 and n y >= 0 iff y >= 0 for
@@ -192,10 +174,10 @@ def halfplane_cone(first_prime: int, second_prime: int) -> ConeOracle:
             y_ok.add(dy)
         return xn > 0 or (xn == 0 and yn >= 0)
 
-    return ConeOracle(member)
+    return member
 
 
-def graded_witness_cone(k0_cone: ConeOracle, table: dict) -> ConeOracle:
+def graded_witness_cone(k0_cone: Callable, table: dict) -> Callable:
     """Partial graded order on K_0 (+) K_1 supplied by a scenario.
 
     Membership is table-driven for graded elements with nonzero K_1 part
@@ -206,13 +188,13 @@ def graded_witness_cone(k0_cone: ConeOracle, table: dict) -> ConeOracle:
 
     def member(g: GradedElement) -> bool:
         if all(x == 0 for x in g.g1):
-            return k0_cone.contains(g.g0)
+            return k0_cone(g.g0)
         key = (tuple(Fraction(x) for x in g.g0), tuple(int(x) for x in g.g1))
         if key in table:
             return table[key]
         raise ValueError(f"graded cone oracle is undefined on {g}")
 
-    return ConeOracle(member)
+    return member
 
 
 _SAMPLE_SEED = 20250809

@@ -8,7 +8,6 @@ from nccwk.fgab.groups import FgGroup, GroupHom
 from nccwk.fgab.intmat import IntMatrix
 from nccwk.homind import IndSystem
 from nccwk.order import (
-    ConeOracle,
     GradedElement,
     check_unperforated,
     deterministic_localized_samples,
@@ -98,28 +97,28 @@ class TestUnperforation:
         assert check_unperforated(cone, samples, 24) is None
 
     def test_gap_cone_violation(self):
-        cone = ConeOracle(lambda g: g[0] == 0 or g[0] >= 2)
+        cone = lambda g: g[0] == 0 or g[0] >= 2
         assert check_unperforated(cone, [(1,)], 4) == ((1,), 2)
 
     def test_full_cone(self):
-        cone = ConeOracle(lambda g: True)
+        cone = lambda g: True
         assert check_unperforated(cone, [(x,) for x in range(-5, 5)], 6) is None
 
     def test_ambient_validation(self):
         cone = halfplane_cone(3, 2)
         with pytest.raises(ValueError):
-            cone.contains((Fraction(1, 5), Fraction(0)))
+            cone((Fraction(1, 5), Fraction(0)))
         # inexact or non-numeric coordinates are refused, not converted
         with pytest.raises(ValueError):
-            cone.contains((0.5, Fraction(0)))
+            cone((0.5, Fraction(0)))
         with pytest.raises(ValueError):
-            cone.contains((Fraction(1), "1/3"))
+            cone((Fraction(1), "1/3"))
         # elements are pairs: a third coordinate is not dropped, a lone one
         # is not an IndexError
         with pytest.raises(ValueError, match="pairs, not 3-tuples"):
-            cone.contains((1, 0, -5))
+            cone((1, 0, -5))
         with pytest.raises(ValueError, match="pairs, not 1-tuples"):
-            cone.contains((1,))
+            cone((1,))
 
     def test_accepted_denominators_are_per_cone(self):
         """A denominator that is not a power of the prime raises on every
@@ -127,42 +126,42 @@ class TestUnperforation:
         cone = halfplane_cone(3, 2)
         for _ in range(2):
             with pytest.raises(ValueError, match="outside the localized ambient group"):
-                cone.contains((Fraction(1, 5), 0))
+                cone((Fraction(1, 5), 0))
             with pytest.raises(ValueError, match="outside the localized ambient group"):
-                cone.contains((0, Fraction(1, 3)))
-        assert cone.contains((Fraction(1, 3), 0))
+                cone((0, Fraction(1, 3)))
+        assert cone((Fraction(1, 3), 0))
         swapped = halfplane_cone(2, 3)
         for _ in range(2):
             with pytest.raises(ValueError, match="outside the localized ambient group"):
-                swapped.contains((Fraction(1, 3), 0))
-        assert cone.contains((Fraction(1, 3), 0))
+                swapped((Fraction(1, 3), 0))
+        assert cone((Fraction(1, 3), 0))
 
 
 def recording(cone):
-    """The cone's oracle, recording every argument it is asked about."""
+    """The cone, recording every argument it is asked about."""
     calls = []
-    return ConeOracle(lambda g: calls.append(g) or cone.contains(g)), calls
+    return lambda g: calls.append(g) or cone(g), calls
 
 
 class TestSweepOracleCalls:
     def test_one_call_per_sample_and_per_outside_dilation(self):
         cone = halfplane_cone(3, 2)
         samples = list(deterministic_localized_samples(3, 2, 2000))
-        outside = sum(not cone.contains(g) for g in samples)
+        outside = sum(not cone(g) for g in samples)
         for nmax in (2, 12):
             oracle, calls = recording(cone)
             assert check_unperforated(oracle, samples, nmax) is None
             assert len(calls) == len(samples) + outside * (nmax - 1)
 
     def test_stops_at_first_violation(self):
-        oracle, calls = recording(ConeOracle(lambda g: g[0] <= 0 or g[0] >= 6))
+        oracle, calls = recording(lambda g: g[0] <= 0 or g[0] >= 6)
         assert check_unperforated(oracle, [(0,), (2,), (1,), (7,)], 8) == ((2,), 3)
         assert calls == [(0,), (2,), (4,), (6,)]
 
     def test_dilations_match_coordinatewise_products(self):
         samples = [(Fraction(-1, 3), 2), (-4, Fraction(5, 8)), (Fraction(3, 4), Fraction(0)),
                    (Fraction(7), Fraction(-9, 2)), (True, Fraction(-1, 6))]
-        oracle, calls = recording(ConeOracle(lambda g: False))
+        oracle, calls = recording(lambda g: False)
         assert check_unperforated(oracle, samples, 7) is None
         expected = []
         for g in samples:
@@ -179,7 +178,7 @@ class TestSweepOracleCalls:
         different types (2, Fraction(2), True) each dilate by their own rule."""
         column = [2, Fraction(2), True, Fraction(-1, 3), -4]
         samples = [(x, y) for x in column for y in column] + [(True, 2), (Fraction(2), True)]
-        oracle, calls = recording(ConeOracle(lambda g: False))
+        oracle, calls = recording(lambda g: False)
         assert check_unperforated(oracle, samples, 9) is None
         expected = []
         for g in samples:
@@ -193,7 +192,7 @@ class TestSweepOracleCalls:
                 assert (x.numerator, x.denominator) == (y.numerator, y.denominator)
 
     def test_empty_sample_is_asked_once_per_n(self):
-        oracle, calls = recording(ConeOracle(lambda g: False))
+        oracle, calls = recording(lambda g: False)
         assert check_unperforated(oracle, [()], 4) is None
         assert calls == [()] * 4
 
@@ -206,7 +205,7 @@ class TestSweepOracleCalls:
                 return super().scale(n)
 
         g = Recorded((Fraction(-1, 2), Fraction(1, 3)), (1,))
-        oracle, calls = recording(ConeOracle(lambda h: False))
+        oracle, calls = recording(lambda h: False)
         assert check_unperforated(oracle, [g], 5) is None
         assert factors == [2, 3, 4, 5]
         assert calls[1:] == [GradedElement((-n * Fraction(1, 2), n * Fraction(1, 3)), (n,))
@@ -233,14 +232,14 @@ class TestSweeps:
         assert asked == wide
 
     def test_small_violation_takes_one_sweep(self):
-        cone = ConeOracle(lambda g: g[0] == 0 or g[0] >= 2)
+        cone = lambda g: g[0] == 0 or g[0] >= 2
         got, asked, (_, wide) = self.both(cone, [(0,), (1,), (3,)], 3, 6)
         assert got == (((1,), 2), ((1,), 2))
         assert asked == wide
 
     def test_large_violation_falls_back(self):
         # (2,) first lands inside at n = 5 > small; the later (5,) at n = 2
-        cone = ConeOracle(lambda g: g[0] <= 0 or g[0] >= 10)
+        cone = lambda g: g[0] <= 0 or g[0] >= 10
         got, asked, (narrow, wide) = self.both(cone, [(0,), (2,), (5,)], 3, 6)
         assert got == (((5,), 2), ((2,), 5))
         assert asked == narrow + wide
@@ -260,7 +259,7 @@ def test_thm33_cone_questions(monkeypatch):
 
     def counting(p, q):
         cone = halfplane_cone(p, q)
-        return ConeOracle(lambda g: calls.append(g) or cone.membership(g))
+        return lambda g: calls.append(g) or cone(g)
 
     monkeypatch.setattr(scenarios, "halfplane_cone", counting)
     run_scenario("thm3.3")
@@ -314,10 +313,10 @@ class TestHalfplaneCone:
                 want = halfplane_reference(g, 3, 2)
             except ValueError as e:
                 with pytest.raises(ValueError) as got:
-                    cone.membership(g)
+                    cone(g)
                 assert str(got.value) == str(e)
             else:
-                assert cone.membership(g) is want
+                assert cone(g) is want
 
     def test_fraction_keeps_its_value_in_slots(self):
         assert {"_numerator", "_denominator"} <= set(Fraction.__slots__)
@@ -370,7 +369,7 @@ class TestGradedWitness:
     def test_undefined_inputs_raise(self):
         g = GradedElement.of((Fraction(1), Fraction(1)), (5,))
         with pytest.raises(ValueError):
-            self.cone().contains(g)
+            self.cone()(g)
 
     def test_small_n_rejected(self):
         g = GradedElement.of((Fraction(0), Fraction(1, 2)), (1,))

@@ -1,9 +1,13 @@
-"""Floats, runtime dependencies and assert statements stay at zero in src/.
+"""Floats, runtime dependencies, assert statements and hand-written equality
+stay at zero in src/.
 
 Every module is parsed and walked; a float literal, true division, the
 name `float`, an import from outside nccwk and the standard library, an
-import of `dataclasses` or an `assert` statement (which `python -O` drops)
-fails the test with its file and line.  `dataclasses` writes and `exec`s
+import of `dataclasses`, an `assert` statement (which `python -O` drops)
+or an `__eq__` or `__hash__` in a class body fails the test with its file
+and line.  Value classes take their equality from `fgab.intmat.Value` and
+opt into hashing with `__hash__ = Value.field_hash`; only `Value` itself,
+`IntMatrix` and `FgGroup` write their own.  `dataclasses` writes and `exec`s
 the methods of every class it decorates each time the module is imported,
 which `.pyc` files do not cache; the value classes are plain classes
 (`fgab.intmat.Frozen`), and a fresh `import nccwk.harness.cli` loads
@@ -21,6 +25,8 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 SOURCES = sorted(SRC.rglob("*.py"))
 REFUSED_STDLIB = {"dataclasses"}
+OWN_EQUALITY = {"Value", "IntMatrix", "FgGroup"}
+EQUALITY = {"__eq__", "__hash__"}
 
 
 def offences(tree):
@@ -42,6 +48,16 @@ def offences(tree):
                 top = name.split(".")[0]
                 if top in REFUSED_STDLIB or (top != "nccwk" and top not in sys.stdlib_module_names):
                     yield node, f"import of {name}"
+        elif isinstance(node, ast.ClassDef) and node.name not in OWN_EQUALITY:
+            for stmt in node.body:
+                if isinstance(stmt, ast.FunctionDef):
+                    names = [stmt.name]
+                elif isinstance(stmt, ast.Assign) and ast.unparse(stmt.value) != "Value.field_hash":
+                    names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                for name in EQUALITY.intersection(names):
+                    yield stmt, f"{name} written in class {node.name}"
 
 
 def test_sources_found():
@@ -58,13 +74,18 @@ def test_no_floats_or_dependencies(path):
 @pytest.mark.parametrize("snippet", ["x = 0.5", "x = a / b", "x /= 2", "y = float(x)",
                                      "import numpy", "from sympy import Matrix", "x = 1j",
                                      "assert x", "import dataclasses",
-                                     "from dataclasses import dataclass"])
+                                     "from dataclasses import dataclass",
+                                     "class A:\n    def __eq__(self, other):\n        return True",
+                                     "class A:\n    def __hash__(self):\n        return 0",
+                                     "class A:\n    __hash__ = object.__hash__"])
 def test_guard_catches(snippet):
     assert list(offences(ast.parse(snippet)))
 
 
 def test_guard_passes_exact_code():
-    code = "from __future__ import annotations\nfrom .groups import FgGroup\nimport math\nx = 7 // 2\n"
+    code = ("from __future__ import annotations\nfrom .groups import FgGroup\nimport math\nx = 7 // 2\n"
+            "class A(Value):\n    __hash__ = Value.field_hash\n"
+            "class FgGroup:\n    def __eq__(self, other):\n        return True\n")
     assert not list(offences(ast.parse(code)))
 
 

@@ -1,11 +1,14 @@
-"""Value semantics of the classes that keep equality.
+"""Value semantics of the classes that compare by value.
 
-The value classes are plain classes, not dataclasses.  Each one that some
-reader compares keeps an __eq__ over all its fields, and a __hash__ only
-where a reader hashes it (the Smith cache, the atom runs, the tests' sets
-of witnesses); every value refuses to have an attribute set or deleted.
-A case is a class, the arguments of one value and, per argument position,
-another argument: changing any one field must make the value unequal.
+The value classes are plain classes, not dataclasses.  One rule, in
+fgab.intmat.Value, decides their equality: equal when of one class with
+equal fields, the fields being the constructor's parameters.  A Value is
+hashable only where a reader hashes it (the atom runs, the tests' sets of
+witnesses); IntMatrix (the Smith cache key) and FgGroup (equal on its
+presentation) write their own equality and hash.  Every value refuses to
+have an attribute set or deleted.  A case is a class, the arguments of
+one value and, per argument position, another argument: changing any one
+field must make the value unequal.
 """
 
 import inspect
@@ -13,7 +16,7 @@ import inspect
 import pytest
 
 from nccwk.fgab.groups import FgGroup, GroupHom, ShortExactSeq
-from nccwk.fgab.intmat import IntMatrix
+from nccwk.fgab.intmat import IntMatrix, Value
 from nccwk.harness.inputfmt import (
     Const,
     ExpLin,
@@ -114,7 +117,10 @@ def test_each_field_is_compared(cls, args, others, hashable):
 @pytest.mark.parametrize("cls, args, others, hashable", CASES)
 def test_values_are_immutable(cls, args, others, hashable):
     a = cls(*args)
-    for name in inspect.signature(cls).parameters:
+    names = tuple(inspect.signature(cls).parameters)
+    if issubclass(cls, Value):
+        assert cls._fields == names
+    for name in names:
         before = getattr(a, name)
         with pytest.raises(AttributeError):
             setattr(a, name, None)
