@@ -30,17 +30,10 @@ from .fgab.groups import (
 class ModNKData(Frozen):
     """K_*(;Z_n) with the chosen summand decomposition retained."""
 
-    __slots__ = ("n", "k0", "k1", "k0_tensor", "k0_tor", "k1_tensor", "k1_tor")
-
-    def __init__(self, n: int, k0: FgGroup, k1: FgGroup, k0_tensor: FgGroup, k0_tor: FgGroup,
-                 k1_tensor: FgGroup, k1_tor: FgGroup):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k0", k0)
-        object.__setattr__(self, "k1", k1)
-        object.__setattr__(self, "k0_tensor", k0_tensor)  # K_0 (x) Z_n, presented on K_0's generators
-        object.__setattr__(self, "k0_tor", k0_tor)        # Tor(K_1, Z_n)
-        object.__setattr__(self, "k1_tensor", k1_tensor)
-        object.__setattr__(self, "k1_tor", k1_tor)
+    __slots__ = ("n", "k0", "k1",
+                 "k0_tensor",  # K_0 (x) Z_n, presented on K_0's generators
+                 "k0_tor",     # Tor(K_1, Z_n)
+                 "k1_tensor", "k1_tor")
 
     @property
     def k0n(self) -> FgGroup:
@@ -58,10 +51,7 @@ def mod_n(k0: FgGroup, k1: FgGroup, n: int) -> ModNKData:
     """Coefficient K-data; n = 0 reproduces the input, n = 1 kills it."""
     if n < 0:
         raise ValueError("modulus must be nonnegative")
-    return ModNKData(
-        n, k0, k1,
-        k0_tensor=tensor_zn(k0, n), k0_tor=tor_zn(k1, n),
-        k1_tensor=tensor_zn(k1, n), k1_tor=tor_zn(k0, n))
+    return ModNKData(n, k0, k1, tensor_zn(k0, n), tor_zn(k1, n), tensor_zn(k1, n), tor_zn(k0, n))
 
 
 def rho_map(data: ModNKData, degree: int) -> GroupHom:
@@ -109,11 +99,7 @@ class KappaMaps(Frozen):
     """kappa_{mn,m}: K_i(;Z_m) -> K_i(;Z_mn) and kappa_{n,mn}: K_i(;Z_mn) -> K_i(;Z_n),
     one pair per degree."""
 
-    __slots__ = ("to_mn", "from_mn")
-
-    def __init__(self, to_mn: tuple, from_mn: tuple):
-        object.__setattr__(self, "to_mn", to_mn)  # (degree 0 hom, degree 1 hom)
-        object.__setattr__(self, "from_mn", from_mn)
+    __slots__ = ("to_mn", "from_mn")  # each (degree 0 hom, degree 1 hom)
 
 
 def _tor_diagonal(entries) -> IntMatrix:

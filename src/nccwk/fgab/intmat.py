@@ -46,14 +46,29 @@ from typing import Iterable, Optional, Sequence
 
 
 class Frozen:
-    """Base of the package's immutable classes, which are plain classes (no
-    generated code): each sets its attributes once, in __init__, through
-    object.__setattr__, and setting or deleting one afterwards raises
-    AttributeError.  A Frozen class compares by identity; the ones that
-    compare by value derive from Value, except IntMatrix and FgGroup,
-    which write their own equality and hash."""
+    """Base of the package's immutable records, which are plain classes (no
+    generated code).  A record's fields, cls._fields, are its slot names
+    along the MRO except "__dict__", which a class with a cached_property
+    keeps; Frozen.__init__ takes one value per field, in that order, and
+    sets each once through object.__setattr__.  Setting or deleting one
+    afterwards raises AttributeError.  A class that validates its input or
+    derives a field writes its own __init__.  A Frozen class compares by
+    identity; the ones that compare by value derive from Value, except
+    IntMatrix and FgGroup, which write their own equality and hash."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for c in reversed(cls.__mro__)
+                            for name in c.__dict__.get("__slots__", ()) if name != "__dict__")
+
+    def __init__(self, *values):
+        try:
+            for name, value in zip(self._fields, values, strict=True):
+                object.__setattr__(self, name, value)
+        except ValueError:
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values "
+                            f"({', '.join(self._fields)}), got {len(values)}") from None
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot set {name!r}: {type(self).__name__} is immutable")
@@ -64,18 +79,13 @@ class Frozen:
 
 class Value(Frozen):
     """The one equality rule for values: two are equal when they are of one
-    class and their fields are equal.  The fields, cls._fields, are the slot
-    names along the MRO except "__dict__", which a class with a
-    cached_property keeps.  Hashing is opt-in: a class that some reader
-    hashes sets __hash__ = Value.field_hash, the hash of its field tuple,
-    and every other Value is unhashable.  IntMatrix (the Smith cache key)
-    and FgGroup (equal on 2 of its 5 slots) are the two exceptions."""
+    class and their fields (cls._fields, see Frozen) are equal.  Hashing is
+    opt-in: a class that some reader hashes sets __hash__ = Value.field_hash,
+    the hash of its field tuple, and every other Value is unhashable.
+    IntMatrix (the Smith cache key) and FgGroup (equal on 2 of its 5 slots)
+    are the two exceptions."""
 
     __slots__ = ()
-
-    def __init_subclass__(cls):
-        cls._fields = tuple(name for c in reversed(cls.__mro__)
-                            for name in c.__dict__.get("__slots__", ()) if name != "__dict__")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -247,11 +257,7 @@ class SmithDecomposition(Frozen):
     cached matrices live in the instance __dict__.
     """
 
-    def __init__(self, D: IntMatrix, invariant_factors: tuple, row_ops: tuple, col_ops: tuple):
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "invariant_factors", invariant_factors)
-        object.__setattr__(self, "row_ops", row_ops)
-        object.__setattr__(self, "col_ops", col_ops)
+    __slots__ = ("D", "invariant_factors", "row_ops", "col_ops", "__dict__")
 
     @cached_property
     def U(self) -> IntMatrix:

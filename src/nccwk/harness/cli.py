@@ -53,12 +53,15 @@ def _pick(names, requested, what, query_hint=None, flag="--name"):
         return names[0]
     if not names:
         raise SystemExit(f"error: the document declares no {what}")
-    raise SystemExit(f"error: several {what}s declared ({', '.join(names)}); pick one with {flag}")
+    plural = what + ("es" if what.endswith("x") else "s")
+    raise SystemExit(f"error: several {plural} declared ({', '.join(names)}); pick one with {flag}")
 
 
-def _query_hint(doc, kind, key="target"):
+def _query_hint(doc, kinds, key="target"):
+    """The `key` of the first query whose kind is one of `kinds`, the modes
+    this call runs."""
     for q in doc.queries:
-        if q.kind == kind:
+        if q.kind in kinds:
             return q.get(key)
     return None
 
@@ -102,7 +105,8 @@ def cmd_search(args) -> int:
 
 def cmd_ktheory(args) -> int:
     doc = _load(args.file)
-    name = _pick(doc.complex_names(), args.name, "complex", _query_hint(doc, "ktheory"))
+    kind = "ktheory" if args.what == "complex" else "ideal"
+    name = _pick(doc.complex_names(), args.name, "complex", _query_hint(doc, (kind,)))
     cx = doc.get_complex(name)
     if args.what == "complex":
         kd = k_theory(cx.delta)
@@ -124,7 +128,7 @@ def cmd_ktheory(args) -> int:
 
 def cmd_classify(args) -> int:
     doc = _load(args.file)
-    name = _pick(doc.complex_names(), args.name, "complex", _query_hint(doc, "classify"))
+    name = _pick(doc.complex_names(), args.name, "complex", _query_hint(doc, ("classify",)))
     cls = classify_block(doc.get_complex(name))
     print(f"{name}: {cls}")
     return 0
@@ -132,12 +136,13 @@ def cmd_classify(args) -> int:
 
 def cmd_limit(args) -> int:
     doc = _load(args.file)
-    names = [n for n, _ in doc.systems]
-    name = _pick(names, args.system, "system", _query_hint(doc, "identify", "system"),
-                 flag="--system")
-    sys_obj = doc.system_object(name)
-    if args.stages is None and not args.identify and args.divisible is None:
+    modes = [kind for kind, on in (("stages", args.stages is not None), ("identify", args.identify),
+                                   ("divisible", args.divisible is not None)) if on]
+    if not modes:
         raise SystemExit("error: choose --stages N, --identify, or --divisible G N")
+    names = [n for n, _ in doc.systems]
+    name = _pick(names, args.system, "system", _query_hint(doc, modes, "system"), flag="--system")
+    sys_obj = doc.system_object(name)
     if args.divisible is not None:
         vec, n = _vector(args.divisible[0]), _integer(args.divisible[1])
     # every result before the first line, so a failing call prints none
@@ -169,7 +174,7 @@ def cmd_limit(args) -> int:
 
 def cmd_coeff(args) -> int:
     doc = _load(args.file)
-    name = _pick(doc.complex_names(), args.name, "complex", _query_hint(doc, "coeff"))
+    name = _pick(doc.complex_names(), args.name, "complex", _query_hint(doc, ("coeff",)))
     kd = k_theory(doc.get_complex(name).delta)
     moduli = [_integer(x) for x in args.n.split(",")]
     tables = [(n, mod_n(kd.k0, kd.k1, n)) for n in moduli]
@@ -182,8 +187,9 @@ def cmd_coeff(args) -> int:
 def cmd_order(args) -> int:
     doc = _load(args.file)
     names = [n for n, s in doc.systems if s.degree == 0]
+    kind = "dominates" if args.dominates is not None else "perforation-witness"
     name = _pick(names, args.system, "degree-0 system",
-                 _query_hint(doc, "dominates", "system"), flag="--system")
+                 _query_hint(doc, (kind,), "system"), flag="--system")
     sys_obj = doc.system_object(name)
     if args.dominates is not None:
         u, v = _vector(args.dominates[0]), _vector(args.dominates[1])

@@ -71,10 +71,6 @@ class ExpLin(Value):
 
     __slots__ = ("has_n", "offset")
 
-    def __init__(self, has_n: bool, offset: int):
-        object.__setattr__(self, "has_n", has_n)
-        object.__setattr__(self, "offset", offset)
-
     def value(self, n: Optional[int]) -> int:
         if not self.has_n:
             return self.offset
@@ -93,9 +89,6 @@ class ExpLin(Value):
 class Const(Value):
     __slots__ = ("value",)
 
-    def __init__(self, value: int):
-        object.__setattr__(self, "value", value)
-
     def eval(self, n):
         return self.value
 
@@ -105,10 +98,6 @@ class Const(Value):
 
 class Power(Value):
     __slots__ = ("base", "exp")
-
-    def __init__(self, base: int, exp: ExpLin):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exp", exp)
 
     def eval(self, n):
         e = self.exp.value(n)
@@ -123,9 +112,6 @@ class Power(Value):
 class L5(Value):
     __slots__ = ("arg",)
 
-    def __init__(self, arg: ExpLin):
-        object.__setattr__(self, "arg", arg)
-
     def eval(self, n):
         return l5_value(self.arg.value(n))
 
@@ -137,10 +123,7 @@ class L5(Value):
 class SizeExpr(Value):
     """Sum of signed products of factors."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: tuple):
-        object.__setattr__(self, "terms", terms)  # ((sign, (factor, ...)), ...)
+    __slots__ = ("terms",)  # ((sign, (factor, ...)), ...)
 
     def eval(self, n: Optional[int] = None) -> int:
         total = 0
@@ -281,17 +264,9 @@ def parse_size_expr(text: str, line: int = 0) -> SizeExpr:
 # -- document model -----------------------------------------------------------
 
 class FamilySpec(Value):
-    __slots__ = ("name", "n0", "k", "h", "alpha", "beta", "unital")
-
-    def __init__(self, name: str, n0: int, k: tuple, h: tuple, alpha: IntMatrix, beta: IntMatrix,
-                 unital: bool):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "n0", n0)
-        object.__setattr__(self, "k", k)  # SizeExpr per point block
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "unital", unital)
+    __slots__ = ("name", "n0",
+                 "k",  # SizeExpr per point block
+                 "h", "alpha", "beta", "unital")
 
     def complex_at(self, n: int) -> NccwComplex:
         return NccwComplex(tuple(e.eval(n) for e in self.k),
@@ -300,37 +275,18 @@ class FamilySpec(Value):
 
 
 class MapSpec(Value):
-    __slots__ = ("name", "source", "target", "f1", "f2", "unital")
-
-    def __init__(self, name: str, source: str, target: str, f1: tuple, f2: tuple, unital: bool):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        # per target point: AtPoint / AtInterior atoms, keyword then index order;
-        # per target block: AtPoint / AtInterior / FullPath atoms
-        object.__setattr__(self, "f1", f1)
-        object.__setattr__(self, "f2", f2)
-        object.__setattr__(self, "unital", unital)
+    __slots__ = ("name", "source", "target",
+                 "f1",  # per target point: AtPoint / AtInterior atoms, keyword then index order
+                 "f2",  # per target block: AtPoint / AtInterior / FullPath atoms
+                 "unital")
 
 
 class SystemSpec(Value):
     __slots__ = ("name", "family", "bonding", "degree", "constant_from")
 
-    def __init__(self, name: str, family: str, bonding: str, degree: int,
-                 constant_from: Optional[int]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "bonding", bonding)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "constant_from", constant_from)
-
 
 class Query(Value):
-    __slots__ = ("kind", "params")
-
-    def __init__(self, kind: str, params: tuple):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", params)  # sorted (key, value) pairs
+    __slots__ = ("kind", "params")  # params: sorted (key, value) pairs
 
     def get(self, key: str, default=None):
         for k, v in self.params:
@@ -347,15 +303,11 @@ def _lookup(pairs, name: str, what: str):
 
 
 class InputDocument(Value):
-    __slots__ = ("complexes", "families", "maps", "systems", "queries")
-
-    def __init__(self, complexes: tuple, families: tuple, maps: tuple, systems: tuple,
-                 queries: tuple):
-        object.__setattr__(self, "complexes", complexes)  # (name, NccwComplex) pairs in declaration order
-        object.__setattr__(self, "families", families)    # (name, FamilySpec)
-        object.__setattr__(self, "maps", maps)            # (name, MapSpec)
-        object.__setattr__(self, "systems", systems)      # (name, SystemSpec)
-        object.__setattr__(self, "queries", queries)      # Query
+    __slots__ = ("complexes",  # (name, NccwComplex) pairs in declaration order
+                 "families",   # (name, FamilySpec)
+                 "maps",       # (name, MapSpec)
+                 "systems",    # (name, SystemSpec)
+                 "queries")    # Query
 
     def complex_names(self):
         return [n for n, _ in self.complexes]

@@ -56,10 +56,6 @@ DEFAULT_BOUNDS = SearchBounds()
 class OddBlock(Frozen):
     __slots__ = ("complex", "witness")
 
-    def __init__(self, complex: NccwComplex, witness: CompactIdealSpec):
-        object.__setattr__(self, "complex", complex)
-        object.__setattr__(self, "witness", witness)
-
 
 def _canonical_key(k, h, alpha_rows, beta_rows):
     """Canonical form under simultaneous permutation of point blocks and of

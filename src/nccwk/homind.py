@@ -35,7 +35,6 @@ from .fgab.intmat import (
 from .fgab.groups import (
     FgGroup,
     GroupHom,
-    ShortExactSeq,
     check_ladder,
     is_exact,
     is_pure,
@@ -63,18 +62,12 @@ class AtPoint(Value):
     __slots__ = ("j",)
     __hash__ = Value.field_hash
 
-    def __init__(self, j: int):
-        object.__setattr__(self, "j", j)
-
 
 class _OnBlock(Value):
     """An evaluation on the i-th source interval block."""
 
     __slots__ = ("i",)
     __hash__ = Value.field_hash
-
-    def __init__(self, i: int):
-        object.__setattr__(self, "i", i)
 
 
 class AtInterior(_OnBlock):
@@ -389,11 +382,8 @@ class LimitElement(Frozen):
 
 
 class TruncatedSystem(Frozen):
-    __slots__ = ("groups", "bondings")
-
-    def __init__(self, groups: tuple, bondings: tuple):
-        object.__setattr__(self, "groups", groups)      # stages 0..N
-        object.__setattr__(self, "bondings", bondings)  # homs n -> n+1 for n < N
+    __slots__ = ("groups",    # stages 0..N
+                 "bondings")  # homs n -> n+1 for n < N
 
 
 def truncate(sys: IndSystem, N: int) -> TruncatedSystem:
@@ -405,11 +395,7 @@ def truncate(sys: IndSystem, N: int) -> TruncatedSystem:
 
 
 class EqualityVerdict(Frozen):
-    __slots__ = ("kind", "stage")
-
-    def __init__(self, kind: str, stage: int):
-        object.__setattr__(self, "kind", kind)  # "equal" | "distinct" | "unknown"
-        object.__setattr__(self, "stage", stage)
+    __slots__ = ("kind", "stage")  # kind: "equal" | "distinct" | "unknown"
 
     def __str__(self):
         return f"{self.kind} (stage {self.stage})"
@@ -663,13 +649,10 @@ class LocalizedLimit(Frozen):
     free generators; the i-th one becomes divisible by every power of s_i.
     """
 
-    __slots__ = ("stage", "diagonal", "basis", "torsion")
-
-    def __init__(self, stage: int, diagonal: tuple, basis: IntMatrix, torsion: tuple):
-        object.__setattr__(self, "stage", stage)
-        object.__setattr__(self, "diagonal", diagonal)  # one positive integer per free summand
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "torsion", torsion)    # invariant factors of the fixed torsion part
+    __slots__ = ("stage",
+                 "diagonal",  # one positive integer per free summand
+                 "basis",
+                 "torsion")   # invariant factors of the fixed torsion part
 
     def localization_multiset(self) -> tuple:
         return tuple(sorted(_radical(s) for s in self.diagonal))
@@ -741,12 +724,8 @@ def identify_localized_limit(sys: IndSystem) -> Optional[LocalizedLimit]:
 # -- purity along a compatible ladder of systems ------------------------------
 
 class LadderPurity(Frozen):
+    # kind: "pure_through" | "nonpure_witness" | "stationary_verdict"
     __slots__ = ("kind", "stage", "limit_pure")
-
-    def __init__(self, kind: str, stage: int, limit_pure: Optional[bool] = None):
-        object.__setattr__(self, "kind", kind)  # "pure_through" | "nonpure_witness" | "stationary_verdict"
-        object.__setattr__(self, "stage", stage)
-        object.__setattr__(self, "limit_pure", limit_pure)
 
     def __str__(self):
         if self.kind == "pure_through":
@@ -780,7 +759,7 @@ def limit_ses_purity(ladder: "IdealLadder", N: int) -> LadderPurity:
             first_bad = n
             break
     if first_bad is None:
-        return LadderPurity("pure_through", N)
+        return LadderPurity("pure_through", N, None)
 
     # isomorphism bondings from the failing stage on (identities up to
     # presentation) freeze the sequence, so the stage verdict is the limit's
@@ -788,8 +767,8 @@ def limit_ses_purity(ladder: "IdealLadder", N: int) -> LadderPurity:
         return all(sys.bonding(s).is_isomorphism() for s in range(first_bad, N))
 
     if first_bad < N and stationary(sys_i) and stationary(sys_e) and stationary(sys_q):
-        return LadderPurity("stationary_verdict", first_bad, limit_pure=False)
-    return LadderPurity("nonpure_witness", first_bad)
+        return LadderPurity("stationary_verdict", first_bad, False)
+    return LadderPurity("nonpure_witness", first_bad, None)
 
 
 # -- families of complexes ----------------------------------------------------
@@ -810,8 +789,9 @@ class ComplexFamily:
     quotient families carry it.  basis, when given, is the K_0 basis of
     every stage (k_theory checks it), and the induced K_0 maps are matrices
     in it.  Stage complexes, bondings, ideal specs, derived families, K
-    systems and ideal rows are built once and memoized, and K data once per
-    distinct delta; ladder(S, degree) assembles a ladder from them.
+    systems and ideal rows are built once and memoized, K data once per
+    distinct delta and ideal rows once per distinct (delta, ideal spec);
+    ladder(S, degree) assembles a ladder from them.
     """
 
     def __init__(self, complex_at: Callable[[int], NccwComplex],
@@ -826,11 +806,19 @@ class ComplexFamily:
         self._bond = _Memo(lambda n: MapDescription(self._cx[n], self._cx[n + 1],
                                                     *assignment_at(n)))
         self._spec = _Memo(lambda S: _Memo(lambda n: make_ideal_spec(self._cx[n], S)))
-        self._rows = _Memo(lambda S: _Memo(lambda n: k_sequences(
-            self._cx[n].delta, self.ideal_spec(n, S), self._kd[n],
-            self.ideal_family(S).kdata(n), self.quotient_family(S).kdata(n))))
+        # the rows read delta and the spec alone: stages that share both share their rows
+        by_key = {}
+
+        def rows(S, n):
+            key = self._cx[n].delta, self.ideal_spec(n, S)
+            if key not in by_key:
+                by_key[key] = k_sequences(*key, self._kd[n], self.ideal_family(S).kdata(n),
+                                          self.quotient_family(S).kdata(n))
+            return by_key[key]
+
+        self._rows = _Memo(lambda S: _Memo(lambda n: rows(S, n)))
         self._derived = _Memo(lambda key: self._restricted(*key))
-        self._systems = {}
+        self._systems = _Memo(self._system)
 
     def complex_at(self, n: int) -> NccwComplex:
         return self._cx[n]
@@ -842,21 +830,20 @@ class ComplexFamily:
         return self._bond[n]
 
     def k0_system(self) -> IndSystem:
-        if 0 not in self._systems:
-            self._systems[0] = IndSystem(
-                lambda n: self._kd[n].k0,
-                lambda n: induced_k0(self._bond[n], self._kd[n], self._kd[n + 1]),
-                eventually_constant_from=self.constant_from,
-                cone_at=lambda n: self._kd[n].cone_contains)
         return self._systems[0]
 
     def k1_system(self) -> IndSystem:
-        if 1 not in self._systems:
-            self._systems[1] = IndSystem(
-                lambda n: self._kd[n].k1,
-                lambda n: induced_k1(self._bond[n], self._kd[n], self._kd[n + 1]),
-                eventually_constant_from=self.constant_from)
         return self._systems[1]
+
+    def _system(self, degree: int) -> IndSystem:
+        if degree:
+            return IndSystem(lambda n: self._kd[n].k1,
+                             lambda n: induced_k1(self._bond[n], self._kd[n], self._kd[n + 1]),
+                             eventually_constant_from=self.constant_from)
+        return IndSystem(lambda n: self._kd[n].k0,
+                         lambda n: induced_k0(self._bond[n], self._kd[n], self._kd[n + 1]),
+                         eventually_constant_from=self.constant_from,
+                         cone_at=lambda n: self._kd[n].cone_contains)
 
     def ideal_spec(self, n: int, S: Sequence[int]) -> CompactIdealSpec:
         return self._spec[_support(S)][n]
@@ -906,10 +893,3 @@ class IdealLadder(Frozen):
     ComplexFamily.ladder hands it out, reading the family's memoized rows."""
 
     __slots__ = ("sys_ideal", "sys_total", "sys_quotient", "row_at")
-
-    def __init__(self, sys_ideal: IndSystem, sys_total: IndSystem, sys_quotient: IndSystem,
-                 row_at: Callable[[int], ShortExactSeq]):
-        object.__setattr__(self, "sys_ideal", sys_ideal)
-        object.__setattr__(self, "sys_total", sys_total)
-        object.__setattr__(self, "sys_quotient", sys_quotient)
-        object.__setattr__(self, "row_at", row_at)

@@ -95,13 +95,10 @@ class KData(Value):
     """K-groups of alpha - beta with the kernel basis made explicit.  It is a
     Value: the tests compare the K data of two complexes with one delta."""
 
-    __slots__ = ("k0", "k0_basis", "k1", "delta")
-
-    def __init__(self, k0: FgGroup, k0_basis: IntMatrix, k1: FgGroup, delta: IntMatrix):
-        object.__setattr__(self, "k0", k0)              # free group on the kernel basis columns
-        object.__setattr__(self, "k0_basis", k0_basis)  # p x rank, a Z-basis of ker(alpha - beta)
-        object.__setattr__(self, "k1", k1)              # presented on Z^l by the columns of delta
-        object.__setattr__(self, "delta", delta)        # the alpha - beta these groups are for
+    __slots__ = ("k0",        # free group on the kernel basis columns
+                 "k0_basis",  # p x rank, a Z-basis of ker(alpha - beta)
+                 "k1",        # presented on Z^l by the columns of delta
+                 "delta")     # the alpha - beta these groups are for
 
     @property
     def rank(self) -> int:
@@ -144,12 +141,9 @@ class CompactIdealSpec(Value):
     points S it contains plus the forced adjacent interval blocks T.  A
     hashable Value: the tests compare and collect the witnesses."""
 
-    __slots__ = ("S", "T")
+    __slots__ = ("S",  # sorted 0-based point indices
+                 "T")  # sorted 0-based interval indices, always adj(S)
     __hash__ = Value.field_hash
-
-    def __init__(self, S: tuple, T: tuple):
-        object.__setattr__(self, "S", S)  # sorted 0-based point indices
-        object.__setattr__(self, "T", T)  # sorted 0-based interval indices, always adj(S)
 
 
 def adjacent_blocks(pattern: tuple, S: Sequence[int]) -> tuple:
@@ -351,14 +345,9 @@ class BlockClass(Enum):
 class Classification(Frozen):
     """classify_block's verdict; nothing compares verdicts."""
 
+    # specs whose rows fail exactness (boundary maps nonzero), then the
+    # exact but non-pure specs
     __slots__ = ("nonexact_witnesses", "nonpure_witnesses", "specs_checked")
-
-    def __init__(self, nonexact_witnesses: tuple, nonpure_witnesses: tuple, specs_checked: int):
-        # specs whose rows fail exactness (boundary maps nonzero), then the
-        # exact but non-pure specs
-        object.__setattr__(self, "nonexact_witnesses", nonexact_witnesses)
-        object.__setattr__(self, "nonpure_witnesses", nonpure_witnesses)
-        object.__setattr__(self, "specs_checked", specs_checked)
 
     @property
     def odd_witness(self) -> Optional[CompactIdealSpec]:

@@ -24,10 +24,6 @@ class GradedElement(Value):
 
     __slots__ = ("g0", "g1")
 
-    def __init__(self, g0: tuple, g1: tuple):
-        object.__setattr__(self, "g0", g0)
-        object.__setattr__(self, "g1", g1)
-
     def __repr__(self):
         return f"GradedElement(g0={self.g0!r}, g1={self.g1!r})"
 

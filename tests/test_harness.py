@@ -593,6 +593,7 @@ def call_main(argv):
 
 
 ODD = str(SAMPLES / "odd_tower.nccw")
+ODD_TEXT = (SAMPLES / "odd_tower.nccw").read_text()
 TORSION = str(SAMPLES / "torsion_tower.nccw")
 
 # (argv, exit status): help, usage errors, leftovers, subcommand errors and
@@ -647,9 +648,15 @@ class TestCliParsers:
         (("limit", ODD, "--system", "k0sys", "--stages", "1", "--identify",
           "--divisible", "0,1", "2", "--bound", "-3"), "bound must be nonnegative"),
         (("order", ODD, "--perforation-witness", "1,0", "x"), "expected an integer, got 'x'"),
+        (("limit", ODD), "choose --stages N, --identify, or --divisible G N"),
     ])
     def test_failing_call_prints_no_result(self, argv, message):
         assert call_main(argv) == (1, "", f"error: {message}\n")
+
+
+F0_BLOCK = (SAMPLES / "torsion_tower.nccw").read_text().split("\n\n")[1]
+TWO_COMPLEXES = F0_BLOCK.replace("F0", "A") + "\n" + F0_BLOCK.replace("F0", "B") + "\n"
+EXTRA_SYSTEM = "system k0b { family = C; bonding = psi; degree = 0 }\n"
 
 
 class TestCli:
@@ -736,6 +743,38 @@ class TestCli:
         code, out, _ = run_cli("order", str(SAMPLES / "odd_tower.nccw"),
                                "--dominates", "0,1", "1,0", "--bound", "4")
         assert code == 1
+
+    def test_several_complexes_need_a_name(self, tmp_path):
+        doc = tmp_path / "two.nccw"
+        doc.write_text(TWO_COMPLEXES)
+        assert call_main(["classify", str(doc)]) == (
+            1, "", "error: several complexes declared (A, B); pick one with --name\n")
+
+    @pytest.mark.parametrize("text, argv, first", [
+        (TWO_COMPLEXES + "query { kind = ktheory; target = A }\nquery { kind = ideal; target = B }\n",
+         ("ktheory", "ideal", "DOC", "--summands", "3,4"), "B: ideal over points [3, 4], interval blocks [2]"),
+        (TWO_COMPLEXES + "query { kind = ideal; target = B }\nquery { kind = ktheory; target = A }\n",
+         ("ktheory", "complex", "DOC"), "A: NCCW(p=4, l=2, k=[1, 2, 1, 2], h=[4, 4])"),
+        (ODD_TEXT + "query { kind = stages; system = k1sys }\n",
+         ("limit", "DOC", "--stages", "1"), "k1sys: stages 0..1"),
+        (ODD_TEXT + "query { kind = divisible; system = k1sys }\n",
+         ("limit", "DOC", "--divisible", "1,0", "2", "--bound", "0"),
+         "k1sys: (1, 0) is not divisible by 2"),
+        (ODD_TEXT + EXTRA_SYSTEM + "query { kind = dominates; system = k0sys }\n"
+         "query { kind = perforation-witness; system = k0b }\n",
+         ("order", "DOC", "--perforation-witness", "1,0", "2"), "k0b: stage 0 witness (1, 0)"),
+        (ODD_TEXT + EXTRA_SYSTEM + "query { kind = perforation-witness; system = k0b }\n"
+         "query { kind = dominates; system = k0sys }\n",
+         ("order", "DOC", "--dominates", "1,0", "0,1", "--bound", "6"), "k0sys: (1, 0) >= (0, 1)"),
+    ], ids=["ktheory-ideal", "ktheory-complex", "limit-stages", "limit-divisible",
+            "order-perforation-witness", "order-dominates"])
+    def test_each_mode_reads_its_own_query(self, tmp_path, text, argv, first):
+        """A mode falls back to the query of its own kind: odd_tower.nccw's
+        identify query names k0sys, which --stages and --divisible do not read."""
+        doc = tmp_path / "doc.nccw"
+        doc.write_text(text)
+        _, out, err = call_main([str(doc) if a == "DOC" else a for a in argv])
+        assert err == "" and out.startswith(first)
 
     def test_parse_error_is_positioned(self, tmp_path):
         bad = tmp_path / "bad.nccw"

@@ -1,22 +1,23 @@
-"""Value semantics of the classes that compare by value.
+"""Construction and value semantics of the package's immutable records.
 
-The value classes are plain classes, not dataclasses.  One rule, in
-fgab.intmat.Value, decides their equality: equal when of one class with
-equal fields, the fields being the constructor's parameters.  A Value is
-hashable only where a reader hashes it (the atom runs, the tests' sets of
-witnesses); IntMatrix (the Smith cache key) and FgGroup (equal on its
-presentation) write their own equality and hash.  Every value refuses to
-have an attribute set or deleted.  A case is a class, the arguments of
-one value and, per argument position, another argument: changing any one
-field must make the value unequal.
+The records are plain classes, not dataclasses.  A record's fields are
+its slots (cls._fields); fgab.intmat.Frozen.__init__ takes one value per
+field, in that order, unless the class validates its input and writes its
+own __init__.  One rule, in fgab.intmat.Value, decides the equality of the
+classes that compare by value: equal when of one class with equal fields.
+A Value is hashable only where a reader hashes it (the atom runs, the
+tests' sets of witnesses); IntMatrix (the Smith cache key) and FgGroup
+(equal on its presentation) write their own equality and hash.  Every
+record refuses to have an attribute set or deleted.  A case is a class,
+the arguments of one value and, per argument position, another argument:
+changing any one field must make the value unequal.
 """
-
-import inspect
 
 import pytest
 
+import nccwk.harness.cli  # imports every module that defines a record
 from nccwk.fgab.groups import FgGroup, GroupHom, ShortExactSeq
-from nccwk.fgab.intmat import IntMatrix, Value
+from nccwk.fgab.intmat import Frozen, IntMatrix
 from nccwk.harness.inputfmt import (
     Const,
     ExpLin,
@@ -117,10 +118,7 @@ def test_each_field_is_compared(cls, args, others, hashable):
 @pytest.mark.parametrize("cls, args, others, hashable", CASES)
 def test_values_are_immutable(cls, args, others, hashable):
     a = cls(*args)
-    names = tuple(inspect.signature(cls).parameters)
-    if issubclass(cls, Value):
-        assert cls._fields == names
-    for name in names:
+    for name in cls._fields:
         before = getattr(a, name)
         with pytest.raises(AttributeError):
             setattr(a, name, None)
@@ -133,3 +131,40 @@ def test_matrix_is_not_a_tuple():
     assert IntMatrix(1, 1, ((1,),)) != (1, 1, ((1,),))
     assert not IntMatrix(1, 1, ((1,),)) == (1, 1, ((1,),))
     assert IntMatrix(0, 0, ()) != ()
+
+
+def _records(cls=Frozen):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("nccwk.") and sub.__init__ is Frozen.__init__ and sub._fields:
+            yield sub
+        yield from _records(sub)
+
+
+RECORDS = sorted(set(_records()), key=lambda c: (c.__module__, c.__name__))
+
+
+def test_records_found():
+    names = {cls.__name__ for cls in RECORDS}
+    assert {"ModNKData", "SmithDecomposition", "AtInterior", "FullPath", "InputDocument",
+            "ScenarioReport", "OddBlock", "LadderPurity", "Classification"} <= names
+    assert not names & {"IntMatrix", "FgGroup", "NccwComplex", "SearchBounds", "LimitElement"}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_record_constructor(cls):
+    fields = cls._fields
+    values = [object() for _ in fields]
+    a = cls(*values)
+    assert all(getattr(a, name) is v for name, v in zip(fields, values, strict=True))
+    for bad in (values[:-1], values + [object()]):
+        with pytest.raises(TypeError, match=f"{cls.__name__} takes {len(fields)} values "
+                                            rf"\({', '.join(fields)}\), got {len(bad)}"):
+            cls(*bad)
+    with pytest.raises(TypeError):
+        cls(*values[:-1], **{fields[-1]: values[-1]})
+    for name, v in zip(fields, values):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        assert getattr(a, name) is v
